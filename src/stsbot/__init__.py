@@ -19,7 +19,7 @@ from .control import (
     force_controller_step,
     speed_controller_step,
 )
-from .engine import Plant, Scenario, SimLog, SimState, dynamics_step, run_scenario
+from .engine import Plant, Scenario, SimLog, SimState, run_scenario
 from .human import ChairModel, HarnessModel, HumanParams, STSReference
 from .kinematics import (
     EffectorState,
@@ -36,7 +36,7 @@ __all__ = [
     "ActuatorSpec", "DualSpeedState", "FrictionModel",
     "AssistMode", "AssistModeConfig", "ForceCommand", "TransferConfig",
     "force_controller_step", "speed_controller_step",
-    "Plant", "Scenario", "SimLog", "SimState", "dynamics_step", "run_scenario",
+    "Plant", "Scenario", "SimLog", "SimState", "run_scenario",
     "ChairModel", "HarnessModel", "HumanParams", "STSReference",
     "EffectorState", "JointState", "LinkMassModel", "RobotGeometry",
     "forward_kinematics", "inverse_kinematics",

@@ -72,11 +72,6 @@ def friction_force(model: FrictionModel, motor_vel: float) -> float:
     return model.a * math.tanh(model.b * motor_vel)
 
 
-def friction_compensation(model: FrictionModel, desired_force: float, motor_vel: float) -> float:
-    """Augment a desired output force to cancel drive friction at this speed."""
-    return desired_force + friction_force(model, motor_vel)
-
-
 def motor_speed(spec: ActuatorSpec, linear_vel: float) -> float:
     """Motor angular speed [rad/s] for an output linear speed [m/s]."""
     return spec.ratio * linear_vel * 1000.0

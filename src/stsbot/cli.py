@@ -169,13 +169,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--out", default=None)
     p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--jobs", type=int, default=1, help="reserved for batch sweeps")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_map = sub.add_parser("map", help="compute a workspace capability map")
     p_map.add_argument("--config", required=True)
     p_map.add_argument("--out", default=None)
-    p_map.add_argument("--jobs", type=int, default=1, help="reserved for batch sweeps")
     p_map.set_defaults(func=_cmd_map)
 
     p_an = sub.add_parser("analyze", help="compute metrics from a simulation log")

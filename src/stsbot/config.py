@@ -9,6 +9,7 @@ manifest so a run can be reproduced from the manifest alone.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .actuators import FrictionModel
@@ -104,7 +105,10 @@ def _coerce(key: str, raw: str):
     raw = raw.strip()
     try:
         if kind == "float":
-            return float(raw)
+            value = float(raw)
+            if not math.isfinite(value):
+                raise ConfigError(f"key '{key}': {raw!r} is not a finite number")
+            return value
         if kind == "int":
             return int(raw)
         if kind == "bool":
@@ -139,13 +143,20 @@ def load_config(path) -> dict:
     """Load a config file; a .json file is treated as a manifest snapshot."""
     text = open(path).read()
     if str(path).endswith(".json"):
-        doc = json.loads(text)
-        cfg = doc.get("config", doc)
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+        cfg = doc.get("config", doc) if isinstance(doc, dict) else doc
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"{path}: expected a JSON object of config keys")
         unknown = set(cfg) - set(SCHEMA)
         if unknown:
             raise ConfigError(f"manifest carries unknown keys: {sorted(unknown)}")
         resolved = {k: d for k, (_, d) in SCHEMA.items()}
-        resolved.update(cfg)
+        # str() of a JSON scalar is its config-file spelling (floats repr
+        # round-trip), so manifest values pass the same type check as text
+        resolved.update((k, _coerce(k, str(v))) for k, v in cfg.items())
         return resolved
     return parse_config_text(text)
 
@@ -259,49 +270,24 @@ class ValidationReport:
 
 
 def validate_config(cfg: dict) -> ValidationReport:
-    """Schema is already enforced at parse time; this adds mode/geometry
-    consistency without running the simulation."""
+    """Build the runtime objects, collecting the errors their own rules
+    raise, then add the checks no object owns: IK reachability of the harness
+    attach points and the strut stroke.  Nothing is simulated."""
     errors: list[str] = []
     warnings: list[str] = []
-
-    mode = cfg["mode"]
-    if mode not in _MODES:
-        errors.append(f"mode must be one of {_MODES}, got '{mode}'")
-        return ValidationReport(errors, warnings)
-
-    fz, ky = cfg["fz_pct"], cfg["ky"]
-    if mode == "follow_me" and (fz != 0.0 or ky != 0.0):
-        errors.append("follow_me requires fz_pct = 0 and ky = 0 (mode/parameter table)")
-    if mode == "weight_unloading" and not (fz > 0.0 and ky == 0.0):
-        errors.append("weight_unloading requires fz_pct > 0 and ky = 0 (mode/parameter table)")
-    if mode == "com_balance" and not (fz > 0.0 and ky > 0.0):
-        errors.append("com_balance requires fz_pct > 0 and ky > 0 (mode/parameter table)")
-    if mode == "transfer" and (fz != 0.0 or ky != 0.0):
+    if cfg["mode"] == "transfer" and (cfg["fz_pct"] != 0.0 or cfg["ky"] != 0.0):
         warnings.append("transfer ignores fz_pct and ky")
-    if not (0.0 <= fz < 1.0):
-        errors.append("fz_pct must lie in [0, 1)")
-    if ky < 0.0:
-        errors.append("ky must be non-negative")
-    if not (0.0 < cfg["dt"] <= 5e-3):
-        errors.append("dt must lie in (0, 0.005] s")
-    if cfg["repetitions"] < 1:
-        errors.append("repetitions must be >= 1")
-    if cfg["payload"] > 0.0 and mode != "transfer":
-        errors.append("payload requires mode = transfer")
-
     try:
-        geom = build_geometry(cfg)
-    except (ValueError, ConfigError) as exc:
-        errors.append(f"geometry: {exc}")
+        scenario = build_scenario(cfg)
+        scenario.validate()
+    except (ConfigError, ValueError) as exc:
+        errors.append(str(exc))
         return ValidationReport(errors, warnings)
 
-    if mode != "transfer" and cfg["human.enabled"] and cfg["robot_attached"]:
-        human = HumanParams.nominal(
-            cfg["human.height"], cfg["human.mass"], cfg["human.mobility"],
-            cfg["human.seat_height"], cfg["chair_y"],
-            standing_z_factor=cfg["human.standing_z_factor"],
-        )
-        off = (cfg["harness.offset_y"], cfg["harness.offset_z"])
+    geom = scenario.geom
+    human = scenario.human
+    if human is not None and scenario.robot_attached:
+        off = scenario.harness.rest_offset
         for name, com in (("seated", human.seated_com), ("standing", human.standing_com)):
             target = (com[0] + off[0], com[1] + off[1])
             try:

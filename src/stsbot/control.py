@@ -170,18 +170,12 @@ def force_controller_step(
 # transfer speed controller
 
 
-class Direction(Enum):
-    UP = "up"
-    DOWN = "down"
-
-
 @dataclass(frozen=True)
 class TransferConfig:
     """Speed-controlled transfer along the one-DOF arc about C."""
 
     v_z_target: float = 0.03
     q_a_locked: float = 0.30
-    direction: Direction = Direction.UP
     kp: float = 5000.0
     ki: float = 20000.0
     q_c_start: float = 0.45
@@ -192,10 +186,6 @@ class TransferConfig:
             raise ConfigError("v_z_target must be positive")
         if self.q_c_start <= self.q_c_end:
             raise ConfigError("q_c_start must sit below q_c_end on the arc (larger q_c)")
-
-    @property
-    def signed_v_z(self) -> float:
-        return self.v_z_target if self.direction is Direction.UP else -self.v_z_target
 
 
 @dataclass(frozen=True)
@@ -211,18 +201,17 @@ def speed_controller_step(
     v2_measured: float,
     dt: float,
     state: SpeedControllerState,
-    v_z_signed: float | None = None,
+    v_z_signed: float,
     diag: dict | None = None,
 ) -> tuple[float, SpeedControllerState]:
     """PI belt-speed regulation toward the kinematic reference.
 
     The error is taken in the motor (reel-in positive) convention so that a
     lift demand produces positive tension; anti-windup freezes the integrator
-    while the command sits on the one-sided envelope.  ``v_z_signed``
-    overrides the configured target (0 holds position between phases).
+    while the command sits on the one-sided envelope.  ``v_z_signed`` is the
+    vertical effector speed to track: +v_z lifts, -v_z lowers and 0 holds
+    position between phases.
     """
-    if v_z_signed is None:
-        v_z_signed = transfer.signed_v_z
     if v_z_signed == 0.0:
         v2_ref = 0.0
     else:

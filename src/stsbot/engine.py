@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +38,14 @@ from .control import (
     speed_controller_step,
 )
 from .errors import ConfigError, NumericalDivergence
-from .human import ChairModel, HarnessModel, HumanParams, STSReference, minimum_jerk
+from .human import (
+    ChairModel,
+    HarnessModel,
+    HumanParams,
+    STSReference,
+    minimum_jerk,
+    muscle_effort,
+)
 from .kinematics import (
     GRAVITY,
     JointState,
@@ -166,8 +174,14 @@ class Scenario:
             raise ConfigError("dt must lie in (0, 5e-3] s")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.pause < 0.0:
             raise ConfigError("pause must be non-negative")
+        if self.settle < 0.0:
+            raise ConfigError("settle must be non-negative")
+        if not (0.0 <= self.rep_jitter < 1.0):
+            raise ConfigError("rep_jitter must lie in [0, 1)")
         if self.payload < 0.0:
             raise ConfigError("payload must be non-negative")
         is_transfer = self.transfer is not None
@@ -196,6 +210,28 @@ class SimState:
     com: tuple[float, float] = (0.0, 0.0)
     vcom: tuple[float, float] = (0.0, 0.0)
     seat_off: bool = False
+
+    def vector(self) -> tuple[float, ...]:
+        """(q_a, q_c, qd_a, qd_c, cy, cz, cvy, cvz), as the integrator sees it."""
+        return (self.q_a, self.q_c, self.qd_a, self.qd_c,
+                self.com[0], self.com[1], self.vcom[0], self.vcom[1])
+
+
+class Forces(NamedTuple):
+    """Every force channel at one instant (see Plant.forces).
+
+    e, ev and jac are the effector position, velocity and the row-major
+    d(E_y,E_z)/d(q_a,q_c) entries; harness is the force on the human; feet
+    is the leg force plus the floor contact; acom the CoM acceleration.
+    """
+
+    e: tuple[float, float] | None
+    ev: tuple[float, float] | None
+    jac: tuple[float, float, float, float] | None
+    harness: tuple[float, float]
+    chair_fz: float
+    feet: tuple[float, float]
+    acom: tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -305,50 +341,8 @@ class Plant:
         self.chair = scenario.chair
         self.human = scenario.human
         self.schedule = schedule or _build_schedule(scenario)
-        if self.human is not None:
-            self.chair_plane = self.chair.plane_z(self.human)
 
-    # -- force pieces -----------------------------------------------------
-
-    def _harness_force(self, e, ev, com, vcom):
-        h = self.harness
-        dx = e[0] - com[0] - h.rest_offset[0]
-        dz = e[1] - com[1] - h.rest_offset[1]
-        return (
-            h.stiffness * dx + h.damping * (ev[0] - vcom[0]),
-            h.stiffness * dz + h.damping * (ev[1] - vcom[1]),
-        )
-
-    def _chair_force(self, com, vcom, latched):
-        if latched or self.human is None:
-            return 0.0
-        pen = self.chair_plane - com[1]
-        if pen <= 0.0:
-            return 0.0
-        raw = self.chair.stiffness * pen - self.chair.damping * vcom[1]
-        cap = (
-            self.chair.support_fraction(self.human, com[0])
-            * self.chair.support_cap
-            * self.human.weight
-        )
-        return max(0.0, min(raw, cap))
-
-    def _muscle(self, com, vcom, chair_fz, harness, ref_pos, ref_vel):
-        hp = self.human
-        baseline = max(0.0, hp.weight - chair_fz - harness[1])
-        kp, kd = hp.track_kp, hp.track_kd
-        fx = kp * (ref_pos[0] - com[0]) + kd * (ref_vel[0] - vcom[0])
-        fz = baseline + kp * (ref_pos[1] - com[1]) + kd * (ref_vel[1] - vcom[1])
-        fz = max(0.0, fz)
-        norm = math.hypot(fx, fz)
-        cap = hp.capacity
-        if norm > cap:
-            if cap <= 0.0:
-                return 0.0, 0.0
-            s = cap / norm
-            fx *= s
-            fz *= s
-        return fx, fz
+    # -- forces -----------------------------------------------------------
 
     @staticmethod
     def _floor_force(cz, cvz):
@@ -356,6 +350,37 @@ class Plant:
         if pen <= 0.0:
             return 0.0
         return max(0.0, FLOOR_STIFFNESS * pen - FLOOR_DAMPING * cvz)
+
+    def forces(self, t: float, s, latched: bool) -> Forces:
+        """Every force channel at time t and state s = (q_a, q_c, qd_a, qd_c,
+        cy, cz, cvy, cvz); the integrator, the seat-off check and the logger
+        all read the human's forces from here.
+
+        The effector terms are None when the robot is detached; the human
+        terms are zero when there is no human.
+        """
+        q_a, q_c, qd_a, qd_c, cy, cz, cvy, cvz = s
+        jac = e = ev = None
+        if self.attached:
+            jac = dk_entries(self.geom, q_a, q_c)
+            j11, j12, j21, j22 = jac
+            e = effector_position(self.geom, q_a, q_c)
+            ev = (j11 * qd_a + j12 * qd_c, j21 * qd_a + j22 * qd_c)
+        if not self.has_human:
+            return Forces(e, ev, jac, (0.0, 0.0), 0.0, (0.0, 0.0), (0.0, 0.0))
+        com = (cy, cz)
+        vcom = (cvy, cvz)
+        harness = (0.0, 0.0)
+        if self.attached:
+            harness = self.harness.force_on_human(e, ev, com, vcom)
+        chair_fz = self.chair.force(self.human, com, vcom, latched)
+        ref_pos, ref_vel = self.schedule.reference(t)
+        mx, mz = muscle_effort(self.human, com, vcom, chair_fz, harness, ref_pos, ref_vel)
+        mz += self._floor_force(cz, cvz)
+        m = self.human.mass
+        hx, hz = harness
+        acom = ((mx + hx) / m, (mz + chair_fz + hz) / m - GRAVITY)
+        return Forces(e, ev, jac, harness, chair_fz, (mx, mz), acom)
 
     def transmitted_forces(self, state: "SimState", commands: tuple[float, float]
                            ) -> tuple[float, float]:
@@ -387,23 +412,10 @@ class Plant:
         g = self.geom
         q_a, q_c, qd_a, qd_c, cy, cz, cvy, cvz = s
 
-        hx = hz = 0.0
         ax = az = 0.0
         if self.has_human:
-            com = (cy, cz)
-            vcom = (cvy, cvz)
-            if self.attached:
-                j11, j12, j21, j22 = dk_entries(g, q_a, q_c)
-                e = effector_position(g, q_a, q_c)
-                ev = (j11 * qd_a + j12 * qd_c, j21 * qd_a + j22 * qd_c)
-                hx, hz = self._harness_force(e, ev, com, vcom)
-            chair_fz = self._chair_force(com, vcom, latched)
-            ref_pos, ref_vel = self.schedule.reference(t)
-            mx, mz = self._muscle(com, vcom, chair_fz, (hx, hz), ref_pos, ref_vel)
-            mz += self._floor_force(cz, cvz)
-            m = self.human.mass
-            ax = (mx + hx) / m
-            az = (mz + chair_fz + hz) / m - GRAVITY
+            f = self.forces(t, s, latched)
+            ax, az = f.acom
 
         if not self.has_arm:
             return (0.0, 0.0, 0.0, 0.0, cvy, cvz, ax, az)
@@ -422,8 +434,9 @@ class Plant:
         tau_act_c = -d2 * f2t
 
         tau_h_a = tau_h_c = 0.0
-        if self.has_human and self.attached:
-            j11, j12, j21, j22 = dk_entries(g, q_a, q_c)
+        if self.has_human:
+            j11, j12, j21, j22 = f.jac
+            hx, hz = f.harness
             tau_h_a = -(j11 * hx + j21 * hz)
             tau_h_c = -(j12 * hx + j22 * hz)
 
@@ -449,8 +462,7 @@ class Plant:
         """One RK4 step; joint limits applied as hard stops afterwards."""
         f1, f2 = self.transmitted_forces(state, commands) if self.has_arm else (0.0, 0.0)
         latched = state.seat_off
-        s = (state.q_a, state.q_c, state.qd_a, state.qd_c,
-             state.com[0], state.com[1], state.vcom[0], state.vcom[1])
+        s = state.vector()
         t = state.t
         k1 = self._deriv(t, s, f1, f2, latched)
         h2 = dt / 2.0
@@ -483,7 +495,7 @@ class Plant:
 
         # seat-off latch: once the chair unloads it stays unloaded
         if self.has_human and not latched:
-            if self._chair_force(new.com, new.vcom, False) <= 0.0:
+            if self.forces(new.t, new.vector(), False).chair_fz <= 0.0:
                 new.seat_off = True
 
         if not all(math.isfinite(v) for v in (q_a, q_c, qd_a, qd_c, *new.com, *new.vcom)):
@@ -501,12 +513,6 @@ class Plant:
         ke = 0.5 * (m11 * state.qd_a**2 + 2.0 * m12 * state.qd_a * state.qd_c
                     + self.B1 * state.qd_c**2)
         return ke + gravity_potential(self.geom, self.masses, state.q_a, state.q_c)
-
-
-def dynamics_step(plant: Plant, state: SimState, commands: tuple[float, float],
-                  dt: float) -> SimState:
-    """Public single-step entry point (see Plant.step)."""
-    return plant.step(state, commands, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -555,12 +561,12 @@ def run_scenario(scenario: Scenario) -> SimLog:
 
     rows = np.zeros((n_steps, len(CHANNELS)))
     trace: dict = {}
-    ref_track = _Schedule(schedule.segments)  # independent cursor for logging
 
     i_rep, i_phase = IDX["rep"], IDX["phase"]
     for i in range(n_steps):
         t = state.t
-        seg = ref_track.segment_at(t)
+        # the plant reads the same cursor; all lookups come at non-decreasing t
+        seg = schedule.segment_at(t)
 
         d1, d2 = act_diag(geom, state.q_a, state.q_c)
         l1_rate = d1 * state.qd_a
@@ -597,7 +603,7 @@ def run_scenario(scenario: Scenario) -> SimLog:
 
         state = plant.step(state, (f1_cmd, f2_cmd), dt)
 
-        # log the new sample with consistently recomputed forces
+        # log the new sample; its forces come from the plant's one force model
         row = rows[i]
         row[0] = state.t
         row[i_rep] = seg.rep
@@ -606,14 +612,10 @@ def run_scenario(scenario: Scenario) -> SimLog:
         row[4] = state.q_c
         row[5] = state.qd_a
         row[6] = state.qd_c
-        e = ev = None
+        f = plant.forces(state.t, state.vector(), state.seat_off)
         if scenario.robot_attached:
-            j11, j12, j21, j22 = dk_entries(geom, state.q_a, state.q_c)
-            e = effector_position(geom, state.q_a, state.q_c)
-            ev = (j11 * state.qd_a + j12 * state.qd_c,
-                  j21 * state.qd_a + j22 * state.qd_c)
-            row[IDX["e_y"]], row[IDX["e_z"]] = e
-            row[IDX["e_vy"]], row[IDX["e_vz"]] = ev
+            row[IDX["e_y"]], row[IDX["e_z"]] = f.e
+            row[IDX["e_vy"]], row[IDX["e_vz"]] = f.ev
         if rehab_ctrl:
             row[IDX["fy_des"]] = trace.get("fy_des", 0.0)
             row[IDX["fz_des"]] = trace.get("fz_des", 0.0)
@@ -640,26 +642,12 @@ def run_scenario(scenario: Scenario) -> SimLog:
         row[IDX["v2_belt"]] = nl2_rate
         row[IDX["v2_ref"]] = v2_ref
         if plant.has_human:
-            com, vcom = state.com, state.vcom
-            hx = hz = 0.0
-            if scenario.robot_attached:
-                hx, hz = plant._harness_force(e, ev, com, vcom)
-            chair_fz = plant._chair_force(com, vcom, state.seat_off)
-            ref_pos, ref_vel = ref_track.reference(state.t)
-            mx, mz = plant._muscle(com, vcom, chair_fz, (hx, hz), ref_pos, ref_vel)
-            mz += plant._floor_force(com[1], vcom[1])
-            m = scenario.human.mass
-            row[IDX["harness_fy"]] = hx
-            row[IDX["harness_fz"]] = hz
-            row[IDX["com_y"]] = com[0]
-            row[IDX["com_z"]] = com[1]
-            row[IDX["vcom_y"]] = vcom[0]
-            row[IDX["vcom_z"]] = vcom[1]
-            row[IDX["acom_y"]] = (mx + hx) / m
-            row[IDX["acom_z"]] = (mz + chair_fz + hz) / m - GRAVITY
-            row[IDX["chair_fz"]] = chair_fz
-            row[IDX["feet_fy"]] = mx
-            row[IDX["feet_fz"]] = mz
+            row[IDX["harness_fy"]], row[IDX["harness_fz"]] = f.harness
+            row[IDX["com_y"]], row[IDX["com_z"]] = state.com
+            row[IDX["vcom_y"]], row[IDX["vcom_z"]] = state.vcom
+            row[IDX["acom_y"]], row[IDX["acom_z"]] = f.acom
+            row[IDX["chair_fz"]] = f.chair_fz
+            row[IDX["feet_fy"]], row[IDX["feet_fz"]] = f.feet
             row[IDX["seat_off"]] = float(state.seat_off)
         row[IDX["brake"]] = float(is_transfer)
 

@@ -7,12 +7,15 @@ clamped to a mobility-scaled capacity.  The feet ground-reaction force equals
 that leg force, so the chair/feet split responds to where the CoM is over
 the seat: the chair's supportable share tapers off as the CoM advances
 toward the seat edge.
+
+This module holds the force laws only; ``engine.Plant.forces`` evaluates
+them, plus the floor contact, for the integrator and the logger alike.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .kinematics import GRAVITY
 
@@ -95,31 +98,6 @@ def minimum_jerk(tau: float) -> tuple[float, float, float]:
     return s, ds, dds
 
 
-def reference_com(
-    params: HumanParams, ref: STSReference, t: float
-) -> tuple[tuple[float, float], tuple[float, float], tuple[float, float]]:
-    """CoM reference (pos, vel, acc) at time t, clamped to the endpoints."""
-    tau = t / ref.duration
-    s, ds, dds = minimum_jerk(tau)
-    dy = params.standing_com[0] - params.seated_com[0]
-    dz = params.standing_com[1] - params.seated_com[1]
-    inv_t = 1.0 / ref.duration
-    pos = (params.seated_com[0] + s * dy, params.seated_com[1] + s * dz)
-    vel = (ds * dy * inv_t, ds * dz * inv_t)
-    acc = (dds * dy * inv_t * inv_t, dds * dz * inv_t * inv_t)
-    return pos, vel, acc
-
-
-@dataclass
-class HumanState:
-    com: tuple[float, float]
-    vel: tuple[float, float] = (0.0, 0.0)
-    chair_fz: float = 0.0
-    feet_f: tuple[float, float] = (0.0, 0.0)
-    seat_off: bool = False
-    harness_f: tuple[float, float] = (0.0, 0.0)
-
-
 @dataclass(frozen=True)
 class ChairModel:
     """Unilateral seat contact with a support share that tapers at the edge.
@@ -135,6 +113,10 @@ class ChairModel:
     seat_depth: float = 0.45
     edge_taper: float = 0.10
     edge_offset: float = 0.10  # seat front edge this far ahead of the seated CoM
+
+    def __post_init__(self):
+        if self.stiffness <= 0.0:
+            raise ValueError("chair stiffness must be positive")
 
     def plane_z(self, params: HumanParams) -> float:
         """Seat plane placed so the spring carries exactly bodyweight at the
@@ -154,6 +136,7 @@ class ChairModel:
         self, params: HumanParams, com: tuple[float, float], vel: tuple[float, float],
         latched: bool,
     ) -> float:
+        """Vertical seat force on the CoM; zero once seat-off has latched."""
         if latched:
             return 0.0
         pen = self.plane_z(params) - com[1]
@@ -166,7 +149,10 @@ class ChairModel:
 
 def muscle_effort(
     params: HumanParams,
-    state: HumanState,
+    com: tuple[float, float],
+    vel: tuple[float, float],
+    chair_fz: float,
+    harness_f: tuple[float, float],
     ref_pos: tuple[float, float],
     ref_vel: tuple[float, float],
 ) -> tuple[float, float]:
@@ -177,10 +163,10 @@ def muscle_effort(
     to the person's capacity in norm, so a low-mobility surrogate fails the
     motion (sit-back) instead of producing impossible forces.
     """
-    baseline = max(0.0, params.weight - state.chair_fz - state.harness_f[1])
+    baseline = max(0.0, params.weight - chair_fz - harness_f[1])
     kp, kd = params.track_kp, params.track_kd
-    fx = kp * (ref_pos[0] - state.com[0]) + kd * (ref_vel[0] - state.vel[0])
-    fz = baseline + kp * (ref_pos[1] - state.com[1]) + kd * (ref_vel[1] - state.vel[1])
+    fx = kp * (ref_pos[0] - com[0]) + kd * (ref_vel[0] - vel[0])
+    fz = baseline + kp * (ref_pos[1] - com[1]) + kd * (ref_vel[1] - vel[1])
     fz = max(0.0, fz)
     norm = math.hypot(fx, fz)
     cap = params.capacity
@@ -191,30 +177,6 @@ def muscle_effort(
         fx *= scale
         fz *= scale
     return fx, fz
-
-
-def contact_step(
-    params: HumanParams,
-    chair: ChairModel,
-    state: HumanState,
-    harness_f: tuple[float, float],
-    ref_pos: tuple[float, float],
-    ref_vel: tuple[float, float],
-    dt: float,
-) -> HumanState:
-    """One semi-implicit Euler step of the CoM under chair, legs, harness
-    and gravity.  Seat-off latches the first time the chair force hits zero
-    and stays latched for the rest of the repetition."""
-    chair_fz = chair.force(params, state.com, state.vel, state.seat_off)
-    probe = replace(state, chair_fz=chair_fz, harness_f=harness_f)
-    muscle = muscle_effort(params, probe, ref_pos, ref_vel)
-    m = params.mass
-    ax = (muscle[0] + harness_f[0]) / m
-    az = (muscle[1] + chair_fz + harness_f[1]) / m - GRAVITY
-    vel = (state.vel[0] + ax * dt, state.vel[1] + az * dt)
-    com = (state.com[0] + vel[0] * dt, state.com[1] + vel[1] * dt)
-    seat_off = state.seat_off or chair_fz <= 0.0
-    return HumanState(com, vel, chair_fz, muscle, seat_off, harness_f)
 
 
 @dataclass(frozen=True)
@@ -228,6 +190,10 @@ class HarnessModel:
     stiffness: float = 1.0e5
     damping: float = 400.0
     rest_offset: tuple[float, float] = (0.0, 0.03)
+
+    def __post_init__(self):
+        if self.stiffness <= 0.0:
+            raise ValueError("harness stiffness must be positive")
 
     def force_on_human(
         self,

@@ -293,22 +293,13 @@ def gravity_potential(
     masses: LinkMassModel,
     q_a: float,
     q_c: float,
-    bracket_term: bool = False,
 ) -> float:
-    """Potential energy of both links (constant offsets dropped).
-
-    ``bracket_term`` selects an alternate mass model that lumps an extra
-    boom-bracket moment m_v*g*l_cd*cos(q_a) onto the mast; kept only for
-    comparison, never the default.
-    """
+    """Potential energy of both links (constant offsets dropped)."""
     phi = q_a + q_c
-    v = (
+    return (
         masses.m_h * GRAVITY * masses.L_h * math.cos(q_a)
         + masses.m_v * GRAVITY * (geom.l_ac * math.cos(q_a) - masses.L_v * math.sin(phi))
     )
-    if bracket_term:
-        v += masses.m_v * GRAVITY * geom.l_cd * math.cos(q_a)
-    return v
 
 
 def gravity_vec(
@@ -316,22 +307,9 @@ def gravity_vec(
     masses: LinkMassModel,
     q_a: float,
     q_c: float,
-    bracket_term: bool = False,
 ) -> tuple[float, float]:
-    """g(q) = dV/dq as plain floats (hot-path form)."""
+    """Joint torques needed to hold the structure, g(q) = dV/dq, as plain floats."""
     phi = q_a + q_c
     w2 = masses.m_v * GRAVITY * masses.L_v * math.cos(phi)
     g_a = -(masses.m_h * masses.L_h + masses.m_v * geom.l_ac) * GRAVITY * math.sin(q_a) - w2
-    if bracket_term:
-        g_a -= masses.m_v * GRAVITY * geom.l_cd * math.sin(q_a)
     return g_a, -w2
-
-
-def gravity_torques(
-    geom: RobotGeometry,
-    masses: LinkMassModel,
-    q: JointState,
-    bracket_term: bool = False,
-) -> tuple[float, float]:
-    """Joint torques needed to hold the structure: g(q) = dV/dq."""
-    return gravity_vec(geom, masses, q.q_a, q.q_c, bracket_term)

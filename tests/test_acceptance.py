@@ -35,7 +35,6 @@ from stsbot.engine import (
     Plant,
     Scenario,
     SimState,
-    dynamics_step,
     run_scenario,
     transparency_pair,
 )
@@ -144,7 +143,7 @@ def test_criterion_2_gravity_compensation_statics():
                 GEOM, MASSES, (ACTUATOR_1, ACTUATOR_2_HS),
                 (sc.ctrl_frictions[0], sc.ctrl_frictions[1]), mode,
                 JointState(state.q_a, state.q_c, state.qd_a, state.qd_c), (w1, w2))
-            state = dynamics_step(plant, state, (cmd.f1, cmd.f2), 1e-3)
+            state = plant.step(state, (cmd.f1, cmd.f2), 1e-3)
         worst = max(worst, abs(state.q_a - qa), abs(state.q_c - qc))
     elapsed = time.monotonic() - t0
     ok = worst < 1e-6 and elapsed < 60.0
@@ -399,7 +398,7 @@ def test_criterion_8_property_suites():
     state = SimState(q_a=math.pi - 0.2, q_c=-math.pi / 2 + 0.15)
     e0 = plant.mechanical_energy(state)
     for _ in range(10000):
-        state = dynamics_step(plant, state, (0.0, 0.0), 1e-3)
+        state = plant.step(state, (0.0, 0.0), 1e-3)
     drift_rate = abs(plant.mechanical_energy(state) - e0) / 10.0
     energy_ok = drift_rate < 1e-5
 

@@ -17,7 +17,6 @@ from stsbot.actuators import (
     SpeedMode,
     TRANSFER_STATE,
     clamp_to_capability,
-    friction_compensation,
     friction_force,
     motor_speed,
     set_configuration,
@@ -56,15 +55,6 @@ def test_friction_monotone_nondecreasing():
     vs = np.linspace(-200.0, 200.0, 801)
     fs = [friction_force(MODEL, float(v)) for v in vs]
     assert all(b >= a for a, b in zip(fs, fs[1:]))
-
-
-def test_compensation_at_rest_returns_desired():
-    assert friction_compensation(MODEL, 100.0, 0.0) == 100.0
-
-
-def test_compensation_saturates_toward_dry_magnitude():
-    out = friction_compensation(MODEL, 0.0, 1e6)
-    assert out == pytest.approx(MODEL.a, rel=1e-6)
 
 
 def test_friction_model_validation():

@@ -1,9 +1,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stsbot.cli import EXIT_CONFIG, EXIT_OK, main
-from stsbot.config import build_scenario, parse_config_text, validate_config
+from stsbot.config import SCHEMA, build_scenario, parse_config_text, validate_config
 from stsbot.errors import ConfigError
 
 FAST_SCENARIO = """
@@ -76,6 +78,35 @@ def test_stroke_warning():
     assert any("stroke" in w for w in report.warnings)
 
 
+def _schema_value(key):
+    kind, default = SCHEMA[key]
+    if kind == "float":
+        return st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 1.5, 5.0, default]),
+                         st.floats(min_value=-1e6, max_value=1e6))
+    if kind == "int":
+        return st.integers(min_value=-3, max_value=2**31)
+    if kind == "bool":
+        return st.booleans()
+    if key == "mode":
+        return st.sampled_from(["follow_me", "weight_unloading", "com_balance",
+                                "transfer", "bogus"])
+    return st.sampled_from(["rehab", "transfer", "bogus"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(overrides=st.lists(
+    st.sampled_from(sorted(SCHEMA)).flatmap(lambda k: st.tuples(st.just(k), _schema_value(k))),
+    max_size=4))
+def test_validate_config_agrees_with_build(overrides):
+    # every rule lives in the built objects: validate_config reports their
+    # errors instead of raising, and an ok report means the scenario builds
+    cfg = parse_config_text("")
+    cfg.update(overrides)
+    report = validate_config(cfg)
+    if report.ok:
+        build_scenario(cfg).validate()
+
+
 def test_build_scenario_roundtrip():
     cfg = parse_config_text(FAST_SCENARIO)
     sc = build_scenario(cfg)
@@ -99,6 +130,49 @@ def test_validate_rejects_mode_conflict(tmp_path, capsys):
     assert main(["validate", "--config", str(p)]) == EXIT_CONFIG
     out = capsys.readouterr().out
     assert "follow_me" in out
+
+
+BAD_CONFIGS = {
+    "mobility_above_one": "human.mobility = 1.5",
+    "negative_height": "human.height = -1",
+    "zero_sts_duration": "sts.duration = 0",
+    "negative_link_mass": "masses.m_h = -1",
+    "nan_pause": "pause = nan",
+    "nan_transfer_speed": "mode = transfer\ntransfer.v_z = nan",
+    "infinite_sts_duration": "sts.duration = inf",
+    "infinite_mass": "human.mass = inf",
+    "rep_jitter_above_one": "rep_jitter = 5",
+    "negative_settle": "settle = -1",
+    "zero_chair_stiffness": "chair.stiffness = 0",
+    "negative_harness_stiffness": "harness.stiffness = -1",
+    "negative_seed": "seed = -1",
+}
+BAD_MANIFESTS = {
+    "manifest_float_repetitions": {"config": {"repetitions": 1.5}},
+    "manifest_nan_pause": {"config": {"pause": float("nan")}},
+    "manifest_text_dt": {"config": {"dt": "fast"}},
+    "manifest_not_an_object": ["mode", "follow_me"],
+}
+
+
+def _bad_config_path(tmp_path, name):
+    if name in BAD_MANIFESTS:
+        return write(tmp_path, json.dumps(BAD_MANIFESTS[name]), "manifest.json")
+    return write(tmp_path, "repetitions = 1\n" + BAD_CONFIGS[name] + "\n")
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+@pytest.mark.parametrize("name", sorted(BAD_CONFIGS) + sorted(BAD_MANIFESTS))
+def test_bad_config_exits_2_with_error_line(tmp_path, capsys, command, name):
+    argv = [command, "--config", str(_bad_config_path(tmp_path, name))]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    text = captured.out + captured.err
+    assert "error:" in text
+    assert "Traceback" not in text
+    assert not (tmp_path / "out" / "log.csv").exists()
 
 
 def test_simulate_writes_log_and_manifest(tmp_path):

@@ -213,8 +213,9 @@ def test_pi_on_reference_returns_integrator():
     state = SpeedControllerState(integral=123.0)
     from stsbot.kinematics import transfer_actuator_velocity
 
-    v2_ref = transfer_actuator_velocity(GEOM, 0.3, -0.2, tr.signed_v_z)
-    f2, _ = speed_controller_step(GEOM, ACTUATOR_2_HF, tr, -0.2, v2_ref, 1e-3, state)
+    v2_ref = transfer_actuator_velocity(GEOM, 0.3, -0.2, tr.v_z_target)
+    f2, _ = speed_controller_step(GEOM, ACTUATOR_2_HF, tr, -0.2, v2_ref, 1e-3, state,
+                                  v_z_signed=tr.v_z_target)
     assert f2 == pytest.approx(123.0, abs=1e-9)
 
 
@@ -222,7 +223,8 @@ def test_pi_integrator_frozen_while_saturated():
     tr = TransferConfig(v_z_target=0.04, q_a_locked=0.3, kp=1e6)
     state = SpeedControllerState()
     # huge error drives the command onto the envelope; integrator must freeze
-    _, new_state = speed_controller_step(GEOM, ACTUATOR_2_HF, tr, -0.2, 1.0, 1e-3, state)
+    _, new_state = speed_controller_step(GEOM, ACTUATOR_2_HF, tr, -0.2, 1.0, 1e-3, state,
+                                         v_z_signed=tr.v_z_target)
     assert new_state.integral == 0.0
 
 

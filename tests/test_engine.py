@@ -17,7 +17,6 @@ from stsbot.engine import (
     Scenario,
     SimLog,
     SimState,
-    dynamics_step,
     run_scenario,
     transparency_pair,
 )
@@ -56,7 +55,7 @@ def test_energy_conservation_frictionless_undamped():
     e0 = plant.mechanical_energy(state)
     horizon = 10.0
     for _ in range(int(horizon / 1e-3)):
-        state = dynamics_step(plant, state, (0.0, 0.0), 1e-3)
+        state = plant.step(state, (0.0, 0.0), 1e-3)
     drift_rate = abs(plant.mechanical_energy(state) - e0) / horizon
     assert drift_rate < 1e-5
 
@@ -73,7 +72,7 @@ def test_gravity_compensation_holds_pose():
             GEOM, plant.masses, (ACTUATOR_1, ACTUATOR_2_HS),
             (sc.ctrl_frictions[0], sc.ctrl_frictions[1]), FOLLOW,
             JointState(state.q_a, state.q_c, state.qd_a, state.qd_c), (w1, w2))
-        state = dynamics_step(plant, state, (cmd.f1, cmd.f2), 1e-3)
+        state = plant.step(state, (cmd.f1, cmd.f2), 1e-3)
     assert abs(state.q_a - 0.45) < 1e-9
     assert abs(state.q_c + 0.7) < 1e-9
 
@@ -85,7 +84,7 @@ def test_brake_locks_mast_exactly():
     state = SimState(q_a=0.33, q_c=0.2)
     for i in range(2000):
         # arbitrary belt commands act as the disturbance
-        state = dynamics_step(plant, state, (0.0, 500.0 if i % 2 else 2500.0), 1e-3)
+        state = plant.step(state, (0.0, 500.0 if i % 2 else 2500.0), 1e-3)
     assert state.q_a == 0.33  # bit-exact lock
     assert state.qd_a == 0.0
 
@@ -105,7 +104,7 @@ def test_joint_limits_are_hard_stops():
     plant = Plant(sc)
     state = SimState(q_a=0.85, q_c=0.45, qd_a=2.0, qd_c=2.0)
     for _ in range(200):
-        state = dynamics_step(plant, state, (0.0, 0.0), 1e-3)
+        state = plant.step(state, (0.0, 0.0), 1e-3)
     assert state.q_a <= GEOM.q_a_limits[1] + 1e-12
     assert state.q_c <= GEOM.q_c_limits[1] + 1e-12
 
@@ -115,7 +114,7 @@ def test_divergence_guard_raises():
     plant = Plant(sc)
     state = SimState(q_a=0.3, q_c=-0.2, qd_a=80.0)
     with pytest.raises(NumericalDivergence):
-        dynamics_step(plant, state, (0.0, 0.0), 1e-3)
+        plant.step(state, (0.0, 0.0), 1e-3)
 
 
 # ---------------------------------------------------------------------------

@@ -3,17 +3,25 @@ import math
 import numpy as np
 import pytest
 
+from stsbot.control import AssistMode, AssistModeConfig
+from stsbot.engine import (
+    PHASE_RISE,
+    PHASE_SETTLE,
+    Plant,
+    Scenario,
+    SimState,
+    _build_schedule,
+    run_scenario,
+)
 from stsbot.human import (
     ChairModel,
     HarnessModel,
     HumanParams,
-    HumanState,
     STSReference,
-    contact_step,
     minimum_jerk,
     muscle_effort,
-    reference_com,
 )
+
 HUMAN = HumanParams.nominal(1.75, 80.0, chair_y=0.0)
 CHAIR = ChairModel()
 REF = STSReference(duration=2.0)
@@ -41,19 +49,33 @@ def test_min_jerk_peak_velocity():
     assert peak == pytest.approx(1.875, abs=1e-6)
 
 
+def detached(params, **kw):
+    """A human alone on the chair: the plant without the robot."""
+    base = dict(human=params, robot_attached=False, sts=REF, repetitions=1,
+                rep_jitter=0.0, settle=0.5)
+    base.update(kw)
+    return Scenario(**base)
+
+
+def rise_reference(t):
+    """The engine's CoM reference at time t into the first rise."""
+    sc = detached(HUMAN)
+    return _build_schedule(sc).reference(sc.settle + t)
+
+
 def test_reference_endpoints_and_clamping():
-    pos, vel, _ = reference_com(HUMAN, REF, 0.0)
+    pos, vel = rise_reference(0.0)
     assert pos == HUMAN.seated_com and vel == (0.0, 0.0)
-    pos, vel, _ = reference_com(HUMAN, REF, REF.duration * 2.0)
+    pos, vel = rise_reference(REF.duration)
     assert pos == HUMAN.standing_com and vel == (0.0, 0.0)
-    pos, _, _ = reference_com(HUMAN, REF, REF.duration / 2.0)
+    pos, _ = rise_reference(REF.duration / 2.0)
     assert pos[0] == pytest.approx(
         0.5 * (HUMAN.seated_com[0] + HUMAN.standing_com[0]), abs=1e-12)
 
 
 def test_reference_peak_velocity_scale():
     dz = HUMAN.standing_com[1] - HUMAN.seated_com[1]
-    _, vel, _ = reference_com(HUMAN, REF, REF.duration / 2.0)
+    _, vel = rise_reference(REF.duration / 2.0)
     assert vel[1] == pytest.approx(1.875 * dz / REF.duration, abs=1e-9)
 
 
@@ -61,34 +83,35 @@ def test_reference_peak_velocity_scale():
 # muscle model
 
 
-def seated_state(**kw):
-    return HumanState(com=HUMAN.seated_com, vel=(0.0, 0.0), **kw)
+SEATED = dict(com=HUMAN.seated_com, vel=(0.0, 0.0))
 
 
 def test_muscle_zero_error_returns_baseline_only():
-    state = seated_state(chair_fz=0.3 * HUMAN.weight, harness_f=(0.0, 0.1 * HUMAN.weight))
-    f = muscle_effort(HUMAN, state, HUMAN.seated_com, (0.0, 0.0))
+    f = muscle_effort(HUMAN, **SEATED, chair_fz=0.3 * HUMAN.weight,
+                      harness_f=(0.0, 0.1 * HUMAN.weight),
+                      ref_pos=HUMAN.seated_com, ref_vel=(0.0, 0.0))
     assert f[0] == pytest.approx(0.0, abs=1e-12)
     assert f[1] == pytest.approx(0.6 * HUMAN.weight, abs=1e-9)
 
 
 def test_muscle_zero_mobility_exerts_nothing():
     dummy = HumanParams.nominal(1.75, 80.0, mobility=0.0)
-    state = seated_state()
-    assert muscle_effort(dummy, state, (1.0, 2.0), (0.0, 0.0)) == (0.0, 0.0)
+    f = muscle_effort(dummy, **SEATED, chair_fz=0.0, harness_f=(0.0, 0.0),
+                      ref_pos=(1.0, 2.0), ref_vel=(0.0, 0.0))
+    assert f == (0.0, 0.0)
 
 
 def test_muscle_capacity_norm_clamp():
-    state = seated_state()
-    f = muscle_effort(HUMAN, state, (HUMAN.seated_com[0] + 5.0, HUMAN.seated_com[1] + 5.0),
-                      (0.0, 0.0))
+    f = muscle_effort(HUMAN, **SEATED, chair_fz=0.0, harness_f=(0.0, 0.0),
+                      ref_pos=(HUMAN.seated_com[0] + 5.0, HUMAN.seated_com[1] + 5.0),
+                      ref_vel=(0.0, 0.0))
     assert math.hypot(*f) == pytest.approx(HUMAN.capacity, rel=1e-9)
 
 
 def test_muscle_feet_cannot_pull_ground():
-    state = seated_state(chair_fz=HUMAN.weight)
-    f = muscle_effort(HUMAN, state, (HUMAN.seated_com[0], HUMAN.seated_com[1] - 5.0),
-                      (0.0, 0.0))
+    f = muscle_effort(HUMAN, **SEATED, chair_fz=HUMAN.weight, harness_f=(0.0, 0.0),
+                      ref_pos=(HUMAN.seated_com[0], HUMAN.seated_com[1] - 5.0),
+                      ref_vel=(0.0, 0.0))
     assert f[1] >= 0.0
 
 
@@ -123,45 +146,61 @@ def test_chair_unilateral():
 # contact statics
 
 
-def settle(params, harness=(0.0, 0.0), steps=4000, dt=1e-3):
-    state = HumanState(com=params.seated_com)
+def settle(params, steps=4000, dt=1e-3):
+    """Integrate the detached plant through its settle phase (reference
+    held at the seated CoM); returns the plant and the final state."""
+    plant = Plant(detached(params, settle=steps * dt + 1.0))
+    state = SimState(com=params.seated_com)
     for _ in range(steps):
-        state = contact_step(params, CHAIR, state, harness,
-                             params.seated_com, (0.0, 0.0), dt)
-    return state
+        state = plant.step(state, (0.0, 0.0), dt)
+    return plant, state
+
+
+def grf(plant, state):
+    f = plant.forces(state.t, state.vector(), state.seat_off)
+    return f.chair_fz, f.feet[1]
 
 
 def test_static_seated_grf_sum_equals_weight():
     # mobility 0: no leg force at all, the chair carries everything
     dummy = HumanParams.nominal(1.75, 80.0, mobility=0.0)
-    state = settle(dummy)
-    total = state.chair_fz + state.feet_f[1]
-    assert total == pytest.approx(dummy.weight, rel=1e-6)
-    assert state.feet_f[1] == 0.0
+    chair_fz, feet_fz = grf(*settle(dummy))
+    assert chair_fz + feet_fz == pytest.approx(dummy.weight, rel=1e-6)
+    assert feet_fz == 0.0
 
 
 def test_static_seated_with_harness_unloading():
-    dummy = HumanParams.nominal(1.75, 80.0, mobility=0.0)
-    state = settle(dummy, harness=(0.0, 0.1 * dummy.weight))
-    total = state.chair_fz + state.feet_f[1]
+    # mobility 0, the robot unloading 0.1 bw through the harness: once the
+    # settle phase is at rest, chair and feet carry the other 0.9 bw
+    dummy = HumanParams.nominal(1.75, 80.0, mobility=0.0, chair_y=0.67)
+    mode = AssistModeConfig(AssistMode.WEIGHT_UNLOADING, 1.75, 80.0, fz_pct=0.10)
+    log = run_scenario(Scenario(human=dummy, mode_config=mode, repetitions=1, settle=4.0,
+                                rep_jitter=0.0, pause=0.0, sts=STSReference(0.5)))
+    i = np.flatnonzero(log["phase"] == PHASE_SETTLE)[-1]
+    total = log["chair_fz"][i] + log["feet_fz"][i]
     assert total == pytest.approx(0.9 * dummy.weight, rel=1e-5)
+    assert log["feet_fz"][i] == 0.0
 
 
 def test_static_seated_active_muscle_balances():
-    state = settle(HUMAN)
-    total = state.chair_fz + state.feet_f[1]
-    assert total == pytest.approx(HUMAN.weight, rel=1e-5)
-    assert abs(state.vel[0]) < 1e-6 and abs(state.vel[1]) < 1e-6
+    plant, state = settle(HUMAN)
+    chair_fz, feet_fz = grf(plant, state)
+    assert chair_fz + feet_fz == pytest.approx(HUMAN.weight, rel=1e-5)
+    assert abs(state.vcom[0]) < 1e-6 and abs(state.vcom[1]) < 1e-6
 
 
 def test_seat_off_latch_persists():
-    state = HumanState(com=(HUMAN.seated_com[0], HUMAN.seated_com[1] + 0.2), seat_off=False)
-    state = contact_step(HUMAN, CHAIR, state, (0.0, 0.0), HUMAN.standing_com, (0.0, 0.0), 1e-3)
+    # both states lie inside the first rise: the latch holds within one rise
+    sc = detached(HUMAN, settle=0.0)
+    plant = Plant(sc)
+    assert _build_schedule(sc).segment_at(0.5).phase == PHASE_RISE
+    lifted = (HUMAN.seated_com[0], HUMAN.seated_com[1] + 0.2)
+    state = plant.step(SimState(com=lifted), (0.0, 0.0), 1e-3)
     assert state.seat_off
     # even after dropping back below the plane the chair stays unloaded
-    state = HumanState(com=HUMAN.seated_com, seat_off=True)
-    state = contact_step(HUMAN, CHAIR, state, (0.0, 0.0), HUMAN.seated_com, (0.0, 0.0), 1e-3)
-    assert state.seat_off and state.chair_fz == 0.0
+    state = plant.step(SimState(t=0.5, com=HUMAN.seated_com, seat_off=True), (0.0, 0.0), 1e-3)
+    assert state.seat_off
+    assert plant.forces(state.t, state.vector(), state.seat_off).chair_fz == 0.0
 
 
 # ---------------------------------------------------------------------------

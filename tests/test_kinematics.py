@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from stsbot.errors import OutOfJointLimits, SingularTransmission, Unreachable
 from stsbot.kinematics import (
-    GRAVITY,
     JointState,
     LinkMassModel,
     RobotGeometry,
@@ -17,7 +16,7 @@ from stsbot.kinematics import (
     effector_position,
     forward_kinematics,
     gravity_potential,
-    gravity_torques,
+    gravity_vec,
     inverse_kinematics,
     jacobian_act,
     jacobian_dk,
@@ -298,19 +297,19 @@ def test_transfer_velocity_singular_at_vertical_boom():
 
 def test_gravity_symmetric_zero():
     # mast vertical, boom straight down: the mast torque vanishes by symmetry
-    g_a, _ = gravity_torques(GEOM, MASSES, JointState(0.0, math.pi / 2))
+    g_a, _ = gravity_vec(GEOM, MASSES, 0.0, math.pi / 2)
     assert abs(g_a) < 1e-12
 
 
 def test_gravity_massless_limit():
     empty = LinkMassModel(0.0, 0.0, 0.305, 0.375, 0.0, 0.0)
-    g = gravity_torques(GEOM, empty, JointState(0.4, -0.7))
+    g = gravity_vec(GEOM, empty, 0.4, -0.7)
     assert g == (0.0, 0.0)
 
 
 def test_gravity_matches_finite_difference_of_potential():
     for q in random_states(50, seed=10):
-        g_a, g_c = gravity_torques(GEOM, MASSES, q)
+        g_a, g_c = gravity_vec(GEOM, MASSES, q.q_a, q.q_c)
         fd_a = finite_difference(lambda a: gravity_potential(GEOM, MASSES, a, q.q_c), q.q_a)
         fd_c = finite_difference(lambda c: gravity_potential(GEOM, MASSES, q.q_a, c), q.q_c)
         assert abs(g_a - fd_a) / max(1.0, abs(fd_a)) < 1e-6
@@ -330,20 +329,9 @@ def test_gravity_field_is_conservative():
         work = 0.0
         for i in range(n):
             mid_a, mid_c = 0.5 * (qa[i] + qa[i + 1]), 0.5 * (qc[i] + qc[i + 1])
-            from stsbot.kinematics import gravity_vec
-
             g_a, g_c = gravity_vec(GEOM, MASSES, mid_a, mid_c)
             work += g_a * (qa[i + 1] - qa[i]) + g_c * (qc[i + 1] - qc[i])
         assert abs(work) < 1e-8
-
-
-def test_gravity_bracket_variant_changes_only_mast_component():
-    q = JointState(0.35, -0.55)
-    g0 = gravity_torques(GEOM, MASSES, q)
-    g1 = gravity_torques(GEOM, MASSES, q, bracket_term=True)
-    assert g1[1] == g0[1]
-    expected = -MASSES.m_v * GRAVITY * GEOM.l_cd * math.sin(q.q_a)
-    assert g1[0] - g0[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_geometry_validation():
