@@ -106,6 +106,21 @@ def _max_fz_cell(
     return fz_max
 
 
+def validate_map_grid(
+    configuration: str,
+    y_range: tuple[float, float],
+    z_range: tuple[float, float],
+    step: float,
+) -> None:
+    """Raise ValueError unless the arguments describe a capability-map grid."""
+    if configuration not in ("rehab", "transfer"):
+        raise ValueError("configuration must be 'rehab' or 'transfer'")
+    if not step > 0.0:
+        raise ValueError("step must be positive")
+    if not (y_range[0] < y_range[1] and z_range[0] < z_range[1]):
+        raise ValueError("each grid range needs min < max")
+
+
 def capability_map(
     geom: RobotGeometry,
     masses: LinkMassModel,
@@ -123,8 +138,7 @@ def capability_map(
     IK solution (the brake carries the mast torque) so only the belt limits
     apply.
     """
-    if configuration not in ("rehab", "transfer"):
-        raise ValueError("configuration must be 'rehab' or 'transfer'")
+    validate_map_grid(configuration, y_range, z_range, step)
     if requirement is None:
         requirement = 650.0 if configuration == "rehab" else 1962.0
     ys = np.arange(y_range[0], y_range[1] + step / 2, step)

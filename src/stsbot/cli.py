@@ -81,9 +81,6 @@ def _cmd_map(args) -> int:
     geom = build_geometry(cfg)
     masses = LinkMassModel.for_geometry(geom, cfg["masses.m_h"], cfg["masses.m_v"])
     configuration = cfg["map.configuration"]
-    if configuration not in ("rehab", "transfer"):
-        print("error: map.configuration must be rehab or transfer", file=sys.stderr)
-        return EXIT_CONFIG
     requirement = cfg["map.requirement"]
     cmap = capability_map(
         geom, masses, ACTUATOR_1,

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .actuators import FrictionModel
+from .analysis import validate_map_grid
 from .control import AssistMode, AssistModeConfig, TransferConfig
 from .engine import Scenario
 from .errors import ConfigError, OutOfJointLimits, Unreachable
@@ -141,7 +142,13 @@ def parse_config_text(text: str) -> dict:
 
 def load_config(path) -> dict:
     """Load a config file; a .json file is treated as a manifest snapshot."""
-    text = open(path).read()
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a text file") from exc
     if str(path).endswith(".json"):
         try:
             doc = json.loads(text)
@@ -278,10 +285,18 @@ def validate_config(cfg: dict) -> ValidationReport:
     if cfg["mode"] == "transfer" and (cfg["fz_pct"] != 0.0 or cfg["ky"] != 0.0):
         warnings.append("transfer ignores fz_pct and ky")
     try:
+        validate_map_grid(cfg["map.configuration"], (cfg["map.y_min"], cfg["map.y_max"]),
+                          (cfg["map.z_min"], cfg["map.z_max"]), cfg["map.step"])
+    except ValueError as exc:
+        errors.append(f"map: {exc}")
+    try:
         scenario = build_scenario(cfg)
         scenario.validate()
     except (ConfigError, ValueError) as exc:
         errors.append(str(exc))
+        return ValidationReport(errors, warnings)
+    except OverflowError as exc:
+        errors.append(f"a value is too large to compute with: {exc}")
         return ValidationReport(errors, warnings)
 
     geom = scenario.geom

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -89,6 +90,7 @@ CHANNELS = [
 IDX = {name: i for i, name in enumerate(CHANNELS)}
 
 CSV_SCHEMA_VERSION = "stsbot-log v1"
+CSV_BLOCK_ROWS = 4096
 
 
 @dataclass
@@ -106,37 +108,70 @@ class SimLog:
         return len(self.data["time"])
 
     def to_csv(self) -> str:
-        names = list(self.data.keys())
-        cols = [self.data[n] for n in names]
-        lines = [f"# {CSV_SCHEMA_VERSION}"]
-        lines.append("# meta " + json.dumps(self.meta, sort_keys=True))
-        lines.append(",".join(names))
-        for i in range(len(cols[0])):
-            lines.append(",".join(f"{c[i]:.17g}" for c in cols))
-        return "\n".join(lines) + "\n"
+        return "".join(self._csv_blocks())
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="\n") as fh:
-            fh.write(self.to_csv())
+            fh.writelines(self._csv_blocks())
+
+    def _csv_blocks(self):
+        """The CSV text in blocks of CSV_BLOCK_ROWS rows, every cell ``{:.17g}``.
+
+        Within a block each column formats each distinct float64 bit pattern
+        once (keying on bits keeps ``-0.0`` apart from ``0.0``) and indexes
+        the text back out; ``write_csv`` never holds the whole text.
+        """
+        names = list(self.data.keys())
+        yield (f"# {CSV_SCHEMA_VERSION}\n# meta {json.dumps(self.meta, sort_keys=True)}\n"
+               + ",".join(names) + "\n")
+        cols = [np.ascontiguousarray(self.data[n], dtype=np.float64) for n in names]
+        for start in range(0, len(cols[0]), CSV_BLOCK_ROWS):
+            cells = [_format_cells(c[start:start + CSV_BLOCK_ROWS]) for c in cols]
+            yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
     @classmethod
     def from_csv(cls, path) -> "SimLog":
+        """Read a log written by ``write_csv``; a file that is missing or not
+        such a log raises ConfigError naming the path."""
         meta: dict = {}
-        with open(path) as fh:
-            header = fh.readline().strip()
-            if not header.startswith("#") or CSV_SCHEMA_VERSION not in header:
-                raise ConfigError(f"{path}: not a {CSV_SCHEMA_VERSION} file")
-            line = fh.readline().strip()
-            if line.startswith("# meta "):
-                meta = json.loads(line[len("# meta "):])
+        try:
+            with open(path) as fh:
+                header = fh.readline().strip()
+                if not header.startswith("#") or CSV_SCHEMA_VERSION not in header:
+                    raise ConfigError(f"{path}: not a {CSV_SCHEMA_VERSION} file")
                 line = fh.readline().strip()
-            names = line.split(",")
-            rows = [list(map(float, ln.split(","))) for ln in fh if ln.strip()]
-        arr = np.asarray(rows, dtype=float)
+                if line.startswith("# meta "):
+                    meta = json.loads(line[len("# meta "):])
+                    if not isinstance(meta, dict):
+                        raise ConfigError(f"{path}: the meta line is not a JSON object")
+                    line = fh.readline().strip()
+                names = line.split(",")
+                if "time" not in names or len(set(names)) < len(names):
+                    raise ConfigError(f"{path}: bad column header {line!r}")
+                with warnings.catch_warnings():
+                    # an empty body is reported below, not warned about
+                    warnings.simplefilter("ignore", UserWarning)
+                    arr = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except OSError as exc:
+            raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
+        except ValueError as exc:
+            # loadtxt appends advice on its own options after a ';'
+            raise ConfigError(f"{path}: {str(exc).split(';')[0]}") from exc
+        if arr.shape[0] == 0:
+            raise ConfigError(f"{path}: no data rows")
+        if arr.shape[1] != len(names):
+            raise ConfigError(
+                f"{path}: rows hold {arr.shape[1]} cells, the header names {len(names)} columns")
         data = {n: arr[:, i].copy() for i, n in enumerate(names)}
         t = data["time"]
         dt = float(t[1] - t[0]) if len(t) > 1 else float(meta.get("dt", 1e-3))
         return cls(dt, data, meta)
+
+
+def _format_cells(col: np.ndarray) -> list[str]:
+    bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+    text = np.array([f"{x:.17g}" for x in bits.view(np.float64).tolist()], dtype=object)
+    return text[inverse].tolist()
 
 
 @dataclass(frozen=True)

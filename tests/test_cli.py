@@ -146,6 +146,11 @@ BAD_CONFIGS = {
     "zero_chair_stiffness": "chair.stiffness = 0",
     "negative_harness_stiffness": "harness.stiffness = -1",
     "negative_seed": "seed = -1",
+    "overflowing_link_length": "geometry.l_ac = 1e200",
+    "zero_map_step": "map.step = 0",
+    "reversed_map_y_range": "map.y_min = 1.0\nmap.y_max = 0.5",
+    "reversed_map_z_range": "map.z_min = 1.0\nmap.z_max = 0.5",
+    "unknown_map_configuration": "map.configuration = bogus",
 }
 BAD_MANIFESTS = {
     "manifest_float_repetitions": {"config": {"repetitions": 1.5}},
@@ -156,23 +161,25 @@ BAD_MANIFESTS = {
 
 
 def _bad_config_path(tmp_path, name):
+    if name == "missing_file":
+        return tmp_path / "missing.cfg"
     if name in BAD_MANIFESTS:
         return write(tmp_path, json.dumps(BAD_MANIFESTS[name]), "manifest.json")
     return write(tmp_path, "repetitions = 1\n" + BAD_CONFIGS[name] + "\n")
 
 
-@pytest.mark.parametrize("command", ["validate", "simulate"])
-@pytest.mark.parametrize("name", sorted(BAD_CONFIGS) + sorted(BAD_MANIFESTS))
+@pytest.mark.parametrize("command", ["validate", "simulate", "map"])
+@pytest.mark.parametrize("name", sorted(BAD_CONFIGS) + sorted(BAD_MANIFESTS) + ["missing_file"])
 def test_bad_config_exits_2_with_error_line(tmp_path, capsys, command, name):
     argv = [command, "--config", str(_bad_config_path(tmp_path, name))]
-    if command == "simulate":
+    if command != "validate":
         argv += ["--out", str(tmp_path / "out")]
     assert main(argv) == EXIT_CONFIG
     captured = capsys.readouterr()
     text = captured.out + captured.err
     assert "error:" in text
     assert "Traceback" not in text
-    assert not (tmp_path / "out" / "log.csv").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_writes_log_and_manifest(tmp_path):
@@ -251,6 +258,53 @@ transfer.q_c_end = 0.0
     metrics = json.loads((out / "metrics.json").read_text())
     assert "transfer" in metrics
     assert metrics["transfer"]["lifting_speed_m_s"] > 0.02
+
+
+def _rename_time_column(lines):
+    lines[2] = lines[2].replace("time,", "clock,", 1)
+
+
+def _drop_data_rows(lines):
+    del lines[3:]
+
+
+def _drop_last_cell(lines):
+    lines[5] = lines[5].rsplit(",", 1)[0]
+
+
+def _non_numeric_cell(lines):
+    lines[5] = "fast," + lines[5].split(",", 1)[1]
+
+
+MALFORMED_LOGS = {
+    "wrong_column_header": _rename_time_column,
+    "no_data_rows": _drop_data_rows,
+    "row_with_wrong_cell_count": _drop_last_cell,
+    "non_numeric_cell": _non_numeric_cell,
+}
+
+
+@pytest.fixture(scope="module")
+def fast_log_lines(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("fast")
+    p = write(tmp, FAST_SCENARIO)
+    assert main(["simulate", "--config", str(p), "--out", str(tmp / "run")]) == EXIT_OK
+    return (tmp / "run" / "log.csv").read_text().splitlines()
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_LOGS) + ["missing_file"])
+def test_analyze_malformed_log_exits_2(tmp_path, capsys, fast_log_lines, name):
+    path = tmp_path / "log.csv"
+    if name != "missing_file":
+        lines = list(fast_log_lines)
+        MALFORMED_LOGS[name](lines)
+        path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert main(["analyze", "--log", str(path), "--out", str(out)]) == EXIT_CONFIG
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith("error: ") and str(path) in err_lines[0]
+    assert not out.exists()
 
 
 def test_env_var_output_root(tmp_path, monkeypatch):

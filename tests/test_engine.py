@@ -1,8 +1,15 @@
+import json
 import math
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stsbot import engine
 from stsbot.actuators import ACTUATOR_1, ACTUATOR_2_HS, FrictionModel
 from stsbot.control import (
     AssistMode,
@@ -11,6 +18,7 @@ from stsbot.control import (
     force_controller_step,
 )
 from stsbot.engine import (
+    CSV_SCHEMA_VERSION,
     PHASE_PAUSE,
     PHASE_RISE,
     Plant,
@@ -301,11 +309,57 @@ def test_scenario_validation():
         Scenario(human=human(), mode_config=FOLLOW, payload=10.0).validate()
 
 
-def test_csv_roundtrip(tmp_path):
-    log = run_scenario(short_scenario(seed=20, repetitions=1, pause=0.2, settle=0.1))
-    path = tmp_path / "log.csv"
-    log.write_csv(path)
-    back = SimLog.from_csv(path)
+def rowwise_csv(log: SimLog) -> str:
+    """Row-by-row writer, one f-string per cell: the byte oracle for ``to_csv``."""
+    names = list(log.data.keys())
+    cols = [log.data[n] for n in names]
+    lines = [f"# {CSV_SCHEMA_VERSION}"]
+    lines.append("# meta " + json.dumps(log.meta, sort_keys=True))
+    lines.append(",".join(names))
+    for i in range(len(cols[0])):
+        lines.append(",".join(f"{c[i]:.17g}" for c in cols))
+    return "\n".join(lines) + "\n"
+
+
+def assert_csv_exact(log: SimLog) -> None:
+    text = log.to_csv()
+    assert text == rowwise_csv(log)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.csv"
+        log.write_csv(path)
+        assert path.read_bytes() == text.encode()
+        back = SimLog.from_csv(path)
     assert back.meta == log.meta
+    assert list(back.data) == list(log.data)
     for name in log.data:
-        assert np.array_equal(back[name], log[name])
+        assert np.array_equal(back[name].view(np.int64), log[name].view(np.int64))
+
+
+def test_csv_roundtrip():
+    log = run_scenario(short_scenario(seed=20, repetitions=1, pause=0.2, settle=0.1))
+    assert_csv_exact(log)
+
+
+# values whose text is easy to get wrong: signed zeros (one bit apart), NaN,
+# infinities, the smallest subnormal and the largest magnitudes
+EDGE_VALUES = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e308, -1e308, 1.0]
+
+
+@st.composite
+def edge_logs(draw):
+    n_rows = draw(st.integers(1, 30))
+    value = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_nan=False))
+    data = {"time": np.arange(n_rows) * 1e-3}
+    for name in [f"c{k}" for k in range(draw(st.integers(1, 4)))]:
+        # a small pool per column, so rows repeat values across block edges
+        pool = draw(st.lists(value, min_size=1, max_size=5))
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n_rows, max_size=n_rows))
+        data[name] = np.array([pool[i] for i in picks], dtype=np.float64)
+    return SimLog(1e-3, data, {"seed": draw(st.integers(0, 9))})
+
+
+@settings(max_examples=200, deadline=None)
+@given(log=edge_logs(), block_rows=st.integers(1, 8))
+def test_csv_bytes_match_rowwise_writer(log, block_rows):
+    with mock.patch.object(engine, "CSV_BLOCK_ROWS", block_rows):
+        assert_csv_exact(log)
