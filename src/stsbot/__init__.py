@@ -15,6 +15,7 @@ from .control import (
     AssistMode,
     AssistModeConfig,
     ForceCommand,
+    SpeedCommand,
     TransferConfig,
     force_controller_step,
     speed_controller_step,
@@ -34,7 +35,7 @@ __all__ = [
     "__version__",
     "ACTUATOR_1", "ACTUATOR_2_HF", "ACTUATOR_2_HS",
     "ActuatorSpec", "DualSpeedState", "FrictionModel",
-    "AssistMode", "AssistModeConfig", "ForceCommand", "TransferConfig",
+    "AssistMode", "AssistModeConfig", "ForceCommand", "SpeedCommand", "TransferConfig",
     "force_controller_step", "speed_controller_step",
     "Plant", "Scenario", "SimLog", "SimState", "run_scenario",
     "ChairModel", "HarnessModel", "HumanParams", "STSReference",

@@ -16,8 +16,8 @@ from .kinematics import (
     JointState,
     LinkMassModel,
     RobotGeometry,
-    SINGULARITY_EPS,
     act_diag,
+    check_invertible,
     dk_entries,
     gravity_vec,
     inverse_kinematics,
@@ -28,6 +28,7 @@ MASK_UNREACHABLE = 1
 MASK_LIMITS = 2
 MASK_SINGULAR = 3
 MASK_INFEASIBLE = 4
+MAP_MAX_CELLS = 10_000_000  # two float/int grids of this size take 160 MB
 
 # motion-window segmentation
 SPEED_THRESHOLD = 0.02  # m/s
@@ -71,8 +72,7 @@ def _max_fz_cell(
     already infeasible.
     """
     d1, d2 = act_diag(geom, q.q_a, q.q_c)
-    if abs(d1) <= SINGULARITY_EPS or abs(d2) <= SINGULARITY_EPS:
-        raise SingularTransmission("q_a" if abs(d1) <= SINGULARITY_EPS else "q_c")
+    check_invertible(d1, d2)
     j11, j12, j21, j22 = dk_entries(geom, q.q_a, q.q_c)
     g_a, g_c = gravity_vec(geom, masses, q.q_a, q.q_c)
 
@@ -119,6 +119,9 @@ def validate_map_grid(
         raise ValueError("step must be positive")
     if not (y_range[0] < y_range[1] and z_range[0] < z_range[1]):
         raise ValueError("each grid range needs min < max")
+    cells = ((y_range[1] - y_range[0]) / step + 1.0) * ((z_range[1] - z_range[0]) / step + 1.0)
+    if not cells <= MAP_MAX_CELLS:
+        raise ValueError(f"the grid would hold {cells:.3g} cells, over {MAP_MAX_CELLS:.0e}")
 
 
 def capability_map(
@@ -228,8 +231,7 @@ def connected_fraction(cells: set[tuple[int, int]]) -> float:
 
 
 def repetition_indices(log: SimLog) -> list[int]:
-    reps = sorted({int(r) for r in log["rep"] if r >= 0})
-    return reps
+    return sorted({int(r) for r in log["rep"] if r >= 0})
 
 
 def rise_window(log: SimLog, rep: int) -> np.ndarray:

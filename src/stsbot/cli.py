@@ -22,10 +22,9 @@ from .analysis import (
     sts_metrics,
     transfer_speed_table,
 )
-from .config import build_geometry, build_scenario, load_config, validate_config
+from .config import build_scenario, load_config, validate_config
 from .engine import SimLog, run_scenario
 from .errors import ConfigError, NumericalDivergence, StsBotError
-from .kinematics import LinkMassModel
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -78,12 +77,11 @@ def _cmd_map(args) -> int:
         for e in report.errors:
             print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    geom = build_geometry(cfg)
-    masses = LinkMassModel.for_geometry(geom, cfg["masses.m_h"], cfg["masses.m_v"])
+    scenario = build_scenario(cfg)
     configuration = cfg["map.configuration"]
     requirement = cfg["map.requirement"]
     cmap = capability_map(
-        geom, masses, ACTUATOR_1,
+        scenario.geom, scenario.resolved_masses(), ACTUATOR_1,
         ACTUATOR_2_HS if configuration == "rehab" else ACTUATOR_2_HF,
         configuration=configuration,
         y_range=(cfg["map.y_min"], cfg["map.y_max"]),

@@ -18,7 +18,7 @@ from .control import AssistMode, AssistModeConfig, TransferConfig
 from .engine import Scenario
 from .errors import ConfigError, OutOfJointLimits, Unreachable
 from .human import ChairModel, HarnessModel, HumanParams, STSReference
-from .kinematics import RobotGeometry, inverse_kinematics, strut_length
+from .kinematics import LinkMassModel, RobotGeometry, inverse_kinematics, strut_length
 
 _MODES = [m.value for m in AssistMode]
 
@@ -229,8 +229,6 @@ def build_scenario(cfg: dict) -> Scenario:
         _friction(cfg, "plant_friction.act2_hs", (ctrl[1].a, ctrl[1].b)),
         _friction(cfg, "plant_friction.act2_hf", (ctrl[2].a, ctrl[2].b)),
     )
-    from .kinematics import LinkMassModel
-
     return Scenario(
         geom=geom,
         masses=LinkMassModel.for_geometry(geom, cfg["masses.m_h"], cfg["masses.m_v"]),

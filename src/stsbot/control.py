@@ -9,8 +9,9 @@ static effector force error is exactly zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,15 +21,15 @@ from .actuators import (
     clamp_to_capability,
     friction_force,
 )
-from .errors import ConfigError, SingularTransmission, WrongMode
+from .errors import ConfigError, WrongMode
 from .kinematics import (
     GRAVITY,
-    SINGULARITY_EPS,
     EffectorState,
     JointState,
     LinkMassModel,
     RobotGeometry,
     act_diag,
+    check_invertible,
     dk_entries,
     effector_position,
     gravity_vec,
@@ -82,9 +83,6 @@ class AssistModeConfig:
         if m is AssistMode.COM_BALANCE and not (self.fz_pct > 0.0 and self.ky > 0.0):
             raise ConfigError("com_balance requires fz_pct > 0 and ky > 0")
 
-    def with_e_yi(self, e_yi: float) -> "AssistModeConfig":
-        return replace(self, e_yi=e_yi)
-
 
 def anchor_y(config: AssistModeConfig) -> float:
     """Anchor axis of the virtual spring: start position plus a thigh length."""
@@ -111,10 +109,18 @@ def desired_force_field(config: AssistModeConfig, effector: EffectorState) -> tu
 
 @dataclass(frozen=True)
 class ForceCommand:
+    """Clamped actuator commands and the stages that produced them."""
+
     f1: float
     f2: float
     saturated_1: bool
     saturated_2: bool
+    fy_des: float
+    fz_des: float
+    f1_map: float
+    f2_map: float
+    f1_fric: float
+    f2_fric: float
 
 
 def force_controller_step(
@@ -126,7 +132,6 @@ def force_controller_step(
     q: JointState,
     motor_vels: tuple[float, float],
     allow_peak: bool = False,
-    trace: dict | None = None,
 ) -> ForceCommand:
     """One cycle of the open-loop force controller (rehabilitation modes).
 
@@ -137,10 +142,7 @@ def force_controller_step(
     f_y, f_z = desired_force_field(config, EffectorState(y, z))
 
     d1, d2 = act_diag(geom, q.q_a, q.q_c)
-    if abs(d1) <= SINGULARITY_EPS:
-        raise SingularTransmission("q_a", d1)
-    if abs(d2) <= SINGULARITY_EPS:
-        raise SingularTransmission("q_c", d2)
+    check_invertible(d1, d2)
 
     j11, j12, j21, j22 = dk_entries(geom, q.q_a, q.q_c)
     g_a, g_c = gravity_vec(geom, masses, q.q_a, q.q_c)
@@ -157,13 +159,7 @@ def force_controller_step(
     f1, sat1 = clamp_to_capability(specs[0], f1_fric, allow_peak)
     f2, sat2 = clamp_to_capability(specs[1], f2_fric, allow_peak)
 
-    if trace is not None:
-        trace.update(
-            fy_des=f_y, fz_des=f_z,
-            f1_map=f1_map, f2_map=f2_map,
-            f1_fric=f1_fric, f2_fric=f2_fric,
-        )
-    return ForceCommand(f1, f2, sat1, sat2)
+    return ForceCommand(f1, f2, sat1, sat2, f_y, f_z, f1_map, f2_map, f1_fric, f2_fric)
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +189,14 @@ class SpeedControllerState:
     integral: float = 0.0
 
 
+class SpeedCommand(NamedTuple):
+    """Belt command of one speed-controller cycle and the reference it tracked."""
+
+    f2: float
+    saturated: bool
+    v2_ref: float
+
+
 def speed_controller_step(
     geom: RobotGeometry,
     spec_hf: ActuatorSpec,
@@ -202,8 +206,7 @@ def speed_controller_step(
     dt: float,
     state: SpeedControllerState,
     v_z_signed: float,
-    diag: dict | None = None,
-) -> tuple[float, SpeedControllerState]:
+) -> tuple[SpeedCommand, SpeedControllerState]:
     """PI belt-speed regulation toward the kinematic reference.
 
     The error is taken in the motor (reel-in positive) convention so that a
@@ -221,9 +224,7 @@ def speed_controller_step(
     f2, saturated = clamp_to_capability(spec_hf, unclamped, allow_peak=False)
     if not saturated:
         state = SpeedControllerState(state.integral + transfer.ki * err * dt)
-    if diag is not None:
-        diag.update(v2_ref=v2_ref, saturated=saturated)
-    return f2, state
+    return SpeedCommand(f2, saturated, v2_ref), state
 
 
 def transfer_trajectory(

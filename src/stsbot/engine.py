@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -91,6 +91,8 @@ IDX = {name: i for i, name in enumerate(CHANNELS)}
 
 CSV_SCHEMA_VERSION = "stsbot-log v1"
 CSV_BLOCK_ROWS = 4096
+
+MAX_STEPS = 10_000_000  # longest run: its log rows take 3.2 GB
 
 
 @dataclass
@@ -228,6 +230,15 @@ class Scenario:
             raise ConfigError("rehabilitation runs need an assist mode config")
         if not is_transfer and self.human is None and not self.robot_attached:
             raise ConfigError("nothing to simulate: no human and no robot")
+        if self.mode_config is not None and (
+                is_transfer or self.mode_config.mode is AssistMode.TRANSFER):
+            raise ConfigError("a transfer takes a TransferConfig and no assist mode config")
+        # every repetition at its longest jitter, against the log's row count
+        longest = self.settle + self.repetitions * 2.0 * (
+            _rise_duration(self) * (1.0 + self.rep_jitter) + self.pause)
+        if not longest / self.dt <= MAX_STEPS:
+            raise ConfigError(f"the run may last {longest:.3g} s, over {MAX_STEPS:.0e} steps "
+                              "of dt (shorten pause, settle, sts.duration or repetitions)")
 
     def resolved_masses(self) -> LinkMassModel:
         return self.masses if self.masses is not None else LinkMassModel.for_geometry(self.geom)
@@ -235,7 +246,8 @@ class Scenario:
 
 @dataclass
 class SimState:
-    """Integrator state between steps (value object, copy to keep)."""
+    """Integrator state between steps (value object, copy to keep); ``forces``
+    holds the plant's evaluation of it once made (``Plant.evaluated``)."""
 
     t: float = 0.0
     q_a: float = 0.0
@@ -245,6 +257,7 @@ class SimState:
     com: tuple[float, float] = (0.0, 0.0)
     vcom: tuple[float, float] = (0.0, 0.0)
     seat_off: bool = False
+    forces: Forces | None = field(default=None, compare=False, repr=False)
 
     def vector(self) -> tuple[float, ...]:
         """(q_a, q_c, qd_a, qd_c, cy, cz, cvy, cvz), as the integrator sees it."""
@@ -256,13 +269,15 @@ class Forces(NamedTuple):
     """Every force channel at one instant (see Plant.forces).
 
     e, ev and jac are the effector position, velocity and the row-major
-    d(E_y,E_z)/d(q_a,q_c) entries; harness is the force on the human; feet
-    is the leg force plus the floor contact; acom the CoM acceleration.
+    d(E_y,E_z)/d(q_a,q_c) entries; d is the actuator-jacobian diagonal
+    (act_diag); harness is the force on the human; feet is the leg force
+    plus the floor contact; acom the CoM acceleration.
     """
 
     e: tuple[float, float] | None
     ev: tuple[float, float] | None
     jac: tuple[float, float, float, float] | None
+    d: tuple[float, float] | None
     harness: tuple[float, float]
     chair_fz: float
     feet: tuple[float, float]
@@ -310,42 +325,35 @@ class _Schedule:
         return (seg.p0[0] + s * dy, seg.p0[1] + s * dz), (ds * dy * inv, ds * dz * inv)
 
 
+def _rise_duration(scenario: Scenario) -> float:
+    """Nominal rise time: the STS duration, or the transfer's arc at v_z."""
+    tr = scenario.transfer
+    if tr is None:
+        return scenario.sts.duration
+    z0 = effector_position(scenario.geom, tr.q_a_locked, tr.q_c_start)[1]
+    z1 = effector_position(scenario.geom, tr.q_a_locked, tr.q_c_end)[1]
+    return abs(z1 - z0) / tr.v_z_target
+
+
 def _build_schedule(scenario: Scenario) -> _Schedule:
     rng = np.random.default_rng(scenario.seed)
-    segs: list[_Segment] = []
     zero = (0.0, 0.0)
-    t = 0.0
-    if scenario.transfer is not None:
-        tr = scenario.transfer
-        z0 = effector_position(scenario.geom, tr.q_a_locked, tr.q_c_start)[1]
-        z1 = effector_position(scenario.geom, tr.q_a_locked, tr.q_c_end)[1]
-        dur = abs(z1 - z0) / tr.v_z_target
-        segs.append(_Segment(t, t + scenario.settle, -1, PHASE_SETTLE, zero, zero))
-        t += scenario.settle
-        for rep in range(scenario.repetitions):
-            for phase, d in ((PHASE_RISE, dur), (PHASE_PAUSE, scenario.pause),
-                             (PHASE_DESCENT, dur), (PHASE_PAUSE2, scenario.pause)):
-                segs.append(_Segment(t, t + d, rep, phase, zero, zero))
-                t += d
-        return _Schedule(segs)
-
-    human = scenario.human
+    jitter = scenario.rep_jitter if scenario.transfer is None else 0.0
+    human = scenario.human if scenario.transfer is None else None
     seated = human.seated_com if human else zero
     standing = human.standing_com if human else zero
-    segs.append(_Segment(t, t + scenario.settle, -1, PHASE_SETTLE, seated, seated))
-    t += scenario.settle
+    segs = [_Segment(0.0, scenario.settle, -1, PHASE_SETTLE, seated, seated)]
+    t = scenario.settle
     for rep in range(scenario.repetitions):
-        dur = scenario.sts.duration
-        if scenario.rep_jitter > 0.0:
-            dur *= 1.0 + scenario.rep_jitter * float(rng.uniform(-1.0, 1.0))
-        segs.append(_Segment(t, t + dur, rep, PHASE_RISE, seated, standing))
-        t += dur
-        segs.append(_Segment(t, t + scenario.pause, rep, PHASE_PAUSE, standing, standing))
-        t += scenario.pause
-        segs.append(_Segment(t, t + dur, rep, PHASE_DESCENT, standing, seated))
-        t += dur
-        segs.append(_Segment(t, t + scenario.pause, rep, PHASE_PAUSE2, seated, seated))
-        t += scenario.pause
+        dur = _rise_duration(scenario)
+        if jitter > 0.0:
+            dur *= 1.0 + jitter * float(rng.uniform(-1.0, 1.0))
+        for phase, d, p0, p1 in ((PHASE_RISE, dur, seated, standing),
+                                 (PHASE_PAUSE, scenario.pause, standing, standing),
+                                 (PHASE_DESCENT, dur, standing, seated),
+                                 (PHASE_PAUSE2, scenario.pause, seated, seated)):
+            segs.append(_Segment(t, t + d, rep, phase, p0, p1))
+            t += d
     return _Schedule(segs)
 
 
@@ -362,7 +370,6 @@ class Plant:
         self.is_transfer = scenario.transfer is not None
         self.has_human = scenario.human is not None and not self.is_transfer
         self.attached = scenario.robot_attached
-        self.has_arm = self.attached
         self.A1 = m.I_h + m.m_h * m.L_h**2 + m.m_v * g.l_ac**2
         self.B1 = m.I_v + m.m_v * m.L_v**2
         self.G1 = m.m_v * g.l_ac * m.L_v
@@ -379,30 +386,24 @@ class Plant:
 
     # -- forces -----------------------------------------------------------
 
-    @staticmethod
-    def _floor_force(cz, cvz):
-        pen = FLOOR_Z - cz
-        if pen <= 0.0:
-            return 0.0
-        return max(0.0, FLOOR_STIFFNESS * pen - FLOOR_DAMPING * cvz)
-
     def forces(self, t: float, s, latched: bool) -> Forces:
         """Every force channel at time t and state s = (q_a, q_c, qd_a, qd_c,
         cy, cz, cvy, cvz); the integrator, the seat-off check and the logger
         all read the human's forces from here.
 
-        The effector terms are None when the robot is detached; the human
-        terms are zero when there is no human.
+        The arm terms are None when the robot is detached; the human terms
+        are zero when there is no human.
         """
         q_a, q_c, qd_a, qd_c, cy, cz, cvy, cvz = s
-        jac = e = ev = None
+        jac = e = ev = d = None
         if self.attached:
             jac = dk_entries(self.geom, q_a, q_c)
             j11, j12, j21, j22 = jac
             e = effector_position(self.geom, q_a, q_c)
             ev = (j11 * qd_a + j12 * qd_c, j21 * qd_a + j22 * qd_c)
+            d = act_diag(self.geom, q_a, q_c)
         if not self.has_human:
-            return Forces(e, ev, jac, (0.0, 0.0), 0.0, (0.0, 0.0), (0.0, 0.0))
+            return Forces(e, ev, jac, d, (0.0, 0.0), 0.0, (0.0, 0.0), (0.0, 0.0))
         com = (cy, cz)
         vcom = (cvy, cvz)
         harness = (0.0, 0.0)
@@ -411,11 +412,18 @@ class Plant:
         chair_fz = self.chair.force(self.human, com, vcom, latched)
         ref_pos, ref_vel = self.schedule.reference(t)
         mx, mz = muscle_effort(self.human, com, vcom, chair_fz, harness, ref_pos, ref_vel)
-        mz += self._floor_force(cz, cvz)
+        pen = FLOOR_Z - cz  # the floor pushes up on a collapsed CoM
+        mz += max(0.0, FLOOR_STIFFNESS * pen - FLOOR_DAMPING * cvz) if pen > 0.0 else 0.0
         m = self.human.mass
         hx, hz = harness
         acom = ((mx + hx) / m, (mz + chair_fz + hz) / m - GRAVITY)
-        return Forces(e, ev, jac, harness, chair_fz, (mx, mz), acom)
+        return Forces(e, ev, jac, d, harness, chair_fz, (mx, mz), acom)
+
+    def evaluated(self, state: SimState) -> Forces:
+        """The forces at ``state``, computed once and kept on it."""
+        if state.forces is None:
+            state.forces = self.forces(state.t, state.vector(), state.seat_off)
+        return state.forces
 
     def transmitted_forces(self, state: "SimState", commands: tuple[float, float]
                            ) -> tuple[float, float]:
@@ -427,7 +435,7 @@ class Plant:
         body ODE.  The belt cannot push, so its transmitted force is
         clamped to tension.
         """
-        d1, d2 = act_diag(self.geom, state.q_a, state.q_c)
+        d1, d2 = self.evaluated(state).d
         w1 = self.spec1.ratio * 1000.0 * (d1 * state.qd_a)
         w2 = self.spec2.ratio * 1000.0 * (-(d2 * state.qd_c))
         f1t = commands[0] - self.pf1.a * math.tanh(self.pf1.b * w1)
@@ -452,10 +460,10 @@ class Plant:
             f = self.forces(t, s, latched)
             ax, az = f.acom
 
-        if not self.has_arm:
+        if not self.attached:
             return (0.0, 0.0, 0.0, 0.0, cvy, cvz, ax, az)
 
-        d1, d2 = act_diag(g, q_a, q_c)
+        d1, d2 = f.d if self.has_human else act_diag(g, q_a, q_c)
         g_a, g_c = gravity_vec(g, self.masses, q_a, q_c)
 
         if self.is_transfer:
@@ -494,24 +502,29 @@ class Plant:
     # -- integration ------------------------------------------------------
 
     def step(self, state: SimState, commands: tuple[float, float], dt: float) -> SimState:
-        """One RK4 step; joint limits applied as hard stops afterwards."""
-        f1, f2 = self.transmitted_forces(state, commands) if self.has_arm else (0.0, 0.0)
+        """One RK4 step; joint limits applied as hard stops afterwards.  The
+        new state carries its evaluation, which also decides the seat-off latch."""
+        f1, f2 = self.transmitted_forces(state, commands) if self.attached else (0.0, 0.0)
         latched = state.seat_off
         s = state.vector()
         t = state.t
-        k1 = self._deriv(t, s, f1, f2, latched)
-        h2 = dt / 2.0
-        s2 = tuple(s[i] + h2 * k1[i] for i in range(8))
-        k2 = self._deriv(t + h2, s2, f1, f2, latched)
-        s3 = tuple(s[i] + h2 * k2[i] for i in range(8))
-        k3 = self._deriv(t + h2, s3, f1, f2, latched)
-        s4 = tuple(s[i] + dt * k3[i] for i in range(8))
-        k4 = self._deriv(t + dt, s4, f1, f2, latched)
+        try:
+            k1 = self._deriv(t, s, f1, f2, latched)
+            h2 = dt / 2.0
+            s2 = tuple(s[i] + h2 * k1[i] for i in range(8))
+            k2 = self._deriv(t + h2, s2, f1, f2, latched)
+            s3 = tuple(s[i] + h2 * k2[i] for i in range(8))
+            k3 = self._deriv(t + h2, s3, f1, f2, latched)
+            s4 = tuple(s[i] + dt * k3[i] for i in range(8))
+            k4 = self._deriv(t + dt, s4, f1, f2, latched)
+        except (ValueError, OverflowError) as exc:
+            # a non-finite stage state reached a math function before the guard
+            raise NumericalDivergence(f"{exc} in an RK4 stage at t={t:.3f}s") from exc
         h6 = dt / 6.0
         out = [s[i] + h6 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]) for i in range(8)]
 
         q_a, q_c, qd_a, qd_c = out[0], out[1], out[2], out[3]
-        if self.has_arm:
+        if self.attached:
             lo, hi = self.geom.q_a_limits
             if q_a < lo:
                 q_a, qd_a = lo, max(0.0, qd_a)
@@ -525,20 +538,17 @@ class Plant:
         if self.is_transfer:
             q_a, qd_a = state.q_a, 0.0  # exact lock
 
-        new = SimState(t + dt, q_a, q_c, qd_a, qd_c,
-                       (out[4], out[5]), (out[6], out[7]), latched)
-
-        # seat-off latch: once the chair unloads it stays unloaded
-        if self.has_human and not latched:
-            if self.forces(new.t, new.vector(), False).chair_fz <= 0.0:
-                new.seat_off = True
-
-        if not all(math.isfinite(v) for v in (q_a, q_c, qd_a, qd_c, *new.com, *new.vcom)):
+        cy, cz, cvy, cvz = out[4], out[5], out[6], out[7]
+        if not all(math.isfinite(v) for v in (q_a, q_c, qd_a, qd_c, cy, cz, cvy, cvz)):
             raise NumericalDivergence(f"non-finite state at t={t:.3f}s")
-        if abs(qd_a) > 50.0 or abs(qd_c) > 50.0 \
-                or abs(new.vcom[0]) > 20.0 or abs(new.vcom[1]) > 20.0:
+        if abs(qd_a) > 50.0 or abs(qd_c) > 50.0 or abs(cvy) > 20.0 or abs(cvz) > 20.0:
             raise NumericalDivergence(f"runaway velocity at t={t:.3f}s")
-        return new
+
+        # seat-off latch: once the chair unloads it stays unloaded; a chair force
+        # of 0 is 0 latched or not, so this is also the latched state's evaluation
+        f = self.forces(t + dt, (q_a, q_c, qd_a, qd_c, cy, cz, cvy, cvz), latched)
+        seat_off = latched or (self.has_human and f.chair_fz <= 0.0)
+        return SimState(t + dt, q_a, q_c, qd_a, qd_c, (cy, cz), (cvy, cvz), seat_off, f)
 
     def mechanical_energy(self, state: SimState) -> float:
         """Arm kinetic + potential energy (human terms excluded)."""
@@ -582,43 +592,32 @@ def run_scenario(scenario: Scenario) -> SimLog:
 
     mode_config = scenario.mode_config
     if mode_config is not None:
-        mode_config = mode_config.with_e_yi(e_yi)
+        mode_config = replace(mode_config, e_yi=e_yi)
 
     geom = scenario.geom
-    masses = plant.masses
     dt = scenario.dt
     n_steps = int(round(schedule.total / dt))
-    is_transfer = scenario.transfer is not None
-    rehab_ctrl = (scenario.robot_attached and not is_transfer
-                  and mode_config is not None
-                  and mode_config.mode is not AssistMode.TRANSFER)
+    is_transfer = plant.is_transfer
+    rehab_ctrl = plant.attached and not is_transfer
     pi_state = SpeedControllerState()
 
     rows = np.zeros((n_steps, len(CHANNELS)))
-    trace: dict = {}
-
-    i_rep, i_phase = IDX["rep"], IDX["phase"]
     for i in range(n_steps):
-        t = state.t
         # the plant reads the same cursor; all lookups come at non-decreasing t
-        seg = schedule.segment_at(t)
-
-        d1, d2 = act_diag(geom, state.q_a, state.q_c)
-        l1_rate = d1 * state.qd_a
-        l2_rate = d2 * state.qd_c
+        seg = schedule.segment_at(state.t)
 
         f1_cmd = f2_cmd = 0.0
         sat1 = sat2 = False
         v2_ref = 0.0
-        trace.clear()
         if rehab_ctrl:
-            w1 = scenario.specs[0].ratio * 1000.0 * l1_rate
-            w2 = scenario.specs[1].ratio * 1000.0 * (-l2_rate)
+            d1, d2 = plant.evaluated(state).d
+            w1 = scenario.specs[0].ratio * 1000.0 * (d1 * state.qd_a)
+            w2 = scenario.specs[1].ratio * 1000.0 * (-(d2 * state.qd_c))
             cmd = force_controller_step(
-                geom, masses, (scenario.specs[0], scenario.specs[1]),
+                geom, plant.masses, (scenario.specs[0], scenario.specs[1]),
                 (scenario.ctrl_frictions[0], scenario.ctrl_frictions[1]),
                 mode_config, JointState(state.q_a, state.q_c, state.qd_a, state.qd_c),
-                (w1, w2), allow_peak=scenario.allow_peak, trace=trace,
+                (w1, w2), allow_peak=scenario.allow_peak,
             )
             f1_cmd, f2_cmd, sat1, sat2 = cmd.f1, cmd.f2, cmd.saturated_1, cmd.saturated_2
         elif is_transfer:
@@ -628,53 +627,46 @@ def run_scenario(scenario: Scenario) -> SimLog:
                 v_z_signed = -scenario.transfer.v_z_target
             else:
                 v_z_signed = 0.0
-            diag: dict = {}
-            f2_cmd, pi_state = speed_controller_step(
+            l2_rate = plant.evaluated(state).d[1] * state.qd_c
+            (f2_cmd, sat2, v2_ref), pi_state = speed_controller_step(
                 geom, scenario.specs[2], scenario.transfer, state.q_c,
-                l2_rate, dt, pi_state, v_z_signed=v_z_signed, diag=diag,
+                l2_rate, dt, pi_state, v_z_signed=v_z_signed,
             )
-            v2_ref = diag["v2_ref"]
-            sat2 = diag["saturated"]
 
         state = plant.step(state, (f1_cmd, f2_cmd), dt)
 
-        # log the new sample; its forces come from the plant's one force model
+        # log the new sample from the evaluation the step made of it
+        f = state.forces
         row = rows[i]
         row[0] = state.t
-        row[i_rep] = seg.rep
-        row[i_phase] = seg.phase
+        row[1] = seg.rep
+        row[2] = seg.phase
         row[3] = state.q_a
         row[4] = state.q_c
         row[5] = state.qd_a
         row[6] = state.qd_c
-        f = plant.forces(state.t, state.vector(), state.seat_off)
-        if scenario.robot_attached:
-            row[IDX["e_y"]], row[IDX["e_z"]] = f.e
-            row[IDX["e_vy"]], row[IDX["e_vz"]] = f.ev
         if rehab_ctrl:
-            row[IDX["fy_des"]] = trace.get("fy_des", 0.0)
-            row[IDX["fz_des"]] = trace.get("fz_des", 0.0)
-            row[IDX["f1_map"]] = trace.get("f1_map", 0.0)
-            row[IDX["f2_map"]] = trace.get("f2_map", 0.0)
-            row[IDX["f1_fric"]] = trace.get("f1_fric", 0.0)
-            row[IDX["f2_fric"]] = trace.get("f2_fric", 0.0)
+            row[IDX["fy_des"]] = cmd.fy_des
+            row[IDX["fz_des"]] = cmd.fz_des
+            row[IDX["f1_map"]] = cmd.f1_map
+            row[IDX["f2_map"]] = cmd.f2_map
+            row[IDX["f1_fric"]] = cmd.f1_fric
+            row[IDX["f2_fric"]] = cmd.f2_fric
         row[IDX["f1_cmd"]] = f1_cmd
         row[IDX["f2_cmd"]] = f2_cmd
         row[IDX["sat_1"]] = float(sat1)
         row[IDX["sat_2"]] = float(sat2)
-        nd1, nd2 = act_diag(geom, state.q_a, state.q_c)
-        nl1_rate = nd1 * state.qd_a
-        nl2_rate = nd2 * state.qd_c
-        if scenario.robot_attached:
-            spec2 = plant.spec2
+        if plant.attached:  # a detached arm never moves: its channels stay 0
+            row[IDX["e_y"]], row[IDX["e_z"]] = f.e
+            row[IDX["e_vy"]], row[IDX["e_vz"]] = f.ev
+            d1, d2 = f.d
+            row[IDX["v2_belt"]] = l2_rate = d2 * state.qd_c
             row[IDX["vel_exc_1"]] = float(
-                velocity_exceeded(scenario.specs[0], nl1_rate, scenario.allow_peak))
+                velocity_exceeded(scenario.specs[0], d1 * state.qd_a, scenario.allow_peak))
             row[IDX["vel_exc_2"]] = float(
-                velocity_exceeded(spec2, nl2_rate, scenario.allow_peak))
-            f1t, f2t = plant.transmitted_forces(state, (f1_cmd, f2_cmd))
-            row[IDX["f1_trans"]] = f1t
-            row[IDX["f2_trans"]] = f2t
-        row[IDX["v2_belt"]] = nl2_rate
+                velocity_exceeded(plant.spec2, l2_rate, scenario.allow_peak))
+            row[IDX["f1_trans"]], row[IDX["f2_trans"]] = plant.transmitted_forces(
+                state, (f1_cmd, f2_cmd))
         row[IDX["v2_ref"]] = v2_ref
         if plant.has_human:
             row[IDX["harness_fy"]], row[IDX["harness_fz"]] = f.harness

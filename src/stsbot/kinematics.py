@@ -41,6 +41,10 @@ GRAVITY = 9.81
 # controllers can never silently command near-infinite forces.
 SINGULARITY_EPS = 1e-6
 
+# Upper bound on every length of the arm [m]: the belt and strut laws square
+# lengths, which overflows long before any floor-based arm is described.
+MAX_LENGTH = 100.0
+
 
 @dataclass(frozen=True)
 class RobotGeometry:
@@ -64,8 +68,8 @@ class RobotGeometry:
 
     def __post_init__(self):
         for name in ("l_ab", "l_ac", "l_ce", "l_cd", "base_height", "d_g", "stroke_1"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) <= MAX_LENGTH:
+                raise ValueError(f"{name} must lie in (0, {MAX_LENGTH:g}] m")
         if self.l_cd >= self.l_ce:
             raise ValueError("l_cd must be smaller than l_ce")
         if self.q_a_limits[0] >= self.q_a_limits[1]:
@@ -237,6 +241,14 @@ def act_diag(geom: RobotGeometry, q_a: float, q_c: float) -> tuple[float, float]
     return d_l1, d_l2
 
 
+def check_invertible(d1: float, d2: float) -> None:
+    """Raise SingularTransmission unless both act_diag entries can be inverted."""
+    if abs(d1) <= SINGULARITY_EPS:
+        raise SingularTransmission("q_a", d1)
+    if abs(d2) <= SINGULARITY_EPS:
+        raise SingularTransmission("q_c", d2)
+
+
 def jacobian_act(geom: RobotGeometry, q: JointState) -> np.ndarray:
     d1, d2 = act_diag(geom, q.q_a, q.q_c)
     return np.array([[d1, 0.0], [0.0, d2]])
@@ -245,10 +257,7 @@ def jacobian_act(geom: RobotGeometry, q: JointState) -> np.ndarray:
 def jacobian_total(geom: RobotGeometry, q: JointState) -> np.ndarray:
     """J_dk . inv(J_act): actuator rates to effector rates."""
     d1, d2 = act_diag(geom, q.q_a, q.q_c)
-    if abs(d1) <= SINGULARITY_EPS:
-        raise SingularTransmission("q_a", d1)
-    if abs(d2) <= SINGULARITY_EPS:
-        raise SingularTransmission("q_c", d2)
+    check_invertible(d1, d2)
     j = jacobian_dk(geom, q)
     return j @ np.array([[1.0 / d1, 0.0], [0.0, 1.0 / d2]])
 
@@ -263,10 +272,7 @@ def effector_force_to_actuator_forces(
     hanging load corresponds to physical tension.
     """
     d1, d2 = act_diag(geom, q.q_a, q.q_c)
-    if abs(d1) <= SINGULARITY_EPS:
-        raise SingularTransmission("q_a", d1)
-    if abs(d2) <= SINGULARITY_EPS:
-        raise SingularTransmission("q_c", d2)
+    check_invertible(d1, d2)
     j11, j12, j21, j22 = dk_entries(geom, q.q_a, q.q_c)
     tau_a = j11 * f_eff[0] + j21 * f_eff[1]
     tau_c = j12 * f_eff[0] + j22 * f_eff[1]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stsbot.cli import EXIT_CONFIG, EXIT_OK, main
+from stsbot.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
 from stsbot.config import SCHEMA, build_scenario, parse_config_text, validate_config
 from stsbot.errors import ConfigError
 
@@ -151,6 +151,12 @@ BAD_CONFIGS = {
     "reversed_map_y_range": "map.y_min = 1.0\nmap.y_max = 0.5",
     "reversed_map_z_range": "map.z_min = 1.0\nmap.z_max = 0.5",
     "unknown_map_configuration": "map.configuration = bogus",
+    "overflowing_belt_offset": "geometry.d_g = 1e200",
+    "endless_pause": "pause = 1e200",
+    "endless_settle": "settle = 1e200",
+    "endless_sts_duration": "sts.duration = 1e200",
+    "endless_map_y_range": "map.y_max = 1e200",
+    "endless_map_z_range": "map.z_min = -1e200",
 }
 BAD_MANIFESTS = {
     "manifest_float_repetitions": {"config": {"repetitions": 1.5}},
@@ -180,6 +186,32 @@ def test_bad_config_exits_2_with_error_line(tmp_path, capsys, command, name):
     assert "error:" in text
     assert "Traceback" not in text
     assert not (tmp_path / "out").exists()
+
+
+# the shortest run every command accepts, so each swept key decides the outcome
+SWEEP_BASE = "repetitions = 1\ndt = 0.005\npause = 0\nsettle = 0\nsts.duration = 0.5\n"
+FLOAT_KEYS = sorted(k for k, (kind, _) in SCHEMA.items() if kind == "float")
+
+
+@pytest.mark.parametrize("value", ["1e200", "-1e200"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_absurd_float_ends_in_an_exit_code(tmp_path, capsys, key, value):
+    # every config ends in 0, 2 or 3 from every command, never a traceback
+    p = write(tmp_path, f"{SWEEP_BASE}{key} = {value}\n")
+    for command in ("validate", "simulate", "map"):
+        argv = [command, "--config", str(p)]
+        if command != "validate":
+            argv += ["--out", str(tmp_path / command)]
+        assert main(argv) in (EXIT_OK, EXIT_CONFIG, EXIT_DIVERGED), command
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+
+
+def test_divergence_in_an_rk4_stage_exits_3(tmp_path, capsys):
+    # the stiff harness sends a stage state non-finite before the step's guard
+    p = write(tmp_path, "harness.stiffness = 1e200\ndt = 0.005\nrepetitions = 1\n")
+    assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == EXIT_DIVERGED
+    assert "diverged" in capsys.readouterr().err
 
 
 def test_simulate_writes_log_and_manifest(tmp_path):

@@ -4,7 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stsbot.actuators import ACTUATOR_1, ACTUATOR_2_HF, ACTUATOR_2_HS, FrictionModel
+from stsbot.actuators import (
+    ACTUATOR_1,
+    ACTUATOR_2_HF,
+    ACTUATOR_2_HS,
+    FrictionModel,
+    clamp_to_capability,
+)
 from stsbot.control import (
     AssistMode,
     AssistModeConfig,
@@ -18,6 +24,7 @@ from stsbot.control import (
 )
 from stsbot.errors import ConfigError, WrongMode
 from stsbot.kinematics import (
+    GRAVITY,
     EffectorState,
     JointState,
     LinkMassModel,
@@ -150,10 +157,10 @@ def test_transfer_has_no_force_field():
 
 
 def controller(config, q, motor_vels=(0.0, 0.0), frictions=(ZERO_FRICTION, ZERO_FRICTION),
-               allow_peak=False, trace=None):
+               allow_peak=False):
     return force_controller_step(
         GEOM, MASSES, (ACTUATOR_1, ACTUATOR_2_HS), frictions, config, q, motor_vels,
-        allow_peak=allow_peak, trace=trace)
+        allow_peak=allow_peak)
 
 
 def test_massless_frictionless_follow_me_commands_nothing():
@@ -189,14 +196,16 @@ def test_controller_saturation_flags():
     assert cmd.saturated_1 or cmd.saturated_2
 
 
-def test_controller_trace_stages():
-    trace = {}
+def test_controller_command_stages():
     fr = FrictionModel(50.0, 0.05)
-    controller(cfg(AssistMode.WEIGHT_UNLOADING, fz=0.10), JointState(0.2, -0.4),
-               motor_vels=(10.0, -10.0), frictions=(fr, fr), trace=trace)
-    assert set(trace) == {"fy_des", "fz_des", "f1_map", "f2_map", "f1_fric", "f2_fric"}
-    assert trace["f1_fric"] == pytest.approx(
-        trace["f1_map"] + 50.0 * math.tanh(0.05 * 10.0), abs=1e-12)
+    cmd = controller(cfg(AssistMode.WEIGHT_UNLOADING, fz=0.10), JointState(0.2, -0.4),
+                     motor_vels=(10.0, -10.0), frictions=(fr, fr))
+    assert (cmd.fy_des, cmd.fz_des) == (0.0, 0.10 * 81.13 * GRAVITY)
+    assert cmd.f1_fric == pytest.approx(cmd.f1_map + 50.0 * math.tanh(0.05 * 10.0), abs=1e-12)
+    assert cmd.f2_fric == pytest.approx(cmd.f2_map + 50.0 * math.tanh(-0.05 * 10.0), abs=1e-12)
+    # the envelope clamp is the last stage
+    assert (cmd.f1, cmd.saturated_1) == clamp_to_capability(ACTUATOR_1, cmd.f1_fric, False)
+    assert (cmd.f2, cmd.saturated_2) == clamp_to_capability(ACTUATOR_2_HS, cmd.f2_fric, False)
 
 
 def test_controller_rejects_transfer_mode():
@@ -214,27 +223,31 @@ def test_pi_on_reference_returns_integrator():
     from stsbot.kinematics import transfer_actuator_velocity
 
     v2_ref = transfer_actuator_velocity(GEOM, 0.3, -0.2, tr.v_z_target)
-    f2, _ = speed_controller_step(GEOM, ACTUATOR_2_HF, tr, -0.2, v2_ref, 1e-3, state,
-                                  v_z_signed=tr.v_z_target)
-    assert f2 == pytest.approx(123.0, abs=1e-9)
+    cmd, _ = speed_controller_step(GEOM, ACTUATOR_2_HF, tr, -0.2, v2_ref, 1e-3, state,
+                                   v_z_signed=tr.v_z_target)
+    assert cmd.f2 == pytest.approx(123.0, abs=1e-9)
+    assert cmd.v2_ref == v2_ref
+    assert not cmd.saturated
 
 
 def test_pi_integrator_frozen_while_saturated():
     tr = TransferConfig(v_z_target=0.04, q_a_locked=0.3, kp=1e6)
     state = SpeedControllerState()
     # huge error drives the command onto the envelope; integrator must freeze
-    _, new_state = speed_controller_step(GEOM, ACTUATOR_2_HF, tr, -0.2, 1.0, 1e-3, state,
-                                         v_z_signed=tr.v_z_target)
+    cmd, new_state = speed_controller_step(GEOM, ACTUATOR_2_HF, tr, -0.2, 1.0, 1e-3, state,
+                                           v_z_signed=tr.v_z_target)
+    assert cmd.saturated
     assert new_state.integral == 0.0
 
 
 def test_pi_accumulates_when_inside_envelope():
     tr = TransferConfig(v_z_target=0.04, q_a_locked=0.3, kp=10.0, ki=100.0)
     state = SpeedControllerState()
-    f2, new_state = speed_controller_step(GEOM, ACTUATOR_2_HF, tr, -0.2, 0.01, 1e-3, state,
-                                          v_z_signed=0.0)
+    cmd, new_state = speed_controller_step(GEOM, ACTUATOR_2_HF, tr, -0.2, 0.01, 1e-3, state,
+                                           v_z_signed=0.0)
     assert new_state.integral == pytest.approx(100.0 * 0.01 * 1e-3, abs=1e-15)
-    assert f2 == pytest.approx(10.0 * 0.01, abs=1e-12)
+    assert cmd.f2 == pytest.approx(10.0 * 0.01, abs=1e-12)
+    assert cmd.v2_ref == 0.0
 
 
 def test_transfer_config_validation():

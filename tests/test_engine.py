@@ -307,6 +307,79 @@ def test_scenario_validation():
         Scenario(human=human(), mode_config=FOLLOW, repetitions=0).validate()
     with pytest.raises(ConfigError):
         Scenario(human=human(), mode_config=FOLLOW, payload=10.0).validate()
+    # the transfer mode is the TransferConfig: a mode config cannot stand in for
+    # it (the arm would run unpowered) nor ride along with it
+    transfer_mode = AssistModeConfig(AssistMode.TRANSFER, 1.75, 81.13)
+    with pytest.raises(ConfigError, match="TransferConfig"):
+        Scenario(human=human(), mode_config=transfer_mode).validate()
+    with pytest.raises(ConfigError, match="assist mode config"):
+        Scenario(human=None, transfer=TransferConfig(), mode_config=FOLLOW).validate()
+    with pytest.raises(ConfigError, match="steps"):
+        Scenario(human=human(), mode_config=FOLLOW, pause=1e200).validate()
+
+
+# short runs of each plant branch: the force controller with the human, the
+# brake-locked transfer, and the human alone
+REPLAY_SCENARIOS = {
+    "com_balance": dict(
+        mode_config=AssistModeConfig(AssistMode.COM_BALANCE, 1.75, 81.13, fz_pct=0.1, ky=200.0),
+        allow_peak=True, pause=0.2, settle=0.1, dt=2e-3, seed=21),
+    "transfer": dict(
+        human=None, mode_config=None, payload=50.0, pause=0.2, settle=0.1, dt=2e-3, seed=22,
+        transfer=TransferConfig(v_z_target=0.04, q_a_locked=0.30, q_c_start=0.2, q_c_end=0.0)),
+    "detached": dict(robot_attached=False, mode_config=None, dt=2e-3, seed=23),
+}
+ARM_CHANNELS = ("e_y", "e_z", "e_vy", "e_vz", "v2_belt", "f1_trans", "f2_trans")
+HUMAN_CHANNELS = ("harness_fy", "harness_fz", "acom_y", "acom_z", "chair_fz",
+                  "feet_fy", "feet_fz")
+
+
+@pytest.mark.parametrize("name", sorted(REPLAY_SCENARIOS))
+def test_logged_forces_replay_from_logged_state(name):
+    # the logger reads the step's own evaluation of each state: a fresh
+    # evaluation of the state rebuilt from the log gives the same bits
+    sc = short_scenario(**REPLAY_SCENARIOS[name])
+    log = run_scenario(sc)
+    plant = Plant(sc)
+    col = {c: log[c].tolist() for c in log.data}
+    got = {c: [] for c in ARM_CHANNELS + HUMAN_CHANNELS}
+    for k in range(len(log)):
+        state = SimState(col["time"][k], col["q_a"][k], col["q_c"][k], col["qd_a"][k],
+                         col["qd_c"][k], (col["com_y"][k], col["com_z"][k]),
+                         (col["vcom_y"][k], col["vcom_z"][k]), col["seat_off"][k] == 1.0)
+        f = plant.forces(state.t, state.vector(), state.seat_off)
+        arm, hum = (0.0,) * len(ARM_CHANNELS), (0.0,) * len(HUMAN_CHANNELS)
+        if plant.attached:
+            assert f.d == act_diag(GEOM, state.q_a, state.q_c)
+            trans = plant.transmitted_forces(state, (col["f1_cmd"][k], col["f2_cmd"][k]))
+            arm = f.e + f.ev + (f.d[1] * state.qd_c,) + trans
+        else:
+            assert f.d is None
+        if plant.has_human:
+            hum = f.harness + f.acom + (f.chair_fz,) + f.feet
+        for c, v in zip(ARM_CHANNELS + HUMAN_CHANNELS, arm + hum):
+            got[c].append(v)
+    for c, values in got.items():
+        assert np.array_equal(np.array(values).view(np.int64), log[c].view(np.int64)), c
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=st.floats(0.0, 3.0),
+       q=st.tuples(st.floats(-0.1, 0.9), st.floats(-1.2, 0.5), st.floats(-3.0, 3.0),
+                   st.floats(-3.0, 3.0)),
+       dcom=st.tuples(st.floats(-0.2, 0.2), st.floats(-0.1, 0.3)),
+       vcom=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)))
+def test_unloaded_chair_evaluates_the_same_latched(t, q, dcom, vcom):
+    # Plant.step decides the latch from the unlatched evaluation and keeps it
+    # for the latched state: exact whenever the chair carries nothing
+    hum = human()
+    plant = Plant(short_scenario(human=hum))
+    com = (hum.seated_com[0] + dcom[0], hum.seated_com[1] + dcom[1])
+    s = q + com + vcom
+    free = plant.forces(t, s, False)
+    if free.chair_fz == 0.0:
+        # repr tells -0.0 from 0.0
+        assert repr(free) == repr(plant.forces(t, s, True))
 
 
 def rowwise_csv(log: SimLog) -> str:
