@@ -8,7 +8,6 @@ from .actuators import (
     ACTUATOR_2_HF,
     ACTUATOR_2_HS,
     ActuatorSpec,
-    DualSpeedState,
     FrictionModel,
 )
 from .control import (
@@ -34,7 +33,7 @@ from .kinematics import (
 __all__ = [
     "__version__",
     "ACTUATOR_1", "ACTUATOR_2_HF", "ACTUATOR_2_HS",
-    "ActuatorSpec", "DualSpeedState", "FrictionModel",
+    "ActuatorSpec", "FrictionModel",
     "AssistMode", "AssistModeConfig", "ForceCommand", "SpeedCommand", "TransferConfig",
     "force_controller_step", "speed_controller_step",
     "Plant", "Scenario", "SimLog", "SimState", "run_scenario",

@@ -1,4 +1,4 @@
-"""Actuator capability envelopes, friction models and the dual-speed switch.
+"""Actuator capability envelopes, friction models and the motor-speed law.
 
 Forces at this layer are in the motor convention: positive is the direction
 the drive actually produces (push for the strut, pull for the belt).  The
@@ -9,17 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
-
-from .errors import SwitchWhileMoving
 
 
 @dataclass(frozen=True)
 class ActuatorSpec:
     """Output capability at the connection point.
 
-    ratio is motor angle per output millimetre (rad:mm), so motor speed is
-    ratio * 1000 * linear speed.
+    ratio is motor angle per output millimetre (rad:mm); motor_speed turns
+    an output speed into a motor speed.
     """
 
     ratio: float
@@ -74,7 +71,7 @@ def friction_force(model: FrictionModel, motor_vel: float) -> float:
 
 def motor_speed(spec: ActuatorSpec, linear_vel: float) -> float:
     """Motor angular speed [rad/s] for an output linear speed [m/s]."""
-    return spec.ratio * linear_vel * 1000.0
+    return spec.ratio * 1000.0 * linear_vel
 
 
 def clamp_to_capability(
@@ -97,55 +94,3 @@ def velocity_exceeded(spec: ActuatorSpec, out_vel: float, allow_peak: bool = Fal
     """Diagnostic flag: output speed beyond the rated envelope."""
     limit = spec.v_max_peak_load if allow_peak else spec.v_max_load
     return abs(out_vel) > limit
-
-
-# ---------------------------------------------------------------------------
-# dual-speed / brake state machine
-
-
-class SpeedMode(Enum):
-    HIGH_SPEED = "high_speed"
-    HIGH_FORCE = "high_force"
-
-
-class ConfigurationTarget(Enum):
-    REHABILITATION = "rehabilitation"
-    TRANSFER = "transfer"
-
-
-@dataclass(frozen=True)
-class DualSpeedState:
-    """Dual-motor output selection plus the actuator-1 disc brake.
-
-    Only two combinations are legal: transfer = high force + brake engaged,
-    rehabilitation = high speed + brake released.
-    """
-
-    mode: SpeedMode
-    brake_1_engaged: bool
-
-    def __post_init__(self):
-        transfer_like = self.mode is SpeedMode.HIGH_FORCE and self.brake_1_engaged
-        rehab_like = self.mode is SpeedMode.HIGH_SPEED and not self.brake_1_engaged
-        if not (transfer_like or rehab_like):
-            raise ValueError("illegal dual-speed state: brake and gear selection disagree")
-
-
-REHAB_STATE = DualSpeedState(SpeedMode.HIGH_SPEED, False)
-TRANSFER_STATE = DualSpeedState(SpeedMode.HIGH_FORCE, True)
-
-REST_SPEED_LIMIT = 0.01  # rad/s; switching the gearbox under motion is refused
-
-
-def set_configuration(
-    state: DualSpeedState,
-    target: ConfigurationTarget,
-    joint_speeds: tuple[float, float] = (0.0, 0.0),
-) -> DualSpeedState:
-    if max(abs(joint_speeds[0]), abs(joint_speeds[1])) >= REST_SPEED_LIMIT:
-        raise SwitchWhileMoving(
-            f"arm moving at {joint_speeds} rad/s; stop before switching configuration"
-        )
-    if target is ConfigurationTarget.TRANSFER:
-        return TRANSFER_STATE
-    return REHAB_STATE

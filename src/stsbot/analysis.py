@@ -19,6 +19,7 @@ from .kinematics import (
     act_diag,
     check_invertible,
     dk_entries,
+    drive_forces,
     gravity_vec,
     inverse_kinematics,
 )
@@ -71,10 +72,12 @@ def _max_fz_cell(
     cell value.  Returns None when holding gravity alone (F_z = 0) is
     already infeasible.
     """
-    d1, d2 = act_diag(geom, q.q_a, q.q_c)
-    check_invertible(d1, d2)
-    j11, j12, j21, j22 = dk_entries(geom, q.q_a, q.q_c)
-    g_a, g_c = gravity_vec(geom, masses, q.q_a, q.q_c)
+    d = act_diag(geom, q.q_a, q.q_c)
+    check_invertible(*d)
+    _, _, j21, j22 = dk_entries(geom, q.q_a, q.q_c)
+    # drive force = gravity hold + F_z times the drive force of a unit F_z
+    hold1, hold2 = drive_forces(d, *gravity_vec(geom, masses, q.q_a, q.q_c))
+    per_fz1, per_fz2 = drive_forces(d, j21, j22)
 
     uppers: list[float] = []
     lowers: list[float] = [0.0]
@@ -91,13 +94,10 @@ def _max_fz_cell(
             return lo - 1e-9 <= a <= hi + 1e-9
         return True
 
-    # belt motor force (tension-positive) = -(g_c + J22*Fz)/d2, one-sided
-    if not box(-g_c / d2, -j22 / d2, 0.0, spec2.f_max_peak):
+    if not box(hold2, per_fz2, 0.0, spec2.f_max_peak):  # the belt only pulls
         return None
-    if spec1 is not None:
-        # strut motor force = (g_a + J21*Fz)/d1, symmetric envelope
-        if not box(g_a / d1, j21 / d1, -spec1.f_max_peak, spec1.f_max_peak):
-            return None
+    if spec1 is not None and not box(hold1, per_fz1, -spec1.f_max_peak, spec1.f_max_peak):
+        return None
 
     fz_max = min(uppers) if uppers else math.inf
     fz_min = max(lowers)

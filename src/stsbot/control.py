@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-import numpy as np
-
 from .actuators import (
     ActuatorSpec,
     FrictionModel,
@@ -31,17 +29,11 @@ from .kinematics import (
     act_diag,
     check_invertible,
     dk_entries,
+    drive_forces,
     effector_position,
     gravity_vec,
     transfer_actuator_velocity,
 )
-
-# Motor-positive output direction relative to length growth: the strut pushes
-# (extension-positive), the belt pulls (payout-negative).  Length-conjugate
-# forces from the kinematics layer are flipped through these signs at the
-# actuator boundary.
-TRANSMISSION_SIGN_1 = 1.0
-TRANSMISSION_SIGN_2 = -1.0
 
 
 class AssistMode(Enum):
@@ -141,8 +133,8 @@ def force_controller_step(
     y, z = effector_position(geom, q.q_a, q.q_c)
     f_y, f_z = desired_force_field(config, EffectorState(y, z))
 
-    d1, d2 = act_diag(geom, q.q_a, q.q_c)
-    check_invertible(d1, d2)
+    d = act_diag(geom, q.q_a, q.q_c)
+    check_invertible(*d)
 
     j11, j12, j21, j22 = dk_entries(geom, q.q_a, q.q_c)
     g_a, g_c = gravity_vec(geom, masses, q.q_a, q.q_c)
@@ -150,8 +142,7 @@ def force_controller_step(
     tau_a = j11 * f_y + j21 * f_z + g_a
     tau_c = j12 * f_y + j22 * f_z + g_c
 
-    f1_map = TRANSMISSION_SIGN_1 * tau_a / d1
-    f2_map = TRANSMISSION_SIGN_2 * tau_c / d2
+    f1_map, f2_map = drive_forces(d, tau_a, tau_c)
 
     f1_fric = f1_map + friction_force(frictions[0], motor_vels[0])
     f2_fric = f2_map + friction_force(frictions[1], motor_vels[1])
@@ -225,17 +216,3 @@ def speed_controller_step(
     if not saturated:
         state = SpeedControllerState(state.integral + transfer.ki * err * dt)
     return SpeedCommand(f2, saturated, v2_ref), state
-
-
-def transfer_trajectory(
-    geom: RobotGeometry,
-    q_a_locked: float,
-    q_c_range: tuple[float, float],
-    n: int = 50,
-) -> np.ndarray:
-    """Effector points on the circular arc about C, uniform in q_c."""
-    qs = np.linspace(q_c_range[0], q_c_range[1], n)
-    pts = np.empty((n, 2))
-    for i, qc in enumerate(qs):
-        pts[i] = effector_position(geom, q_a_locked, float(qc))
-    return pts

@@ -28,6 +28,7 @@ from .actuators import (
     DEFAULT_FRICTION_2_HS,
     ActuatorSpec,
     FrictionModel,
+    motor_speed,
     velocity_exceeded,
 )
 from .control import (
@@ -54,10 +55,12 @@ from .kinematics import (
     RobotGeometry,
     act_diag,
     dk_entries,
+    drive_speeds,
     effector_position,
     gravity_potential,
     gravity_vec,
     inverse_kinematics,
+    joint_torques,
 )
 
 # phase codes in the log
@@ -247,7 +250,8 @@ class Scenario:
 @dataclass
 class SimState:
     """Integrator state between steps (value object, copy to keep); ``forces``
-    holds the plant's evaluation of it once made (``Plant.evaluated``)."""
+    and ``motor_vels`` hold the plant's evaluation of it and its drives'
+    encoder speeds once made (``Plant.evaluated``, ``Plant.motor_speeds``)."""
 
     t: float = 0.0
     q_a: float = 0.0
@@ -258,6 +262,7 @@ class SimState:
     vcom: tuple[float, float] = (0.0, 0.0)
     seat_off: bool = False
     forces: Forces | None = field(default=None, compare=False, repr=False)
+    motor_vels: tuple[float, float] | None = field(default=None, compare=False, repr=False)
 
     def vector(self) -> tuple[float, ...]:
         """(q_a, q_c, qd_a, qd_c, cy, cz, cvy, cvz), as the integrator sees it."""
@@ -374,10 +379,12 @@ class Plant:
         self.B1 = m.I_v + m.m_v * m.L_v**2
         self.G1 = m.m_v * g.l_ac * m.L_v
         self.d_a, self.d_c = scenario.damping
-        self.spec1 = scenario.specs[0]
-        self.spec2 = scenario.specs[2] if self.is_transfer else scenario.specs[1]
-        self.pf1 = scenario.plant_frictions[0]
-        self.pf2 = scenario.plant_frictions[2] if self.is_transfer else scenario.plant_frictions[1]
+        # a transfer runs on the belt's high-force output with the mast braked,
+        # a rehabilitation run on its high-speed output; a run never switches
+        belt = 2 if self.is_transfer else 1
+        self.spec1, self.spec2 = scenario.specs[0], scenario.specs[belt]
+        self.pf1, self.pf2 = scenario.plant_frictions[0], scenario.plant_frictions[belt]
+        self.ctrl_frictions = (scenario.ctrl_frictions[0], scenario.ctrl_frictions[belt])
         self.payload = scenario.payload
         self.harness = scenario.harness
         self.chair = scenario.chair
@@ -425,7 +432,15 @@ class Plant:
             state.forces = self.forces(state.t, state.vector(), state.seat_off)
         return state.forces
 
-    def transmitted_forces(self, state: "SimState", commands: tuple[float, float]
+    def motor_speeds(self, state: SimState) -> tuple[float, float]:
+        """The drives' encoder speeds [rad/s] at ``state``, computed once and
+        kept on it; the force controller and transmitted_forces both read them."""
+        if state.motor_vels is None:
+            v1, v2 = drive_speeds(self.evaluated(state).d, state.qd_a, state.qd_c)
+            state.motor_vels = (motor_speed(self.spec1, v1), motor_speed(self.spec2, v2))
+        return state.motor_vels
+
+    def transmitted_forces(self, state: SimState, commands: tuple[float, float]
                            ) -> tuple[float, float]:
         """Plant-side transmitted forces for this control period.
 
@@ -435,9 +450,7 @@ class Plant:
         body ODE.  The belt cannot push, so its transmitted force is
         clamped to tension.
         """
-        d1, d2 = self.evaluated(state).d
-        w1 = self.spec1.ratio * 1000.0 * (d1 * state.qd_a)
-        w2 = self.spec2.ratio * 1000.0 * (-(d2 * state.qd_c))
+        w1, w2 = self.motor_speeds(state)
         f1t = commands[0] - self.pf1.a * math.tanh(self.pf1.b * w1)
         f2t = max(0.0, commands[1] - self.pf2.a * math.tanh(self.pf2.b * w2))
         if self.is_transfer:
@@ -463,18 +476,16 @@ class Plant:
         if not self.attached:
             return (0.0, 0.0, 0.0, 0.0, cvy, cvz, ax, az)
 
-        d1, d2 = f.d if self.has_human else act_diag(g, q_a, q_c)
+        d = f.d if self.has_human else act_diag(g, q_a, q_c)
         g_a, g_c = gravity_vec(g, self.masses, q_a, q_c)
+        tau_act_a, tau_act_c = joint_torques(d, f1t, f2t)
 
         if self.is_transfer:
             # brake engaged: exact 1-DOF integration about C
             d_ez = -g.l_ce * math.cos(q_a + q_c)
-            rhs = -d2 * f2t - g_c - self.payload * GRAVITY * d_ez - self.d_c * qd_c
+            rhs = tau_act_c - g_c - self.payload * GRAVITY * d_ez - self.d_c * qd_c
             m_eff = self.B1 + self.payload * g.l_ce**2
             return (0.0, qd_c, 0.0, rhs / m_eff, cvy, cvz, ax, az)
-
-        tau_act_a = d1 * f1t
-        tau_act_c = -d2 * f2t
 
         tau_h_a = tau_h_c = 0.0
         if self.has_human:
@@ -610,14 +621,10 @@ def run_scenario(scenario: Scenario) -> SimLog:
         sat1 = sat2 = False
         v2_ref = 0.0
         if rehab_ctrl:
-            d1, d2 = plant.evaluated(state).d
-            w1 = scenario.specs[0].ratio * 1000.0 * (d1 * state.qd_a)
-            w2 = scenario.specs[1].ratio * 1000.0 * (-(d2 * state.qd_c))
             cmd = force_controller_step(
-                geom, plant.masses, (scenario.specs[0], scenario.specs[1]),
-                (scenario.ctrl_frictions[0], scenario.ctrl_frictions[1]),
+                geom, plant.masses, (plant.spec1, plant.spec2), plant.ctrl_frictions,
                 mode_config, JointState(state.q_a, state.q_c, state.qd_a, state.qd_c),
-                (w1, w2), allow_peak=scenario.allow_peak,
+                plant.motor_speeds(state), allow_peak=scenario.allow_peak,
             )
             f1_cmd, f2_cmd, sat1, sat2 = cmd.f1, cmd.f2, cmd.saturated_1, cmd.saturated_2
         elif is_transfer:
@@ -629,7 +636,7 @@ def run_scenario(scenario: Scenario) -> SimLog:
                 v_z_signed = 0.0
             l2_rate = plant.evaluated(state).d[1] * state.qd_c
             (f2_cmd, sat2, v2_ref), pi_state = speed_controller_step(
-                geom, scenario.specs[2], scenario.transfer, state.q_c,
+                geom, plant.spec2, scenario.transfer, state.q_c,
                 l2_rate, dt, pi_state, v_z_signed=v_z_signed,
             )
 
@@ -662,7 +669,7 @@ def run_scenario(scenario: Scenario) -> SimLog:
             d1, d2 = f.d
             row[IDX["v2_belt"]] = l2_rate = d2 * state.qd_c
             row[IDX["vel_exc_1"]] = float(
-                velocity_exceeded(scenario.specs[0], d1 * state.qd_a, scenario.allow_peak))
+                velocity_exceeded(plant.spec1, d1 * state.qd_a, scenario.allow_peak))
             row[IDX["vel_exc_2"]] = float(
                 velocity_exceeded(plant.spec2, l2_rate, scenario.allow_peak))
             row[IDX["f1_trans"]], row[IDX["f2_trans"]] = plant.transmitted_forces(

@@ -26,10 +26,6 @@ class SingularTransmission(StsBotError):
         super().__init__(f"transmission singular at joint {joint} (derivative {value:.3e} m/rad)")
 
 
-class SwitchWhileMoving(StsBotError):
-    """Dual-speed configuration change requested while the arm is not at rest."""
-
-
 class WrongMode(StsBotError):
     """Operation called for an assist mode it does not apply to."""
 

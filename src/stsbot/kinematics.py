@@ -19,18 +19,18 @@ Frame and sign conventions used everywhere in this package:
 Under these choices dL1/dq_c = 0 and dL2/dq_a = 0 exactly; each transmission
 drives one joint and the actuator jacobian is diagonal.
 
-Actuator force sign:  functions here work in the length-conjugate convention
-(positive force does positive work while the corresponding length grows).
-For the belt that means tension comes out negative; the controller layer
-flips to the motor convention (tension positive) at the actuator boundary.
+Actuator force sign:  act_diag is in the length-conjugate convention
+(positive force does positive work while the corresponding length grows),
+under which belt tension comes out negative.  Drive forces and speeds are in
+the motor convention (strut extension-positive, belt tension-positive);
+DRIVE_SIGN below is the one place the flip between the two is written, and
+drive_forces, joint_torques and drive_speeds the one map across it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import OutOfJointLimits, SingularTransmission, Unreachable
 
@@ -76,11 +76,6 @@ class RobotGeometry:
             raise ValueError("q_a_limits must be a non-empty interval")
         if self.q_c_limits[0] >= self.q_c_limits[1]:
             raise ValueError("q_c_limits must be a non-empty interval")
-
-    @property
-    def anchor_world(self) -> tuple[float, float]:
-        """Actuator-1 base anchor in world coordinates."""
-        return (self.p1[0], self.base_height + self.p1[1])
 
     def in_limits(self, q_a: float, q_c: float, tol: float = 1e-9) -> bool:
         return (
@@ -169,11 +164,6 @@ def forward_kinematics(geom: RobotGeometry, q: JointState) -> EffectorState:
     return EffectorState(y, z, j11 * q.qd_a + j12 * q.qd_c, j21 * q.qd_a + j22 * q.qd_c)
 
 
-def jacobian_dk(geom: RobotGeometry, q: JointState) -> np.ndarray:
-    j11, j12, j21, j22 = dk_entries(geom, q.q_a, q.q_c)
-    return np.array([[j11, j12], [j21, j22]])
-
-
 # ---------------------------------------------------------------------------
 # inverse kinematics
 
@@ -227,11 +217,6 @@ def belt_length(geom: RobotGeometry, q_c: float) -> float:
     )
 
 
-def actuator_lengths(geom: RobotGeometry, q: JointState) -> tuple[float, float]:
-    """(L1, L2): strut length and belt payout at the drum."""
-    return strut_length(geom, q.q_a), belt_length(geom, q.q_c)
-
-
 def act_diag(geom: RobotGeometry, q_a: float, q_c: float) -> tuple[float, float]:
     """Diagonal of the actuator jacobian: (dL1/dq_a, dL2/dq_c)."""
     l1 = strut_length(geom, q_a)
@@ -249,34 +234,29 @@ def check_invertible(d1: float, d2: float) -> None:
         raise SingularTransmission("q_c", d2)
 
 
-def jacobian_act(geom: RobotGeometry, q: JointState) -> np.ndarray:
-    d1, d2 = act_diag(geom, q.q_a, q.q_c)
-    return np.array([[d1, 0.0], [0.0, d2]])
+# Motor-positive direction of each drive relative to its length growth: the
+# strut pushes (extension-positive), the belt pulls (payout-negative).
+DRIVE_SIGN = (1.0, -1.0)
 
 
-def jacobian_total(geom: RobotGeometry, q: JointState) -> np.ndarray:
-    """J_dk . inv(J_act): actuator rates to effector rates."""
-    d1, d2 = act_diag(geom, q.q_a, q.q_c)
-    check_invertible(d1, d2)
-    j = jacobian_dk(geom, q)
-    return j @ np.array([[1.0 / d1, 0.0], [0.0, 1.0 / d2]])
+def drive_forces(d: tuple[float, float], tau_a: float, tau_c: float) -> tuple[float, float]:
+    """Motor-convention drive forces that put the joint torques (tau_a, tau_c)
+    on the joints, d = act_diag at the pose; the inverse of joint_torques."""
+    s1, s2 = DRIVE_SIGN
+    return s1 * tau_a / d[0], s2 * tau_c / d[1]
 
 
-def effector_force_to_actuator_forces(
-    geom: RobotGeometry, q: JointState, f_eff: tuple[float, float]
-) -> tuple[float, float]:
-    """Actuator forces statically equivalent to f_eff applied at E.
+def joint_torques(d: tuple[float, float], f1: float, f2: float) -> tuple[float, float]:
+    """Joint torques of the motor-convention drive forces (f1, f2)."""
+    s1, s2 = DRIVE_SIGN
+    return s1 * d[0] * f1, s2 * d[1] * f2
 
-    Solves J_act^T F = J_dk^T f_eff, i.e. returns length-conjugate forces:
-    a positive F2 does positive work while the belt pays out, which for a
-    hanging load corresponds to physical tension.
-    """
-    d1, d2 = act_diag(geom, q.q_a, q.q_c)
-    check_invertible(d1, d2)
-    j11, j12, j21, j22 = dk_entries(geom, q.q_a, q.q_c)
-    tau_a = j11 * f_eff[0] + j21 * f_eff[1]
-    tau_c = j12 * f_eff[0] + j22 * f_eff[1]
-    return tau_a / d1, tau_c / d2
+
+def drive_speeds(d: tuple[float, float], qd_a: float, qd_c: float) -> tuple[float, float]:
+    """Motor-convention output speeds [m/s] of the drives at joint rates
+    (qd_a, qd_c); they are power-conjugate to drive_forces."""
+    s1, s2 = DRIVE_SIGN
+    return s1 * (d[0] * qd_a), s2 * (d[1] * qd_c)
 
 
 def transfer_actuator_velocity(

@@ -46,12 +46,11 @@ from stsbot.kinematics import (
     RobotGeometry,
     act_diag,
     belt_length,
+    dk_entries,
     effector_position,
     gravity_potential,
     gravity_vec,
     inverse_kinematics,
-    jacobian_act,
-    jacobian_dk,
     strut_length,
 )
 
@@ -80,23 +79,21 @@ def test_criterion_1_kinematics_oracles():
     for _ in range(n):
         qa = float(rng.uniform(*GEOM.q_a_limits))
         qc = float(rng.uniform(*GEOM.q_c_limits))
-        q = JointState(qa, qc)
-
-        j = jacobian_dk(GEOM, q)
+        j = dk_entries(GEOM, qa, qc)
         fds = [
             fd(lambda a: effector_position(GEOM, a, qc)[0], qa),
             fd(lambda c: effector_position(GEOM, qa, c)[0], qc),
             fd(lambda a: effector_position(GEOM, a, qc)[1], qa),
             fd(lambda c: effector_position(GEOM, qa, c)[1], qc),
         ]
-        for val, ref in zip(j.flat, fds):
+        for val, ref in zip(j, fds):
             worst_jac = max(worst_jac, abs(val - ref) / max(1.0, abs(ref)))
 
-        ja = jacobian_act(GEOM, q)
+        d1, d2 = act_diag(GEOM, qa, qc)
         fd1 = fd(lambda a: strut_length(GEOM, a), qa)
         fd2 = fd(lambda c: belt_length(GEOM, c), qc)
-        worst_jac = max(worst_jac, abs(ja[0, 0] - fd1) / max(1.0, abs(fd1)))
-        worst_jac = max(worst_jac, abs(ja[1, 1] - fd2) / max(1.0, abs(fd2)))
+        worst_jac = max(worst_jac, abs(d1 - fd1) / max(1.0, abs(fd1)))
+        worst_jac = max(worst_jac, abs(d2 - fd2) / max(1.0, abs(fd2)))
 
         g = gravity_vec(GEOM, MASSES, qa, qc)
         fga = fd(lambda a: gravity_potential(GEOM, MASSES, a, qc), qa)
@@ -136,13 +133,10 @@ def test_criterion_2_gravity_compensation_statics():
         plant = Plant(sc)
         state = SimState(q_a=qa, q_c=qc)
         for _ in range(5000):
-            d1, d2 = act_diag(GEOM, state.q_a, state.q_c)
-            w1 = ACTUATOR_1.ratio * 1000.0 * d1 * state.qd_a
-            w2 = ACTUATOR_2_HS.ratio * 1000.0 * (-(d2 * state.qd_c))
             cmd = force_controller_step(
-                GEOM, MASSES, (ACTUATOR_1, ACTUATOR_2_HS),
-                (sc.ctrl_frictions[0], sc.ctrl_frictions[1]), mode,
-                JointState(state.q_a, state.q_c, state.qd_a, state.qd_c), (w1, w2))
+                GEOM, MASSES, (plant.spec1, plant.spec2), plant.ctrl_frictions, mode,
+                JointState(state.q_a, state.q_c, state.qd_a, state.qd_c),
+                plant.motor_speeds(state))
             state = plant.step(state, (cmd.f1, cmd.f2), 1e-3)
         worst = max(worst, abs(state.q_a - qa), abs(state.q_c - qc))
     elapsed = time.monotonic() - t0

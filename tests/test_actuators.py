@@ -10,19 +10,12 @@ from stsbot.actuators import (
     ACTUATOR_2_HF,
     ACTUATOR_2_HS,
     ActuatorSpec,
-    ConfigurationTarget,
-    DualSpeedState,
     FrictionModel,
-    REHAB_STATE,
-    SpeedMode,
-    TRANSFER_STATE,
     clamp_to_capability,
     friction_force,
     motor_speed,
-    set_configuration,
     velocity_exceeded,
 )
-from stsbot.errors import SwitchWhileMoving
 
 MODEL = FrictionModel(a=80.0, b=0.04)
 
@@ -124,41 +117,3 @@ def test_spec_validation():
         ActuatorSpec(0.5, 100.0, 50.0, 0.1, 0.1)  # peak below continuous
     with pytest.raises(ValueError):
         ActuatorSpec(0.5, 100.0, 200.0, -0.1, 0.1)
-
-
-# ---------------------------------------------------------------------------
-# dual-speed state machine
-
-
-def test_switch_to_transfer_at_rest():
-    state = set_configuration(REHAB_STATE, ConfigurationTarget.TRANSFER)
-    assert state.mode is SpeedMode.HIGH_FORCE and state.brake_1_engaged
-
-
-def test_switch_to_rehab_at_rest():
-    state = set_configuration(TRANSFER_STATE, ConfigurationTarget.REHABILITATION)
-    assert state.mode is SpeedMode.HIGH_SPEED and not state.brake_1_engaged
-
-
-def test_switch_while_moving_refused():
-    with pytest.raises(SwitchWhileMoving):
-        set_configuration(REHAB_STATE, ConfigurationTarget.TRANSFER, (0.5, 0.0))
-    with pytest.raises(SwitchWhileMoving):
-        set_configuration(REHAB_STATE, ConfigurationTarget.TRANSFER, (0.0, -0.02))
-
-
-def test_illegal_dual_speed_states_rejected():
-    with pytest.raises(ValueError):
-        DualSpeedState(SpeedMode.HIGH_FORCE, False)
-    with pytest.raises(ValueError):
-        DualSpeedState(SpeedMode.HIGH_SPEED, True)
-
-
-def test_configuration_invariant_after_transitions():
-    state = REHAB_STATE
-    for target in (ConfigurationTarget.TRANSFER, ConfigurationTarget.REHABILITATION,
-                   ConfigurationTarget.TRANSFER):
-        state = set_configuration(state, target)
-        transfer_like = state.mode is SpeedMode.HIGH_FORCE and state.brake_1_engaged
-        rehab_like = state.mode is SpeedMode.HIGH_SPEED and not state.brake_1_engaged
-        assert transfer_like or rehab_like

@@ -20,16 +20,19 @@ from stsbot.control import (
     desired_force_field,
     force_controller_step,
     speed_controller_step,
-    transfer_trajectory,
 )
-from stsbot.errors import ConfigError, WrongMode
+from stsbot.engine import Scenario, _initial_state, _rise_duration, run_scenario
+from stsbot.errors import ConfigError, SingularTransmission, WrongMode
 from stsbot.kinematics import (
     GRAVITY,
     EffectorState,
     JointState,
     LinkMassModel,
     RobotGeometry,
+    act_diag,
     effector_position,
+    gravity_vec,
+    joint_torques,
 )
 
 GEOM = RobotGeometry()
@@ -174,12 +177,9 @@ def test_massless_frictionless_follow_me_commands_nothing():
 
 def test_static_command_cancels_gravity_exactly():
     # applying the command in the plant model yields zero acceleration
-    from stsbot.kinematics import act_diag, gravity_vec
-
     for qa, qc in ((0.1, 0.2), (0.5, -0.9), (0.8, -0.3)):
         cmd = controller(cfg(AssistMode.FOLLOW_ME), JointState(qa, qc))
-        d1, d2 = act_diag(GEOM, qa, qc)
-        tau_act = np.array([d1 * cmd.f1, -d2 * cmd.f2])
+        tau_act = np.array(joint_torques(act_diag(GEOM, qa, qc), cmd.f1, cmd.f2))
         g = np.array(gravity_vec(GEOM, MASSES, qa, qc))
         assert np.allclose(tau_act, g, atol=1e-9)
 
@@ -206,6 +206,18 @@ def test_controller_command_stages():
     # the envelope clamp is the last stage
     assert (cmd.f1, cmd.saturated_1) == clamp_to_capability(ACTUATOR_1, cmd.f1_fric, False)
     assert (cmd.f2, cmd.saturated_2) == clamp_to_capability(ACTUATOR_2_HS, cmd.f2_fric, False)
+
+
+def test_force_controller_singular_transmission_raises():
+    # a vertical boom on a wide geometry zeroes dL2/dq_c: no belt force can
+    # hold it, so the controller refuses rather than command an infinite force
+    wide = RobotGeometry(q_a_limits=(-3.0, 3.0), q_c_limits=(-3.0, 3.0))
+    with pytest.raises(SingularTransmission) as err:
+        force_controller_step(
+            wide, LinkMassModel.for_geometry(wide), (ACTUATOR_1, ACTUATOR_2_HS),
+            (ZERO_FRICTION, ZERO_FRICTION), cfg(AssistMode.FOLLOW_ME),
+            JointState(0.0, math.pi / 2), (0.0, 0.0))
+    assert err.value.joint == "q_c"
 
 
 def test_controller_rejects_transfer_mode():
@@ -261,21 +273,32 @@ def test_transfer_config_validation():
 # transfer trajectory
 
 
-def test_transfer_arc_radius():
-    pts = transfer_trajectory(GEOM, 0.3, (0.45, -0.5), n=40)
-    c = (GEOM.l_ac * math.sin(0.3), GEOM.base_height + GEOM.l_ac * math.cos(0.3))
-    for y, z in pts:
-        assert math.hypot(y - c[0], z - c[1]) == pytest.approx(GEOM.l_ce, abs=1e-12)
+@pytest.fixture(scope="module")
+def transfer_log():
+    return run_scenario(Scenario(geom=GEOM, transfer=TransferConfig(v_z_target=0.04),
+                                 payload=98.0, repetitions=1, pause=0.5, dt=0.002))
+
+
+def test_transfer_arc_radius(transfer_log):
+    # the braked mast keeps the effector on the circle of radius l_ce about C
+    q_a = TransferConfig().q_a_locked
+    c = (GEOM.l_ac * math.sin(q_a), GEOM.base_height + GEOM.l_ac * math.cos(q_a))
+    r = np.hypot(transfer_log["e_y"] - c[0], transfer_log["e_z"] - c[1])
+    assert np.abs(r - GEOM.l_ce).max() < 1e-12
 
 
 def test_transfer_arc_endpoints_match_fk():
-    pts = transfer_trajectory(GEOM, 0.3, (0.45, -0.5), n=40)
-    assert tuple(pts[0]) == pytest.approx(effector_position(GEOM, 0.3, 0.45), abs=1e-12)
-    assert tuple(pts[-1]) == pytest.approx(effector_position(GEOM, 0.3, -0.5), abs=1e-12)
+    tr = TransferConfig()
+    sc = Scenario(geom=GEOM, transfer=tr)
+    state, e_yi = _initial_state(sc)
+    assert (state.q_a, state.q_c) == (tr.q_a_locked, tr.q_c_start)
+    start = effector_position(GEOM, tr.q_a_locked, tr.q_c_start)
+    end = effector_position(GEOM, tr.q_a_locked, tr.q_c_end)
+    assert e_yi == start[0]
+    assert _rise_duration(sc) == pytest.approx(abs(end[1] - start[1]) / tr.v_z_target, abs=1e-12)
 
 
-def test_transfer_arc_covers_seat_to_standing_heights():
-    pts = transfer_trajectory(GEOM, 0.3, (0.45, -0.5), n=100)
-    zs = pts[:, 1]
+def test_transfer_arc_covers_seat_to_standing_heights(transfer_log):
+    zs = transfer_log["e_z"]
     assert zs.min() < 0.43 + 0.25  # below a seated CoM over a 0.43 m seat
     assert zs.max() > 0.95  # above a typical standing CoM height

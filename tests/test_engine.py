@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stsbot import engine
-from stsbot.actuators import ACTUATOR_1, ACTUATOR_2_HS, FrictionModel
+from stsbot.actuators import ACTUATOR_1, ACTUATOR_2_HF, ACTUATOR_2_HS, FrictionModel, motor_speed
 from stsbot.control import (
     AssistMode,
     AssistModeConfig,
@@ -30,7 +30,7 @@ from stsbot.engine import (
 )
 from stsbot.errors import ConfigError, NumericalDivergence
 from stsbot.human import HumanParams
-from stsbot.kinematics import GRAVITY, JointState, RobotGeometry, act_diag
+from stsbot.kinematics import GRAVITY, JointState, RobotGeometry, act_diag, drive_speeds
 
 GEOM = RobotGeometry()
 ZERO_F = FrictionModel(0.0, 0.0)
@@ -73,13 +73,9 @@ def test_gravity_compensation_holds_pose():
     plant = Plant(sc)
     state = SimState(q_a=0.45, q_c=-0.7)
     for _ in range(5000):
-        d1, d2 = act_diag(GEOM, state.q_a, state.q_c)
-        w1 = ACTUATOR_1.ratio * 1000.0 * d1 * state.qd_a
-        w2 = ACTUATOR_2_HS.ratio * 1000.0 * (-(d2 * state.qd_c))
         cmd = force_controller_step(
-            GEOM, plant.masses, (ACTUATOR_1, ACTUATOR_2_HS),
-            (sc.ctrl_frictions[0], sc.ctrl_frictions[1]), FOLLOW,
-            JointState(state.q_a, state.q_c, state.qd_a, state.qd_c), (w1, w2))
+            GEOM, plant.masses, (plant.spec1, plant.spec2), plant.ctrl_frictions, FOLLOW,
+            JointState(state.q_a, state.q_c, state.qd_a, state.qd_c), plant.motor_speeds(state))
         state = plant.step(state, (cmd.f1, cmd.f2), 1e-3)
     assert abs(state.q_a - 0.45) < 1e-9
     assert abs(state.q_c + 0.7) < 1e-9
@@ -361,6 +357,24 @@ def test_logged_forces_replay_from_logged_state(name):
             got[c].append(v)
     for c, values in got.items():
         assert np.array_equal(np.array(values).view(np.int64), log[c].view(np.int64)), c
+
+
+@pytest.mark.parametrize("name, belt, brake", [("com_balance", ACTUATOR_2_HS, 0.0),
+                                               ("transfer", ACTUATOR_2_HF, 1.0)],
+                         ids=["rehab", "transfer"])
+def test_transfer_block_selects_belt_output_and_brake(name, belt, brake):
+    # the transfer block picks the high-force belt output and the mast brake
+    # for the whole run, a rehabilitation run the high-speed output; the
+    # encoder speeds follow the picked drive
+    sc = short_scenario(**REPLAY_SCENARIOS[name])
+    plant = Plant(sc)
+    assert (plant.spec1, plant.spec2) == (ACTUATOR_1, belt)
+    assert np.all(run_scenario(sc)["brake"] == brake)
+    state = SimState(q_a=0.3, q_c=-0.2, qd_a=0.4, qd_c=-0.7)
+    v1, v2 = drive_speeds(act_diag(GEOM, 0.3, -0.2), 0.4, -0.7)
+    w = plant.motor_speeds(state)
+    assert w == (motor_speed(ACTUATOR_1, v1), motor_speed(belt, v2))
+    assert plant.motor_speeds(state) is w  # computed once per state
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,0 +1,67 @@
+"""Golden SHA-256 digests of the CLI's output files, one short config per
+plant branch plus both capability maps.
+
+A change that means to keep the output bytes must leave every digest here
+as it is.  A change that means to alter them (a new channel, a physics fix)
+re-pins them in this one table and says why.
+"""
+
+import hashlib
+
+import pytest
+
+from stsbot.cli import EXIT_OK, main
+
+CONFIGS = {
+    "weight_unloading": "mode = weight_unloading\nfz_pct = 0.10\nrepetitions = 2\n"
+                        "pause = 0.5\nseed = 42\n",
+    "com_balance": "mode = com_balance\nfz_pct = 0.1\nky = 200\nrepetitions = 1\nseed = 42\n",
+    "transfer_98kg": "mode = transfer\npayload = 98\ntransfer.v_z = 0.04\nrepetitions = 1\n",
+    "detached": "robot_attached = false\nrepetitions = 1\nseed = 42\n",
+    "map_rehab": "map.configuration = rehab\n",
+    "map_transfer": "map.configuration = transfer\n",
+}
+
+GOLDEN = {
+    ("weight_unloading", "log.csv"):
+        "8dd72bf51e4540ae64e2e9ce78d85a30eb5bcbb337cac8c76433d1a954064673",
+    ("weight_unloading", "metrics.json"):
+        "521a29f57bb2cceaf71172a7b2736fc257f93df20a6b51b165e6613f103a761f",
+    ("com_balance", "log.csv"):
+        "f98406ae5221f13c4c458d9f349d0654ffa3539416335428d2ed9f639d5ea9db",
+    ("com_balance", "metrics.json"):
+        "5cd5433eaa5d9c1ada75ce8d270acc0d4e0a9b01613e0ae4a63fb81aff1b987e",
+    ("transfer_98kg", "log.csv"):
+        "e5ddd96e47b550343232c6954fac2777e018709d80d722611ba5f33a1b991a6b",
+    ("transfer_98kg", "metrics.json"):
+        "5f4ad0e795ebdeb79ff845f6b3a70b7d878838ddfb4da81b4c52ba9fff1b882b",
+    ("detached", "log.csv"):
+        "c4b773b3372c3ba65caa2fa8caf6fb39a2a0ccb55709a2634b615c312785a26d",
+    ("detached", "metrics.json"):
+        "056e25706e3096f79d18d8f4edec2a1b68d980f31af533f40264d9f3d9992a3f",
+    ("map_rehab", "map.csv"):
+        "d78b8e700cb4d39e0d53bd5478693a2eb7288efa8bcf3ea4a1b8d27f9b6323b9",
+    ("map_transfer", "map.csv"):
+        "c32208f17fb665992a6f9bcb40ee5905f7a4c99d96a2a2d6853579002f96353b",
+}
+
+
+def _outputs(tmp_path, name):
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(CONFIGS[name])
+    out = tmp_path / name
+    if name.startswith("map_"):
+        assert main(["map", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    else:
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert main(["analyze", "--log", str(out / "log.csv"), "--out", str(out)]) == EXIT_OK
+    return out
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_output_bytes_match_golden_digests(tmp_path, name):
+    out = _outputs(tmp_path, name)
+    got = {(n, f): hashlib.sha256((out / f).read_bytes()).hexdigest()
+           for (n, f) in GOLDEN if n == name}
+    want = {key: GOLDEN[key] for key in got}
+    assert got == want

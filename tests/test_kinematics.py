@@ -10,17 +10,17 @@ from stsbot.kinematics import (
     JointState,
     LinkMassModel,
     RobotGeometry,
-    actuator_lengths,
+    act_diag,
     belt_length,
-    effector_force_to_actuator_forces,
+    dk_entries,
+    drive_forces,
+    drive_speeds,
     effector_position,
     forward_kinematics,
     gravity_potential,
     gravity_vec,
     inverse_kinematics,
-    jacobian_act,
-    jacobian_dk,
-    jacobian_total,
+    joint_torques,
     strut_length,
     transfer_actuator_velocity,
 )
@@ -75,7 +75,7 @@ def test_fk_matches_rotation_matrix_oracle():
 def test_fk_velocity_is_jacobian_times_qd():
     q = JointState(0.3, -0.4, 0.7, -0.2)
     e = forward_kinematics(GEOM, q)
-    v = jacobian_dk(GEOM, q) @ np.array([q.qd_a, q.qd_c])
+    v = np.reshape(dk_entries(GEOM, q.q_a, q.q_c), (2, 2)) @ np.array([q.qd_a, q.qd_c])
     assert e.vy == pytest.approx(v[0], abs=1e-14)
     assert e.vz == pytest.approx(v[1], abs=1e-14)
 
@@ -142,13 +142,13 @@ def test_ik_fk_identity_property(qa, qc):
 
 def test_dk_column2_norm_is_boom_length():
     for q in random_states(20, seed=2):
-        j = jacobian_dk(GEOM, q)
-        assert np.linalg.norm(j[:, 1]) == pytest.approx(GEOM.l_ce, abs=1e-12)
+        _, j12, _, j22 = dk_entries(GEOM, q.q_a, q.q_c)
+        assert math.hypot(j12, j22) == pytest.approx(GEOM.l_ce, abs=1e-12)
 
 
 def test_dk_dEz_dqc_at_home():
-    j = jacobian_dk(GEOM, JointState(0.0, 0.0))
-    assert j[1, 1] == pytest.approx(-0.75, abs=1e-12)
+    j22 = dk_entries(GEOM, 0.0, 0.0)[3]
+    assert j22 == pytest.approx(-0.75, abs=1e-12)
 
 
 def finite_difference(f, x, h=1e-6):
@@ -157,7 +157,7 @@ def finite_difference(f, x, h=1e-6):
 
 def test_dk_matches_finite_differences():
     for q in random_states(50, seed=3):
-        j = jacobian_dk(GEOM, q)
+        j = np.reshape(dk_entries(GEOM, q.q_a, q.q_c), (2, 2))
         for k, (fy, fz) in enumerate((
             (lambda a: effector_position(GEOM, a, q.q_c)[0],
              lambda a: effector_position(GEOM, a, q.q_c)[1]),
@@ -173,17 +173,29 @@ def test_dk_matches_finite_differences():
 
 
 def test_actuator_lengths_belt_closed_form():
-    geom = RobotGeometry(d_g=0.15)
-    _, l2 = actuator_lengths(geom, JointState(0.0, 0.0))
+    l2 = belt_length(RobotGeometry(d_g=0.15), 0.0)
     assert l2 == pytest.approx(2.0 * math.sqrt(0.15**2 + 0.38**2), abs=1e-12)
     assert l2 == pytest.approx(0.8170679286, abs=1e-9)
 
 
+def world_lengths(geom, q_a, q_c):
+    """(L1, L2) from world-frame points: anchor to B, and twice G to D."""
+    def on_mast(d):
+        return np.array([d * math.sin(q_a), geom.base_height + d * math.cos(q_a)])
+
+    anchor = np.array([geom.p1[0], geom.base_height + geom.p1[1]])
+    boom = np.array([math.cos(q_a + q_c), -math.sin(q_a + q_c)])
+    pulley = on_mast(geom.l_ac + geom.d_g)
+    sheave = on_mast(geom.l_ac) + geom.l_cd * boom
+    return (float(np.linalg.norm(on_mast(geom.l_ab) - anchor)),
+            2.0 * float(np.linalg.norm(pulley - sheave)))
+
+
 def test_belt_length_independent_of_mast_angle():
     for qc in (-1.0, -0.3, 0.2, 0.5):
-        l_a = actuator_lengths(GEOM, JointState(0.1, qc))[1]
-        l_b = actuator_lengths(GEOM, JointState(0.7, qc))[1]
-        assert l_a == l_b  # exact
+        for qa in (0.1, 0.7):
+            assert world_lengths(GEOM, qa, qc)[1] == pytest.approx(belt_length(GEOM, qc),
+                                                                   abs=1e-12)
 
 
 def test_strut_travel_fits_stroke():
@@ -193,76 +205,79 @@ def test_strut_travel_fits_stroke():
 
 
 def test_act_jacobian_is_diagonal():
+    # each length depends on its own joint only: dL1/dq_c = dL2/dq_a = 0
     for q in random_states(20, seed=4):
-        j = jacobian_act(GEOM, q)
-        assert j[0, 1] == 0.0
-        assert j[1, 0] == 0.0
+        dl1_dqc = finite_difference(lambda c: world_lengths(GEOM, q.q_a, c)[0], q.q_c)
+        dl2_dqa = finite_difference(lambda a: world_lengths(GEOM, a, q.q_c)[1], q.q_a)
+        assert abs(dl1_dqc) < 1e-9
+        assert abs(dl2_dqa) < 1e-9
 
 
 def test_act_jacobian_matches_finite_differences():
     for q in random_states(50, seed=5):
-        j = jacobian_act(GEOM, q)
+        d1, d2 = act_diag(GEOM, q.q_a, q.q_c)
         fd1 = finite_difference(lambda a: strut_length(GEOM, a), q.q_a)
         fd2 = finite_difference(lambda c: belt_length(GEOM, c), q.q_c)
-        assert abs(j[0, 0] - fd1) / max(1.0, abs(fd1)) < 1e-6
-        assert abs(j[1, 1] - fd2) / max(1.0, abs(fd2)) < 1e-6
+        assert abs(d1 - fd1) / max(1.0, abs(fd1)) < 1e-6
+        assert abs(d2 - fd2) / max(1.0, abs(fd2)) < 1e-6
 
 
 def test_belt_derivative_vanishes_at_vertical_boom():
-    j = jacobian_act(WIDE, JointState(0.0, math.pi / 2))
-    assert abs(j[1, 1]) < 1e-12
-    j = jacobian_act(WIDE, JointState(0.0, -math.pi / 2))
-    assert abs(j[1, 1]) < 1e-12
-
-
-def test_total_jacobian_identity():
-    for q in random_states(20, seed=6):
-        jt = jacobian_total(GEOM, q)
-        assert np.allclose(jt @ jacobian_act(GEOM, q), jacobian_dk(GEOM, q), atol=1e-12)
-
-
-def test_total_jacobian_velocity_chain():
-    q = JointState(0.4, -0.6, 0.3, 0.5)
-    qd = np.array([q.qd_a, q.qd_c])
-    act_rates = jacobian_act(GEOM, q) @ qd
-    v_total = jacobian_total(GEOM, q) @ act_rates
-    v_dk = jacobian_dk(GEOM, q) @ qd
-    assert np.allclose(v_total, v_dk, atol=1e-12)
-
-
-def test_total_jacobian_condition_number_finite():
-    for q in random_states(20, seed=8):
-        cond = np.linalg.cond(jacobian_total(GEOM, q))
-        assert np.isfinite(cond)
-
-
-def test_total_jacobian_singular_raises():
-    with pytest.raises(SingularTransmission):
-        jacobian_total(WIDE, JointState(0.0, math.pi / 2))
+    assert abs(act_diag(WIDE, 0.0, math.pi / 2)[1]) < 1e-12
+    assert abs(act_diag(WIDE, 0.0, -math.pi / 2)[1]) < 1e-12
 
 
 # ---------------------------------------------------------------------------
 # force mapping
 
 
+def effector_drive_forces(geom, q, f_eff):
+    """Drive forces statically equivalent to f_eff applied at E."""
+    j11, j12, j21, j22 = dk_entries(geom, q.q_a, q.q_c)
+    return drive_forces(act_diag(geom, q.q_a, q.q_c),
+                        j11 * f_eff[0] + j21 * f_eff[1], j12 * f_eff[0] + j22 * f_eff[1])
+
+
 def test_force_map_zero_force():
-    f1, f2 = effector_force_to_actuator_forces(GEOM, JointState(0.2, -0.3), (0.0, 0.0))
+    f1, f2 = effector_drive_forces(GEOM, JointState(0.2, -0.3), (0.0, 0.0))
     assert f1 == 0.0 and f2 == 0.0
 
 
 def test_force_map_torque_route_identity():
     for q in random_states(20, seed=9):
         f_eff = (120.0, -340.0)
-        f1, f2 = effector_force_to_actuator_forces(GEOM, q, f_eff)
-        tau_act = jacobian_act(GEOM, q).T @ np.array([f1, f2])
-        tau_dk = jacobian_dk(GEOM, q).T @ np.array(f_eff)
+        tau_act = joint_torques(act_diag(GEOM, q.q_a, q.q_c),
+                                *effector_drive_forces(GEOM, q, f_eff))
+        tau_dk = np.reshape(dk_entries(GEOM, q.q_a, q.q_c), (2, 2)).T @ np.array(f_eff)
         assert np.allclose(tau_act, tau_dk, atol=1e-9)
 
 
 def test_force_map_belt_tension_sign_for_hanging_load():
-    # supporting a 650 N downward load keeps the belt in tension
-    _, f2 = effector_force_to_actuator_forces(GEOM, JointState(0.0, 0.0), (0.0, -650.0))
-    assert f2 >= 0.0
+    # holding up a 650 N hanging load means pushing E up with 650 N: the belt
+    # works in tension
+    _, f2 = effector_drive_forces(GEOM, JointState(0.0, 0.0), (0.0, 650.0))
+    assert f2 > 0.0
+
+
+joint_angles = st.tuples(st.floats(*GEOM.q_a_limits), st.floats(*GEOM.q_c_limits))
+finite = st.floats(-1e3, 1e3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=joint_angles, qd=st.tuples(finite, finite), tau=st.tuples(finite, finite))
+def test_drive_map_keeps_virtual_power_and_inverts(q, qd, tau):
+    # one sign convention: forces and speeds are power-conjugate, and the
+    # torque -> force and force -> torque maps undo each other
+    d = act_diag(GEOM, *q)
+    f = drive_forces(d, *tau)
+    v = drive_speeds(d, *qd)
+    drive_power = f[0] * v[0] + f[1] * v[1]
+    joint_power = tau[0] * qd[0] + tau[1] * qd[1]
+    scale = abs(tau[0] * qd[0]) + abs(tau[1] * qd[1])
+    assert abs(drive_power - joint_power) <= 1e-12 * scale + 1e-300  # floor: underflow
+    back = joint_torques(d, *f)
+    for got, want in zip(back, tau):
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
 def test_transfer_velocity_zero():
@@ -272,9 +287,9 @@ def test_transfer_velocity_zero():
 def test_transfer_velocity_chain_consistency():
     q_a, q_c, v_z = 0.3, -0.5, 0.03
     v2 = transfer_actuator_velocity(GEOM, q_a, q_c, v_z)
-    d_ez = jacobian_dk(GEOM, JointState(q_a, q_c))[1, 1]
+    d_ez = dk_entries(GEOM, q_a, q_c)[3]
     qd_c = v_z / d_ez
-    d_l2 = jacobian_act(GEOM, JointState(q_a, q_c))[1, 1]
+    d_l2 = act_diag(GEOM, q_a, q_c)[1]
     assert v2 == pytest.approx(d_l2 * qd_c, abs=1e-12)
 
 
