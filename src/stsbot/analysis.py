@@ -13,14 +13,12 @@ from .engine import PHASE_DESCENT, PHASE_PAUSE, PHASE_RISE, SimLog
 from .errors import DegenerateInput, EmptyWindow, OutOfJointLimits, SingularTransmission, Unreachable
 from .kinematics import (
     GRAVITY,
-    JointState,
+    Arm,
+    ArmEval,
     LinkMassModel,
     RobotGeometry,
-    act_diag,
     check_invertible,
-    dk_entries,
     drive_forces,
-    gravity_vec,
     inverse_kinematics,
 )
 
@@ -59,24 +57,23 @@ class CapabilityMap:
 
 
 def _max_fz_cell(
-    geom: RobotGeometry,
-    masses: LinkMassModel,
-    q: JointState,
+    arm: ArmEval,
     spec1: ActuatorSpec | None,
     spec2: ActuatorSpec,
 ) -> float | None:
     """Closed-form 1-D program: largest F_z >= 0 (F_y = 0) keeping the
-    drives inside their peak envelopes, gravity self-load included.
+    drives inside their peak envelopes, gravity self-load included, with
+    the arm evaluated at the cell's pose.
 
     Each drive force is affine in F_z; the binding constraint gives the
     cell value.  Returns None when holding gravity alone (F_z = 0) is
     already infeasible.
     """
-    d = act_diag(geom, q.q_a, q.q_c)
+    d = arm.d
     check_invertible(*d)
-    _, _, j21, j22 = dk_entries(geom, q.q_a, q.q_c)
+    _, _, j21, j22 = arm.jac
     # drive force = gravity hold + F_z times the drive force of a unit F_z
-    hold1, hold2 = drive_forces(d, *gravity_vec(geom, masses, q.q_a, q.q_c))
+    hold1, hold2 = drive_forces(d, *arm.g)
     per_fz1, per_fz2 = drive_forces(d, j21, j22)
 
     uppers: list[float] = []
@@ -149,6 +146,7 @@ def capability_map(
     value = np.full((len(zs), len(ys)), np.nan)
     mask = np.full((len(zs), len(ys)), MASK_OK, dtype=int)
     use_spec1 = spec1 if configuration == "rehab" else None
+    arm = Arm(geom, masses)
     for iz, z in enumerate(zs):
         for iy, y in enumerate(ys):
             try:
@@ -160,7 +158,7 @@ def capability_map(
                 mask[iz, iy] = MASK_LIMITS
                 continue
             try:
-                fz = _max_fz_cell(geom, masses, q, use_spec1, spec2)
+                fz = _max_fz_cell(arm.at(q.q_a, q.q_c), use_spec1, spec2)
             except SingularTransmission:
                 mask[iz, iy] = MASK_SINGULAR
                 continue

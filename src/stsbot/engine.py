@@ -48,8 +48,10 @@ from .human import (
     minimum_jerk,
     muscle_effort,
 )
-from .kinematics import (
+from .kinematics import (  # noqa: F401  act_diag, dk_entries: perfbench counts calls by name
     GRAVITY,
+    Arm,
+    ArmEval,
     JointState,
     LinkMassModel,
     RobotGeometry,
@@ -58,7 +60,6 @@ from .kinematics import (
     drive_speeds,
     effector_position,
     gravity_potential,
-    gravity_vec,
     inverse_kinematics,
     joint_torques,
 )
@@ -90,7 +91,6 @@ CHANNELS = [
     "chair_fz", "feet_fy", "feet_fz",
     "seat_off", "brake",
 ]
-IDX = {name: i for i, name in enumerate(CHANNELS)}
 
 CSV_SCHEMA_VERSION = "stsbot-log v1"
 CSV_BLOCK_ROWS = 4096
@@ -251,7 +251,9 @@ class Scenario:
 class SimState:
     """Integrator state between steps (value object, copy to keep); ``forces``
     and ``motor_vels`` hold the plant's evaluation of it and its drives'
-    encoder speeds once made (``Plant.evaluated``, ``Plant.motor_speeds``)."""
+    encoder speeds once made (``Plant.evaluated``, ``Plant.motor_speeds``).
+    Neither is an init argument, so a copy made with ``replace`` starts
+    without them."""
 
     t: float = 0.0
     q_a: float = 0.0
@@ -261,8 +263,9 @@ class SimState:
     com: tuple[float, float] = (0.0, 0.0)
     vcom: tuple[float, float] = (0.0, 0.0)
     seat_off: bool = False
-    forces: Forces | None = field(default=None, compare=False, repr=False)
-    motor_vels: tuple[float, float] | None = field(default=None, compare=False, repr=False)
+    forces: Forces | None = field(default=None, init=False, compare=False, repr=False)
+    motor_vels: tuple[float, float] | None = field(
+        default=None, init=False, compare=False, repr=False)
 
     def vector(self) -> tuple[float, ...]:
         """(q_a, q_c, qd_a, qd_c, cy, cz, cvy, cvz), as the integrator sees it."""
@@ -273,16 +276,13 @@ class SimState:
 class Forces(NamedTuple):
     """Every force channel at one instant (see Plant.forces).
 
-    e, ev and jac are the effector position, velocity and the row-major
-    d(E_y,E_z)/d(q_a,q_c) entries; d is the actuator-jacobian diagonal
-    (act_diag); harness is the force on the human; feet is the leg force
-    plus the floor contact; acom the CoM acceleration.
+    arm is the arm's evaluation at the instant's joint state (Arm.at: the
+    effector position and velocity, jacobians, gravity and inertia);
+    harness is the force on the human; feet is the leg force plus the floor
+    contact; acom the CoM acceleration.
     """
 
-    e: tuple[float, float] | None
-    ev: tuple[float, float] | None
-    jac: tuple[float, float, float, float] | None
-    d: tuple[float, float] | None
+    arm: ArmEval | None
     harness: tuple[float, float]
     chair_fz: float
     feet: tuple[float, float]
@@ -305,6 +305,7 @@ class _Schedule:
     def __init__(self, segments: list[_Segment]):
         self.segments = segments
         self._i = 0
+        self._last = (None, None)  # (t, reference(t)): RK4 stages repeat their times
 
     @property
     def total(self) -> float:
@@ -319,15 +320,21 @@ class _Schedule:
         return segs[i]
 
     def reference(self, t: float):
+        last_t, ref = self._last
+        if t == last_t:
+            return ref
         seg = self.segment_at(t)
         dur = seg.t1 - seg.t0
         dy = seg.p1[0] - seg.p0[0]
         dz = seg.p1[1] - seg.p0[1]
         if dur <= 0.0 or (dy == 0.0 and dz == 0.0):
-            return seg.p1, (0.0, 0.0)
-        s, ds, _ = minimum_jerk((t - seg.t0) / dur)
-        inv = 1.0 / dur
-        return (seg.p0[0] + s * dy, seg.p0[1] + s * dz), (ds * dy * inv, ds * dz * inv)
+            ref = seg.p1, (0.0, 0.0)
+        else:
+            s, ds, _ = minimum_jerk((t - seg.t0) / dur)
+            inv = 1.0 / dur
+            ref = (seg.p0[0] + s * dy, seg.p0[1] + s * dz), (ds * dy * inv, ds * dz * inv)
+        self._last = (t, ref)
+        return ref
 
 
 def _rise_duration(scenario: Scenario) -> float:
@@ -365,19 +372,17 @@ def _build_schedule(scenario: Scenario) -> _Schedule:
 class Plant:
     """Precomputed plant model: ``step`` integrates one control period."""
 
-    def __init__(self, scenario: Scenario, schedule: _Schedule | None = None):
+    def __init__(self, scenario: Scenario):
         scenario.validate()
         self.scenario = scenario
         g = scenario.geom
         m = scenario.resolved_masses()
         self.geom = g
         self.masses = m
+        self.arm = Arm(g, m)
         self.is_transfer = scenario.transfer is not None
         self.has_human = scenario.human is not None and not self.is_transfer
         self.attached = scenario.robot_attached
-        self.A1 = m.I_h + m.m_h * m.L_h**2 + m.m_v * g.l_ac**2
-        self.B1 = m.I_v + m.m_v * m.L_v**2
-        self.G1 = m.m_v * g.l_ac * m.L_v
         self.d_a, self.d_c = scenario.damping
         # a transfer runs on the belt's high-force output with the mast braked,
         # a rehabilitation run on its high-speed output; a run never switches
@@ -385,11 +390,13 @@ class Plant:
         self.spec1, self.spec2 = scenario.specs[0], scenario.specs[belt]
         self.pf1, self.pf2 = scenario.plant_frictions[0], scenario.plant_frictions[belt]
         self.ctrl_frictions = (scenario.ctrl_frictions[0], scenario.ctrl_frictions[belt])
-        self.payload = scenario.payload
+        # the braked boom about C, carrying the payload at E
+        self.payload_weight = scenario.payload * GRAVITY
+        self.m_eff = self.arm.B1 + scenario.payload * g.l_ce**2
         self.harness = scenario.harness
-        self.chair = scenario.chair
         self.human = scenario.human
-        self.schedule = schedule or _build_schedule(scenario)
+        self.seat = scenario.chair.seat(self.human) if self.has_human else None
+        self.schedule = _build_schedule(scenario)
 
     # -- forces -----------------------------------------------------------
 
@@ -398,25 +405,19 @@ class Plant:
         cy, cz, cvy, cvz); the integrator, the seat-off check and the logger
         all read the human's forces from here.
 
-        The arm terms are None when the robot is detached; the human terms
-        are zero when there is no human.
+        The arm's evaluation is None when the robot is detached; the human
+        terms are zero when there is no human.
         """
         q_a, q_c, qd_a, qd_c, cy, cz, cvy, cvz = s
-        jac = e = ev = d = None
-        if self.attached:
-            jac = dk_entries(self.geom, q_a, q_c)
-            j11, j12, j21, j22 = jac
-            e = effector_position(self.geom, q_a, q_c)
-            ev = (j11 * qd_a + j12 * qd_c, j21 * qd_a + j22 * qd_c)
-            d = act_diag(self.geom, q_a, q_c)
+        arm = self.arm.at(q_a, q_c, qd_a, qd_c) if self.attached else None
         if not self.has_human:
-            return Forces(e, ev, jac, d, (0.0, 0.0), 0.0, (0.0, 0.0), (0.0, 0.0))
+            return Forces(arm, (0.0, 0.0), 0.0, (0.0, 0.0), (0.0, 0.0))
         com = (cy, cz)
         vcom = (cvy, cvz)
         harness = (0.0, 0.0)
-        if self.attached:
-            harness = self.harness.force_on_human(e, ev, com, vcom)
-        chair_fz = self.chair.force(self.human, com, vcom, latched)
+        if arm is not None:
+            harness = self.harness.force_on_human(arm.e, arm.ev, com, vcom)
+        chair_fz = self.seat.force(com, vcom, latched)
         ref_pos, ref_vel = self.schedule.reference(t)
         mx, mz = muscle_effort(self.human, com, vcom, chair_fz, harness, ref_pos, ref_vel)
         pen = FLOOR_Z - cz  # the floor pushes up on a collapsed CoM
@@ -424,7 +425,7 @@ class Plant:
         m = self.human.mass
         hx, hz = harness
         acom = ((mx + hx) / m, (mz + chair_fz + hz) / m - GRAVITY)
-        return Forces(e, ev, jac, d, harness, chair_fz, (mx, mz), acom)
+        return Forces(arm, harness, chair_fz, (mx, mz), acom)
 
     def evaluated(self, state: SimState) -> Forces:
         """The forces at ``state``, computed once and kept on it."""
@@ -436,7 +437,7 @@ class Plant:
         """The drives' encoder speeds [rad/s] at ``state``, computed once and
         kept on it; the force controller and transmitted_forces both read them."""
         if state.motor_vels is None:
-            v1, v2 = drive_speeds(self.evaluated(state).d, state.qd_a, state.qd_c)
+            v1, v2 = drive_speeds(self.evaluated(state).arm.d, state.qd_a, state.qd_c)
             state.motor_vels = (motor_speed(self.spec1, v1), motor_speed(self.spec2, v2))
         return state.motor_vels
 
@@ -459,48 +460,36 @@ class Plant:
 
     # -- derivative -------------------------------------------------------
 
-    def _deriv(self, t, s, f1t, f2t, latched):
-        """s = (q_a, q_c, qd_a, qd_c, cy, cz, cvy, cvz) -> ds/dt.
+    def _deriv(self, s, f: Forces, f1t, f2t):
+        """ds/dt of s = (q_a, q_c, qd_a, qd_c, cy, cz, cvy, cvz), f = the
+        forces at s.
 
         f1t/f2t are the transmitted actuator forces, already net of plant
         friction for this control period.
         """
-        g = self.geom
-        q_a, q_c, qd_a, qd_c, cy, cz, cvy, cvz = s
-
-        ax = az = 0.0
-        if self.has_human:
-            f = self.forces(t, s, latched)
-            ax, az = f.acom
-
-        if not self.attached:
+        qd_a, qd_c, cvy, cvz = s[2], s[3], s[6], s[7]
+        ax, az = f.acom
+        a = f.arm
+        if a is None:
             return (0.0, 0.0, 0.0, 0.0, cvy, cvz, ax, az)
 
-        d = f.d if self.has_human else act_diag(g, q_a, q_c)
-        g_a, g_c = gravity_vec(g, self.masses, q_a, q_c)
-        tau_act_a, tau_act_c = joint_torques(d, f1t, f2t)
+        g_a, g_c = a.g
+        tau_act_a, tau_act_c = joint_torques(a.d, f1t, f2t)
 
         if self.is_transfer:
-            # brake engaged: exact 1-DOF integration about C
-            d_ez = -g.l_ce * math.cos(q_a + q_c)
-            rhs = tau_act_c - g_c - self.payload * GRAVITY * d_ez - self.d_c * qd_c
-            m_eff = self.B1 + self.payload * g.l_ce**2
-            return (0.0, qd_c, 0.0, rhs / m_eff, cvy, cvz, ax, az)
+            # brake engaged: exact 1-DOF integration about C; jac[3] = dE_z/dq_c
+            rhs = tau_act_c - g_c - self.payload_weight * a.jac[3] - self.d_c * qd_c
+            return (0.0, qd_c, 0.0, rhs / self.m_eff, cvy, cvz, ax, az)
 
         tau_h_a = tau_h_c = 0.0
         if self.has_human:
-            j11, j12, j21, j22 = f.jac
+            j11, j12, j21, j22 = a.jac
             hx, hz = f.harness
             tau_h_a = -(j11 * hx + j21 * hz)
             tau_h_c = -(j12 * hx + j22 * hz)
 
-        s_c = math.sin(q_c)
-        c_c = math.cos(q_c)
-        gamma = -self.G1 * s_c
-        gamma_p = -self.G1 * c_c
-        m11 = self.A1 + self.B1 + 2.0 * gamma
-        m12 = self.B1 + gamma
-        m22 = self.B1
+        m11, m12, m22 = a.inertia
+        gamma_p = a.dm12
         cor_a = gamma_p * (2.0 * qd_a * qd_c + qd_c * qd_c)
         cor_c = -gamma_p * qd_a * qd_a
         rhs_a = tau_act_a + tau_h_a - g_a - self.d_a * qd_a - cor_a
@@ -514,27 +503,28 @@ class Plant:
 
     def step(self, state: SimState, commands: tuple[float, float], dt: float) -> SimState:
         """One RK4 step; joint limits applied as hard stops afterwards.  The
-        new state carries its evaluation, which also decides the seat-off latch."""
+        new state carries its evaluation, which also decides the seat-off
+        latch, and the next step's first stage reads it."""
         f1, f2 = self.transmitted_forces(state, commands) if self.attached else (0.0, 0.0)
         latched = state.seat_off
         s = state.vector()
         t = state.t
+        forces, deriv = self.forces, self._deriv
         try:
-            k1 = self._deriv(t, s, f1, f2, latched)
+            k1 = deriv(s, self.evaluated(state), f1, f2)
             h2 = dt / 2.0
-            s2 = tuple(s[i] + h2 * k1[i] for i in range(8))
-            k2 = self._deriv(t + h2, s2, f1, f2, latched)
-            s3 = tuple(s[i] + h2 * k2[i] for i in range(8))
-            k3 = self._deriv(t + h2, s3, f1, f2, latched)
-            s4 = tuple(s[i] + dt * k3[i] for i in range(8))
-            k4 = self._deriv(t + dt, s4, f1, f2, latched)
+            s2 = [x + h2 * k for x, k in zip(s, k1)]
+            k2 = deriv(s2, forces(t + h2, s2, latched), f1, f2)
+            s3 = [x + h2 * k for x, k in zip(s, k2)]
+            k3 = deriv(s3, forces(t + h2, s3, latched), f1, f2)
+            s4 = [x + dt * k for x, k in zip(s, k3)]
+            k4 = deriv(s4, forces(t + dt, s4, latched), f1, f2)
         except (ValueError, OverflowError) as exc:
             # a non-finite stage state reached a math function before the guard
             raise NumericalDivergence(f"{exc} in an RK4 stage at t={t:.3f}s") from exc
         h6 = dt / 6.0
-        out = [s[i] + h6 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]) for i in range(8)]
-
-        q_a, q_c, qd_a, qd_c = out[0], out[1], out[2], out[3]
+        q_a, q_c, qd_a, qd_c, cy, cz, cvy, cvz = [
+            x + h6 * (a + 2.0 * b + 2.0 * c + d) for x, a, b, c, d in zip(s, k1, k2, k3, k4)]
         if self.attached:
             lo, hi = self.geom.q_a_limits
             if q_a < lo:
@@ -549,25 +539,24 @@ class Plant:
         if self.is_transfer:
             q_a, qd_a = state.q_a, 0.0  # exact lock
 
-        cy, cz, cvy, cvz = out[4], out[5], out[6], out[7]
-        if not all(math.isfinite(v) for v in (q_a, q_c, qd_a, qd_c, cy, cz, cvy, cvz)):
+        if not all(map(math.isfinite, (q_a, q_c, qd_a, qd_c, cy, cz, cvy, cvz))):
             raise NumericalDivergence(f"non-finite state at t={t:.3f}s")
         if abs(qd_a) > 50.0 or abs(qd_c) > 50.0 or abs(cvy) > 20.0 or abs(cvz) > 20.0:
             raise NumericalDivergence(f"runaway velocity at t={t:.3f}s")
 
         # seat-off latch: once the chair unloads it stays unloaded; a chair force
         # of 0 is 0 latched or not, so this is also the latched state's evaluation
-        f = self.forces(t + dt, (q_a, q_c, qd_a, qd_c, cy, cz, cvy, cvz), latched)
+        f = forces(t + dt, (q_a, q_c, qd_a, qd_c, cy, cz, cvy, cvz), latched)
         seat_off = latched or (self.has_human and f.chair_fz <= 0.0)
-        return SimState(t + dt, q_a, q_c, qd_a, qd_c, (cy, cz), (cvy, cvz), seat_off, f)
+        new = SimState(t + dt, q_a, q_c, qd_a, qd_c, (cy, cz), (cvy, cvz), seat_off)
+        new.forces = f
+        return new
 
     def mechanical_energy(self, state: SimState) -> float:
         """Arm kinetic + potential energy (human terms excluded)."""
-        gamma = -self.G1 * math.sin(state.q_c)
-        m11 = self.A1 + self.B1 + 2.0 * gamma
-        m12 = self.B1 + gamma
+        m11, m12, m22 = self.arm.at(state.q_a, state.q_c).inertia
         ke = 0.5 * (m11 * state.qd_a**2 + 2.0 * m12 * state.qd_a * state.qd_c
-                    + self.B1 * state.qd_c**2)
+                    + m22 * state.qd_c**2)
         return ke + gravity_potential(self.geom, self.masses, state.q_a, state.q_c)
 
 
@@ -596,21 +585,23 @@ def _initial_state(scenario: Scenario) -> tuple[SimState, float]:
 
 def run_scenario(scenario: Scenario) -> SimLog:
     """Execute the scenario and return the complete fixed-rate log."""
-    scenario.validate()
-    schedule = _build_schedule(scenario)
-    plant = Plant(scenario, schedule)
+    plant = Plant(scenario)
+    schedule = plant.schedule
     state, e_yi = _initial_state(scenario)
 
     mode_config = scenario.mode_config
     if mode_config is not None:
         mode_config = replace(mode_config, e_yi=e_yi)
 
-    geom = scenario.geom
     dt = scenario.dt
     n_steps = int(round(schedule.total / dt))
     is_transfer = plant.is_transfer
     rehab_ctrl = plant.attached and not is_transfer
     pi_state = SpeedControllerState()
+    specs = (plant.spec1, plant.spec2)
+    allow_peak = scenario.allow_peak
+    brake = float(is_transfer)
+    zeros4, zeros6, zeros12 = (0.0,) * 4, (0.0,) * 6, (0.0,) * 12
 
     rows = np.zeros((n_steps, len(CHANNELS)))
     for i in range(n_steps):
@@ -620,13 +611,14 @@ def run_scenario(scenario: Scenario) -> SimLog:
         f1_cmd = f2_cmd = 0.0
         sat1 = sat2 = False
         v2_ref = 0.0
+        stages = zeros6
         if rehab_ctrl:
             cmd = force_controller_step(
-                geom, plant.masses, (plant.spec1, plant.spec2), plant.ctrl_frictions,
-                mode_config, JointState(state.q_a, state.q_c, state.qd_a, state.qd_c),
-                plant.motor_speeds(state), allow_peak=scenario.allow_peak,
+                plant.evaluated(state).arm, specs, plant.ctrl_frictions, mode_config,
+                plant.motor_speeds(state), allow_peak=allow_peak,
             )
             f1_cmd, f2_cmd, sat1, sat2 = cmd.f1, cmd.f2, cmd.saturated_1, cmd.saturated_2
+            stages = (cmd.fy_des, cmd.fz_des, cmd.f1_map, cmd.f2_map, cmd.f1_fric, cmd.f2_fric)
         elif is_transfer:
             if seg.phase == PHASE_RISE:
                 v_z_signed = scenario.transfer.v_z_target
@@ -634,56 +626,34 @@ def run_scenario(scenario: Scenario) -> SimLog:
                 v_z_signed = -scenario.transfer.v_z_target
             else:
                 v_z_signed = 0.0
-            l2_rate = plant.evaluated(state).d[1] * state.qd_c
+            arm = plant.evaluated(state).arm
             (f2_cmd, sat2, v2_ref), pi_state = speed_controller_step(
-                geom, plant.spec2, scenario.transfer, state.q_c,
-                l2_rate, dt, pi_state, v_z_signed=v_z_signed,
+                arm, plant.spec2, scenario.transfer, arm.d[1] * state.qd_c, dt, pi_state,
+                v_z_signed=v_z_signed,
             )
 
         state = plant.step(state, (f1_cmd, f2_cmd), dt)
 
-        # log the new sample from the evaluation the step made of it
+        # log the new sample, in CHANNELS order, from the evaluation the step
+        # made of it; a detached arm never moves and an absent human never
+        # acts, so their channels stay 0
         f = state.forces
-        row = rows[i]
-        row[0] = state.t
-        row[1] = seg.rep
-        row[2] = seg.phase
-        row[3] = state.q_a
-        row[4] = state.q_c
-        row[5] = state.qd_a
-        row[6] = state.qd_c
-        if rehab_ctrl:
-            row[IDX["fy_des"]] = cmd.fy_des
-            row[IDX["fz_des"]] = cmd.fz_des
-            row[IDX["f1_map"]] = cmd.f1_map
-            row[IDX["f2_map"]] = cmd.f2_map
-            row[IDX["f1_fric"]] = cmd.f1_fric
-            row[IDX["f2_fric"]] = cmd.f2_fric
-        row[IDX["f1_cmd"]] = f1_cmd
-        row[IDX["f2_cmd"]] = f2_cmd
-        row[IDX["sat_1"]] = float(sat1)
-        row[IDX["sat_2"]] = float(sat2)
-        if plant.attached:  # a detached arm never moves: its channels stay 0
-            row[IDX["e_y"]], row[IDX["e_z"]] = f.e
-            row[IDX["e_vy"]], row[IDX["e_vz"]] = f.ev
-            d1, d2 = f.d
-            row[IDX["v2_belt"]] = l2_rate = d2 * state.qd_c
-            row[IDX["vel_exc_1"]] = float(
-                velocity_exceeded(plant.spec1, d1 * state.qd_a, scenario.allow_peak))
-            row[IDX["vel_exc_2"]] = float(
-                velocity_exceeded(plant.spec2, l2_rate, scenario.allow_peak))
-            row[IDX["f1_trans"]], row[IDX["f2_trans"]] = plant.transmitted_forces(
-                state, (f1_cmd, f2_cmd))
-        row[IDX["v2_ref"]] = v2_ref
+        effector, drives, v2_belt = zeros4, zeros4, 0.0
+        if plant.attached:
+            arm = f.arm
+            effector = arm.e + arm.ev
+            d1, d2 = arm.d
+            v2_belt = d2 * state.qd_c
+            drives = (float(velocity_exceeded(plant.spec1, d1 * state.qd_a, allow_peak)),
+                      float(velocity_exceeded(plant.spec2, v2_belt, allow_peak)),
+                      *plant.transmitted_forces(state, (f1_cmd, f2_cmd)))
+        human = zeros12
         if plant.has_human:
-            row[IDX["harness_fy"]], row[IDX["harness_fz"]] = f.harness
-            row[IDX["com_y"]], row[IDX["com_z"]] = state.com
-            row[IDX["vcom_y"]], row[IDX["vcom_z"]] = state.vcom
-            row[IDX["acom_y"]], row[IDX["acom_z"]] = f.acom
-            row[IDX["chair_fz"]] = f.chair_fz
-            row[IDX["feet_fy"]], row[IDX["feet_fz"]] = f.feet
-            row[IDX["seat_off"]] = float(state.seat_off)
-        row[IDX["brake"]] = float(is_transfer)
+            human = (*f.harness, *state.com, *state.vcom, *f.acom, f.chair_fz, *f.feet,
+                     float(state.seat_off))
+        rows[i] = (state.t, seg.rep, seg.phase, state.q_a, state.q_c, state.qd_a, state.qd_c,
+                   *effector, *stages, f1_cmd, f2_cmd, float(sat1), float(sat2), *drives,
+                   v2_belt, v2_ref, *human, brake)
 
     data = {name: rows[:, k].copy() for k, name in enumerate(CHANNELS)}
     meta = {

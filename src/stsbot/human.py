@@ -15,7 +15,7 @@ them, plus the floor contact, for the integrator and the logger alike.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .kinematics import GRAVITY
 
@@ -24,12 +24,24 @@ CAPACITY_FACTOR = 1.3  # peak leg force of a fully able adult, x bodyweight
 
 @dataclass(frozen=True)
 class HumanParams:
+    """A person: height [m], mass [kg], mobility in [0, 1], seat height and
+    the seated and standing CoM.
+
+    weight, capacity (the peak leg-force magnitude available to this person)
+    and the tracking gains track_kp, track_kd follow from these and are set
+    once, at construction.
+    """
+
     height: float
     mass: float
     mobility: float = 1.0
     seat_height: float = 0.43
     seated_com: tuple[float, float] = (0.0, 0.68)
     standing_com: tuple[float, float] = (0.4375, 0.9625)
+    weight: float = field(init=False, repr=False, compare=False)
+    capacity: float = field(init=False, repr=False, compare=False)
+    track_kp: float = field(init=False, repr=False, compare=False)
+    track_kd: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.height <= 0.0 or self.mass <= 0.0:
@@ -38,6 +50,13 @@ class HumanParams:
             raise ValueError("mobility is a fraction in [0, 1]")
         if self.standing_com[1] <= self.seated_com[1]:
             raise ValueError("standing CoM must be above seated CoM")
+        weight = self.mass * GRAVITY
+        kp = 1600.0 * (self.mass / 80.0)
+        for name, value in (("weight", weight),
+                            ("capacity", self.mobility * CAPACITY_FACTOR * weight),
+                            ("track_kp", kp),
+                            ("track_kd", 2.0 * math.sqrt(kp * self.mass))):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def nominal(
@@ -54,23 +73,6 @@ class HumanParams:
         seated = (chair_y, seat_height + 0.25)
         standing = (chair_y + 0.25 * height, standing_z_factor * height)
         return cls(height, mass, mobility, seat_height, seated, standing)
-
-    @property
-    def weight(self) -> float:
-        return self.mass * GRAVITY
-
-    @property
-    def capacity(self) -> float:
-        """Peak leg-force magnitude available to this person."""
-        return self.mobility * CAPACITY_FACTOR * self.weight
-
-    @property
-    def track_kp(self) -> float:
-        return 1600.0 * (self.mass / 80.0)
-
-    @property
-    def track_kd(self) -> float:
-        return 2.0 * math.sqrt(self.track_kp * self.mass)
 
 
 @dataclass(frozen=True)
@@ -118,32 +120,44 @@ class ChairModel:
         if self.stiffness <= 0.0:
             raise ValueError("chair stiffness must be positive")
 
-    def plane_z(self, params: HumanParams) -> float:
-        """Seat plane placed so the spring carries exactly bodyweight at the
-        seated reference (no settling transient)."""
-        return params.seated_com[1] + params.weight / self.stiffness
-
-    def support_fraction(self, params: HumanParams, y: float) -> float:
+    def seat(self, params: HumanParams) -> "Seat":
+        """This chair under this person, placed so the spring carries exactly
+        bodyweight at the seated reference (no settling transient)."""
         edge = params.seated_com[0] + self.edge_offset
-        back = edge - self.seat_depth
-        if y >= edge or y <= back:
+        return Seat(self, params.weight,
+                    plane_z=params.seated_com[1] + params.weight / self.stiffness,
+                    edge=edge, back=edge - self.seat_depth, taper_from=edge - self.edge_taper)
+
+
+@dataclass(frozen=True)
+class Seat:
+    """A chair placed under one person (ChairModel.seat): the seat plane
+    height, the front edge, the back and where the edge taper begins."""
+
+    chair: ChairModel
+    weight: float
+    plane_z: float
+    edge: float
+    back: float
+    taper_from: float
+
+    def support_fraction(self, y: float) -> float:
+        if y >= self.edge or y <= self.back:
             return 0.0
-        if y >= edge - self.edge_taper:
-            return (edge - y) / self.edge_taper
+        if y >= self.taper_from:
+            return (self.edge - y) / self.chair.edge_taper
         return 1.0
 
-    def force(
-        self, params: HumanParams, com: tuple[float, float], vel: tuple[float, float],
-        latched: bool,
-    ) -> float:
+    def force(self, com: tuple[float, float], vel: tuple[float, float], latched: bool) -> float:
         """Vertical seat force on the CoM; zero once seat-off has latched."""
         if latched:
             return 0.0
-        pen = self.plane_z(params) - com[1]
+        pen = self.plane_z - com[1]
         if pen <= 0.0:
             return 0.0
-        raw = self.stiffness * pen - self.damping * vel[1]
-        cap = self.support_fraction(params, com[0]) * self.support_cap * params.weight
+        chair = self.chair
+        raw = chair.stiffness * pen - chair.damping * vel[1]
+        cap = self.support_fraction(com[0]) * chair.support_cap * self.weight
         return max(0.0, min(raw, cap))
 
 

@@ -29,8 +29,10 @@ drive_forces, joint_torques and drive_speeds the one map across it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import OutOfJointLimits, SingularTransmission, Unreachable
 
@@ -134,34 +136,115 @@ class LinkMassModel:
 
 
 # ---------------------------------------------------------------------------
+# the arm at a joint state
+
+
+class ArmEval(NamedTuple):
+    """Every pose-dependent term of the arm at one joint state (Arm.at).
+
+    e and ev are the effector position and velocity, jac the row-major
+    d(E_y,E_z)/d(q_a,q_c) entries, lengths the strut length L1 and belt
+    payout L2, d the actuator-jacobian diagonal (dL1/dq_a, dL2/dq_c) in the
+    length-conjugate convention, g the joint torques that hold the links,
+    g(q) = dV/dq, and inertia the mass matrix (m11, m12, m22), whose one
+    pose-dependent entry m12 has the derivative dm12 along q_c.
+    """
+
+    e: tuple[float, float]
+    ev: tuple[float, float]
+    jac: tuple[float, float, float, float]
+    lengths: tuple[float, float]
+    d: tuple[float, float]
+    g: tuple[float, float]
+    inertia: tuple[float, float, float]
+    dm12: float
+
+
+class Arm:
+    """The arm's geometry and link masses, reduced once to the constant
+    products ``at`` reads.
+
+    ``at`` takes sin and cos of q_a, q_c and q_a + q_c once per joint state
+    and writes each formula of the arm once; effector_position, dk_entries,
+    belt_length, act_diag, gravity_vec, forward_kinematics and
+    transfer_actuator_velocity read their terms from it, and strut_length
+    shares its strut formula.
+    """
+
+    def __init__(self, geom: RobotGeometry, masses: LinkMassModel):
+        m = masses
+        self.l_ab, self.l_ac, self.l_ce = geom.l_ab, geom.l_ac, geom.l_ce
+        self.base_height = geom.base_height
+        self.p1 = geom.p1
+        self.neg_l_ab = -geom.l_ab
+        # belt: L2 = 2*sqrt(belt_sq + belt_sin*sin(q_c)), dL2/dq_c = belt_cos*cos(q_c)/L2
+        self.belt_sq = geom.d_g**2 + geom.l_cd**2
+        self.belt_sin = 2.0 * geom.d_g * geom.l_cd
+        self.belt_cos = 4.0 * geom.d_g * geom.l_cd
+        # gravity: g_a = grav_a*sin(q_a) - w2, g_c = -w2, w2 = grav_c*cos(q_a + q_c)
+        self.grav_a = -(m.m_h * m.L_h + m.m_v * geom.l_ac) * GRAVITY
+        self.grav_c = m.m_v * GRAVITY * m.L_v
+        # mass matrix: m11 = A1 + B1 + 2*gamma, m12 = B1 + gamma, m22 = B1,
+        # gamma = -G1*sin(q_c)
+        a1 = m.I_h + m.m_h * m.L_h**2 + m.m_v * geom.l_ac**2
+        self.B1 = m.I_v + m.m_v * m.L_v**2
+        self.A1_B1 = a1 + self.B1
+        self.neg_G1 = -(m.m_v * geom.l_ac * m.L_v)
+
+    def at(self, q_a: float, q_c: float, qd_a: float = 0.0, qd_c: float = 0.0) -> ArmEval:
+        """The arm at joint angles (q_a, q_c) and rates (qd_a, qd_c)."""
+        sa, ca = math.sin(q_a), math.cos(q_a)
+        sc, cc = math.sin(q_c), math.cos(q_c)
+        phi = q_a + q_c
+        sf, cf = math.sin(phi), math.cos(phi)
+        mast_s, mast_c = self.l_ac * sa, self.l_ac * ca
+        boom_s, boom_c = self.l_ce * sf, self.l_ce * cf
+        j11, j12, j21, j22 = mast_c - boom_s, -boom_s, -mast_s - boom_c, -boom_c
+        p1y, p1z = self.p1
+        l1 = _strut(self.l_ab, self.p1, sa, ca)
+        l2 = 2.0 * math.sqrt(self.belt_sq + self.belt_sin * sc)
+        w2 = self.grav_c * cf
+        gamma = self.neg_G1 * sc
+        return ArmEval(
+            (mast_s + boom_c, self.base_height + mast_c - boom_s),
+            (j11 * qd_a + j12 * qd_c, j21 * qd_a + j22 * qd_c),
+            (j11, j12, j21, j22),
+            (l1, l2),
+            (self.neg_l_ab * (p1y * ca - p1z * sa) / l1, self.belt_cos * cc / l2),
+            (self.grav_a * sa - w2, -w2),
+            (self.A1_B1 + 2.0 * gamma, self.B1 + gamma, self.B1),
+            self.neg_G1 * cc,
+        )
+
+
+def _strut(l_ab: float, p1: tuple[float, float], sa: float, ca: float) -> float:
+    """Strut length L1 from sin and cos of q_a: anchor p1 to B on the mast."""
+    return math.hypot(l_ab * sa - p1[0], l_ab * ca - p1[1])
+
+
+# The mass-free views below evaluate with the default links and read only
+# mass-free terms.
+@functools.lru_cache(maxsize=32)
+def _arm(geom: RobotGeometry, masses: LinkMassModel = LinkMassModel()) -> Arm:
+    return Arm(geom, masses)
+
+
+# ---------------------------------------------------------------------------
 # forward kinematics
 
 
 def effector_position(geom: RobotGeometry, q_a: float, q_c: float) -> tuple[float, float]:
-    phi = q_a + q_c
-    return (
-        geom.l_ac * math.sin(q_a) + geom.l_ce * math.cos(phi),
-        geom.base_height + geom.l_ac * math.cos(q_a) - geom.l_ce * math.sin(phi),
-    )
+    return _arm(geom).at(q_a, q_c).e
 
 
 def dk_entries(geom: RobotGeometry, q_a: float, q_c: float) -> tuple[float, float, float, float]:
     """Row-major entries of d(E_y,E_z)/d(q_a,q_c)."""
-    phi = q_a + q_c
-    sf, cf = math.sin(phi), math.cos(phi)
-    sa, ca = math.sin(q_a), math.cos(q_a)
-    return (
-        geom.l_ac * ca - geom.l_ce * sf,
-        -geom.l_ce * sf,
-        -geom.l_ac * sa - geom.l_ce * cf,
-        -geom.l_ce * cf,
-    )
+    return _arm(geom).at(q_a, q_c).jac
 
 
 def forward_kinematics(geom: RobotGeometry, q: JointState) -> EffectorState:
-    y, z = effector_position(geom, q.q_a, q.q_c)
-    j11, j12, j21, j22 = dk_entries(geom, q.q_a, q.q_c)
-    return EffectorState(y, z, j11 * q.qd_a + j12 * q.qd_c, j21 * q.qd_a + j22 * q.qd_c)
+    a = _arm(geom).at(q.q_a, q.q_c, q.qd_a, q.qd_c)
+    return EffectorState(*a.e, *a.ev)
 
 
 # ---------------------------------------------------------------------------
@@ -206,24 +289,16 @@ def inverse_kinematics(geom: RobotGeometry, target: tuple[float, float]) -> Join
 
 
 def strut_length(geom: RobotGeometry, q_a: float) -> float:
-    by = geom.l_ab * math.sin(q_a)
-    bz = geom.l_ab * math.cos(q_a)
-    return math.hypot(by - geom.p1[0], bz - geom.p1[1])
+    return _strut(geom.l_ab, geom.p1, math.sin(q_a), math.cos(q_a))
 
 
 def belt_length(geom: RobotGeometry, q_c: float) -> float:
-    return 2.0 * math.sqrt(
-        geom.d_g**2 + geom.l_cd**2 + 2.0 * geom.d_g * geom.l_cd * math.sin(q_c)
-    )
+    return _arm(geom).at(0.0, q_c).lengths[1]
 
 
 def act_diag(geom: RobotGeometry, q_a: float, q_c: float) -> tuple[float, float]:
     """Diagonal of the actuator jacobian: (dL1/dq_a, dL2/dq_c)."""
-    l1 = strut_length(geom, q_a)
-    d_l1 = -geom.l_ab * (geom.p1[0] * math.cos(q_a) - geom.p1[1] * math.sin(q_a)) / l1
-    l2 = belt_length(geom, q_c)
-    d_l2 = 4.0 * geom.d_g * geom.l_cd * math.cos(q_c) / l2
-    return d_l1, d_l2
+    return _arm(geom).at(q_a, q_c).d
 
 
 def check_invertible(d1: float, d2: float) -> None:
@@ -259,15 +334,20 @@ def drive_speeds(d: tuple[float, float], qd_a: float, qd_c: float) -> tuple[floa
     return s1 * (d[0] * qd_a), s2 * (d[1] * qd_c)
 
 
+def belt_rate_for(arm: ArmEval, v_z: float) -> float:
+    """Belt payout rate for a target vertical effector speed v_z, mast locked,
+    at the evaluated pose."""
+    d_ez = arm.jac[3]
+    if abs(d_ez) <= SINGULARITY_EPS:
+        raise SingularTransmission("q_c", d_ez)
+    return arm.d[1] * v_z / d_ez
+
+
 def transfer_actuator_velocity(
     geom: RobotGeometry, q_a_locked: float, q_c: float, v_z: float
 ) -> float:
     """Belt payout rate for a target vertical effector speed, mast locked."""
-    d_ez = -geom.l_ce * math.cos(q_a_locked + q_c)
-    if abs(d_ez) <= SINGULARITY_EPS:
-        raise SingularTransmission("q_c", d_ez)
-    _, d_l2 = act_diag(geom, q_a_locked, q_c)
-    return d_l2 * v_z / d_ez
+    return belt_rate_for(_arm(geom).at(q_a_locked, q_c), v_z)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +375,4 @@ def gravity_vec(
     q_c: float,
 ) -> tuple[float, float]:
     """Joint torques needed to hold the structure, g(q) = dV/dq, as plain floats."""
-    phi = q_a + q_c
-    w2 = masses.m_v * GRAVITY * masses.L_v * math.cos(phi)
-    g_a = -(masses.m_h * masses.L_h + masses.m_v * geom.l_ac) * GRAVITY * math.sin(q_a) - w2
-    return g_a, -w2
+    return _arm(geom, masses).at(q_a, q_c).g

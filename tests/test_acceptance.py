@@ -134,9 +134,8 @@ def test_criterion_2_gravity_compensation_statics():
         state = SimState(q_a=qa, q_c=qc)
         for _ in range(5000):
             cmd = force_controller_step(
-                GEOM, MASSES, (plant.spec1, plant.spec2), plant.ctrl_frictions, mode,
-                JointState(state.q_a, state.q_c, state.qd_a, state.qd_c),
-                plant.motor_speeds(state))
+                plant.evaluated(state).arm, (plant.spec1, plant.spec2), plant.ctrl_frictions,
+                mode, plant.motor_speeds(state))
             state = plant.step(state, (cmd.f1, cmd.f2), 1e-3)
         worst = max(worst, abs(state.q_a - qa), abs(state.q_c - qc))
     elapsed = time.monotonic() - t0

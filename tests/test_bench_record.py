@@ -1,0 +1,56 @@
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+spec = importlib.util.spec_from_file_location("bench_record", ROOT / "tools" / "bench_record.py")
+bench_record = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_record)
+
+
+def write_run(tree, workload, seed, sha, values, failed=0, smoke=False):
+    results = tree / "perfbench" / "results"
+    results.mkdir(parents=True, exist_ok=True)
+    env = {"nproc": 2, "cpus_usable": 2, "cpu_model": "cpu", "python": "3.11.7",
+           "numpy": "2.4.6", "git_sha": sha, "src_sha256": sha * 2, "seed": seed}
+    rec = {"workload": workload, "smoke": smoke, "environment": env,
+           "ops": {"attempted": 4, "failed": failed},
+           "metrics": {name: {"value": v, "unit": "s"} for name, v in values.items()}}
+    name = f"{workload}-seed{seed}-trace0{'-smoke' if smoke else ''}.json"
+    (results / name).write_text(json.dumps(rec))
+
+
+def test_pairs_by_seed_and_counts_wins(tmp_path):
+    bench = tmp_path / "BENCHMARK.json"
+    bench.write_text(json.dumps({"end_to_end": [
+        {"name": "simulate_s", "better": "lower"},
+        {"name": "realtime_factor", "better": "higher"}]}))
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed, (old, new) in enumerate([(2.0, 1.0), (3.0, 1.5), (1.0, 1.2)]):
+        write_run(parent, "sweep", seed, "a", {"simulate_s": old, "realtime_factor": 1 / old})
+        write_run(change, "sweep", seed, "b", {"simulate_s": new, "realtime_factor": 1 / new},
+                  failed=seed)
+    write_run(parent, "sweep", 9, "a", {"simulate_s": 5.0, "realtime_factor": 0.2})  # unpaired
+    write_run(change, "sweep", 0, "b", {"simulate_s": 0.1, "realtime_factor": 10.0}, smoke=True)
+    doc = bench_record.record(parent, change, bench)
+    assert (doc["parent"]["git_sha"], doc["change"]["git_sha"]) == ("a", "b")
+    w = doc["workloads"]["sweep"]
+    assert (w["pairs"], w["seeds"]) == (3, [0, 1, 2])
+    assert w["failed_ops"] == {"parent": 0, "change": 3}
+    sim = w["metrics"]["simulate_s"]
+    assert sim["parent"] == {"median": 2.0, "q1": 1.5, "q3": 2.5}
+    assert sim["change"]["median"] == 1.2
+    assert sim["change_wins"] == 2
+    assert w["metrics"]["realtime_factor"]["change_wins"] == 2
+
+
+def test_runs_of_one_side_must_share_a_tree(tmp_path):
+    bench = tmp_path / "BENCHMARK.json"
+    bench.write_text(json.dumps({"end_to_end": [{"name": "simulate_s", "better": "lower"}]}))
+    for seed, sha in ((0, "a"), (1, "c")):
+        write_run(tmp_path / "parent", "sweep", seed, sha, {"simulate_s": 1.0})
+        write_run(tmp_path / "change", "sweep", seed, "b", {"simulate_s": 1.0})
+    with pytest.raises(SystemExit):
+        bench_record.record(tmp_path / "parent", tmp_path / "change", bench)

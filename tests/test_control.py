@@ -1,9 +1,12 @@
 import math
+from contextlib import ExitStack
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from stsbot import control, kinematics
 from stsbot.actuators import (
     ACTUATOR_1,
     ACTUATOR_2_HF,
@@ -25,6 +28,7 @@ from stsbot.engine import Scenario, _initial_state, _rise_duration, run_scenario
 from stsbot.errors import ConfigError, SingularTransmission, WrongMode
 from stsbot.kinematics import (
     GRAVITY,
+    Arm,
     EffectorState,
     JointState,
     LinkMassModel,
@@ -37,6 +41,7 @@ from stsbot.kinematics import (
 
 GEOM = RobotGeometry()
 MASSES = LinkMassModel.for_geometry(GEOM)
+ARM = Arm(GEOM, MASSES)
 ZERO_FRICTION = FrictionModel(0.0, 0.0)
 
 
@@ -162,15 +167,15 @@ def test_transfer_has_no_force_field():
 def controller(config, q, motor_vels=(0.0, 0.0), frictions=(ZERO_FRICTION, ZERO_FRICTION),
                allow_peak=False):
     return force_controller_step(
-        GEOM, MASSES, (ACTUATOR_1, ACTUATOR_2_HS), frictions, config, q, motor_vels,
-        allow_peak=allow_peak)
+        Arm(GEOM, MASSES).at(q.q_a, q.q_c, q.qd_a, q.qd_c), (ACTUATOR_1, ACTUATOR_2_HS),
+        frictions, config, motor_vels, allow_peak=allow_peak)
 
 
 def test_massless_frictionless_follow_me_commands_nothing():
     empty = LinkMassModel(0.0, 0.0, 0.305, 0.375, 0.0, 0.0)
     cmd = force_controller_step(
-        GEOM, empty, (ACTUATOR_1, ACTUATOR_2_HS), (ZERO_FRICTION, ZERO_FRICTION),
-        cfg(AssistMode.FOLLOW_ME), JointState(0.3, -0.4), (0.0, 0.0))
+        Arm(GEOM, empty).at(0.3, -0.4), (ACTUATOR_1, ACTUATOR_2_HS),
+        (ZERO_FRICTION, ZERO_FRICTION), cfg(AssistMode.FOLLOW_ME), (0.0, 0.0))
     assert cmd.f1 == pytest.approx(0.0, abs=1e-12)
     assert cmd.f2 == pytest.approx(0.0, abs=1e-12)
 
@@ -214,10 +219,30 @@ def test_force_controller_singular_transmission_raises():
     wide = RobotGeometry(q_a_limits=(-3.0, 3.0), q_c_limits=(-3.0, 3.0))
     with pytest.raises(SingularTransmission) as err:
         force_controller_step(
-            wide, LinkMassModel.for_geometry(wide), (ACTUATOR_1, ACTUATOR_2_HS),
-            (ZERO_FRICTION, ZERO_FRICTION), cfg(AssistMode.FOLLOW_ME),
-            JointState(0.0, math.pi / 2), (0.0, 0.0))
+            Arm(wide, LinkMassModel.for_geometry(wide)).at(0.0, math.pi / 2),
+            (ACTUATOR_1, ACTUATOR_2_HS), (ZERO_FRICTION, ZERO_FRICTION),
+            cfg(AssistMode.FOLLOW_ME), (0.0, 0.0))
     assert err.value.joint == "q_c"
+
+
+def test_force_controller_reads_the_given_evaluation():
+    # every arm term comes from the evaluation the plant made of the state:
+    # the controller calls no kinematics helper and takes no sin or cos
+    q = JointState(0.2, -0.4, 0.3, -0.1)
+    config = cfg(AssistMode.COM_BALANCE, fz=0.1, ky=200.0)
+    arm = Arm(GEOM, MASSES).at(q.q_a, q.q_c, q.qd_a, q.qd_c)
+    want = controller(config, q)
+    helpers = [(kinematics, name) for name in (
+        "effector_position", "dk_entries", "act_diag", "gravity_vec", "strut_length",
+        "belt_length", "forward_kinematics")]
+    helpers += [(control, "act_diag"), (control, "dk_entries"), (Arm, "at"),
+                (math, "sin"), (math, "cos")]
+    with ExitStack() as stack:
+        for owner, name in helpers:
+            stack.enter_context(mock.patch.object(owner, name, side_effect=AssertionError(name)))
+        got = force_controller_step(arm, (ACTUATOR_1, ACTUATOR_2_HS),
+                                    (ZERO_FRICTION, ZERO_FRICTION), config, (0.0, 0.0))
+    assert got == want
 
 
 def test_controller_rejects_transfer_mode():
@@ -235,7 +260,7 @@ def test_pi_on_reference_returns_integrator():
     from stsbot.kinematics import transfer_actuator_velocity
 
     v2_ref = transfer_actuator_velocity(GEOM, 0.3, -0.2, tr.v_z_target)
-    cmd, _ = speed_controller_step(GEOM, ACTUATOR_2_HF, tr, -0.2, v2_ref, 1e-3, state,
+    cmd, _ = speed_controller_step(ARM.at(0.3, -0.2), ACTUATOR_2_HF, tr, v2_ref, 1e-3, state,
                                    v_z_signed=tr.v_z_target)
     assert cmd.f2 == pytest.approx(123.0, abs=1e-9)
     assert cmd.v2_ref == v2_ref
@@ -246,8 +271,8 @@ def test_pi_integrator_frozen_while_saturated():
     tr = TransferConfig(v_z_target=0.04, q_a_locked=0.3, kp=1e6)
     state = SpeedControllerState()
     # huge error drives the command onto the envelope; integrator must freeze
-    cmd, new_state = speed_controller_step(GEOM, ACTUATOR_2_HF, tr, -0.2, 1.0, 1e-3, state,
-                                           v_z_signed=tr.v_z_target)
+    cmd, new_state = speed_controller_step(ARM.at(0.3, -0.2), ACTUATOR_2_HF, tr, 1.0, 1e-3,
+                                           state, v_z_signed=tr.v_z_target)
     assert cmd.saturated
     assert new_state.integral == 0.0
 
@@ -255,8 +280,8 @@ def test_pi_integrator_frozen_while_saturated():
 def test_pi_accumulates_when_inside_envelope():
     tr = TransferConfig(v_z_target=0.04, q_a_locked=0.3, kp=10.0, ki=100.0)
     state = SpeedControllerState()
-    cmd, new_state = speed_controller_step(GEOM, ACTUATOR_2_HF, tr, -0.2, 0.01, 1e-3, state,
-                                           v_z_signed=0.0)
+    cmd, new_state = speed_controller_step(ARM.at(0.3, -0.2), ACTUATOR_2_HF, tr, 0.01, 1e-3,
+                                           state, v_z_signed=0.0)
     assert new_state.integral == pytest.approx(100.0 * 0.01 * 1e-3, abs=1e-15)
     assert cmd.f2 == pytest.approx(10.0 * 0.01, abs=1e-12)
     assert cmd.v2_ref == 0.0

@@ -74,8 +74,8 @@ def test_gravity_compensation_holds_pose():
     state = SimState(q_a=0.45, q_c=-0.7)
     for _ in range(5000):
         cmd = force_controller_step(
-            GEOM, plant.masses, (plant.spec1, plant.spec2), plant.ctrl_frictions, FOLLOW,
-            JointState(state.q_a, state.q_c, state.qd_a, state.qd_c), plant.motor_speeds(state))
+            plant.evaluated(state).arm, (plant.spec1, plant.spec2), plant.ctrl_frictions, FOLLOW,
+            plant.motor_speeds(state))
         state = plant.step(state, (cmd.f1, cmd.f2), 1e-3)
     assert abs(state.q_a - 0.45) < 1e-9
     assert abs(state.q_c + 0.7) < 1e-9
@@ -346,11 +346,11 @@ def test_logged_forces_replay_from_logged_state(name):
         f = plant.forces(state.t, state.vector(), state.seat_off)
         arm, hum = (0.0,) * len(ARM_CHANNELS), (0.0,) * len(HUMAN_CHANNELS)
         if plant.attached:
-            assert f.d == act_diag(GEOM, state.q_a, state.q_c)
+            assert f.arm.d == act_diag(GEOM, state.q_a, state.q_c)
             trans = plant.transmitted_forces(state, (col["f1_cmd"][k], col["f2_cmd"][k]))
-            arm = f.e + f.ev + (f.d[1] * state.qd_c,) + trans
+            arm = f.arm.e + f.arm.ev + (f.arm.d[1] * state.qd_c,) + trans
         else:
-            assert f.d is None
+            assert f.arm is None
         if plant.has_human:
             hum = f.harness + f.acom + (f.chair_fz,) + f.feet
         for c, v in zip(ARM_CHANNELS + HUMAN_CHANNELS, arm + hum):
@@ -394,6 +394,23 @@ def test_unloaded_chair_evaluates_the_same_latched(t, q, dcom, vcom):
     if free.chair_fz == 0.0:
         # repr tells -0.0 from 0.0
         assert repr(free) == repr(plant.forces(t, s, True))
+
+
+def test_each_state_is_evaluated_once():
+    # RK4 stage 1 reads the evaluation the previous step kept on its state:
+    # stages 2-4 and the new state make four per step, plus the first state's
+    sc = short_scenario(dt=2e-3)
+    calls = 0
+    forces = Plant.forces
+
+    def counted(self, t, s, latched):
+        nonlocal calls
+        calls += 1
+        return forces(self, t, s, latched)
+
+    with mock.patch.object(Plant, "forces", counted):
+        log = run_scenario(sc)
+    assert calls == 4 * len(log) + 1
 
 
 def rowwise_csv(log: SimLog) -> str:

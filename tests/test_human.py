@@ -120,26 +120,28 @@ def test_muscle_feet_cannot_pull_ground():
 
 
 def test_chair_support_fraction_taper():
+    seat = CHAIR.seat(HUMAN)
     edge = HUMAN.seated_com[0] + CHAIR.edge_offset
-    assert CHAIR.support_fraction(HUMAN, HUMAN.seated_com[0]) == 1.0
-    assert CHAIR.support_fraction(HUMAN, edge - CHAIR.edge_taper / 2) == pytest.approx(0.5)
-    assert CHAIR.support_fraction(HUMAN, edge) == 0.0
-    assert CHAIR.support_fraction(HUMAN, edge + 0.1) == 0.0
-    assert CHAIR.support_fraction(HUMAN, edge - CHAIR.seat_depth - 0.01) == 0.0
+    assert seat.support_fraction(HUMAN.seated_com[0]) == 1.0
+    assert seat.support_fraction(edge - CHAIR.edge_taper / 2) == pytest.approx(0.5)
+    assert seat.support_fraction(edge) == 0.0
+    assert seat.support_fraction(edge + 0.1) == 0.0
+    assert seat.support_fraction(edge - CHAIR.seat_depth - 0.01) == 0.0
 
 
 def test_chair_carries_bodyweight_at_seated_reference():
-    f = CHAIR.force(HUMAN, HUMAN.seated_com, (0.0, 0.0), latched=False)
+    f = CHAIR.seat(HUMAN).force(HUMAN.seated_com, (0.0, 0.0), latched=False)
     assert f == pytest.approx(HUMAN.weight, rel=1e-12)
 
 
 def test_chair_force_latched_is_zero():
-    assert CHAIR.force(HUMAN, HUMAN.seated_com, (0.0, 0.0), latched=True) == 0.0
+    assert CHAIR.seat(HUMAN).force(HUMAN.seated_com, (0.0, 0.0), latched=True) == 0.0
 
 
 def test_chair_unilateral():
-    above = (HUMAN.seated_com[0], CHAIR.plane_z(HUMAN) + 0.01)
-    assert CHAIR.force(HUMAN, above, (0.0, 0.0), latched=False) == 0.0
+    seat = CHAIR.seat(HUMAN)
+    above = (HUMAN.seated_com[0], seat.plane_z + 0.01)
+    assert seat.force(above, (0.0, 0.0), latched=False) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from stsbot.errors import OutOfJointLimits, SingularTransmission, Unreachable
 from stsbot.kinematics import (
+    GRAVITY,
+    Arm,
     JointState,
     LinkMassModel,
     RobotGeometry,
@@ -78,6 +80,107 @@ def test_fk_velocity_is_jacobian_times_qd():
     v = np.reshape(dk_entries(GEOM, q.q_a, q.q_c), (2, 2)) @ np.array([q.qd_a, q.qd_c])
     assert e.vy == pytest.approx(v[0], abs=1e-14)
     assert e.vz == pytest.approx(v[1], abs=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# one evaluation of the arm: the loop-free reference formulas
+
+
+def ref_effector_position(geom, q_a, q_c):
+    phi = q_a + q_c
+    return (
+        geom.l_ac * math.sin(q_a) + geom.l_ce * math.cos(phi),
+        geom.base_height + geom.l_ac * math.cos(q_a) - geom.l_ce * math.sin(phi),
+    )
+
+
+def ref_dk_entries(geom, q_a, q_c):
+    phi = q_a + q_c
+    sf, cf = math.sin(phi), math.cos(phi)
+    sa, ca = math.sin(q_a), math.cos(q_a)
+    return (
+        geom.l_ac * ca - geom.l_ce * sf,
+        -geom.l_ce * sf,
+        -geom.l_ac * sa - geom.l_ce * cf,
+        -geom.l_ce * cf,
+    )
+
+
+def ref_strut_length(geom, q_a):
+    by = geom.l_ab * math.sin(q_a)
+    bz = geom.l_ab * math.cos(q_a)
+    return math.hypot(by - geom.p1[0], bz - geom.p1[1])
+
+
+def ref_belt_length(geom, q_c):
+    return 2.0 * math.sqrt(
+        geom.d_g**2 + geom.l_cd**2 + 2.0 * geom.d_g * geom.l_cd * math.sin(q_c)
+    )
+
+
+def ref_act_diag(geom, q_a, q_c):
+    l1 = ref_strut_length(geom, q_a)
+    d_l1 = -geom.l_ab * (geom.p1[0] * math.cos(q_a) - geom.p1[1] * math.sin(q_a)) / l1
+    l2 = ref_belt_length(geom, q_c)
+    d_l2 = 4.0 * geom.d_g * geom.l_cd * math.cos(q_c) / l2
+    return d_l1, d_l2
+
+
+def ref_gravity_vec(geom, masses, q_a, q_c):
+    phi = q_a + q_c
+    w2 = masses.m_v * GRAVITY * masses.L_v * math.cos(phi)
+    g_a = -(masses.m_h * masses.L_h + masses.m_v * geom.l_ac) * GRAVITY * math.sin(q_a) - w2
+    return g_a, -w2
+
+
+def ref_inertia(geom, m, q_c):
+    """(m11, m12, m22, dm12/dq_c) of the two-link mass matrix."""
+    a1 = m.I_h + m.m_h * m.L_h**2 + m.m_v * geom.l_ac**2
+    b1 = m.I_v + m.m_v * m.L_v**2
+    g1 = m.m_v * geom.l_ac * m.L_v
+    gamma = -g1 * math.sin(q_c)
+    return a1 + b1 + 2.0 * gamma, b1 + gamma, b1, -g1 * math.cos(q_c)
+
+
+def bits(values):
+    """Exact identity of floats, telling -0.0 from 0.0."""
+    return tuple(float(v).hex() for v in values)
+
+
+ODD_GEOM = RobotGeometry(l_ab=0.41, l_ac=0.67, l_ce=0.81, l_cd=0.29, base_height=0.37,
+                         p1=(0.19, -0.13), d_g=0.52)
+ARMS = [(GEOM, MASSES), (ODD_GEOM, LinkMassModel.for_geometry(ODD_GEOM, m_h=3.1, m_v=5.7)),
+        (WIDE, LinkMassModel(1.7, 6.3, 0.21, 0.44, 0.09, 0.31))]
+
+
+@settings(max_examples=400, deadline=None)
+@given(arm=st.sampled_from(ARMS),
+       q=st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
+       qd=st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)))
+def test_arm_evaluation_equals_reference_formulas_exactly(arm, q, qd):
+    # one sin/cos set per pose gives the same bits as each formula alone,
+    # inside and outside the joint limits; the views read that evaluation
+    geom, masses = arm
+    q_a, q_c = q
+    a = Arm(geom, masses).at(q_a, q_c, *qd)
+    e, jac = ref_effector_position(geom, q_a, q_c), ref_dk_entries(geom, q_a, q_c)
+    ev = (jac[0] * qd[0] + jac[1] * qd[1], jac[2] * qd[0] + jac[3] * qd[1])
+    lengths = (ref_strut_length(geom, q_a), ref_belt_length(geom, q_c))
+    d, g = ref_act_diag(geom, q_a, q_c), ref_gravity_vec(geom, masses, q_a, q_c)
+    assert bits(a.e) == bits(e)
+    assert bits(a.ev) == bits(ev)
+    assert bits(a.jac) == bits(jac)
+    assert bits(a.lengths) == bits(lengths)
+    assert bits(a.d) == bits(d)
+    assert bits(a.g) == bits(g)
+    assert bits(a.inertia + (a.dm12,)) == bits(ref_inertia(geom, masses, q_c))
+    assert bits(effector_position(geom, q_a, q_c)) == bits(e)
+    assert bits(dk_entries(geom, q_a, q_c)) == bits(jac)
+    assert bits(act_diag(geom, q_a, q_c)) == bits(d)
+    assert bits(gravity_vec(geom, masses, q_a, q_c)) == bits(g)
+    assert bits((strut_length(geom, q_a), belt_length(geom, q_c))) == bits(lengths)
+    fk = forward_kinematics(geom, JointState(q_a, q_c, *qd))
+    assert bits((fk.y, fk.z, fk.vy, fk.vz)) == bits(e + ev)
 
 
 # ---------------------------------------------------------------------------
