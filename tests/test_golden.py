@@ -18,6 +18,7 @@ CONFIGS = {
     "com_balance": "mode = com_balance\nfz_pct = 0.1\nky = 200\nrepetitions = 1\nseed = 42\n",
     "transfer_98kg": "mode = transfer\npayload = 98\ntransfer.v_z = 0.04\nrepetitions = 1\n",
     "detached": "robot_attached = false\nrepetitions = 1\nseed = 42\n",
+    "arm_only": "human.enabled = false\nrepetitions = 1\nseed = 42\n",
     "map_rehab": "map.configuration = rehab\n",
     "map_transfer": "map.configuration = transfer\n",
 }
@@ -39,6 +40,10 @@ GOLDEN = {
         "c4b773b3372c3ba65caa2fa8caf6fb39a2a0ccb55709a2634b615c312785a26d",
     ("detached", "metrics.json"):
         "056e25706e3096f79d18d8f4edec2a1b68d980f31af533f40264d9f3d9992a3f",
+    ("arm_only", "log.csv"):
+        "3b4b0821d5d390a8368ab890e1a11ffb17b52d2e0579b60aaada52588c1b07ce",
+    ("arm_only", "metrics.json"):
+        "33b7657a9068bd11461973ab90b6429c199b7c771f6f82d4279672b56074f71f",
     ("map_rehab", "map.csv"):
         "d78b8e700cb4d39e0d53bd5478693a2eb7288efa8bcf3ea4a1b8d27f9b6323b9",
     ("map_transfer", "map.csv"):
