@@ -49,12 +49,6 @@ class CapabilityMap:
     requirement: float
     configuration: str = "rehab"
 
-    def cell_ok(self, iy: int, iz: int) -> bool:
-        return self.mask[iz, iy] == MASK_OK
-
-    def meets(self, iy: int, iz: int) -> bool:
-        return self.cell_ok(iy, iz) and self.value[iz, iy] >= self.requirement
-
 
 def _max_fz_cell(
     arm: ArmEval,

@@ -13,6 +13,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .actuators import ACTUATOR_1, ACTUATOR_2_HF, ACTUATOR_2_HS
 from .analysis import (
@@ -23,7 +25,7 @@ from .analysis import (
     transfer_speed_table,
 )
 from .config import build_scenario, load_config, validate_config
-from .engine import SimLog, run_scenario
+from .engine import SimLog, csv_rows, run_scenario
 from .errors import ConfigError, NumericalDivergence, StsBotError
 
 EXIT_OK = 0
@@ -90,12 +92,12 @@ def _cmd_map(args) -> int:
         requirement=None if requirement < 0 else requirement,
     )
     out = _out_dir(args)
-    lines = ["y_m,z_m,fz_max_N,mask"]
-    for iz, z in enumerate(cmap.zs):
-        for iy, y in enumerate(cmap.ys):
-            v = cmap.value[iz, iy]
-            lines.append(f"{y:.17g},{z:.17g},{v:.17g},{int(cmap.mask[iz, iy])}")
-    (out / "map.csv").write_text("\n".join(lines) + "\n")
+    # one row per cell, y fastest; the integer mask codes print as their floats do
+    ny, nz = len(cmap.ys), len(cmap.zs)
+    with open(out / "map.csv", "w", newline="\n") as fh:
+        fh.write("y_m,z_m,fz_max_N,mask\n")
+        fh.writelines(csv_rows([np.tile(cmap.ys, nz), np.repeat(cmap.zs, ny),
+                                cmap.value.ravel(), cmap.mask.ravel()]))
     meta = {
         "configuration": configuration,
         "requirement_N": cmap.requirement,

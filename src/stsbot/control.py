@@ -23,7 +23,6 @@ from .errors import ConfigError, WrongMode
 from .kinematics import (  # noqa: F401  act_diag, dk_entries: perfbench counts calls by name
     GRAVITY,
     ArmEval,
-    EffectorState,
     act_diag,
     belt_rate_for,
     check_invertible,
@@ -79,8 +78,9 @@ def anchor_y(config: AssistModeConfig) -> float:
     return config.e_yi + 0.25 * config.user_height
 
 
-def desired_force_field(config: AssistModeConfig, effector: EffectorState) -> tuple[float, float]:
-    """Desired (f_y, f_z) the robot should exert on the user at this pose."""
+def desired_force_field(config: AssistModeConfig, e_y: float) -> tuple[float, float]:
+    """Desired (f_y, f_z) the robot should exert on the user with the
+    effector at forward position e_y."""
     if config.mode is AssistMode.TRANSFER:
         raise WrongMode("transfer uses the speed controller, not a force field")
     if config.mode is AssistMode.FOLLOW_ME:
@@ -89,7 +89,7 @@ def desired_force_field(config: AssistModeConfig, effector: EffectorState) -> tu
     if config.mode is AssistMode.WEIGHT_UNLOADING:
         return 0.0, f_z
     # com_balance: linear spring toward the anchor axis, reversing past it
-    f_y = config.ky * (anchor_y(config) - effector.y)
+    f_y = config.ky * (anchor_y(config) - e_y)
     if config.clamp_forward_only and f_y < 0.0:
         f_y = 0.0
     return f_y, f_z
@@ -125,8 +125,7 @@ def force_controller_step(
     two drives [rad/s].  No force feedback anywhere: gravity and friction
     are compensated from models only.
     """
-    y, z = arm.e
-    f_y, f_z = desired_force_field(config, EffectorState(y, z))
+    f_y, f_z = desired_force_field(config, arm.e[0])
 
     d = arm.d
     check_invertible(*d)

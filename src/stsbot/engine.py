@@ -26,8 +26,8 @@ from .actuators import (
     DEFAULT_FRICTION_1,
     DEFAULT_FRICTION_2_HF,
     DEFAULT_FRICTION_2_HS,
-    ActuatorSpec,
     FrictionModel,
+    friction_force,
     motor_speed,
     velocity_exceeded,
 )
@@ -58,7 +58,6 @@ from .kinematics import (  # noqa: F401  act_diag, dk_entries: perfbench counts 
     act_diag,
     dk_entries,
     drive_speeds,
-    effector_position,
     gravity_potential,
     inverse_kinematics,
     joint_torques,
@@ -120,19 +119,12 @@ class SimLog:
             fh.writelines(self._csv_blocks())
 
     def _csv_blocks(self):
-        """The CSV text in blocks of CSV_BLOCK_ROWS rows, every cell ``{:.17g}``.
-
-        Within a block each column formats each distinct float64 bit pattern
-        once (keying on bits keeps ``-0.0`` apart from ``0.0``) and indexes
-        the text back out; ``write_csv`` never holds the whole text.
-        """
+        """The CSV text in blocks: the header, then ``csv_rows`` of the
+        channels; ``write_csv`` never holds the whole text."""
         names = list(self.data.keys())
         yield (f"# {CSV_SCHEMA_VERSION}\n# meta {json.dumps(self.meta, sort_keys=True)}\n"
                + ",".join(names) + "\n")
-        cols = [np.ascontiguousarray(self.data[n], dtype=np.float64) for n in names]
-        for start in range(0, len(cols[0]), CSV_BLOCK_ROWS):
-            cells = [_format_cells(c[start:start + CSV_BLOCK_ROWS]) for c in cols]
-            yield "\n".join(map(",".join, zip(*cells))) + "\n"
+        yield from csv_rows([self.data[n] for n in names])
 
     @classmethod
     def from_csv(cls, path) -> "SimLog":
@@ -173,6 +165,20 @@ class SimLog:
         return cls(dt, data, meta)
 
 
+def csv_rows(columns):
+    """CSV rows of equal-length columns in blocks of CSV_BLOCK_ROWS rows,
+    every cell the ``{:.17g}`` text of its float64 value.
+
+    Within a block each column formats each distinct float64 bit pattern
+    once (keying on bits keeps ``-0.0`` apart from ``0.0``) and indexes the
+    text back out.
+    """
+    cols = [np.ascontiguousarray(c, dtype=np.float64) for c in columns]
+    for start in range(0, len(cols[0]), CSV_BLOCK_ROWS):
+        cells = [_format_cells(c[start:start + CSV_BLOCK_ROWS]) for c in cols]
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
 def _format_cells(col: np.ndarray) -> list[str]:
     bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
     text = np.array([f"{x:.17g}" for x in bits.view(np.float64).tolist()], dtype=object)
@@ -199,8 +205,6 @@ class Scenario:
     seed: int = 0
     allow_peak: bool = False
     damping: tuple[float, float] = (0.5, 0.5)
-    specs: tuple[ActuatorSpec, ActuatorSpec, ActuatorSpec] = (
-        ACTUATOR_1, ACTUATOR_2_HS, ACTUATOR_2_HF)
     ctrl_frictions: tuple[FrictionModel, FrictionModel, FrictionModel] = (
         DEFAULT_FRICTION_1, DEFAULT_FRICTION_2_HS, DEFAULT_FRICTION_2_HF)
     plant_frictions: tuple[FrictionModel, FrictionModel, FrictionModel] = (
@@ -342,8 +346,9 @@ def _rise_duration(scenario: Scenario) -> float:
     tr = scenario.transfer
     if tr is None:
         return scenario.sts.duration
-    z0 = effector_position(scenario.geom, tr.q_a_locked, tr.q_c_start)[1]
-    z1 = effector_position(scenario.geom, tr.q_a_locked, tr.q_c_end)[1]
+    arm = Arm(scenario.geom, scenario.resolved_masses())
+    z0 = arm.at(tr.q_a_locked, tr.q_c_start).e[1]
+    z1 = arm.at(tr.q_a_locked, tr.q_c_end).e[1]
     return abs(z1 - z0) / tr.v_z_target
 
 
@@ -356,8 +361,9 @@ def _build_schedule(scenario: Scenario) -> _Schedule:
     standing = human.standing_com if human else zero
     segs = [_Segment(0.0, scenario.settle, -1, PHASE_SETTLE, seated, seated)]
     t = scenario.settle
+    rise = _rise_duration(scenario)
     for rep in range(scenario.repetitions):
-        dur = _rise_duration(scenario)
+        dur = rise
         if jitter > 0.0:
             dur *= 1.0 + jitter * float(rng.uniform(-1.0, 1.0))
         for phase, d, p0, p1 in ((PHASE_RISE, dur, seated, standing),
@@ -387,7 +393,8 @@ class Plant:
         # a transfer runs on the belt's high-force output with the mast braked,
         # a rehabilitation run on its high-speed output; a run never switches
         belt = 2 if self.is_transfer else 1
-        self.spec1, self.spec2 = scenario.specs[0], scenario.specs[belt]
+        self.spec1 = ACTUATOR_1
+        self.spec2 = ACTUATOR_2_HF if self.is_transfer else ACTUATOR_2_HS
         self.pf1, self.pf2 = scenario.plant_frictions[0], scenario.plant_frictions[belt]
         self.ctrl_frictions = (scenario.ctrl_frictions[0], scenario.ctrl_frictions[belt])
         # the braked boom about C, carrying the payload at E
@@ -452,8 +459,8 @@ class Plant:
         clamped to tension.
         """
         w1, w2 = self.motor_speeds(state)
-        f1t = commands[0] - self.pf1.a * math.tanh(self.pf1.b * w1)
-        f2t = max(0.0, commands[1] - self.pf2.a * math.tanh(self.pf2.b * w2))
+        f1t = commands[0] - friction_force(self.pf1, w1)
+        f2t = max(0.0, commands[1] - friction_force(self.pf2, w2))
         if self.is_transfer:
             f1t = 0.0
         return f1t, f2t
@@ -566,21 +573,22 @@ class Plant:
 
 def _initial_state(scenario: Scenario) -> tuple[SimState, float]:
     """Start state plus the armed effector y position (e_yi)."""
-    if scenario.transfer is not None:
-        tr = scenario.transfer
-        e_y = effector_position(scenario.geom, tr.q_a_locked, tr.q_c_start)[0]
-        return SimState(q_a=tr.q_a_locked, q_c=tr.q_c_start), e_y
-    if scenario.human is None:
+    tr = scenario.transfer
+    if tr is None and scenario.human is not None:
+        com0 = scenario.human.seated_com
+        if not scenario.robot_attached:
+            return SimState(com=com0), com0[0]
+        r0 = scenario.harness.rest_offset
+        e0 = (com0[0] + r0[0], com0[1] + r0[1])
+        q0 = inverse_kinematics(scenario.geom, e0)
+        return SimState(q_a=q0.q_a, q_c=q0.q_c, com=com0), e0[0]
+    # the arm alone: the transfer's arc start, or the given pose
+    if tr is not None:
+        q0 = JointState(tr.q_a_locked, tr.q_c_start)
+    else:
         q0 = scenario.initial_q or JointState(0.2, 0.0)
-        e_y = effector_position(scenario.geom, q0.q_a, q0.q_c)[0]
-        return SimState(q_a=q0.q_a, q_c=q0.q_c), e_y
-    com0 = scenario.human.seated_com
-    if not scenario.robot_attached:
-        return SimState(com=com0), com0[0]
-    r0 = scenario.harness.rest_offset
-    e0 = (com0[0] + r0[0], com0[1] + r0[1])
-    q0 = inverse_kinematics(scenario.geom, e0)
-    return SimState(q_a=q0.q_a, q_c=q0.q_c, com=com0), e0[0]
+    e_y = Arm(scenario.geom, scenario.resolved_masses()).at(q0.q_a, q0.q_c).e[0]
+    return SimState(q_a=q0.q_a, q_c=q0.q_c), e_y
 
 
 def run_scenario(scenario: Scenario) -> SimLog:

@@ -19,6 +19,10 @@ Frame and sign conventions used everywhere in this package:
 Under these choices dL1/dq_c = 0 and dL2/dq_a = 0 exactly; each transmission
 drives one joint and the actuator jacobian is diagonal.
 
+Arm.at is the one evaluator of the arm: it returns every pose-dependent
+term (effector position and velocity, jacobians, lengths, gravity, inertia)
+of one joint state.
+
 Actuator force sign:  act_diag is in the length-conjugate convention
 (positive force does positive work while the corresponding length grows),
 under which belt tension comes out negative.  Drive forces and speeds are in
@@ -29,7 +33,6 @@ drive_forces, joint_torques and drive_speeds the one map across it.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -165,10 +168,10 @@ class Arm:
     products ``at`` reads.
 
     ``at`` takes sin and cos of q_a, q_c and q_a + q_c once per joint state
-    and writes each formula of the arm once; effector_position, dk_entries,
-    belt_length, act_diag, gravity_vec, forward_kinematics and
-    transfer_actuator_velocity read their terms from it, and strut_length
-    shares its strut formula.
+    and writes each formula of the arm once; it is the package's one
+    evaluator of the arm.  act_diag, dk_entries and forward_kinematics read
+    their terms from an ``Arm`` built per call, and strut_length shares its
+    strut formula.
     """
 
     def __init__(self, geom: RobotGeometry, masses: LinkMassModel):
@@ -222,28 +225,17 @@ def _strut(l_ab: float, p1: tuple[float, float], sa: float, ca: float) -> float:
     return math.hypot(l_ab * sa - p1[0], l_ab * ca - p1[1])
 
 
-# The mass-free views below evaluate with the default links and read only
-# mass-free terms.
-@functools.lru_cache(maxsize=32)
-def _arm(geom: RobotGeometry, masses: LinkMassModel = LinkMassModel()) -> Arm:
-    return Arm(geom, masses)
-
-
 # ---------------------------------------------------------------------------
-# forward kinematics
-
-
-def effector_position(geom: RobotGeometry, q_a: float, q_c: float) -> tuple[float, float]:
-    return _arm(geom).at(q_a, q_c).e
+# forward kinematics (mass-free terms: the default links stand in)
 
 
 def dk_entries(geom: RobotGeometry, q_a: float, q_c: float) -> tuple[float, float, float, float]:
     """Row-major entries of d(E_y,E_z)/d(q_a,q_c)."""
-    return _arm(geom).at(q_a, q_c).jac
+    return Arm(geom, LinkMassModel()).at(q_a, q_c).jac
 
 
 def forward_kinematics(geom: RobotGeometry, q: JointState) -> EffectorState:
-    a = _arm(geom).at(q.q_a, q.q_c, q.qd_a, q.qd_c)
+    a = Arm(geom, LinkMassModel()).at(q.q_a, q.q_c, q.qd_a, q.qd_c)
     return EffectorState(*a.e, *a.ev)
 
 
@@ -292,13 +284,9 @@ def strut_length(geom: RobotGeometry, q_a: float) -> float:
     return _strut(geom.l_ab, geom.p1, math.sin(q_a), math.cos(q_a))
 
 
-def belt_length(geom: RobotGeometry, q_c: float) -> float:
-    return _arm(geom).at(0.0, q_c).lengths[1]
-
-
 def act_diag(geom: RobotGeometry, q_a: float, q_c: float) -> tuple[float, float]:
-    """Diagonal of the actuator jacobian: (dL1/dq_a, dL2/dq_c)."""
-    return _arm(geom).at(q_a, q_c).d
+    """Diagonal of the actuator jacobian: (dL1/dq_a, dL2/dq_c); mass-free."""
+    return Arm(geom, LinkMassModel()).at(q_a, q_c).d
 
 
 def check_invertible(d1: float, d2: float) -> None:
@@ -343,13 +331,6 @@ def belt_rate_for(arm: ArmEval, v_z: float) -> float:
     return arm.d[1] * v_z / d_ez
 
 
-def transfer_actuator_velocity(
-    geom: RobotGeometry, q_a_locked: float, q_c: float, v_z: float
-) -> float:
-    """Belt payout rate for a target vertical effector speed, mast locked."""
-    return belt_rate_for(_arm(geom).at(q_a_locked, q_c), v_z)
-
-
 # ---------------------------------------------------------------------------
 # gravity model
 
@@ -367,12 +348,3 @@ def gravity_potential(
         + masses.m_v * GRAVITY * (geom.l_ac * math.cos(q_a) - masses.L_v * math.sin(phi))
     )
 
-
-def gravity_vec(
-    geom: RobotGeometry,
-    masses: LinkMassModel,
-    q_a: float,
-    q_c: float,
-) -> tuple[float, float]:
-    """Joint torques needed to hold the structure, g(q) = dV/dq, as plain floats."""
-    return _arm(geom, masses).at(q_a, q_c).g

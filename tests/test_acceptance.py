@@ -41,21 +41,18 @@ from stsbot.engine import (
 from stsbot.human import HumanParams
 from stsbot.kinematics import (
     GRAVITY,
+    Arm,
     JointState,
     LinkMassModel,
     RobotGeometry,
-    act_diag,
-    belt_length,
-    dk_entries,
-    effector_position,
     gravity_potential,
-    gravity_vec,
     inverse_kinematics,
     strut_length,
 )
 
 GEOM = RobotGeometry()
 MASSES = LinkMassModel.for_geometry(GEOM)
+ARM = Arm(GEOM, MASSES)
 CHAIR_Y = 0.67
 
 
@@ -79,31 +76,31 @@ def test_criterion_1_kinematics_oracles():
     for _ in range(n):
         qa = float(rng.uniform(*GEOM.q_a_limits))
         qc = float(rng.uniform(*GEOM.q_c_limits))
-        j = dk_entries(GEOM, qa, qc)
+        arm = ARM.at(qa, qc)
         fds = [
-            fd(lambda a: effector_position(GEOM, a, qc)[0], qa),
-            fd(lambda c: effector_position(GEOM, qa, c)[0], qc),
-            fd(lambda a: effector_position(GEOM, a, qc)[1], qa),
-            fd(lambda c: effector_position(GEOM, qa, c)[1], qc),
+            fd(lambda a: ARM.at(a, qc).e[0], qa),
+            fd(lambda c: ARM.at(qa, c).e[0], qc),
+            fd(lambda a: ARM.at(a, qc).e[1], qa),
+            fd(lambda c: ARM.at(qa, c).e[1], qc),
         ]
-        for val, ref in zip(j, fds):
+        for val, ref in zip(arm.jac, fds):
             worst_jac = max(worst_jac, abs(val - ref) / max(1.0, abs(ref)))
 
-        d1, d2 = act_diag(GEOM, qa, qc)
+        d1, d2 = arm.d
         fd1 = fd(lambda a: strut_length(GEOM, a), qa)
-        fd2 = fd(lambda c: belt_length(GEOM, c), qc)
+        fd2 = fd(lambda c: ARM.at(qa, c).lengths[1], qc)
         worst_jac = max(worst_jac, abs(d1 - fd1) / max(1.0, abs(fd1)))
         worst_jac = max(worst_jac, abs(d2 - fd2) / max(1.0, abs(fd2)))
 
-        g = gravity_vec(GEOM, MASSES, qa, qc)
+        g = arm.g
         fga = fd(lambda a: gravity_potential(GEOM, MASSES, a, qc), qa)
         fgc = fd(lambda c: gravity_potential(GEOM, MASSES, qa, c), qc)
         worst_grav = max(worst_grav, abs(g[0] - fga) / max(1.0, abs(fga)),
                          abs(g[1] - fgc) / max(1.0, abs(fgc)))
 
-        y, z = effector_position(GEOM, qa, qc)
+        y, z = arm.e
         sol = inverse_kinematics(GEOM, (y, z))
-        y2, z2 = effector_position(GEOM, sol.q_a, sol.q_c)
+        y2, z2 = ARM.at(sol.q_a, sol.q_c).e
         worst_ik = max(worst_ik, math.hypot(y2 - y, z2 - z))
 
     elapsed = time.monotonic() - t0

@@ -29,13 +29,11 @@ from stsbot.errors import ConfigError, SingularTransmission, WrongMode
 from stsbot.kinematics import (
     GRAVITY,
     Arm,
-    EffectorState,
     JointState,
     LinkMassModel,
     RobotGeometry,
     act_diag,
-    effector_position,
-    gravity_vec,
+    belt_rate_for,
     joint_torques,
 )
 
@@ -110,13 +108,13 @@ def test_anchor_y_wrong_mode():
 
 def test_follow_me_field_is_zero():
     c = cfg(AssistMode.FOLLOW_ME)
-    for y, z in ((0.3, 0.8), (0.9, 1.2), (0.6, 0.5)):
-        assert desired_force_field(c, EffectorState(y, z)) == (0.0, 0.0)
+    for y in (0.3, 0.9, 0.6):
+        assert desired_force_field(c, y) == (0.0, 0.0)
 
 
 def test_weight_unloading_field_magnitude():
     c = cfg(AssistMode.WEIGHT_UNLOADING, fz=0.10, weight=81.13)
-    fy, fz = desired_force_field(c, EffectorState(0.7, 0.9))
+    fy, fz = desired_force_field(c, 0.7)
     assert fy == 0.0
     assert fz == pytest.approx(0.10 * 81.13 * 9.81, abs=1e-9)
     assert fz == pytest.approx(79.59, abs=0.01)
@@ -124,7 +122,7 @@ def test_weight_unloading_field_magnitude():
 
 def test_com_balance_spring_zero_at_anchor():
     c = cfg(AssistMode.COM_BALANCE, fz=0.05, ky=300.0, height=1.75, e_yi=0.2)
-    fy, fz = desired_force_field(c, EffectorState(anchor_y(c), 0.9))
+    fy, fz = desired_force_field(c, anchor_y(c))
     assert fy == pytest.approx(0.0, abs=1e-12)
     assert fz == pytest.approx(0.05 * 81.13 * 9.81, abs=1e-9)
 
@@ -133,31 +131,31 @@ def test_com_balance_spring_sign_matches_anchor_side():
     c = cfg(AssistMode.COM_BALANCE, fz=0.05, ky=300.0, height=1.75, e_yi=0.0)
     a = anchor_y(c)
     for y in (a - 0.3, a - 0.01, a + 0.01, a + 0.3):
-        fy, _ = desired_force_field(c, EffectorState(y, 0.9))
+        fy, _ = desired_force_field(c, y)
         assert math.copysign(1.0, fy) == math.copysign(1.0, a - y) or fy == 0.0
 
 
 def test_com_balance_forward_only_clamp():
     c = replace(cfg(AssistMode.COM_BALANCE, fz=0.05, ky=300.0, e_yi=0.0),
                 clamp_forward_only=True)
-    fy, _ = desired_force_field(c, EffectorState(anchor_y(c) + 0.2, 0.9))
+    fy, _ = desired_force_field(c, anchor_y(c) + 0.2)
     assert fy == 0.0
 
 
 def test_field_affine_in_parameters():
-    # superposition in (fz_pct, ky) at a fixed state
-    state = EffectorState(0.55, 0.85)
+    # superposition in (fz_pct, ky) at a fixed effector position
+    e_y = 0.55
     c1 = cfg(AssistMode.COM_BALANCE, fz=0.04, ky=100.0, e_yi=0.1)
     c2 = cfg(AssistMode.COM_BALANCE, fz=0.08, ky=200.0, e_yi=0.1)
-    f1 = desired_force_field(c1, state)
-    f2 = desired_force_field(c2, state)
+    f1 = desired_force_field(c1, e_y)
+    f2 = desired_force_field(c2, e_y)
     assert f2[0] == pytest.approx(2.0 * f1[0], rel=1e-12)
     assert f2[1] == pytest.approx(2.0 * f1[1], rel=1e-12)
 
 
 def test_transfer_has_no_force_field():
     with pytest.raises(WrongMode):
-        desired_force_field(cfg(AssistMode.TRANSFER), EffectorState(0.5, 0.8))
+        desired_force_field(cfg(AssistMode.TRANSFER), 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +183,7 @@ def test_static_command_cancels_gravity_exactly():
     for qa, qc in ((0.1, 0.2), (0.5, -0.9), (0.8, -0.3)):
         cmd = controller(cfg(AssistMode.FOLLOW_ME), JointState(qa, qc))
         tau_act = np.array(joint_torques(act_diag(GEOM, qa, qc), cmd.f1, cmd.f2))
-        g = np.array(gravity_vec(GEOM, MASSES, qa, qc))
+        g = np.array(ARM.at(qa, qc).g)
         assert np.allclose(tau_act, g, atol=1e-9)
 
 
@@ -233,8 +231,7 @@ def test_force_controller_reads_the_given_evaluation():
     arm = Arm(GEOM, MASSES).at(q.q_a, q.q_c, q.qd_a, q.qd_c)
     want = controller(config, q)
     helpers = [(kinematics, name) for name in (
-        "effector_position", "dk_entries", "act_diag", "gravity_vec", "strut_length",
-        "belt_length", "forward_kinematics")]
+        "dk_entries", "act_diag", "strut_length", "forward_kinematics")]
     helpers += [(control, "act_diag"), (control, "dk_entries"), (Arm, "at"),
                 (math, "sin"), (math, "cos")]
     with ExitStack() as stack:
@@ -257,9 +254,7 @@ def test_controller_rejects_transfer_mode():
 def test_pi_on_reference_returns_integrator():
     tr = TransferConfig(v_z_target=0.04, q_a_locked=0.3)
     state = SpeedControllerState(integral=123.0)
-    from stsbot.kinematics import transfer_actuator_velocity
-
-    v2_ref = transfer_actuator_velocity(GEOM, 0.3, -0.2, tr.v_z_target)
+    v2_ref = belt_rate_for(ARM.at(0.3, -0.2), tr.v_z_target)
     cmd, _ = speed_controller_step(ARM.at(0.3, -0.2), ACTUATOR_2_HF, tr, v2_ref, 1e-3, state,
                                    v_z_signed=tr.v_z_target)
     assert cmd.f2 == pytest.approx(123.0, abs=1e-9)
@@ -317,8 +312,8 @@ def test_transfer_arc_endpoints_match_fk():
     sc = Scenario(geom=GEOM, transfer=tr)
     state, e_yi = _initial_state(sc)
     assert (state.q_a, state.q_c) == (tr.q_a_locked, tr.q_c_start)
-    start = effector_position(GEOM, tr.q_a_locked, tr.q_c_start)
-    end = effector_position(GEOM, tr.q_a_locked, tr.q_c_end)
+    start = ARM.at(tr.q_a_locked, tr.q_c_start).e
+    end = ARM.at(tr.q_a_locked, tr.q_c_end).e
     assert e_yi == start[0]
     assert _rise_duration(sc) == pytest.approx(abs(end[1] - start[1]) / tr.v_z_target, abs=1e-12)
 

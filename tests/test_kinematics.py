@@ -13,22 +13,20 @@ from stsbot.kinematics import (
     LinkMassModel,
     RobotGeometry,
     act_diag,
-    belt_length,
+    belt_rate_for,
     dk_entries,
     drive_forces,
     drive_speeds,
-    effector_position,
     forward_kinematics,
     gravity_potential,
-    gravity_vec,
     inverse_kinematics,
     joint_torques,
     strut_length,
-    transfer_actuator_velocity,
 )
 
 GEOM = RobotGeometry()
 MASSES = LinkMassModel.for_geometry(GEOM)
+ARM = Arm(GEOM, MASSES)
 WIDE = RobotGeometry(q_a_limits=(-3.0, 3.0), q_c_limits=(-3.0, 3.0))
 
 
@@ -159,7 +157,7 @@ ARMS = [(GEOM, MASSES), (ODD_GEOM, LinkMassModel.for_geometry(ODD_GEOM, m_h=3.1,
        qd=st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)))
 def test_arm_evaluation_equals_reference_formulas_exactly(arm, q, qd):
     # one sin/cos set per pose gives the same bits as each formula alone,
-    # inside and outside the joint limits; the views read that evaluation
+    # inside and outside the joint limits; the kept helpers read that evaluation
     geom, masses = arm
     q_a, q_c = q
     a = Arm(geom, masses).at(q_a, q_c, *qd)
@@ -174,11 +172,9 @@ def test_arm_evaluation_equals_reference_formulas_exactly(arm, q, qd):
     assert bits(a.d) == bits(d)
     assert bits(a.g) == bits(g)
     assert bits(a.inertia + (a.dm12,)) == bits(ref_inertia(geom, masses, q_c))
-    assert bits(effector_position(geom, q_a, q_c)) == bits(e)
     assert bits(dk_entries(geom, q_a, q_c)) == bits(jac)
     assert bits(act_diag(geom, q_a, q_c)) == bits(d)
-    assert bits(gravity_vec(geom, masses, q_a, q_c)) == bits(g)
-    assert bits((strut_length(geom, q_a), belt_length(geom, q_c))) == bits(lengths)
+    assert bits((strut_length(geom, q_a),)) == bits(lengths[:1])
     fk = forward_kinematics(geom, JointState(q_a, q_c, *qd))
     assert bits((fk.y, fk.z, fk.vy, fk.vz)) == bits(e + ev)
 
@@ -207,9 +203,9 @@ def test_ik_random_roundtrip_under_1e9():
     while count < 100:
         qa = rng.uniform(*GEOM.q_a_limits)
         qc = rng.uniform(*GEOM.q_c_limits)
-        y, z = effector_position(GEOM, qa, qc)
+        y, z = ARM.at(qa, qc).e
         q = inverse_kinematics(GEOM, (y, z))
-        y2, z2 = effector_position(GEOM, q.q_a, q.q_c)
+        y2, z2 = ARM.at(q.q_a, q.q_c).e
         assert math.hypot(y2 - y, z2 - z) < 1e-9
         count += 1
 
@@ -233,7 +229,7 @@ def test_ik_out_of_limits_raises():
     qc=st.floats(min_value=-1.20, max_value=0.50),
 )
 def test_ik_fk_identity_property(qa, qc):
-    y, z = effector_position(GEOM, qa, qc)
+    y, z = ARM.at(qa, qc).e
     q = inverse_kinematics(GEOM, (y, z))
     assert abs(q.q_a - qa) < 1e-9
     assert abs(q.q_c - qc) < 1e-9
@@ -262,10 +258,10 @@ def test_dk_matches_finite_differences():
     for q in random_states(50, seed=3):
         j = np.reshape(dk_entries(GEOM, q.q_a, q.q_c), (2, 2))
         for k, (fy, fz) in enumerate((
-            (lambda a: effector_position(GEOM, a, q.q_c)[0],
-             lambda a: effector_position(GEOM, a, q.q_c)[1]),
-            (lambda c: effector_position(GEOM, q.q_a, c)[0],
-             lambda c: effector_position(GEOM, q.q_a, c)[1]),
+            (lambda a: ARM.at(a, q.q_c).e[0],
+             lambda a: ARM.at(a, q.q_c).e[1]),
+            (lambda c: ARM.at(q.q_a, c).e[0],
+             lambda c: ARM.at(q.q_a, c).e[1]),
         )):
             x = q.q_a if k == 0 else q.q_c
             fd_y = finite_difference(fy, x)
@@ -276,7 +272,7 @@ def test_dk_matches_finite_differences():
 
 
 def test_actuator_lengths_belt_closed_form():
-    l2 = belt_length(RobotGeometry(d_g=0.15), 0.0)
+    l2 = Arm(RobotGeometry(d_g=0.15), MASSES).at(0.0, 0.0).lengths[1]
     assert l2 == pytest.approx(2.0 * math.sqrt(0.15**2 + 0.38**2), abs=1e-12)
     assert l2 == pytest.approx(0.8170679286, abs=1e-9)
 
@@ -297,8 +293,8 @@ def world_lengths(geom, q_a, q_c):
 def test_belt_length_independent_of_mast_angle():
     for qc in (-1.0, -0.3, 0.2, 0.5):
         for qa in (0.1, 0.7):
-            assert world_lengths(GEOM, qa, qc)[1] == pytest.approx(belt_length(GEOM, qc),
-                                                                   abs=1e-12)
+            l2 = ARM.at(0.0, qc).lengths[1]
+            assert world_lengths(GEOM, qa, qc)[1] == pytest.approx(l2, abs=1e-12)
 
 
 def test_strut_travel_fits_stroke():
@@ -320,7 +316,7 @@ def test_act_jacobian_matches_finite_differences():
     for q in random_states(50, seed=5):
         d1, d2 = act_diag(GEOM, q.q_a, q.q_c)
         fd1 = finite_difference(lambda a: strut_length(GEOM, a), q.q_a)
-        fd2 = finite_difference(lambda c: belt_length(GEOM, c), q.q_c)
+        fd2 = finite_difference(lambda c: ARM.at(q.q_a, c).lengths[1], q.q_c)
         assert abs(d1 - fd1) / max(1.0, abs(fd1)) < 1e-6
         assert abs(d2 - fd2) / max(1.0, abs(fd2)) < 1e-6
 
@@ -384,12 +380,12 @@ def test_drive_map_keeps_virtual_power_and_inverts(q, qd, tau):
 
 
 def test_transfer_velocity_zero():
-    assert transfer_actuator_velocity(GEOM, 0.3, -0.2, 0.0) == 0.0
+    assert belt_rate_for(ARM.at(0.3, -0.2), 0.0) == 0.0
 
 
 def test_transfer_velocity_chain_consistency():
     q_a, q_c, v_z = 0.3, -0.5, 0.03
-    v2 = transfer_actuator_velocity(GEOM, q_a, q_c, v_z)
+    v2 = belt_rate_for(ARM.at(q_a, q_c), v_z)
     d_ez = dk_entries(GEOM, q_a, q_c)[3]
     qd_c = v_z / d_ez
     d_l2 = act_diag(GEOM, q_a, q_c)[1]
@@ -398,7 +394,7 @@ def test_transfer_velocity_chain_consistency():
 
 def test_transfer_velocity_sweep_finite_and_smooth():
     qs = np.linspace(-1.1, 0.45, 200)
-    vs = [transfer_actuator_velocity(GEOM, 0.3, float(q), 0.03) for q in qs]
+    vs = [belt_rate_for(ARM.at(0.3, float(q)), 0.03) for q in qs]
     assert all(np.isfinite(vs))
     steps = np.abs(np.diff(vs))
     assert steps.max() < 0.01
@@ -406,7 +402,7 @@ def test_transfer_velocity_sweep_finite_and_smooth():
 
 def test_transfer_velocity_singular_at_vertical_boom():
     with pytest.raises(SingularTransmission):
-        transfer_actuator_velocity(WIDE, 0.0, math.pi / 2, 0.03)
+        belt_rate_for(Arm(WIDE, MASSES).at(0.0, math.pi / 2), 0.03)
 
 
 # ---------------------------------------------------------------------------
@@ -415,19 +411,19 @@ def test_transfer_velocity_singular_at_vertical_boom():
 
 def test_gravity_symmetric_zero():
     # mast vertical, boom straight down: the mast torque vanishes by symmetry
-    g_a, _ = gravity_vec(GEOM, MASSES, 0.0, math.pi / 2)
+    g_a, _ = ARM.at(0.0, math.pi / 2).g
     assert abs(g_a) < 1e-12
 
 
 def test_gravity_massless_limit():
     empty = LinkMassModel(0.0, 0.0, 0.305, 0.375, 0.0, 0.0)
-    g = gravity_vec(GEOM, empty, 0.4, -0.7)
+    g = Arm(GEOM, empty).at(0.4, -0.7).g
     assert g == (0.0, 0.0)
 
 
 def test_gravity_matches_finite_difference_of_potential():
     for q in random_states(50, seed=10):
-        g_a, g_c = gravity_vec(GEOM, MASSES, q.q_a, q.q_c)
+        g_a, g_c = ARM.at(q.q_a, q.q_c).g
         fd_a = finite_difference(lambda a: gravity_potential(GEOM, MASSES, a, q.q_c), q.q_a)
         fd_c = finite_difference(lambda c: gravity_potential(GEOM, MASSES, q.q_a, c), q.q_c)
         assert abs(g_a - fd_a) / max(1.0, abs(fd_a)) < 1e-6
@@ -447,7 +443,7 @@ def test_gravity_field_is_conservative():
         work = 0.0
         for i in range(n):
             mid_a, mid_c = 0.5 * (qa[i] + qa[i + 1]), 0.5 * (qc[i] + qc[i + 1])
-            g_a, g_c = gravity_vec(GEOM, MASSES, mid_a, mid_c)
+            g_a, g_c = ARM.at(mid_a, mid_c).g
             work += g_a * (qa[i + 1] - qa[i]) + g_c * (qc[i + 1] - qc[i])
         assert abs(work) < 1e-8
 
