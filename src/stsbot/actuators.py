@@ -39,6 +39,16 @@ ACTUATOR_2_HF = ActuatorSpec(ratio=16.7, f_max_cont=3120.0, f_max_peak=3120.0,
                              v_max_load=0.05, v_max_peak_load=0.05, pull_only=True)
 ACTUATOR_2_HS = ActuatorSpec(ratio=0.45, f_max_cont=579.0, f_max_peak=981.0,
                              v_max_load=0.55, v_max_peak_load=0.34, pull_only=True)
+# the order of every per-drive triple (Scenario's friction models too)
+DRIVES = (ACTUATOR_1, ACTUATOR_2_HS, ACTUATOR_2_HF)
+
+
+def engaged_pair(transfer: bool, per_drive: tuple) -> tuple:
+    """The strut's and the engaged belt output's entries of a per-drive
+    triple: a transfer runs the belt's high-force output (with the mast
+    braked), a rehabilitation run its backdrivable high-speed output."""
+    strut, high_speed, high_force = per_drive
+    return strut, (high_force if transfer else high_speed)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .actuators import ACTUATOR_1, ACTUATOR_2_HF, ACTUATOR_2_HS
+from .actuators import DRIVES, engaged_pair
 from .analysis import (
     capability_map,
     measured_assistance,
@@ -24,8 +24,8 @@ from .analysis import (
     sts_metrics,
     transfer_speed_table,
 )
-from .config import build_scenario, load_config, validate_config
-from .engine import SimLog, csv_rows, run_scenario
+from .config import load_config, validate_config
+from .engine import Scenario, SimLog, csv_rows, run_scenario
 from .errors import ConfigError, NumericalDivergence, StsBotError
 
 EXIT_OK = 0
@@ -52,18 +52,23 @@ def _write_manifest(out: Path, command: str, cfg: dict, seed: int, outputs: list
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+def _checked(cfg: dict, stream) -> Scenario | None:
+    """Print ``cfg``'s warnings and errors to ``stream``; its scenario, or None on errors."""
+    report = validate_config(cfg)
+    for w in report.warnings:
+        print(f"warning: {w}", file=stream)
+    for e in report.errors:
+        print(f"error: {e}", file=stream)
+    return report.scenario if report.ok else None
+
+
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg["seed"] = args.seed
-    report = validate_config(cfg)
-    for w in report.warnings:
-        print(f"warning: {w}", file=sys.stderr)
-    if not report.ok:
-        for e in report.errors:
-            print(f"error: {e}", file=sys.stderr)
+    scenario = _checked(cfg, sys.stderr)
+    if scenario is None:
         return EXIT_CONFIG
-    scenario = build_scenario(cfg)
     log = run_scenario(scenario)
     out = _out_dir(args)
     log.write_csv(out / "log.csv")
@@ -74,17 +79,14 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_map(args) -> int:
     cfg = load_config(args.config)
-    report = validate_config(cfg)
-    if not report.ok:
-        for e in report.errors:
-            print(f"error: {e}", file=sys.stderr)
+    scenario = _checked(cfg, sys.stderr)
+    if scenario is None:
         return EXIT_CONFIG
-    scenario = build_scenario(cfg)
     configuration = cfg["map.configuration"]
     requirement = cfg["map.requirement"]
     cmap = capability_map(
-        scenario.geom, scenario.resolved_masses(), ACTUATOR_1,
-        ACTUATOR_2_HS if configuration == "rehab" else ACTUATOR_2_HF,
+        scenario.geom, scenario.resolved_masses(),
+        *engaged_pair(configuration == "transfer", DRIVES),
         configuration=configuration,
         y_range=(cfg["map.y_min"], cfg["map.y_max"]),
         z_range=(cfg["map.z_min"], cfg["map.z_max"]),
@@ -142,16 +144,10 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    cfg = load_config(args.config)
-    report = validate_config(cfg)
-    for w in report.warnings:
-        print(f"warning: {w}")
-    for e in report.errors:
-        print(f"error: {e}")
-    if report.ok:
-        print("configuration ok")
-        return EXIT_OK
-    return EXIT_CONFIG
+    if _checked(load_config(args.config), sys.stdout) is None:
+        return EXIT_CONFIG
+    print("configuration ok")
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,7 +20,7 @@ from .errors import ConfigError, OutOfJointLimits, Unreachable
 from .human import ChairModel, HarnessModel, HumanParams, STSReference
 from .kinematics import LinkMassModel, RobotGeometry, inverse_kinematics, strut_length
 
-_MODES = [m.value for m in AssistMode]
+_MODES = [m.value for m in AssistMode] + ["transfer"]
 
 # key -> (type, default); type in {"float", "int", "bool", "str"}
 SCHEMA: dict[str, tuple[str, object]] = {
@@ -268,6 +268,7 @@ def build_scenario(cfg: dict) -> Scenario:
 class ValidationReport:
     errors: list[str]
     warnings: list[str]
+    scenario: Scenario | None = None  # the one it built, when Scenario.validate passed
 
     @property
     def ok(self) -> bool:
@@ -319,4 +320,4 @@ def validate_config(cfg: dict) -> ValidationReport:
         warnings.append(
             f"strut travel {travel:.3f} m over the q_a range exceeds stroke_1 "
             f"{geom.stroke_1:.3f} m")
-    return ValidationReport(errors, warnings)
+    return ValidationReport(errors, warnings, scenario)

@@ -32,10 +32,11 @@ from .kinematics import (  # noqa: F401  act_diag, dk_entries: perfbench counts 
 
 
 class AssistMode(Enum):
+    """The rehabilitation modes; a transfer is a TransferConfig, not a mode."""
+
     FOLLOW_ME = "follow_me"
     WEIGHT_UNLOADING = "weight_unloading"
     COM_BALANCE = "com_balance"
-    TRANSFER = "transfer"
 
 
 @dataclass(frozen=True)
@@ -81,8 +82,6 @@ def anchor_y(config: AssistModeConfig) -> float:
 def desired_force_field(config: AssistModeConfig, e_y: float) -> tuple[float, float]:
     """Desired (f_y, f_z) the robot should exert on the user with the
     effector at forward position e_y."""
-    if config.mode is AssistMode.TRANSFER:
-        raise WrongMode("transfer uses the speed controller, not a force field")
     if config.mode is AssistMode.FOLLOW_ME:
         return 0.0, 0.0
     f_z = config.fz_pct * config.user_weight * GRAVITY

@@ -3,8 +3,9 @@
 The plant integrates M(q)*qdd + C(q,qd)*qd + g(q) + D*qd =
 J_act^T * F_transmitted + J_dk^T * F_harness with RK4 at a fixed step
 (1 ms default).  Transmitted forces are the motor commands minus the plant's
-own tanh friction, the belt clamped to tension-only.  The brake replaces the
-q_a equation by an exact kinematic lock.  Everything is deterministic for a
+own tanh friction, the belt clamped to tension-only.  A transfer brakes the
+mast: its q_a and qd_a rates are zero, so the boom turns about C alone and
+the mast stays where it started.  Everything is deterministic for a
 given scenario and seed: the only randomness is a per-repetition duration
 jitter drawn once from the seeded generator when the schedule is built.
 """
@@ -20,19 +21,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .actuators import (
-    ACTUATOR_1,
-    ACTUATOR_2_HF,
-    ACTUATOR_2_HS,
     DEFAULT_FRICTION_1,
     DEFAULT_FRICTION_2_HF,
     DEFAULT_FRICTION_2_HS,
+    DRIVES,
     FrictionModel,
+    engaged_pair,
     friction_force,
     motor_speed,
     velocity_exceeded,
 )
 from .control import (
-    AssistMode,
     AssistModeConfig,
     SpeedControllerState,
     TransferConfig,
@@ -237,9 +236,19 @@ class Scenario:
             raise ConfigError("rehabilitation runs need an assist mode config")
         if not is_transfer and self.human is None and not self.robot_attached:
             raise ConfigError("nothing to simulate: no human and no robot")
-        if self.mode_config is not None and (
-                is_transfer or self.mode_config.mode is AssistMode.TRANSFER):
-            raise ConfigError("a transfer takes a TransferConfig and no assist mode config")
+        if is_transfer and self.mode_config is not None:
+            raise ConfigError("a transfer takes no assist mode config")
+        if is_transfer and self.human is not None:
+            raise ConfigError("a transfer takes no human")
+        if is_transfer:
+            # else the step's hard stops would move the braked mast or cut the arc short
+            tr, g = self.transfer, self.geom
+            for name, q, (lo, hi) in (("q_a_locked", tr.q_a_locked, g.q_a_limits),
+                                      ("q_c_start", tr.q_c_start, g.q_c_limits),
+                                      ("q_c_end", tr.q_c_end, g.q_c_limits)):
+                if not lo <= q <= hi:
+                    raise ConfigError(f"transfer.{name} = {q} lies outside its joint limits "
+                                      f"[{lo}, {hi}]")
         # every repetition at its longest jitter, against the log's row count
         longest = self.settle + self.repetitions * 2.0 * (
             _rise_duration(self) * (1.0 + self.rep_jitter) + self.pause)
@@ -356,7 +365,7 @@ def _build_schedule(scenario: Scenario) -> _Schedule:
     rng = np.random.default_rng(scenario.seed)
     zero = (0.0, 0.0)
     jitter = scenario.rep_jitter if scenario.transfer is None else 0.0
-    human = scenario.human if scenario.transfer is None else None
+    human = scenario.human
     seated = human.seated_com if human else zero
     standing = human.standing_com if human else zero
     segs = [_Segment(0.0, scenario.settle, -1, PHASE_SETTLE, seated, seated)]
@@ -387,16 +396,12 @@ class Plant:
         self.masses = m
         self.arm = Arm(g, m)
         self.is_transfer = scenario.transfer is not None
-        self.has_human = scenario.human is not None and not self.is_transfer
+        self.has_human = scenario.human is not None
         self.attached = scenario.robot_attached
         self.d_a, self.d_c = scenario.damping
-        # a transfer runs on the belt's high-force output with the mast braked,
-        # a rehabilitation run on its high-speed output; a run never switches
-        belt = 2 if self.is_transfer else 1
-        self.spec1 = ACTUATOR_1
-        self.spec2 = ACTUATOR_2_HF if self.is_transfer else ACTUATOR_2_HS
-        self.pf1, self.pf2 = scenario.plant_frictions[0], scenario.plant_frictions[belt]
-        self.ctrl_frictions = (scenario.ctrl_frictions[0], scenario.ctrl_frictions[belt])
+        self.spec1, self.spec2 = engaged_pair(self.is_transfer, DRIVES)
+        self.pf1, self.pf2 = engaged_pair(self.is_transfer, scenario.plant_frictions)
+        self.ctrl_frictions = engaged_pair(self.is_transfer, scenario.ctrl_frictions)
         # the braked boom about C, carrying the payload at E
         self.payload_weight = scenario.payload * GRAVITY
         self.m_eff = self.arm.B1 + scenario.payload * g.l_ce**2
@@ -461,8 +466,6 @@ class Plant:
         w1, w2 = self.motor_speeds(state)
         f1t = commands[0] - friction_force(self.pf1, w1)
         f2t = max(0.0, commands[1] - friction_force(self.pf2, w2))
-        if self.is_transfer:
-            f1t = 0.0
         return f1t, f2t
 
     # -- derivative -------------------------------------------------------
@@ -484,7 +487,7 @@ class Plant:
         tau_act_a, tau_act_c = joint_torques(a.d, f1t, f2t)
 
         if self.is_transfer:
-            # brake engaged: exact 1-DOF integration about C; jac[3] = dE_z/dq_c
+            # the brake: zero mast rates, the boom alone about C; jac[3] = dE_z/dq_c
             rhs = tau_act_c - g_c - self.payload_weight * a.jac[3] - self.d_c * qd_c
             return (0.0, qd_c, 0.0, rhs / self.m_eff, cvy, cvz, ax, az)
 
@@ -509,9 +512,10 @@ class Plant:
     # -- integration ------------------------------------------------------
 
     def step(self, state: SimState, commands: tuple[float, float], dt: float) -> SimState:
-        """One RK4 step; joint limits applied as hard stops afterwards.  The
-        new state carries its evaluation, which also decides the seat-off
-        latch, and the next step's first stage reads it."""
+        """One RK4 step; joint limits applied as hard stops afterwards.  In a
+        transfer the mast's rates are zero (the brake), so q_a keeps its value
+        and qd_a stays 0.  The new state carries its evaluation, which also
+        decides the seat-off latch, and the next step's first stage reads it."""
         f1, f2 = self.transmitted_forces(state, commands) if self.attached else (0.0, 0.0)
         latched = state.seat_off
         s = state.vector()
@@ -543,8 +547,6 @@ class Plant:
                 q_c, qd_c = lo, max(0.0, qd_c)
             elif q_c > hi:
                 q_c, qd_c = hi, min(0.0, qd_c)
-        if self.is_transfer:
-            q_a, qd_a = state.q_a, 0.0  # exact lock
 
         if not all(map(math.isfinite, (q_a, q_c, qd_a, qd_c, cy, cz, cvy, cvz))):
             raise NumericalDivergence(f"non-finite state at t={t:.3f}s")
@@ -573,8 +575,7 @@ class Plant:
 
 def _initial_state(scenario: Scenario) -> tuple[SimState, float]:
     """Start state plus the armed effector y position (e_yi)."""
-    tr = scenario.transfer
-    if tr is None and scenario.human is not None:
+    if scenario.human is not None:
         com0 = scenario.human.seated_com
         if not scenario.robot_attached:
             return SimState(com=com0), com0[0]
@@ -583,6 +584,7 @@ def _initial_state(scenario: Scenario) -> tuple[SimState, float]:
         q0 = inverse_kinematics(scenario.geom, e0)
         return SimState(q_a=q0.q_a, q_c=q0.q_c, com=com0), e0[0]
     # the arm alone: the transfer's arc start, or the given pose
+    tr = scenario.transfer
     if tr is not None:
         q0 = JointState(tr.q_a_locked, tr.q_c_start)
     else:
@@ -684,13 +686,3 @@ def run_scenario(scenario: Scenario) -> SimLog:
     }
     return SimLog(scenario.dt, data, meta)
 
-
-def transparency_pair(scenario_wr: Scenario, scenario_wor: Scenario) -> tuple[SimLog, SimLog]:
-    """Run a matched with-robot / without-robot pair for paired metrics."""
-    if scenario_wr.human != scenario_wor.human:
-        raise ConfigError("transparency pair needs identical human parameters")
-    if scenario_wr.seed != scenario_wor.seed:
-        raise ConfigError("transparency pair needs identical seeds")
-    if not scenario_wr.robot_attached or scenario_wor.robot_attached:
-        raise ConfigError("first scenario must be WR, second WoR")
-    return run_scenario(scenario_wr), run_scenario(scenario_wor)

@@ -36,7 +36,6 @@ from stsbot.engine import (
     Scenario,
     SimState,
     run_scenario,
-    transparency_pair,
 )
 from stsbot.human import HumanParams
 from stsbot.kinematics import (
@@ -318,7 +317,7 @@ def test_criterion_7_transparency():
     wr = Scenario(geom=GEOM, human=hum, mode_config=mc, repetitions=3, seed=707)
     wor = Scenario(geom=GEOM, human=hum, mode_config=mc, repetitions=3, seed=707,
                    robot_attached=False)
-    log_wr, log_wor = transparency_pair(wr, wor)
+    log_wr, log_wor = run_scenario(wr), run_scenario(wor)
     cmc_y = cmc([mean_rise_waveform(log_wr, "vcom_y"), mean_rise_waveform(log_wor, "vcom_y")])
     cmc_z = cmc([mean_rise_waveform(log_wr, "vcom_z"), mean_rise_waveform(log_wor, "vcom_z")])
     m_wr, m_wor = sts_metrics(log_wr), sts_metrics(log_wor)

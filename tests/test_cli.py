@@ -139,6 +139,8 @@ BAD_CONFIGS = {
     "negative_link_mass": "masses.m_h = -1",
     "nan_pause": "pause = nan",
     "nan_transfer_speed": "mode = transfer\ntransfer.v_z = nan",
+    "transfer_mast_beyond_stop": "mode = transfer\ntransfer.q_a_locked = 1.5",
+    "transfer_arc_beyond_stop": "mode = transfer\ntransfer.q_c_end = -1.5",
     "infinite_sts_duration": "sts.duration = inf",
     "infinite_mass": "human.mass = inf",
     "rep_jitter_above_one": "rep_jitter = 5",
@@ -205,6 +207,20 @@ def test_absurd_float_ends_in_an_exit_code(tmp_path, capsys, key, value):
         assert main(argv) in (EXIT_OK, EXIT_CONFIG, EXIT_DIVERGED), command
         captured = capsys.readouterr()
         assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("command, stream", [("validate", "out"), ("simulate", "err"),
+                                             ("map", "err")])
+def test_every_command_prints_the_warnings(tmp_path, capsys, command, stream):
+    # one check path: validate reports on stdout, the commands that run on stderr
+    p = write(tmp_path, "mode = transfer\nfz_pct = 0.1\nrepetitions = 1\npause = 0\n"
+                        "settle = 0\ndt = 0.005\ntransfer.v_z = 0.05\n"
+                        "transfer.q_c_start = 0.1\ntransfer.q_c_end = 0.0\nmap.step = 0.2\n")
+    argv = [command, "--config", str(p)]
+    if command != "validate":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_OK
+    assert "warning: transfer ignores fz_pct and ky" in getattr(capsys.readouterr(), stream)
 
 
 def test_divergence_in_an_rk4_stage_exits_3(tmp_path, capsys):

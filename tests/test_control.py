@@ -14,6 +14,7 @@ from stsbot.actuators import (
     FrictionModel,
     clamp_to_capability,
 )
+from stsbot.config import build_scenario, parse_config_text
 from stsbot.control import (
     AssistMode,
     AssistModeConfig,
@@ -61,7 +62,6 @@ def cfg(mode, fz=0.0, ky=0.0, height=1.75, weight=81.13, e_yi=0.0):
     (AssistMode.COM_BALANCE, 0.1, 200.0, True),
     (AssistMode.COM_BALANCE, 0.0, 200.0, False),
     (AssistMode.COM_BALANCE, 0.1, 0.0, False),
-    (AssistMode.TRANSFER, 0.0, 0.0, True),
 ])
 def test_mode_parameter_consistency(mode, fz, ky, ok):
     if ok:
@@ -153,9 +153,14 @@ def test_field_affine_in_parameters():
     assert f2[1] == pytest.approx(2.0 * f1[1], rel=1e-12)
 
 
-def test_transfer_has_no_force_field():
-    with pytest.raises(WrongMode):
-        desired_force_field(cfg(AssistMode.TRANSFER), 0.5)
+def test_transfer_is_a_transfer_config_not_an_assist_mode():
+    # the force fields and their controller never see a transfer: it is the
+    # scenario's TransferConfig, driven by the speed controller
+    with pytest.raises(ValueError):
+        AssistMode("transfer")
+    sc = build_scenario(parse_config_text("mode = transfer"))
+    assert sc.transfer == TransferConfig()
+    assert sc.mode_config is None and sc.human is None
 
 
 # ---------------------------------------------------------------------------
@@ -240,11 +245,6 @@ def test_force_controller_reads_the_given_evaluation():
         got = force_controller_step(arm, (ACTUATOR_1, ACTUATOR_2_HS),
                                     (ZERO_FRICTION, ZERO_FRICTION), config, (0.0, 0.0))
     assert got == want
-
-
-def test_controller_rejects_transfer_mode():
-    with pytest.raises(WrongMode):
-        controller(cfg(AssistMode.TRANSFER), JointState(0.2, -0.3))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from stsbot.engine import (
     SimLog,
     SimState,
     run_scenario,
-    transparency_pair,
 )
 from stsbot.errors import ConfigError, NumericalDivergence
 from stsbot.human import HumanParams
@@ -87,8 +86,9 @@ def test_brake_locks_mast_exactly():
     plant = Plant(sc)
     state = SimState(q_a=0.33, q_c=0.2)
     for i in range(2000):
-        # arbitrary belt commands act as the disturbance
-        state = plant.step(state, (0.0, 500.0 if i % 2 else 2500.0), 1e-3)
+        # arbitrary strut and belt commands act as the disturbance
+        state = plant.step(state, (-800.0 if i % 3 else 1500.0, 500.0 if i % 2 else 2500.0),
+                           1e-3)
     assert state.q_a == 0.33  # bit-exact lock
     assert state.qd_a == 0.0
 
@@ -286,16 +286,6 @@ def test_plant_friction_mismatch_error_grows_with_level():
     assert errors[2] > 0.004  # the +50% mismatch is clearly visible
 
 
-def test_transparency_pair_validation():
-    wr = short_scenario()
-    with pytest.raises(ConfigError):
-        transparency_pair(wr, short_scenario(seed=123, robot_attached=False,
-                                             mode_config=None))
-    with pytest.raises(ConfigError):
-        transparency_pair(wr, short_scenario(human=human(mass=70.0),
-                                             robot_attached=False, mode_config=None))
-
-
 def test_scenario_validation():
     with pytest.raises(ConfigError):
         Scenario(dt=0.0).validate()
@@ -303,13 +293,21 @@ def test_scenario_validation():
         Scenario(human=human(), mode_config=FOLLOW, repetitions=0).validate()
     with pytest.raises(ConfigError):
         Scenario(human=human(), mode_config=FOLLOW, payload=10.0).validate()
-    # the transfer mode is the TransferConfig: a mode config cannot stand in for
-    # it (the arm would run unpowered) nor ride along with it
-    transfer_mode = AssistModeConfig(AssistMode.TRANSFER, 1.75, 81.13)
-    with pytest.raises(ConfigError, match="TransferConfig"):
-        Scenario(human=human(), mode_config=transfer_mode).validate()
+    # a transfer is the TransferConfig alone: no mode config rides along with
+    # it, and it lifts a payload, not the surrogate human
     with pytest.raises(ConfigError, match="assist mode config"):
         Scenario(human=None, transfer=TransferConfig(), mode_config=FOLLOW).validate()
+    with pytest.raises(ConfigError, match="no human"):
+        Scenario(human=human(), transfer=TransferConfig()).validate()
+    # the braked mast and the boom's arc lie within the joint limits, ends included
+    lo_a, hi_a = GEOM.q_a_limits
+    lo_c, hi_c = GEOM.q_c_limits
+    Scenario(human=None, transfer=TransferConfig(q_a_locked=hi_a, q_c_start=hi_c,
+                                                 q_c_end=lo_c)).validate()
+    for bad in (dict(q_a_locked=1.5), dict(q_a_locked=lo_a - 1e-9), dict(q_c_start=0.6),
+                dict(q_c_end=-1.5)):
+        with pytest.raises(ConfigError, match="joint limits"):
+            Scenario(human=None, transfer=TransferConfig(**bad)).validate()
     with pytest.raises(ConfigError, match="steps"):
         Scenario(human=human(), mode_config=FOLLOW, pause=1e200).validate()
 
