@@ -17,6 +17,7 @@ CONFIGS = {
                         "pause = 0.5\nseed = 42\n",
     "com_balance": "mode = com_balance\nfz_pct = 0.1\nky = 200\nrepetitions = 1\nseed = 42\n",
     "transfer_98kg": "mode = transfer\npayload = 98\ntransfer.v_z = 0.04\nrepetitions = 1\n",
+    "transfer_unloaded": "mode = transfer\npayload = 0\nrepetitions = 2\n",
     "detached": "robot_attached = false\nrepetitions = 1\nseed = 42\n",
     "arm_only": "human.enabled = false\nrepetitions = 1\nseed = 42\n",
     "map_rehab": "map.configuration = rehab\n",
@@ -36,6 +37,10 @@ GOLDEN = {
         "e5ddd96e47b550343232c6954fac2777e018709d80d722611ba5f33a1b991a6b",
     ("transfer_98kg", "metrics.json"):
         "5f4ad0e795ebdeb79ff845f6b3a70b7d878838ddfb4da81b4c52ba9fff1b882b",
+    ("transfer_unloaded", "log.csv"):
+        "7763d0f408e79e417159f3b702aa5e8e9ee0c8f4f733f7fcdf3b50cd8dec8105",
+    ("transfer_unloaded", "metrics.json"):
+        "b61caa67e502d5f033933108dbe23ed78588736297684fc63e11f1cb15982924",
     ("detached", "log.csv"):
         "c4b773b3372c3ba65caa2fa8caf6fb39a2a0ccb55709a2634b615c312785a26d",
     ("detached", "metrics.json"):
