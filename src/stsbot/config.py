@@ -275,14 +275,28 @@ class ValidationReport:
         return not self.errors
 
 
+# the keys a transfer never reads (as key prefixes): it builds no human, chair,
+# harness or assist mode config, draws no duration jitter, and its arc at
+# transfer.v_z sets the rise time
+_TRANSFER_IGNORES = ("fz_pct", "ky", "clamp_forward_only", "rep_jitter", "sts.duration",
+                     "chair_y", "human.", "chair.", "harness.")
+
+
+def _and_list(words: list[str]) -> str:
+    return words[0] if len(words) == 1 else ", ".join(words[:-1]) + " and " + words[-1]
+
+
 def validate_config(cfg: dict) -> ValidationReport:
     """Build the runtime objects, collecting the errors their own rules
     raise, then add the checks no object owns: IK reachability of the harness
     attach points and the strut stroke.  Nothing is simulated."""
     errors: list[str] = []
     warnings: list[str] = []
-    if cfg["mode"] == "transfer" and (cfg["fz_pct"] != 0.0 or cfg["ky"] != 0.0):
-        warnings.append("transfer ignores fz_pct and ky")
+    if cfg["mode"] == "transfer":
+        ignored = [k for k, (_, default) in SCHEMA.items()
+                   if k.startswith(_TRANSFER_IGNORES) and cfg[k] != default]
+        if ignored:
+            warnings.append("transfer ignores " + _and_list(ignored))
     try:
         validate_map_grid(cfg["map.configuration"], (cfg["map.y_min"], cfg["map.y_max"]),
                           (cfg["map.z_min"], cfg["map.z_max"]), cfg["map.step"])

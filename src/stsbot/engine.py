@@ -4,10 +4,11 @@ The plant integrates M(q)*qdd + C(q,qd)*qd + g(q) + D*qd =
 J_act^T * F_transmitted + J_dk^T * F_harness with RK4 at a fixed step
 (1 ms default).  Transmitted forces are the motor commands minus the plant's
 own tanh friction, the belt clamped to tension-only.  A transfer brakes the
-mast: its q_a and qd_a rates are zero, so the boom turns about C alone and
-the mast stays where it started.  Everything is deterministic for a
-given scenario and seed: the only randomness is a per-repetition duration
-jitter drawn once from the seeded generator when the schedule is built.
+mast and carries no human, so the boom turns about C alone: its RK4
+integrates only (q_c, qd_c), and q_a, qd_a, com and vcom keep their start
+values.  Everything is deterministic for a given scenario and seed: the only
+randomness is a per-repetition duration jitter drawn once from the seeded
+generator when the schedule is built.
 """
 
 from __future__ import annotations
@@ -240,15 +241,20 @@ class Scenario:
             raise ConfigError("a transfer takes no assist mode config")
         if is_transfer and self.human is not None:
             raise ConfigError("a transfer takes no human")
+        # else the step's hard stops would move the braked mast, cut the arc
+        # short or move the start pose before the first command acts
+        g, poses = self.geom, []
         if is_transfer:
-            # else the step's hard stops would move the braked mast or cut the arc short
-            tr, g = self.transfer, self.geom
-            for name, q, (lo, hi) in (("q_a_locked", tr.q_a_locked, g.q_a_limits),
-                                      ("q_c_start", tr.q_c_start, g.q_c_limits),
-                                      ("q_c_end", tr.q_c_end, g.q_c_limits)):
-                if not lo <= q <= hi:
-                    raise ConfigError(f"transfer.{name} = {q} lies outside its joint limits "
-                                      f"[{lo}, {hi}]")
+            tr = self.transfer
+            poses += [("transfer.q_a_locked", tr.q_a_locked, g.q_a_limits),
+                      ("transfer.q_c_start", tr.q_c_start, g.q_c_limits),
+                      ("transfer.q_c_end", tr.q_c_end, g.q_c_limits)]
+        if self.initial_q is not None:
+            poses += [("initial_q.q_a", self.initial_q.q_a, g.q_a_limits),
+                      ("initial_q.q_c", self.initial_q.q_c, g.q_c_limits)]
+        for name, q, (lo, hi) in poses:
+            if not lo <= q <= hi:
+                raise ConfigError(f"{name} = {q} lies outside its joint limits [{lo}, {hi}]")
         # every repetition at its longest jitter, against the log's row count
         longest = self.settle + self.repetitions * 2.0 * (
             _rise_duration(self) * (1.0 + self.rep_jitter) + self.pause)
@@ -485,12 +491,6 @@ class Plant:
 
         g_a, g_c = a.g
         tau_act_a, tau_act_c = joint_torques(a.d, f1t, f2t)
-
-        if self.is_transfer:
-            # the brake: zero mast rates, the boom alone about C; jac[3] = dE_z/dq_c
-            rhs = tau_act_c - g_c - self.payload_weight * a.jac[3] - self.d_c * qd_c
-            return (0.0, qd_c, 0.0, rhs / self.m_eff, cvy, cvz, ax, az)
-
         tau_h_a = tau_h_c = 0.0
         if self.has_human:
             j11, j12, j21, j22 = a.jac
@@ -512,30 +512,55 @@ class Plant:
     # -- integration ------------------------------------------------------
 
     def step(self, state: SimState, commands: tuple[float, float], dt: float) -> SimState:
-        """One RK4 step; joint limits applied as hard stops afterwards.  In a
-        transfer the mast's rates are zero (the brake), so q_a keeps its value
-        and qd_a stays 0.  The new state carries its evaluation, which also
-        decides the seat-off latch, and the next step's first stage reads it."""
+        """One RK4 step; joint limits applied as hard stops afterwards.  A
+        transfer's brake holds the mast, so its RK4 integrates only the boom's
+        (q_c, qd_c) and q_a, qd_a, com and vcom keep their values.  The new
+        state carries its evaluation, which also decides the seat-off latch,
+        and the next step's first stage reads it."""
         f1, f2 = self.transmitted_forces(state, commands) if self.attached else (0.0, 0.0)
         latched = state.seat_off
-        s = state.vector()
         t = state.t
-        forces, deriv = self.forces, self._deriv
         try:
-            k1 = deriv(s, self.evaluated(state), f1, f2)
-            h2 = dt / 2.0
-            s2 = [x + h2 * k for x, k in zip(s, k1)]
-            k2 = deriv(s2, forces(t + h2, s2, latched), f1, f2)
-            s3 = [x + h2 * k for x, k in zip(s, k2)]
-            k3 = deriv(s3, forces(t + h2, s3, latched), f1, f2)
-            s4 = [x + dt * k for x, k in zip(s, k3)]
-            k4 = deriv(s4, forces(t + dt, s4, latched), f1, f2)
+            if self.is_transfer:
+                # the boom about C carrying the payload at E, the mast held at
+                # q_a: qdd_c = (tau_c - g_c - payload_weight*dE_z/dq_c - d_c*qd_c)/m_eff
+                at, q_a = self.arm.at, state.q_a
+                w, d_c, m_eff = self.payload_weight, self.d_c, self.m_eff
+                q1, v1 = state.q_c, state.qd_c
+                a = self.evaluated(state).arm
+                k1 = (joint_torques(a.d, f1, f2)[1] - a.g[1] - w * a.jac[3] - d_c * v1) / m_eff
+                h2 = dt / 2.0
+                q2, v2 = q1 + h2 * v1, v1 + h2 * k1
+                a = at(q_a, q2, 0.0, v2)
+                k2 = (joint_torques(a.d, f1, f2)[1] - a.g[1] - w * a.jac[3] - d_c * v2) / m_eff
+                q3, v3 = q1 + h2 * v2, v1 + h2 * k2
+                a = at(q_a, q3, 0.0, v3)
+                k3 = (joint_torques(a.d, f1, f2)[1] - a.g[1] - w * a.jac[3] - d_c * v3) / m_eff
+                q4, v4 = q1 + dt * v3, v1 + dt * k3
+                a = at(q_a, q4, 0.0, v4)
+                k4 = (joint_torques(a.d, f1, f2)[1] - a.g[1] - w * a.jac[3] - d_c * v4) / m_eff
+                h6 = dt / 6.0
+                q_c = q1 + h6 * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
+                qd_c = v1 + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                qd_a, (cy, cz), (cvy, cvz) = state.qd_a, state.com, state.vcom
+            else:
+                s = state.vector()
+                forces, deriv = self.forces, self._deriv
+                k1 = deriv(s, self.evaluated(state), f1, f2)
+                h2 = dt / 2.0
+                s2 = [x + h2 * k for x, k in zip(s, k1)]
+                k2 = deriv(s2, forces(t + h2, s2, latched), f1, f2)
+                s3 = [x + h2 * k for x, k in zip(s, k2)]
+                k3 = deriv(s3, forces(t + h2, s3, latched), f1, f2)
+                s4 = [x + dt * k for x, k in zip(s, k3)]
+                k4 = deriv(s4, forces(t + dt, s4, latched), f1, f2)
+                h6 = dt / 6.0
+                q_a, q_c, qd_a, qd_c, cy, cz, cvy, cvz = [
+                    x + h6 * (a + 2.0 * b + 2.0 * c + d)
+                    for x, a, b, c, d in zip(s, k1, k2, k3, k4)]
         except (ValueError, OverflowError) as exc:
             # a non-finite stage state reached a math function before the guard
             raise NumericalDivergence(f"{exc} in an RK4 stage at t={t:.3f}s") from exc
-        h6 = dt / 6.0
-        q_a, q_c, qd_a, qd_c, cy, cz, cvy, cvz = [
-            x + h6 * (a + 2.0 * b + 2.0 * c + d) for x, a, b, c, d in zip(s, k1, k2, k3, k4)]
         if self.attached:
             lo, hi = self.geom.q_a_limits
             if q_a < lo:
@@ -555,7 +580,7 @@ class Plant:
 
         # seat-off latch: once the chair unloads it stays unloaded; a chair force
         # of 0 is 0 latched or not, so this is also the latched state's evaluation
-        f = forces(t + dt, (q_a, q_c, qd_a, qd_c, cy, cz, cvy, cvz), latched)
+        f = self.forces(t + dt, (q_a, q_c, qd_a, qd_c, cy, cz, cvy, cvz), latched)
         seat_off = latched or (self.has_human and f.chair_fz <= 0.0)
         new = SimState(t + dt, q_a, q_c, qd_a, qd_c, (cy, cz), (cvy, cvz), seat_off)
         new.forces = f

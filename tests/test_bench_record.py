@@ -25,8 +25,8 @@ def write_run(tree, workload, seed, sha, values, failed=0, smoke=False):
 def test_pairs_by_seed_and_counts_wins(tmp_path):
     bench = tmp_path / "BENCHMARK.json"
     bench.write_text(json.dumps({"end_to_end": [
-        {"name": "simulate_s", "better": "lower"},
-        {"name": "realtime_factor", "better": "higher"}]}))
+        {"name": "simulate_s", "better": "lower", "bound": 0.25},
+        {"name": "realtime_factor", "better": "higher", "bound": 0.25}]}))
     parent, change = tmp_path / "parent", tmp_path / "change"
     for seed, (old, new) in enumerate([(2.0, 1.0), (3.0, 1.5), (1.0, 1.2)]):
         write_run(parent, "sweep", seed, "a", {"simulate_s": old, "realtime_factor": 1 / old})
@@ -48,9 +48,50 @@ def test_pairs_by_seed_and_counts_wins(tmp_path):
 
 def test_runs_of_one_side_must_share_a_tree(tmp_path):
     bench = tmp_path / "BENCHMARK.json"
-    bench.write_text(json.dumps({"end_to_end": [{"name": "simulate_s", "better": "lower"}]}))
+    bench.write_text(json.dumps({"end_to_end": [
+        {"name": "simulate_s", "better": "lower", "bound": 0.25}]}))
     for seed, sha in ((0, "a"), (1, "c")):
         write_run(tmp_path / "parent", "sweep", seed, sha, {"simulate_s": 1.0})
         write_run(tmp_path / "change", "sweep", seed, "b", {"simulate_s": 1.0})
     with pytest.raises(SystemExit):
         bench_record.record(tmp_path / "parent", tmp_path / "change", bench)
+
+
+def test_verdict_per_workload_and_metric(tmp_path):
+    bench = tmp_path / "BENCHMARK.json"
+    bench.write_text(json.dumps({"end_to_end": [
+        {"name": "simulate_s", "better": "lower", "bound": 0.25},
+        {"name": "setup_s", "better": "lower", "bound": 0.25},
+        {"name": "analyze_s", "better": "lower", "bound": 0.25},
+        {"name": "realtime_factor", "better": "higher", "bound": 0.25}]}))
+    for seed in range(10):
+        jitter = 0.01 * seed
+        write_run(tmp_path / "parent", "w", seed, "a", {
+            "simulate_s": 2.0 + jitter, "setup_s": 1.0 + jitter, "analyze_s": 1.0 + jitter,
+            "realtime_factor": 10.0 + jitter})
+        write_run(tmp_path / "change", "w", seed, "b", {
+            "simulate_s": 1.5 + jitter,        # wins 10/10 by far more than the IQR
+            "setup_s": 1.3 + jitter,           # 30 % slower, over the 25 % bound
+            "analyze_s": 1.0 + jitter - 1e-3,  # wins 10/10, but within the parent's IQR
+            "realtime_factor": 7.0 + jitter})  # 30 % lower where higher is better
+    doc = bench_record.record(tmp_path / "parent", tmp_path / "change", bench)
+    got = {name: m["verdict"] for name, m in doc["workloads"]["w"]["metrics"].items()}
+    assert got == {"simulate_s": "gain", "setup_s": "regressed", "analyze_s": "unchanged",
+                   "realtime_factor": "regressed"}
+
+
+@pytest.mark.parametrize("wins, pairs, change_median, better, want", [
+    (10, 10, 1.5, "lower", "gain"),
+    (9, 10, 1.5, "lower", "gain"),
+    (8, 10, 1.5, "lower", "unchanged"),     # too few wins
+    (5, 5, 1.5, "lower", "unchanged"),      # too few pairs
+    (10, 10, 1.95, "lower", "unchanged"),   # the gap is inside the parent's IQR
+    (0, 10, 2.5, "lower", "unchanged"),     # worse, but by exactly the bound
+    (0, 10, 2.51, "lower", "regressed"),
+    (10, 10, 2.5, "higher", "gain"),
+    (0, 10, 1.49, "higher", "regressed"),
+])
+def test_verdict_rules(wins, pairs, change_median, better, want):
+    parent = {"median": 2.0, "q1": 1.9, "q3": 2.1}
+    change = {"median": change_median, "q1": change_median, "q3": change_median}
+    assert bench_record.verdict(parent, change, wins, pairs, better, 0.25) == want

@@ -212,15 +212,21 @@ def test_absurd_float_ends_in_an_exit_code(tmp_path, capsys, key, value):
 @pytest.mark.parametrize("command, stream", [("validate", "out"), ("simulate", "err"),
                                              ("map", "err")])
 def test_every_command_prints_the_warnings(tmp_path, capsys, command, stream):
-    # one check path: validate reports on stdout, the commands that run on stderr
+    # one check path: validate reports on stdout, the commands that run on
+    # stderr; a transfer names every key it ignores (it builds no human, chair,
+    # harness or mode config, draws no jitter, takes its rise time from the
+    # arc) and none left at its default
     p = write(tmp_path, "mode = transfer\nfz_pct = 0.1\nrepetitions = 1\npause = 0\n"
                         "settle = 0\ndt = 0.005\ntransfer.v_z = 0.05\n"
-                        "transfer.q_c_start = 0.1\ntransfer.q_c_end = 0.0\nmap.step = 0.2\n")
+                        "transfer.q_c_start = 0.1\ntransfer.q_c_end = 0.0\nmap.step = 0.2\n"
+                        "rep_jitter = 0.5\nhuman.mass = 120\nsts.duration = 3\n"
+                        "chair.damping = 300\n")
     argv = [command, "--config", str(p)]
     if command != "validate":
         argv += ["--out", str(tmp_path / "out")]
     assert main(argv) == EXIT_OK
-    assert "warning: transfer ignores fz_pct and ky" in getattr(capsys.readouterr(), stream)
+    assert ("warning: transfer ignores fz_pct, rep_jitter, human.mass, sts.duration and "
+            "chair.damping\n") in getattr(capsys.readouterr(), stream)
 
 
 def test_divergence_in_an_rk4_stage_exits_3(tmp_path, capsys):

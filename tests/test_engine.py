@@ -29,7 +29,7 @@ from stsbot.engine import (
 )
 from stsbot.errors import ConfigError, NumericalDivergence
 from stsbot.human import HumanParams
-from stsbot.kinematics import GRAVITY, JointState, RobotGeometry, act_diag, drive_speeds
+from stsbot.kinematics import GRAVITY, Arm, JointState, RobotGeometry, act_diag, drive_speeds
 
 GEOM = RobotGeometry()
 ZERO_F = FrictionModel(0.0, 0.0)
@@ -308,6 +308,11 @@ def test_scenario_validation():
                 dict(q_c_end=-1.5)):
         with pytest.raises(ConfigError, match="joint limits"):
             Scenario(human=None, transfer=TransferConfig(**bad)).validate()
+    # so does the arm-only start pose
+    arm_only_scenario(initial_q=JointState(hi_a, lo_c)).validate()
+    for bad in ((1.5, 0.0), (lo_a - 1e-9, 0.0), (0.2, hi_c + 1e-9), (0.2, -1.5)):
+        with pytest.raises(ConfigError, match="initial_q"):
+            arm_only_scenario(initial_q=JointState(*bad)).validate()
     with pytest.raises(ConfigError, match="steps"):
         Scenario(human=human(), mode_config=FOLLOW, pause=1e200).validate()
 
@@ -409,6 +414,28 @@ def test_each_state_is_evaluated_once():
     with mock.patch.object(Plant, "forces", counted):
         log = run_scenario(sc)
     assert calls == 4 * len(log) + 1
+
+
+def test_transfer_integrates_the_boom_alone():
+    # the braked transfer's RK4 evaluates the arm at stages 2-4 and at the new
+    # state and never builds the 8-state derivative; the 6 set-up calls are the
+    # arc's two ends twice (validate, schedule), the start pose and its evaluation
+    sc = short_scenario(**REPLAY_SCENARIOS["transfer"])
+    counts = {"at": 0, "deriv": 0}
+    at, deriv = Arm.at, Plant._deriv
+
+    def counted_at(self, *args):
+        counts["at"] += 1
+        return at(self, *args)
+
+    def counted_deriv(self, *args):
+        counts["deriv"] += 1
+        return deriv(self, *args)
+
+    with mock.patch.object(Arm, "at", counted_at), \
+            mock.patch.object(Plant, "_deriv", counted_deriv):
+        log = run_scenario(sc)
+    assert counts == {"at": 4 * len(log) + 6, "deriv": 0}
 
 
 def rowwise_csv(log: SimLog) -> str:

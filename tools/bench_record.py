@@ -3,7 +3,16 @@
 Reads the untraced perfbench records (``perfbench/results/*-trace0.json``)
 of two checkouts, pairs the runs that share a workload and a seed, and
 writes, per workload and end-to-end metric, each side's median and
-quartiles and how many pairs the change won.  Standard library only.
+quartiles, how many pairs the change won and a verdict:
+
+- ``regressed``: the change's median is worse than the parent's by more than
+  the metric's ``bound`` in BENCHMARK.json (a fraction of the parent's median);
+- ``gain``: at least GAIN_MIN_PAIRS pairs, the change wins at least
+  GAIN_WIN_SHARE of them, and its median is better than the parent's by more
+  than the parent's interquartile range;
+- ``unchanged``: neither.
+
+Standard library only.
 
     python3 tools/bench_record.py --parent ../parent --change . --out BENCH_7.json
 
@@ -17,6 +26,10 @@ import argparse
 import json
 import statistics
 from pathlib import Path
+
+
+GAIN_MIN_PAIRS = 10
+GAIN_WIN_SHARE = 0.9
 
 
 def load_runs(tree: Path) -> dict[tuple[str, int], dict]:
@@ -37,6 +50,21 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def verdict(parent: dict, change: dict, wins: int, pairs: int, better: str,
+            bound: float) -> str:
+    """regressed, gain or unchanged: one metric's parent and change summaries
+    over ``pairs`` pairs, of which the change won ``wins``."""
+    gap = change["median"] - parent["median"]  # > 0 is worse for "lower"
+    if better == "higher":
+        gap = -gap
+    if gap > bound * abs(parent["median"]):
+        return "regressed"
+    if (pairs >= GAIN_MIN_PAIRS and wins >= GAIN_WIN_SHARE * pairs
+            and -gap > parent["q3"] - parent["q1"]):
+        return "gain"
+    return "unchanged"
+
+
 def side_identity(runs: list[dict]) -> dict:
     """The git SHA and source digest of one side; every run must agree."""
     ids = {(r["environment"]["git_sha"], r["environment"]["src_sha256"]) for r in runs}
@@ -47,7 +75,7 @@ def side_identity(runs: list[dict]) -> dict:
 
 
 def record(parent: Path, change: Path, benchmark: Path) -> dict:
-    better = {m["name"]: m["better"] for m in json.loads(benchmark.read_text())["end_to_end"]}
+    declared = json.loads(benchmark.read_text())["end_to_end"]
     old, new = load_runs(parent), load_runs(change)
     keys = sorted(set(old) & set(new))
     if not keys:
@@ -64,12 +92,16 @@ def record(parent: Path, change: Path, benchmark: Path) -> dict:
         seeds = [s for w, s in keys if w == workload]
         pairs = [(old[(workload, s)], new[(workload, s)]) for s in seeds]
         metrics = {}
-        for name, direction in better.items():
+        for m in declared:
+            name, direction = m["name"], m["better"]
             a = [p["metrics"][name]["value"] for p, _ in pairs]
             b = [c["metrics"][name]["value"] for _, c in pairs]
             wins = sum((y < x) if direction == "lower" else (y > x) for x, y in zip(a, b))
+            old_side, new_side = summary(a), summary(b)
             metrics[name] = {"unit": pairs[0][0]["metrics"][name]["unit"], "better": direction,
-                             "parent": summary(a), "change": summary(b), "change_wins": wins}
+                             "parent": old_side, "change": new_side, "change_wins": wins,
+                             "verdict": verdict(old_side, new_side, wins, len(pairs),
+                                                direction, m["bound"])}
         out["workloads"][workload] = {
             "pairs": len(pairs),
             "seeds": seeds,
