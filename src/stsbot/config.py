@@ -282,10 +282,6 @@ _TRANSFER_IGNORES = ("fz_pct", "ky", "clamp_forward_only", "rep_jitter", "sts.du
                      "chair_y", "human.", "chair.", "harness.")
 
 
-def _and_list(words: list[str]) -> str:
-    return words[0] if len(words) == 1 else ", ".join(words[:-1]) + " and " + words[-1]
-
-
 def validate_config(cfg: dict) -> ValidationReport:
     """Build the runtime objects, collecting the errors their own rules
     raise, then add the checks no object owns: IK reachability of the harness
@@ -296,7 +292,7 @@ def validate_config(cfg: dict) -> ValidationReport:
         ignored = [k for k, (_, default) in SCHEMA.items()
                    if k.startswith(_TRANSFER_IGNORES) and cfg[k] != default]
         if ignored:
-            warnings.append("transfer ignores " + _and_list(ignored))
+            warnings.append("transfer ignores " + ", ".join(ignored))
     try:
         validate_map_grid(cfg["map.configuration"], (cfg["map.y_min"], cfg["map.y_max"]),
                           (cfg["map.z_min"], cfg["map.z_max"]), cfg["map.step"])

@@ -225,7 +225,7 @@ def test_every_command_prints_the_warnings(tmp_path, capsys, command, stream):
     if command != "validate":
         argv += ["--out", str(tmp_path / "out")]
     assert main(argv) == EXIT_OK
-    assert ("warning: transfer ignores fz_pct, rep_jitter, human.mass, sts.duration and "
+    assert ("warning: transfer ignores fz_pct, rep_jitter, human.mass, sts.duration, "
             "chair.damping\n") in getattr(capsys.readouterr(), stream)
 
 
