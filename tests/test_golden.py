@@ -1,5 +1,6 @@
 """Golden SHA-256 digests of the CLI's output files, one short config per
-plant branch plus both capability maps.
+plant branch plus both capability maps at the default 2 cm grid and at the
+5 mm grid the benchmark times.
 
 A change that means to keep the output bytes must leave every digest here
 as it is.  A change that means to alter them (a new channel, a physics fix)
@@ -22,6 +23,8 @@ CONFIGS = {
     "arm_only": "human.enabled = false\nrepetitions = 1\nseed = 42\n",
     "map_rehab": "map.configuration = rehab\n",
     "map_transfer": "map.configuration = transfer\n",
+    "map_rehab_5mm": "map.configuration = rehab\nmap.step = 0.005\n",
+    "map_transfer_5mm": "map.configuration = transfer\nmap.step = 0.005\n",
 }
 
 GOLDEN = {
@@ -53,6 +56,10 @@ GOLDEN = {
         "d78b8e700cb4d39e0d53bd5478693a2eb7288efa8bcf3ea4a1b8d27f9b6323b9",
     ("map_transfer", "map.csv"):
         "c32208f17fb665992a6f9bcb40ee5905f7a4c99d96a2a2d6853579002f96353b",
+    ("map_rehab_5mm", "map.csv"):
+        "c851fe2f3aead3b1cb4a5b26b940bb7daca146932114dd93584fdaf08ff0b972",
+    ("map_transfer_5mm", "map.csv"):
+        "c12ac0abe6f065bac4d8b115f3b4f4dae6baa2e59aa831abb1ede583c63f55e8",
 }
 
 
