@@ -10,24 +10,30 @@ import numpy as np
 
 from .actuators import ActuatorSpec
 from .engine import PHASE_DESCENT, PHASE_PAUSE, PHASE_RISE, SimLog
-from .errors import DegenerateInput, EmptyWindow, OutOfJointLimits, SingularTransmission, Unreachable
-from .kinematics import (
+from .errors import DegenerateInput, EmptyWindow
+from .kinematics import (  # noqa: F401  inverse_kinematics: perfbench times calls by name
+    ARRAY_MATH,
     GRAVITY,
+    IK_LIMITS,
+    IK_OK,
+    IK_UNREACHABLE,
+    SINGULARITY_EPS,
     Arm,
     ArmEval,
     LinkMassModel,
     RobotGeometry,
-    check_invertible,
     drive_forces,
     inverse_kinematics,
+    solve_ik,
 )
 
-MASK_OK = 0
-MASK_UNREACHABLE = 1
-MASK_LIMITS = 2
+MASK_OK, MASK_UNREACHABLE, MASK_LIMITS = IK_OK, IK_UNREACHABLE, IK_LIMITS
 MASK_SINGULAR = 3
 MASK_INFEASIBLE = 4
-MAP_MAX_CELLS = 10_000_000  # two float/int grids of this size take 160 MB
+# Two grids (values and mask codes) of MAP_MAX_CELLS take 160 MB; the map
+# evaluates them MAP_BLOCK_CELLS at a time, so the block adds ~1 MB at any size.
+MAP_MAX_CELLS = 10_000_000
+MAP_BLOCK_CELLS = 4096
 
 # motion-window segmentation
 SPEED_THRESHOLD = 0.02  # m/s
@@ -50,51 +56,46 @@ class CapabilityMap:
     configuration: str = "rehab"
 
 
-def _max_fz_cell(
+def _box(a: np.ndarray, b: np.ndarray, lo: float, hi: float):
+    """Bounds (upper, lower, infeasible) on F_z from lo <= a + b*F_z <= hi
+    per element: none where b = 0, infeasible there if a is outside."""
+    pos, neg = b > 0.0, b < 0.0
+    upper = np.where(pos, (hi - a) / b, np.where(neg, (lo - a) / b, math.inf))
+    lower = np.where(pos, (lo - a) / b, np.where(neg, (hi - a) / b, -math.inf))
+    return upper, lower, ~(pos | neg) & ~((lo - 1e-9 <= a) & (a <= hi + 1e-9))
+
+
+@np.errstate(all="ignore")  # singular and flat poses divide by ~0; their codes mask them
+def _max_fz(
     arm: ArmEval,
     spec1: ActuatorSpec | None,
     spec2: ActuatorSpec,
-) -> float | None:
-    """Closed-form 1-D program: largest F_z >= 0 (F_y = 0) keeping the
-    drives inside their peak envelopes, gravity self-load included, with
-    the arm evaluated at the cell's pose.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form 1-D program per pose of an array evaluation of the arm:
+    the largest F_z >= 0 (F_y = 0) keeping the drives inside their peak
+    envelopes, gravity self-load included.
 
     Each drive force is affine in F_z; the binding constraint gives the
-    cell value.  Returns None when holding gravity alone (F_z = 0) is
-    already infeasible.
+    value.  Returns (mask code, value): MASK_SINGULAR where an actuator
+    jacobian entry cannot be inverted, else MASK_INFEASIBLE where holding
+    gravity alone (F_z = 0) already breaks an envelope; the value is NaN
+    wherever the code is not MASK_OK.
     """
     d = arm.d
-    check_invertible(*d)
+    singular = (abs(d[0]) <= SINGULARITY_EPS) | (abs(d[1]) <= SINGULARITY_EPS)
     _, _, j21, j22 = arm.jac
     # drive force = gravity hold + F_z times the drive force of a unit F_z
     hold1, hold2 = drive_forces(d, *arm.g)
     per_fz1, per_fz2 = drive_forces(d, j21, j22)
-
-    uppers: list[float] = []
-    lowers: list[float] = [0.0]
-
-    def box(a: float, b: float, lo: float, hi: float) -> bool:
-        """Accumulate lo <= a + b*Fz <= hi; False when plainly infeasible."""
-        if b > 0.0:
-            uppers.append((hi - a) / b)
-            lowers.append((lo - a) / b)
-        elif b < 0.0:
-            uppers.append((lo - a) / b)
-            lowers.append((hi - a) / b)
-        else:
-            return lo - 1e-9 <= a <= hi + 1e-9
-        return True
-
-    if not box(hold2, per_fz2, 0.0, spec2.f_max_peak):  # the belt only pulls
-        return None
-    if spec1 is not None and not box(hold1, per_fz1, -spec1.f_max_peak, spec1.f_max_peak):
-        return None
-
-    fz_max = min(uppers) if uppers else math.inf
-    fz_min = max(lowers)
-    if fz_min > 1e-9 or fz_max < 0.0:
-        return None  # cannot even hold the structure at this pose
-    return fz_max
+    fz_max, fz_min, infeasible = _box(hold2, per_fz2, 0.0, spec2.f_max_peak)  # the belt only pulls
+    if spec1 is not None:
+        upper, lower, flat = _box(hold1, per_fz1, -spec1.f_max_peak, spec1.f_max_peak)
+        fz_max = np.where(upper < fz_max, upper, fz_max)  # a tie keeps the belt's bound and sign
+        fz_min = np.maximum(fz_min, lower)
+        infeasible |= flat
+    infeasible |= (fz_min > 1e-9) | (fz_max < 0.0)  # cannot even hold the structure
+    code = np.where(singular, MASK_SINGULAR, np.where(infeasible, MASK_INFEASIBLE, MASK_OK))
+    return code, np.where(code == MASK_OK, fz_max, np.nan)
 
 
 def validate_map_grid(
@@ -141,25 +142,14 @@ def capability_map(
     mask = np.full((len(zs), len(ys)), MASK_OK, dtype=int)
     use_spec1 = spec1 if configuration == "rehab" else None
     arm = Arm(geom, masses)
-    for iz, z in enumerate(zs):
-        for iy, y in enumerate(ys):
-            try:
-                q = inverse_kinematics(geom, (float(y), float(z)))
-            except Unreachable:
-                mask[iz, iy] = MASK_UNREACHABLE
-                continue
-            except OutOfJointLimits:
-                mask[iz, iy] = MASK_LIMITS
-                continue
-            try:
-                fz = _max_fz_cell(arm.at(q.q_a, q.q_c), use_spec1, spec2)
-            except SingularTransmission:
-                mask[iz, iy] = MASK_SINGULAR
-                continue
-            if fz is None:
-                mask[iz, iy] = MASK_INFEASIBLE
-                continue
-            value[iz, iy] = fz
+    for start in range(0, value.size, MAP_BLOCK_CELLS):
+        cells = slice(start, min(start + MAP_BLOCK_CELLS, value.size))
+        iz, iy = np.divmod(np.arange(cells.start, cells.stop), len(ys))
+        q_a, q_c, code = solve_ik(geom, ys[iy], zs[iz])
+        ok = code == IK_OK
+        block = value.reshape(-1)[cells]
+        code[ok], block[ok] = _max_fz(arm.at(q_a[ok], q_c[ok], ops=ARRAY_MATH), use_spec1, spec2)
+        mask.reshape(-1)[cells] = code
     return CapabilityMap(ys, zs, value, mask, requirement, configuration)
 
 
@@ -187,14 +177,11 @@ def nominal_sts_path(
 
 
 def band_cells(cmap: CapabilityMap, path: np.ndarray, width: float = 0.04) -> list[tuple[int, int]]:
-    """Grid cells within ``width`` of the polyline (all cells, masked or not)."""
-    out = []
-    for iz, z in enumerate(cmap.zs):
-        for iy, y in enumerate(cmap.ys):
-            d = np.min(np.hypot(path[:, 0] - y, path[:, 1] - z))
-            if d <= width:
-                out.append((iy, iz))
-    return out
+    """Grid cells (iy, iz) within ``width`` of the polyline (all cells, masked
+    or not), z rows in order, y fastest."""
+    dist = np.hypot(path[:, 0] - cmap.ys[None, :, None], path[:, 1] - cmap.zs[:, None, None])
+    iz, iy = np.nonzero(dist.min(axis=2) <= width)
+    return list(zip(iy.tolist(), iz.tolist()))
 
 
 def connected_fraction(cells: set[tuple[int, int]]) -> float:

@@ -21,7 +21,11 @@ drives one joint and the actuator jacobian is diagonal.
 
 Arm.at is the one evaluator of the arm: it returns every pose-dependent
 term (effector position and velocity, jacobians, lengths, gravity, inertia)
-of one joint state.
+of one joint state, or of 1-D arrays of them with ops=ARRAY_MATH; solve_ik,
+the one inverse kinematics, takes arrays of targets.  Over arrays numpy does
++, -, *, / and sqrt, which are correctly rounded, and math does each sin,
+cos, hypot, asin, acos and atan2 per element (numpy's can differ in the last
+bit), so an array result equals the scalar one bit for bit.
 
 Actuator force sign:  act_diag is in the length-conjugate convention
 (positive force does positive work while the corresponding length grows),
@@ -35,7 +39,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import OutOfJointLimits, SingularTransmission, Unreachable
 
@@ -82,10 +89,11 @@ class RobotGeometry:
         if self.q_c_limits[0] >= self.q_c_limits[1]:
             raise ValueError("q_c_limits must be a non-empty interval")
 
-    def in_limits(self, q_a: float, q_c: float, tol: float = 1e-9) -> bool:
+    def in_limits(self, q_a, q_c, tol: float = 1e-9):
+        """Whether (q_a, q_c) lies within the limits; elementwise on arrays."""
         return (
-            self.q_a_limits[0] - tol <= q_a <= self.q_a_limits[1] + tol
-            and self.q_c_limits[0] - tol <= q_c <= self.q_c_limits[1] + tol
+            (self.q_a_limits[0] - tol <= q_a) & (q_a <= self.q_a_limits[1] + tol)
+            & (self.q_c_limits[0] - tol <= q_c) & (q_c <= self.q_c_limits[1] + tol)
         )
 
 
@@ -142,6 +150,17 @@ class LinkMassModel:
 # the arm at a joint state
 
 
+def _per_element(f):
+    """f of 1-D float arrays, applied through math one element at a time."""
+    return lambda *xs: np.fromiter(map(f, *(x.tolist() for x in xs)), float, len(xs[0]))
+
+
+# The math functions Arm.at and solve_ik call, over 1-D float arrays.
+ARRAY_MATH = SimpleNamespace(
+    sqrt=np.sqrt, **{name: _per_element(getattr(math, name))
+                     for name in ("sin", "cos", "hypot", "asin", "acos", "atan2")})
+
+
 class ArmEval(NamedTuple):
     """Every pose-dependent term of the arm at one joint state (Arm.at).
 
@@ -194,18 +213,19 @@ class Arm:
         self.A1_B1 = a1 + self.B1
         self.neg_G1 = -(m.m_v * geom.l_ac * m.L_v)
 
-    def at(self, q_a: float, q_c: float, qd_a: float = 0.0, qd_c: float = 0.0) -> ArmEval:
-        """The arm at joint angles (q_a, q_c) and rates (qd_a, qd_c)."""
-        sa, ca = math.sin(q_a), math.cos(q_a)
-        sc, cc = math.sin(q_c), math.cos(q_c)
+    def at(self, q_a, q_c, qd_a=0.0, qd_c=0.0, ops=math) -> ArmEval:
+        """The arm at joint angles (q_a, q_c) and rates (qd_a, qd_c): floats
+        with ops=math, 1-D arrays with ops=ARRAY_MATH."""
+        sa, ca = ops.sin(q_a), ops.cos(q_a)
+        sc, cc = ops.sin(q_c), ops.cos(q_c)
         phi = q_a + q_c
-        sf, cf = math.sin(phi), math.cos(phi)
+        sf, cf = ops.sin(phi), ops.cos(phi)
         mast_s, mast_c = self.l_ac * sa, self.l_ac * ca
         boom_s, boom_c = self.l_ce * sf, self.l_ce * cf
         j11, j12, j21, j22 = mast_c - boom_s, -boom_s, -mast_s - boom_c, -boom_c
         p1y, p1z = self.p1
-        l1 = _strut(self.l_ab, self.p1, sa, ca)
-        l2 = 2.0 * math.sqrt(self.belt_sq + self.belt_sin * sc)
+        l1 = _strut(self.l_ab, self.p1, sa, ca, ops.hypot)
+        l2 = 2.0 * ops.sqrt(self.belt_sq + self.belt_sin * sc)
         w2 = self.grav_c * cf
         gamma = self.neg_G1 * sc
         return ArmEval(
@@ -220,9 +240,9 @@ class Arm:
         )
 
 
-def _strut(l_ab: float, p1: tuple[float, float], sa: float, ca: float) -> float:
+def _strut(l_ab: float, p1: tuple[float, float], sa, ca, hypot=math.hypot):
     """Strut length L1 from sin and cos of q_a: anchor p1 to B on the mast."""
-    return math.hypot(l_ab * sa - p1[0], l_ab * ca - p1[1])
+    return hypot(l_ab * sa - p1[0], l_ab * ca - p1[1])
 
 
 # ---------------------------------------------------------------------------
@@ -243,37 +263,53 @@ def forward_kinematics(geom: RobotGeometry, q: JointState) -> EffectorState:
 # inverse kinematics
 
 
-def inverse_kinematics(geom: RobotGeometry, target: tuple[float, float]) -> JointState:
-    """Solve E = target on the elbow-up branch (C above/behind E).
+# per-element codes of solve_ik
+IK_OK, IK_UNREACHABLE, IK_LIMITS = 0, 1, 2
 
-    Raises Unreachable when the target is outside the annulus spanned by the
-    two links, OutOfJointLimits when the solution violates the configured
-    joint limits.
+
+@np.errstate(all="ignore")  # absurd targets overflow to inf silently, as Python floats do
+def solve_ik(geom: RobotGeometry, y, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve E = (y[i], z[i]) for each i on the elbow-up branch (C above/behind E).
+
+    Returns q_a, q_c and a code per target: IK_UNREACHABLE (q_a and q_c NaN)
+    when the target is outside the annulus spanned by the two links,
+    IK_LIMITS when the solution violates the configured joint limits, else
+    IK_OK.
     """
-    ry = float(target[0])
-    rz = float(target[1]) - geom.base_height
+    ry = np.asarray(y, dtype=float)
+    rz = np.asarray(z, dtype=float) - geom.base_height
     r2 = ry * ry + rz * rz
-    r = math.sqrt(r2)
+    r = np.sqrt(r2)
     lo = abs(geom.l_ac - geom.l_ce)
     hi = geom.l_ac + geom.l_ce
-    if r < lo - 1e-12 or r > hi + 1e-12 or r < 1e-12:
-        raise Unreachable(target)
+    reach = ~((r < lo - 1e-12) | (r > hi + 1e-12) | (r < 1e-12))
+    ry, rz, r2, r = ry[reach], rz[reach], r2[reach], r[reach]
 
     # interior angle at C between CA and CE maps directly onto sin(q_c)
     s_qc = (geom.l_ac**2 + geom.l_ce**2 - r2) / (2.0 * geom.l_ac * geom.l_ce)
-    s_qc = max(-1.0, min(1.0, s_qc))
-    q_c = math.asin(s_qc)  # lower-half branch: elbow-up
+    q_a, q_c = np.full(len(reach), np.nan), np.full(len(reach), np.nan)
+    # lower-half branch: elbow-up
+    q_c[reach] = ARRAY_MATH.asin(np.maximum(-1.0, np.minimum(1.0, s_qc)))
 
     c_alpha = (geom.l_ac**2 + r2 - geom.l_ce**2) / (2.0 * geom.l_ac * r)
-    alpha = math.acos(max(-1.0, min(1.0, c_alpha)))
-    q_a = math.atan2(ry, rz) - alpha
+    alpha = ARRAY_MATH.acos(np.maximum(-1.0, np.minimum(1.0, c_alpha)))
+    q_a[reach] = ARRAY_MATH.atan2(ry, rz) - alpha
+    code = np.where(reach, np.where(geom.in_limits(q_a, q_c), IK_OK, IK_LIMITS), IK_UNREACHABLE)
+    return q_a, q_c, code
 
-    if not geom.in_limits(q_a, q_c):
+
+def inverse_kinematics(geom: RobotGeometry, target: tuple[float, float]) -> JointState:
+    """solve_ik of one target; raises Unreachable or OutOfJointLimits in
+    place of its codes."""
+    (q_a,), (q_c,), (code,) = solve_ik(geom, [float(target[0])], [float(target[1])])
+    if code == IK_UNREACHABLE:
+        raise Unreachable(target)
+    if code == IK_LIMITS:
         raise OutOfJointLimits(
             f"IK solution (q_a={q_a:.4f}, q_c={q_c:.4f}) outside limits "
             f"{geom.q_a_limits} x {geom.q_c_limits}"
         )
-    return JointState(q_a, q_c)
+    return JointState(float(q_a), float(q_c))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,20 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stsbot import analysis
 
 from stsbot.actuators import ACTUATOR_1, ACTUATOR_2_HF, ACTUATOR_2_HS, ActuatorSpec
 from stsbot.analysis import (
     MASK_INFEASIBLE,
+    MASK_LIMITS,
     MASK_OK,
+    MASK_SINGULAR,
+    MASK_UNREACHABLE,
     assistance_error_table,
     band_cells,
     capability_map,
@@ -21,9 +29,24 @@ from stsbot.analysis import (
     transfer_speed_table,
 )
 from stsbot.engine import CHANNELS, PHASE_DESCENT, PHASE_PAUSE, PHASE_RISE, SimLog
-from stsbot.errors import DegenerateInput, EmptyWindow
+from stsbot.errors import (
+    DegenerateInput,
+    EmptyWindow,
+    OutOfJointLimits,
+    SingularTransmission,
+    Unreachable,
+)
 from stsbot.human import minimum_jerk
-from stsbot.kinematics import GRAVITY, LinkMassModel, RobotGeometry
+from stsbot.kinematics import (
+    GRAVITY,
+    Arm,
+    ArmEval,
+    JointState,
+    LinkMassModel,
+    RobotGeometry,
+    check_invertible,
+    drive_forces,
+)
 
 GEOM = RobotGeometry()
 MASSES = LinkMassModel.for_geometry(GEOM)
@@ -254,6 +277,171 @@ def test_transfer_map_ignores_strut_limit():
     ok = cmap.mask == MASK_OK
     assert ok.any()
     assert (cmap.value[ok] > 1000.0).all()
+
+
+# The map's per-cell reference: the scalar inverse kinematics, Arm.at and
+# box program that capability_map ran once per cell before it evaluated
+# its grid as arrays.
+
+
+def ik_oracle(geom, target):
+    ry = float(target[0])
+    rz = float(target[1]) - geom.base_height
+    r2 = ry * ry + rz * rz
+    r = math.sqrt(r2)
+    lo = abs(geom.l_ac - geom.l_ce)
+    hi = geom.l_ac + geom.l_ce
+    if r < lo - 1e-12 or r > hi + 1e-12 or r < 1e-12:
+        raise Unreachable(target)
+    s_qc = (geom.l_ac**2 + geom.l_ce**2 - r2) / (2.0 * geom.l_ac * geom.l_ce)
+    s_qc = max(-1.0, min(1.0, s_qc))
+    q_c = math.asin(s_qc)
+    c_alpha = (geom.l_ac**2 + r2 - geom.l_ce**2) / (2.0 * geom.l_ac * r)
+    alpha = math.acos(max(-1.0, min(1.0, c_alpha)))
+    q_a = math.atan2(ry, rz) - alpha
+    tol = 1e-9
+    if not (geom.q_a_limits[0] - tol <= q_a <= geom.q_a_limits[1] + tol
+            and geom.q_c_limits[0] - tol <= q_c <= geom.q_c_limits[1] + tol):
+        raise OutOfJointLimits("outside limits")
+    return JointState(q_a, q_c)
+
+
+def max_fz_cell_oracle(arm, spec1, spec2):
+    d = arm.d
+    check_invertible(*d)
+    _, _, j21, j22 = arm.jac
+    hold1, hold2 = drive_forces(d, *arm.g)
+    per_fz1, per_fz2 = drive_forces(d, j21, j22)
+    uppers, lowers = [], [0.0]
+
+    def box(a, b, lo, hi):
+        if b > 0.0:
+            uppers.append((hi - a) / b)
+            lowers.append((lo - a) / b)
+        elif b < 0.0:
+            uppers.append((lo - a) / b)
+            lowers.append((hi - a) / b)
+        else:
+            return lo - 1e-9 <= a <= hi + 1e-9
+        return True
+
+    if not box(hold2, per_fz2, 0.0, spec2.f_max_peak):
+        return None
+    if spec1 is not None and not box(hold1, per_fz1, -spec1.f_max_peak, spec1.f_max_peak):
+        return None
+    fz_max = min(uppers) if uppers else math.inf
+    if max(lowers) > 1e-9 or fz_max < 0.0:
+        return None
+    return fz_max
+
+
+def map_oracle(geom, masses, spec1, spec2, configuration, ys, zs):
+    value = np.full((len(zs), len(ys)), np.nan)
+    mask = np.full((len(zs), len(ys)), MASK_OK, dtype=int)
+    use_spec1 = spec1 if configuration == "rehab" else None
+    arm = Arm(geom, masses)
+    for iz, z in enumerate(zs):
+        for iy, y in enumerate(ys):
+            try:
+                q = ik_oracle(geom, (float(y), float(z)))
+            except Unreachable:
+                mask[iz, iy] = MASK_UNREACHABLE
+                continue
+            except OutOfJointLimits:
+                mask[iz, iy] = MASK_LIMITS
+                continue
+            try:
+                fz = max_fz_cell_oracle(arm.at(q.q_a, q.q_c), use_spec1, spec2)
+            except SingularTransmission:
+                mask[iz, iy] = MASK_SINGULAR
+                continue
+            if fz is None:
+                mask[iz, iy] = MASK_INFEASIBLE
+                continue
+            value[iz, iy] = fz
+    return value, mask
+
+
+def assert_map_equals_oracle(geom, masses, spec1, spec2, configuration, y_range, z_range,
+                             step, block):
+    with mock.patch.object(analysis, "MAP_BLOCK_CELLS", block):
+        cmap = capability_map(geom, masses, spec1, spec2, configuration, y_range, z_range, step)
+    value, mask = map_oracle(geom, masses, spec1, spec2, configuration, cmap.ys, cmap.zs)
+    assert np.array_equal(cmap.mask, mask)
+    assert np.array_equal(cmap.value.view(np.int64), value.view(np.int64))
+    return cmap
+
+
+lengths = st.floats(0.05, 1.5)
+angle_limits = st.tuples(st.floats(-1.6, 0.5), st.floats(0.1, 2.5)).map(
+    lambda t: (t[0], t[0] + t[1]))
+
+
+@st.composite
+def geometries(draw):
+    l_ce = draw(lengths)
+    return RobotGeometry(
+        l_ab=draw(lengths), l_ac=draw(lengths), l_ce=l_ce,
+        l_cd=l_ce * draw(st.floats(0.05, 0.95)), base_height=draw(st.floats(0.1, 1.0)),
+        p1=draw(st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5))),
+        d_g=draw(st.floats(0.05, 1.0)), q_a_limits=draw(angle_limits),
+        q_c_limits=draw(angle_limits))
+
+
+masses_models = st.builds(LinkMassModel, *[st.floats(0.0, 20.0)] * 2, *[st.floats(0.0, 1.0)] * 4)
+specs = st.floats(1.0, 5000.0).map(lambda f: ActuatorSpec(1.0, f, f, 0.5, 0.5))
+# one row, one column, ragged last blocks and rows wider than a block
+grid_sides = st.one_of(st.just((0.3, 0.3 + 1e-3)),
+                       st.tuples(st.floats(-1.0, 1.5), st.floats(0.05, 1.5)).map(
+                           lambda t: (t[0], t[0] + t[1])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(geom=geometries(), masses=masses_models, spec1=specs, spec2=specs,
+       configuration=st.sampled_from(["rehab", "transfer"]), y_range=grid_sides,
+       z_range=grid_sides, step=st.floats(0.02, 0.2), block=st.integers(1, 200))
+def test_capability_map_equals_per_cell_oracle(geom, masses, spec1, spec2, configuration,
+                                               y_range, z_range, step, block):
+    assert_map_equals_oracle(geom, masses, spec1, spec2, configuration, y_range, z_range,
+                             step, block)
+
+
+def test_capability_map_row_wider_than_a_block_equals_oracle():
+    for configuration in ("rehab", "transfer"):
+        cmap = assert_map_equals_oracle(GEOM, MASSES, ACTUATOR_1, ACTUATOR_2_HS, configuration,
+                                        (-0.2, 1.0), (0.8, 0.8 + 5e-4), 2e-4,
+                                        analysis.MAP_BLOCK_CELLS)
+        assert cmap.mask.shape == (3, 6001)
+        assert (cmap.mask == MASK_OK).any()
+
+
+def test_capability_map_every_mask_code_equals_oracle():
+    # a 10 um strut lever makes dL1/dq_a ~ 1e-5 sin(q_a): singular near
+    # q_a = 0, and beside that band too weak a lever to hold gravity
+    geom = RobotGeometry(l_ab=1e-5, p1=(0.0, -0.1))
+    strut = ActuatorSpec(0.63, 1e7, 1e7, 0.72, 0.40, False)
+    cmap = assert_map_equals_oracle(geom, LinkMassModel.for_geometry(geom), strut,
+                                    ACTUATOR_2_HS, "rehab", (-0.2, 1.0), (0.2, 1.4), 0.1, 17)
+    assert set(np.unique(cmap.mask)) == {MASK_OK, MASK_UNREACHABLE, MASK_LIMITS,
+                                         MASK_SINGULAR, MASK_INFEASIBLE}
+
+
+def test_box_program_equals_oracle_on_chosen_poses():
+    # a drive force that F_z leaves unchanged (zero jacobian entry) bounds
+    # nothing, and the pose is infeasible when gravity alone breaks it; the
+    # last pose breaks the strut's lower bound, which only F_z > 0 meets
+    g_a, g_c, j21, j22 = np.array([(-90.0, -100.0, 0.0, 0.0), (-90.0, 100.0, 0.0, 0.0),
+                                   (3000.0, -100.0, 0.0, 0.3), (-90.0, -100.0, 0.2, 0.0),
+                                   (-90.0, -100.0, 0.2, -0.3), (-3000.0, -100.0, 0.2, 0.0)]).T
+    arm = ArmEval(None, None, (None, None, j21, j22), None, (0.5, 0.5), (g_a, g_c), None, None)
+    for spec1 in (ACTUATOR_1, None):
+        code, value = analysis._max_fz(arm, spec1, ACTUATOR_2_HS)
+        for i in range(len(g_a)):
+            one = ArmEval(None, None, (0.0, 0.0, j21[i], j22[i]), None, (0.5, 0.5),
+                          (g_a[i], g_c[i]), None, None)
+            fz = max_fz_cell_oracle(one, spec1, ACTUATOR_2_HS)
+            assert code[i] == (MASK_INFEASIBLE if fz is None else MASK_OK)
+            assert np.array_equal(value[i], np.nan if fz is None else fz, equal_nan=True)
 
 
 def test_band_cells_follow_path():

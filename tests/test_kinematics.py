@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from stsbot.errors import OutOfJointLimits, SingularTransmission, Unreachable
 from stsbot.kinematics import (
+    ARRAY_MATH,
     GRAVITY,
     Arm,
     JointState,
@@ -179,6 +180,25 @@ def test_arm_evaluation_equals_reference_formulas_exactly(arm, q, qd):
     assert bits((fk.y, fk.z, fk.vy, fk.vz)) == bits(e + ev)
 
 
+def flat_terms(a, n):
+    """Every term of an ArmEval, each broadcast to n elements."""
+    terms = [t for f in a for t in (f if isinstance(f, tuple) else (f,))]
+    return [np.broadcast_to(t, n) for t in terms]
+
+
+@settings(max_examples=100, deadline=None)
+@given(arm=st.sampled_from(ARMS),
+       states=st.lists(st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0),
+                                 st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)),
+                       max_size=20))
+def test_arm_over_arrays_equals_each_scalar_evaluation(arm, states):
+    a = Arm(*arm)
+    columns = np.array(states, dtype=float).reshape(-1, 4).T
+    many = flat_terms(a.at(*columns, ops=ARRAY_MATH), len(states))
+    for i, state in enumerate(states):
+        assert bits(t[i] for t in many) == bits(t[0] for t in flat_terms(a.at(*state), 1))
+
+
 # ---------------------------------------------------------------------------
 # inverse kinematics
 
@@ -215,6 +235,14 @@ def test_ik_unreachable_raises():
         inverse_kinematics(GEOM, (3.0, 3.0))
     with pytest.raises(Unreachable):
         inverse_kinematics(GEOM, (0.0, GEOM.base_height + 0.01))
+
+
+def test_ik_target_at_joint_a_is_unreachable():
+    # equal links reach every radius down to 0, but not joint A itself
+    geom = RobotGeometry(l_ac=0.7, l_ce=0.7, q_a_limits=(-3.0, 3.0), q_c_limits=(-3.0, 3.0))
+    with pytest.raises(Unreachable):
+        inverse_kinematics(geom, (0.0, geom.base_height))
+    assert inverse_kinematics(geom, (0.0, geom.base_height + 0.05)).q_c > 1.4
 
 
 def test_ik_out_of_limits_raises():
