@@ -56,6 +56,10 @@ GOLDEN = {
         "d78b8e700cb4d39e0d53bd5478693a2eb7288efa8bcf3ea4a1b8d27f9b6323b9",
     ("map_transfer", "map.csv"):
         "c32208f17fb665992a6f9bcb40ee5905f7a4c99d96a2a2d6853579002f96353b",
+    ("map_rehab", "map.json"):
+        "e61210e41d208f11dce1276369165307af7f7f17fc5779c1c6d43d3ce92338f1",
+    ("map_transfer", "map.json"):
+        "023241f9e7b74257d94b51be922f234a8e8cc25ce92f3dff416e2370dbc0844e",
     ("map_rehab_5mm", "map.csv"):
         "c851fe2f3aead3b1cb4a5b26b940bb7daca146932114dd93584fdaf08ff0b972",
     ("map_transfer_5mm", "map.csv"):
