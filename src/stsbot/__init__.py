@@ -20,15 +20,8 @@ from .control import (
     speed_controller_step,
 )
 from .engine import Plant, Scenario, SimLog, SimState, run_scenario
-from .human import ChairModel, HarnessModel, HumanParams, STSReference
-from .kinematics import (
-    EffectorState,
-    JointState,
-    LinkMassModel,
-    RobotGeometry,
-    forward_kinematics,
-    inverse_kinematics,
-)
+from .human import ChairModel, HarnessModel, HumanParams
+from .kinematics import JointState, LinkMassModel, RobotGeometry, inverse_kinematics
 
 __all__ = [
     "__version__",
@@ -37,7 +30,6 @@ __all__ = [
     "AssistMode", "AssistModeConfig", "ForceCommand", "SpeedCommand", "TransferConfig",
     "force_controller_step", "speed_controller_step",
     "Plant", "Scenario", "SimLog", "SimState", "run_scenario",
-    "ChairModel", "HarnessModel", "HumanParams", "STSReference",
-    "EffectorState", "JointState", "LinkMassModel", "RobotGeometry",
-    "forward_kinematics", "inverse_kinematics",
+    "ChairModel", "HarnessModel", "HumanParams",
+    "JointState", "LinkMassModel", "RobotGeometry", "inverse_kinematics",
 ]

@@ -30,6 +30,9 @@ from .kinematics import (  # noqa: F401  inverse_kinematics: perfbench times cal
 MASK_OK, MASK_UNREACHABLE, MASK_LIMITS = IK_OK, IK_UNREACHABLE, IK_LIMITS
 MASK_SINGULAR = 3
 MASK_INFEASIBLE = 4
+# the name of each mask code, as map.json writes it
+MASK_LEGEND = {MASK_OK: "ok", MASK_UNREACHABLE: "unreachable", MASK_LIMITS: "joint_limits",
+               MASK_SINGULAR: "singular", MASK_INFEASIBLE: "gravity_infeasible"}
 # Two grids (values and mask codes) of MAP_MAX_CELLS take 160 MB; the map
 # evaluates them MAP_BLOCK_CELLS at a time, so the block adds ~1 MB at any size.
 MAP_MAX_CELLS = 10_000_000
@@ -220,8 +223,9 @@ def rise_window(log: SimLog, rep: int) -> np.ndarray:
     return (r == rep) & ((p == PHASE_RISE) | (p == PHASE_PAUSE))
 
 
-def motion_window(log: SimLog, rep: int, speed_channels=("vcom_y", "vcom_z")) -> np.ndarray:
-    """Velocity-threshold segmentation with hysteresis inside one rise phase.
+def motion_window(log: SimLog, rep: int) -> np.ndarray:
+    """Velocity-threshold segmentation of the CoM speed, with hysteresis,
+    inside one rise phase.
 
     Falls back to the full rise window when the log holds no motion (static
     fidelity checks still need a window).
@@ -229,7 +233,7 @@ def motion_window(log: SimLog, rep: int, speed_channels=("vcom_y", "vcom_z")) ->
     base = rise_window(log, rep)
     if not base.any():
         raise EmptyWindow(f"repetition {rep} not present in log")
-    speed = np.hypot(log[speed_channels[0]], log[speed_channels[1]])
+    speed = np.hypot(log["vcom_y"], log["vcom_z"])
     above = base & (speed > SPEED_THRESHOLD)
     if not above.any():
         return base

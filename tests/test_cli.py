@@ -1,4 +1,6 @@
 import json
+import warnings
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -78,6 +80,18 @@ def test_stroke_warning():
     assert any("stroke" in w for w in report.warnings)
 
 
+def test_validate_a_zero_length_strut(tmp_path, capsys):
+    # anchor p1 on B's path: at q_a = 0 the strut has zero length and its
+    # jacobian entry is 0/0, which the stroke check, reading lengths, ignores
+    p = write(tmp_path, "geometry.p1_y = 0\ngeometry.p1_z = 0.38\ngeometry.q_a_min = 0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["validate", "--config", str(p)]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "warning: strut travel 0.331 m over the q_a range exceeds stroke_1 0.220 m\n"
+        "configuration ok\n")
+
+
 def _schema_value(key):
     kind, default = SCHEMA[key]
     if kind == "float":
@@ -113,6 +127,23 @@ def test_build_scenario_roundtrip():
     assert sc.mode_config.fz_pct == 0.10
     assert sc.dt == 0.002
     sc.validate()
+
+
+def test_plant_friction_overrides_only_the_plant():
+    # a non-negative plant_friction.* value replaces that one coefficient of
+    # the plant's model; the default -1 keeps the controller's value
+    base = build_scenario(parse_config_text("friction.act1.a = 7.5\nfriction.act2_hf.b = 0.3"))
+    assert base.ctrl_frictions[0].a == 7.5 and base.ctrl_frictions[2].b == 0.3
+    assert base.plant_frictions == base.ctrl_frictions
+    for i, stem in enumerate(("act1", "act2_hs", "act2_hf")):
+        for coeff in ("a", "b"):
+            sc = build_scenario(parse_config_text(
+                f"friction.act1.a = 7.5\nfriction.act2_hf.b = 0.3\n"
+                f"plant_friction.{stem}.{coeff} = 0"))
+            assert sc.ctrl_frictions == base.ctrl_frictions
+            want = list(base.ctrl_frictions)
+            want[i] = replace(want[i], **{coeff: 0.0})
+            assert sc.plant_frictions == tuple(want)
 
 
 # ---------------------------------------------------------------------------

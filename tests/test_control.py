@@ -18,7 +18,6 @@ from stsbot.config import build_scenario, parse_config_text
 from stsbot.control import (
     AssistMode,
     AssistModeConfig,
-    SpeedControllerState,
     TransferConfig,
     anchor_y,
     desired_force_field,
@@ -235,8 +234,7 @@ def test_force_controller_reads_the_given_evaluation():
     config = cfg(AssistMode.COM_BALANCE, fz=0.1, ky=200.0)
     arm = Arm(GEOM, MASSES).at(q.q_a, q.q_c, q.qd_a, q.qd_c)
     want = controller(config, q)
-    helpers = [(kinematics, name) for name in (
-        "dk_entries", "act_diag", "strut_length", "forward_kinematics")]
+    helpers = [(kinematics, name) for name in ("dk_entries", "act_diag")]
     helpers += [(control, "act_diag"), (control, "dk_entries"), (Arm, "at"),
                 (math, "sin"), (math, "cos")]
     with ExitStack() as stack:
@@ -253,9 +251,8 @@ def test_force_controller_reads_the_given_evaluation():
 
 def test_pi_on_reference_returns_integrator():
     tr = TransferConfig(v_z_target=0.04, q_a_locked=0.3)
-    state = SpeedControllerState(integral=123.0)
     v2_ref = belt_rate_for(ARM.at(0.3, -0.2), tr.v_z_target)
-    cmd, _ = speed_controller_step(ARM.at(0.3, -0.2), ACTUATOR_2_HF, tr, v2_ref, 1e-3, state,
+    cmd, _ = speed_controller_step(ARM.at(0.3, -0.2), ACTUATOR_2_HF, tr, v2_ref, 1e-3, 123.0,
                                    v_z_signed=tr.v_z_target)
     assert cmd.f2 == pytest.approx(123.0, abs=1e-9)
     assert cmd.v2_ref == v2_ref
@@ -264,20 +261,18 @@ def test_pi_on_reference_returns_integrator():
 
 def test_pi_integrator_frozen_while_saturated():
     tr = TransferConfig(v_z_target=0.04, q_a_locked=0.3, kp=1e6)
-    state = SpeedControllerState()
     # huge error drives the command onto the envelope; integrator must freeze
-    cmd, new_state = speed_controller_step(ARM.at(0.3, -0.2), ACTUATOR_2_HF, tr, 1.0, 1e-3,
-                                           state, v_z_signed=tr.v_z_target)
+    cmd, integral = speed_controller_step(ARM.at(0.3, -0.2), ACTUATOR_2_HF, tr, 1.0, 1e-3,
+                                          0.0, v_z_signed=tr.v_z_target)
     assert cmd.saturated
-    assert new_state.integral == 0.0
+    assert integral == 0.0
 
 
 def test_pi_accumulates_when_inside_envelope():
     tr = TransferConfig(v_z_target=0.04, q_a_locked=0.3, kp=10.0, ki=100.0)
-    state = SpeedControllerState()
-    cmd, new_state = speed_controller_step(ARM.at(0.3, -0.2), ACTUATOR_2_HF, tr, 0.01, 1e-3,
-                                           state, v_z_signed=0.0)
-    assert new_state.integral == pytest.approx(100.0 * 0.01 * 1e-3, abs=1e-15)
+    cmd, integral = speed_controller_step(ARM.at(0.3, -0.2), ACTUATOR_2_HF, tr, 0.01, 1e-3,
+                                          0.0, v_z_signed=0.0)
+    assert integral == pytest.approx(100.0 * 0.01 * 1e-3, abs=1e-15)
     assert cmd.f2 == pytest.approx(10.0 * 0.01, abs=1e-12)
     assert cmd.v2_ref == 0.0
 

@@ -13,18 +13,18 @@ from stsbot.engine import (
     _build_schedule,
     run_scenario,
 )
+from stsbot.errors import ConfigError
 from stsbot.human import (
     ChairModel,
     HarnessModel,
     HumanParams,
-    STSReference,
     minimum_jerk,
     muscle_effort,
 )
 
 HUMAN = HumanParams.nominal(1.75, 80.0, chair_y=0.0)
 CHAIR = ChairModel()
-REF = STSReference(duration=2.0)
+STS_DURATION = 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -51,8 +51,8 @@ def test_min_jerk_peak_velocity():
 
 def detached(params, **kw):
     """A human alone on the chair: the plant without the robot."""
-    base = dict(human=params, robot_attached=False, sts=REF, repetitions=1,
-                rep_jitter=0.0, settle=0.5)
+    base = dict(human=params, robot_attached=False, sts_duration=STS_DURATION,
+                repetitions=1, rep_jitter=0.0, settle=0.5)
     base.update(kw)
     return Scenario(**base)
 
@@ -66,17 +66,17 @@ def rise_reference(t):
 def test_reference_endpoints_and_clamping():
     pos, vel = rise_reference(0.0)
     assert pos == HUMAN.seated_com and vel == (0.0, 0.0)
-    pos, vel = rise_reference(REF.duration)
+    pos, vel = rise_reference(STS_DURATION)
     assert pos == HUMAN.standing_com and vel == (0.0, 0.0)
-    pos, _ = rise_reference(REF.duration / 2.0)
+    pos, _ = rise_reference(STS_DURATION / 2.0)
     assert pos[0] == pytest.approx(
         0.5 * (HUMAN.seated_com[0] + HUMAN.standing_com[0]), abs=1e-12)
 
 
 def test_reference_peak_velocity_scale():
     dz = HUMAN.standing_com[1] - HUMAN.seated_com[1]
-    _, vel = rise_reference(REF.duration / 2.0)
-    assert vel[1] == pytest.approx(1.875 * dz / REF.duration, abs=1e-9)
+    _, vel = rise_reference(STS_DURATION / 2.0)
+    assert vel[1] == pytest.approx(1.875 * dz / STS_DURATION, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +177,7 @@ def test_static_seated_with_harness_unloading():
     dummy = HumanParams.nominal(1.75, 80.0, mobility=0.0, chair_y=0.67)
     mode = AssistModeConfig(AssistMode.WEIGHT_UNLOADING, 1.75, 80.0, fz_pct=0.10)
     log = run_scenario(Scenario(human=dummy, mode_config=mode, repetitions=1, settle=4.0,
-                                rep_jitter=0.0, pause=0.0, sts=STSReference(0.5)))
+                                rep_jitter=0.0, pause=0.0, sts_duration=0.5))
     i = np.flatnonzero(log["phase"] == PHASE_SETTLE)[-1]
     total = log["chair_fz"][i] + log["feet_fz"][i]
     assert total == pytest.approx(0.9 * dummy.weight, rel=1e-5)
@@ -232,5 +232,5 @@ def test_params_validation():
         HumanParams.nominal(1.75, 80.0, mobility=1.5)
     with pytest.raises(ValueError):
         HumanParams(1.75, 80.0, seated_com=(0.0, 1.0), standing_com=(0.4, 0.9))
-    with pytest.raises(ValueError):
-        STSReference(duration=0.0)
+    with pytest.raises(ConfigError, match="sts.duration"):
+        detached(HUMAN, sts_duration=0.0).validate()

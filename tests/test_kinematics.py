@@ -18,11 +18,9 @@ from stsbot.kinematics import (
     dk_entries,
     drive_forces,
     drive_speeds,
-    forward_kinematics,
     gravity_potential,
     inverse_kinematics,
     joint_torques,
-    strut_length,
 )
 
 GEOM = RobotGeometry()
@@ -54,31 +52,31 @@ def fk_rotation_oracle(geom, q):
 
 
 def test_fk_boom_horizontal():
-    e = forward_kinematics(GEOM, JointState(0.0, 0.0))
-    assert e.y == pytest.approx(0.75, abs=1e-12)
-    assert e.z == pytest.approx(1.05, abs=1e-12)
+    y, z = ARM.at(0.0, 0.0).e
+    assert y == pytest.approx(0.75, abs=1e-12)
+    assert z == pytest.approx(1.05, abs=1e-12)
 
 
 def test_fk_boom_straight_down():
-    e = forward_kinematics(GEOM, JointState(0.0, math.pi / 2))
-    assert e.y == pytest.approx(0.0, abs=1e-12)
-    assert e.z == pytest.approx(0.30, abs=1e-12)
+    y, z = ARM.at(0.0, math.pi / 2).e
+    assert y == pytest.approx(0.0, abs=1e-12)
+    assert z == pytest.approx(0.30, abs=1e-12)
 
 
 def test_fk_matches_rotation_matrix_oracle():
     for q in random_states(50, seed=1):
-        e = forward_kinematics(GEOM, q)
+        y, z = ARM.at(q.q_a, q.q_c).e
         ref = fk_rotation_oracle(GEOM, q)
-        assert abs(e.y - ref[0]) < 1e-12
-        assert abs(e.z - ref[1]) < 1e-12
+        assert abs(y - ref[0]) < 1e-12
+        assert abs(z - ref[1]) < 1e-12
 
 
 def test_fk_velocity_is_jacobian_times_qd():
     q = JointState(0.3, -0.4, 0.7, -0.2)
-    e = forward_kinematics(GEOM, q)
+    vy, vz = ARM.at(q.q_a, q.q_c, q.qd_a, q.qd_c).ev
     v = np.reshape(dk_entries(GEOM, q.q_a, q.q_c), (2, 2)) @ np.array([q.qd_a, q.qd_c])
-    assert e.vy == pytest.approx(v[0], abs=1e-14)
-    assert e.vz == pytest.approx(v[1], abs=1e-14)
+    assert vy == pytest.approx(v[0], abs=1e-14)
+    assert vz == pytest.approx(v[1], abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +173,6 @@ def test_arm_evaluation_equals_reference_formulas_exactly(arm, q, qd):
     assert bits(a.inertia + (a.dm12,)) == bits(ref_inertia(geom, masses, q_c))
     assert bits(dk_entries(geom, q_a, q_c)) == bits(jac)
     assert bits(act_diag(geom, q_a, q_c)) == bits(d)
-    assert bits((strut_length(geom, q_a),)) == bits(lengths[:1])
-    fk = forward_kinematics(geom, JointState(q_a, q_c, *qd))
-    assert bits((fk.y, fk.z, fk.vy, fk.vz)) == bits(e + ev)
 
 
 def flat_terms(a, n):
@@ -327,7 +322,7 @@ def test_belt_length_independent_of_mast_angle():
 
 def test_strut_travel_fits_stroke():
     qs = np.linspace(*GEOM.q_a_limits, 2001)
-    lengths = [strut_length(GEOM, float(q)) for q in qs]
+    lengths = [ARM.at(float(q), 0.0).lengths[0] for q in qs]
     assert max(lengths) - min(lengths) <= GEOM.stroke_1
 
 
@@ -343,7 +338,7 @@ def test_act_jacobian_is_diagonal():
 def test_act_jacobian_matches_finite_differences():
     for q in random_states(50, seed=5):
         d1, d2 = act_diag(GEOM, q.q_a, q.q_c)
-        fd1 = finite_difference(lambda a: strut_length(GEOM, a), q.q_a)
+        fd1 = finite_difference(lambda a: ARM.at(a, q.q_c).lengths[0], q.q_a)
         fd2 = finite_difference(lambda c: ARM.at(q.q_a, c).lengths[1], q.q_c)
         assert abs(d1 - fd1) / max(1.0, abs(fd1)) < 1e-6
         assert abs(d2 - fd2) / max(1.0, abs(fd2)) < 1e-6
