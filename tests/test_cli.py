@@ -132,14 +132,13 @@ def test_build_scenario_roundtrip():
 def test_plant_friction_overrides_only_the_plant():
     # a non-negative plant_friction.* value replaces that one coefficient of
     # the plant's model; the default -1 keeps the controller's value
-    base = build_scenario(parse_config_text("friction.act1.a = 7.5\nfriction.act2_hf.b = 0.3"))
+    ctrl = "friction.act1.a = 7.5\nfriction.act2_hf.b = 0.3\n"
+    base = build_scenario(parse_config_text(ctrl))
     assert base.ctrl_frictions[0].a == 7.5 and base.ctrl_frictions[2].b == 0.3
     assert base.plant_frictions == base.ctrl_frictions
     for i, stem in enumerate(("act1", "act2_hs", "act2_hf")):
         for coeff in ("a", "b"):
-            sc = build_scenario(parse_config_text(
-                f"friction.act1.a = 7.5\nfriction.act2_hf.b = 0.3\n"
-                f"plant_friction.{stem}.{coeff} = 0"))
+            sc = build_scenario(parse_config_text(f"{ctrl}plant_friction.{stem}.{coeff} = 0"))
             assert sc.ctrl_frictions == base.ctrl_frictions
             want = list(base.ctrl_frictions)
             want[i] = replace(want[i], **{coeff: 0.0})
