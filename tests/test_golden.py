@@ -1,6 +1,7 @@
 """Golden SHA-256 digests of the CLI's output files, one short config per
 plant branch plus both capability maps at the default 2 cm grid and at the
-5 mm grid the benchmark times.
+5 mm grid the benchmark times.  Each run's manifest.json holds every
+resolved config value, so its digest pins the config defaults too.
 
 A change that means to keep the output bytes must leave every digest here
 as it is.  A change that means to alter them (a new channel, a physics fix)
@@ -64,6 +65,26 @@ GOLDEN = {
         "c851fe2f3aead3b1cb4a5b26b940bb7daca146932114dd93584fdaf08ff0b972",
     ("map_transfer_5mm", "map.csv"):
         "c12ac0abe6f065bac4d8b115f3b4f4dae6baa2e59aa831abb1ede583c63f55e8",
+    ("weight_unloading", "manifest.json"):
+        "b72f95bd1aea3aee8f042ae0e9c28930fb0eb386881c16932767fd8cb2020500",
+    ("com_balance", "manifest.json"):
+        "86fcaa59ca24e97c63fc9f088797d12378521d1628d5aacd59bebdf57e9524b9",
+    ("transfer_98kg", "manifest.json"):
+        "f8a27ddf381427f7c8c25247d71c6c970e5107eb0abae352e28282d22af86536",
+    ("transfer_unloaded", "manifest.json"):
+        "0d037aa1a051c1f0b6b05c793ba31cd0b6d8b7117026e3a2c03eca5f914229be",
+    ("detached", "manifest.json"):
+        "4fcff42572b654e5c5fcd4baee3ff398d6132685cc6f5327d659a6a76db67eec",
+    ("arm_only", "manifest.json"):
+        "7316bb89738621b927640941f31fc2c210d93a396383533c2abaf8b3a8a46b87",
+    ("map_rehab", "manifest.json"):
+        "67a30d0fd173558198126c584ff1b1ee5102602beae12059d62a81a205145e56",
+    ("map_transfer", "manifest.json"):
+        "8776ea986e612f5aa0f1c93d99ea4a8c7db684b060dcf40d77d459ece989a333",
+    ("map_rehab_5mm", "manifest.json"):
+        "c4ac911df0f42982107c9541df1c748068818f1f6d458ba71ef20e0e3c1d6e2f",
+    ("map_transfer_5mm", "manifest.json"):
+        "e9ae70b6532fae057b59a90b863d19631bb39a2301890dfdd960c37efd911d7a",
 }
 
 
