@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .actuators import ActuatorSpec
+from .control import TransferConfig
 from .engine import PHASE_DESCENT, PHASE_PAUSE, PHASE_RISE, SimLog
 from .errors import DegenerateInput, EmptyWindow
 from .kinematics import (  # noqa: F401  inverse_kinematics: perfbench times calls by name
@@ -364,7 +365,7 @@ def transfer_speed_table(
     """Mean regulated |v_z| while raising and lowering, per payload."""
     out = {}
     for payload, log in logs_by_payload.items():
-        v_target = float(log.meta.get("v_z_target", 0.03))
+        v_target = float(log.meta.get("v_z_target", TransferConfig.v_z_target))
         ups, downs = [], []
         for k in repetition_indices(log):
             ups.append(_phase_speed(log, k, PHASE_RISE, v_target))

@@ -14,120 +14,123 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actuators import FrictionModel
+from .actuators import (DEFAULT_FRICTION_1, DEFAULT_FRICTION_2_HF, DEFAULT_FRICTION_2_HS,
+                        FrictionModel)
 from .analysis import validate_map_grid
 from .control import AssistMode, AssistModeConfig, TransferConfig
 from .engine import Scenario
 from .errors import ConfigError, OutOfJointLimits, Unreachable
-from .human import ChairModel, HarnessModel, HumanParams
+from .human import STANDING_Z_FACTOR, ChairModel, HarnessModel, HumanParams
 from .kinematics import ARRAY_MATH, Arm, LinkMassModel, RobotGeometry, inverse_kinematics
 
 _MODES = [m.value for m in AssistMode] + ["transfer"]
 
-# key -> (type, default); type in {"float", "int", "bool", "str"}
-SCHEMA: dict[str, tuple[str, object]] = {
-    "mode": ("str", "follow_me"),
-    "fz_pct": ("float", 0.0),
-    "ky": ("float", 0.0),
-    "clamp_forward_only": ("bool", False),
-    "seed": ("int", 0),
-    "dt": ("float", 1e-3),
-    "repetitions": ("int", 3),
-    "pause": ("float", 2.0),
-    "settle": ("float", 0.5),
-    "rep_jitter": ("float", 0.05),
-    "robot_attached": ("bool", True),
-    "allow_peak": ("bool", False),
-    "payload": ("float", 0.0),
-    "human.enabled": ("bool", True),
-    "human.height": ("float", 1.75),
-    "human.mass": ("float", 81.13),
-    "human.mobility": ("float", 1.0),
-    "human.seat_height": ("float", 0.43),
-    "human.standing_z_factor": ("float", 0.54),
-    "chair_y": ("float", 0.67),
-    "sts.duration": ("float", 2.0),
-    "harness.stiffness": ("float", 1.0e5),
-    "harness.damping": ("float", 400.0),
-    "harness.offset_y": ("float", 0.0),
-    "harness.offset_z": ("float", 0.03),
-    "chair.stiffness": ("float", 2.0e4),
-    "chair.damping": ("float", 400.0),
-    "chair.support_cap": ("float", 1.2),
-    "chair.seat_depth": ("float", 0.45),
-    "chair.edge_taper": ("float", 0.10),
-    "chair.edge_offset": ("float", 0.10),
-    "geometry.l_ab": ("float", 0.38),
-    "geometry.l_ac": ("float", 0.61),
-    "geometry.l_ce": ("float", 0.75),
-    "geometry.l_cd": ("float", 0.38),
-    "geometry.base_height": ("float", 0.44),
-    "geometry.p1_y": ("float", 0.25),
-    "geometry.p1_z": ("float", -0.10),
-    "geometry.d_g": ("float", 0.60),
-    "geometry.stroke_1": ("float", 0.220),
-    "geometry.q_a_min": ("float", -0.10),
-    "geometry.q_a_max": ("float", 0.90),
-    "geometry.q_c_min": ("float", -1.20),
-    "geometry.q_c_max": ("float", 0.50),
-    "masses.m_h": ("float", 2.65),
-    "masses.m_v": ("float", 4.91),
-    "damping.q_a": ("float", 0.5),
-    "damping.q_c": ("float", 0.5),
-    "transfer.v_z": ("float", 0.03),
-    "transfer.q_a_locked": ("float", 0.30),
-    "transfer.q_c_start": ("float", 0.45),
-    "transfer.q_c_end": ("float", -0.50),
-    "transfer.kp": ("float", 5000.0),
-    "transfer.ki": ("float", 20000.0),
-    "friction.act1.a": ("float", 120.0),
-    "friction.act1.b": ("float", 0.02),
-    "friction.act2_hs.a": ("float", 35.0),
-    "friction.act2_hs.b": ("float", 0.05),
-    "friction.act2_hf.a": ("float", 15.0),
-    "friction.act2_hf.b": ("float", 0.05),
+# key -> default, whose type is the key's; read from the object that uses it,
+# a literal where none does.  The transfer warning lists keys in this order.
+SCHEMA: dict[str, object] = {
+    "mode": "follow_me",
+    "fz_pct": AssistModeConfig.fz_pct,
+    "ky": AssistModeConfig.ky,
+    "clamp_forward_only": AssistModeConfig.clamp_forward_only,
+    "seed": Scenario.seed,
+    "dt": Scenario.dt,
+    "repetitions": 3,  # a session of three; Scenario runs one unless told otherwise
+    "pause": Scenario.pause,
+    "settle": Scenario.settle,
+    "rep_jitter": Scenario.rep_jitter,
+    "robot_attached": Scenario.robot_attached,
+    "allow_peak": Scenario.allow_peak,
+    "payload": Scenario.payload,
+    "human.enabled": True,
+    "human.height": 1.75,
+    "human.mass": 81.13,
+    "human.mobility": HumanParams.mobility,
+    "human.seat_height": HumanParams.seat_height,
+    "human.standing_z_factor": STANDING_Z_FACTOR,
+    "chair_y": 0.67,  # the arm reaches both attach points here; at nominal's 0.0 it does not
+    "sts.duration": Scenario.sts_duration,
+    "harness.stiffness": HarnessModel.stiffness,
+    "harness.damping": HarnessModel.damping,
+    "harness.offset_y": HarnessModel.rest_offset[0],
+    "harness.offset_z": HarnessModel.rest_offset[1],
+    "chair.stiffness": ChairModel.stiffness,
+    "chair.damping": ChairModel.damping,
+    "chair.support_cap": ChairModel.support_cap,
+    "chair.seat_depth": ChairModel.seat_depth,
+    "chair.edge_taper": ChairModel.edge_taper,
+    "chair.edge_offset": ChairModel.edge_offset,
+    "geometry.l_ab": RobotGeometry.l_ab,
+    "geometry.l_ac": RobotGeometry.l_ac,
+    "geometry.l_ce": RobotGeometry.l_ce,
+    "geometry.l_cd": RobotGeometry.l_cd,
+    "geometry.base_height": RobotGeometry.base_height,
+    "geometry.p1_y": RobotGeometry.p1[0],
+    "geometry.p1_z": RobotGeometry.p1[1],
+    "geometry.d_g": RobotGeometry.d_g,
+    "geometry.stroke_1": RobotGeometry.stroke_1,
+    "geometry.q_a_min": RobotGeometry.q_a_limits[0],
+    "geometry.q_a_max": RobotGeometry.q_a_limits[1],
+    "geometry.q_c_min": RobotGeometry.q_c_limits[0],
+    "geometry.q_c_max": RobotGeometry.q_c_limits[1],
+    "masses.m_h": LinkMassModel.m_h,
+    "masses.m_v": LinkMassModel.m_v,
+    "damping.q_a": Scenario.damping[0],
+    "damping.q_c": Scenario.damping[1],
+    "transfer.v_z": TransferConfig.v_z_target,
+    "transfer.q_a_locked": TransferConfig.q_a_locked,
+    "transfer.q_c_start": TransferConfig.q_c_start,
+    "transfer.q_c_end": TransferConfig.q_c_end,
+    "transfer.kp": TransferConfig.kp,
+    "transfer.ki": TransferConfig.ki,
+    "friction.act1.a": DEFAULT_FRICTION_1.a,
+    "friction.act1.b": DEFAULT_FRICTION_1.b,
+    "friction.act2_hs.a": DEFAULT_FRICTION_2_HS.a,
+    "friction.act2_hs.b": DEFAULT_FRICTION_2_HS.b,
+    "friction.act2_hf.a": DEFAULT_FRICTION_2_HF.a,
+    "friction.act2_hf.b": DEFAULT_FRICTION_2_HF.b,
     # plant-side overrides; negative means "same as controller model"
-    "plant_friction.act1.a": ("float", -1.0),
-    "plant_friction.act1.b": ("float", -1.0),
-    "plant_friction.act2_hs.a": ("float", -1.0),
-    "plant_friction.act2_hs.b": ("float", -1.0),
-    "plant_friction.act2_hf.a": ("float", -1.0),
-    "plant_friction.act2_hf.b": ("float", -1.0),
-    "map.configuration": ("str", "rehab"),
-    "map.y_min": ("float", -0.2),
-    "map.y_max": ("float", 1.0),
-    "map.z_min": ("float", 0.2),
-    "map.z_max": ("float", 1.4),
-    "map.step": ("float", 0.02),
-    "map.requirement": ("float", -1.0),
+    "plant_friction.act1.a": -1.0,
+    "plant_friction.act1.b": -1.0,
+    "plant_friction.act2_hs.a": -1.0,
+    "plant_friction.act2_hs.b": -1.0,
+    "plant_friction.act2_hf.a": -1.0,
+    "plant_friction.act2_hf.b": -1.0,
+    "map.configuration": "rehab",
+    "map.y_min": -0.2,
+    "map.y_max": 1.0,
+    "map.z_min": 0.2,
+    "map.z_max": 1.4,
+    "map.step": 0.02,
+    "map.requirement": -1.0,
 }
 
 
 def _coerce(key: str, raw: str):
-    kind, _ = SCHEMA[key]
+    default = SCHEMA[key]
     raw = raw.strip()
     try:
-        if kind == "float":
-            value = float(raw)
-            if not math.isfinite(value):
-                raise ConfigError(f"key '{key}': {raw!r} is not a finite number")
-            return value
-        if kind == "int":
-            return int(raw)
-        if kind == "bool":
+        if isinstance(default, bool):
             if raw.lower() in ("true", "1", "yes", "on"):
                 return True
             if raw.lower() in ("false", "0", "no", "off"):
                 return False
             raise ValueError(raw)
+        if isinstance(default, int):
+            return int(raw)
+        if isinstance(default, float):
+            value = float(raw)
+            if not math.isfinite(value):
+                raise ConfigError(f"key '{key}': {raw!r} is not a finite number")
+            return value
         return raw
     except ValueError as exc:
+        kind = type(default).__name__
         raise ConfigError(f"key '{key}': cannot parse {raw!r} as {kind}") from exc
 
 
 def parse_config_text(text: str) -> dict:
     """Parse ``key = value`` lines into a fully resolved mapping."""
-    resolved = {k: d for k, (_, d) in SCHEMA.items()}
+    resolved = dict(SCHEMA)
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -162,7 +165,7 @@ def load_config(path) -> dict:
         unknown = set(cfg) - set(SCHEMA)
         if unknown:
             raise ConfigError(f"manifest carries unknown keys: {sorted(unknown)}")
-        resolved = {k: d for k, (_, d) in SCHEMA.items()}
+        resolved = dict(SCHEMA)
         # str() of a JSON scalar is its config-file spelling (floats repr
         # round-trip), so manifest values pass the same type check as text
         resolved.update((k, _coerce(k, str(v))) for k, v in cfg.items())
@@ -185,14 +188,6 @@ def build_geometry(cfg: dict) -> RobotGeometry:
         q_c_limits=(cfg["geometry.q_c_min"], cfg["geometry.q_c_max"]),
         stroke_1=cfg["geometry.stroke_1"],
     )
-
-
-def _friction(cfg: dict, stem: str, fallback: tuple[float, float] | None = None) -> FrictionModel:
-    a, b = cfg[f"{stem}.a"], cfg[f"{stem}.b"]
-    if fallback is not None:
-        a = fallback[0] if a < 0.0 else a
-        b = fallback[1] if b < 0.0 else b
-    return FrictionModel(a, b)
 
 
 def build_scenario(cfg: dict) -> Scenario:
@@ -221,16 +216,12 @@ def build_scenario(cfg: dict) -> Scenario:
             user_weight=cfg["human.mass"], fz_pct=cfg["fz_pct"], ky=cfg["ky"],
             clamp_forward_only=cfg["clamp_forward_only"],
         )
-    ctrl = (
-        _friction(cfg, "friction.act1"),
-        _friction(cfg, "friction.act2_hs"),
-        _friction(cfg, "friction.act2_hf"),
-    )
-    plant = (
-        _friction(cfg, "plant_friction.act1", (ctrl[0].a, ctrl[0].b)),
-        _friction(cfg, "plant_friction.act2_hs", (ctrl[1].a, ctrl[1].b)),
-        _friction(cfg, "plant_friction.act2_hf", (ctrl[2].a, ctrl[2].b)),
-    )
+    ctrl, plant = [], []
+    for stem in ("act1", "act2_hs", "act2_hf"):
+        a, b = cfg[f"friction.{stem}.a"], cfg[f"friction.{stem}.b"]
+        pa, pb = cfg[f"plant_friction.{stem}.a"], cfg[f"plant_friction.{stem}.b"]
+        ctrl.append(FrictionModel(a, b))
+        plant.append(FrictionModel(a if pa < 0.0 else pa, b if pb < 0.0 else pb))
     return Scenario(
         geom=geom,
         masses=LinkMassModel.for_geometry(geom, cfg["masses.m_h"], cfg["masses.m_v"]),
@@ -255,8 +246,8 @@ def build_scenario(cfg: dict) -> Scenario:
         seed=cfg["seed"],
         allow_peak=cfg["allow_peak"],
         damping=(cfg["damping.q_a"], cfg["damping.q_c"]),
-        ctrl_frictions=ctrl,
-        plant_frictions=plant,
+        ctrl_frictions=tuple(ctrl),
+        plant_frictions=tuple(plant),
         settle=cfg["settle"],
         rep_jitter=cfg["rep_jitter"],
     )
@@ -291,7 +282,7 @@ def validate_config(cfg: dict) -> ValidationReport:
     errors: list[str] = []
     warnings: list[str] = []
     if cfg["mode"] == "transfer":
-        ignored = [k for k, (_, default) in SCHEMA.items()
+        ignored = [k for k, default in SCHEMA.items()
                    if k.startswith(_TRANSFER_IGNORES) and cfg[k] != default]
         if ignored:
             warnings.append("transfer ignores " + ", ".join(ignored))

@@ -156,7 +156,7 @@ class SimLog:
                 f"{path}: rows hold {arr.shape[1]} cells, the header names {len(names)} columns")
         data = {n: arr[:, i].copy() for i, n in enumerate(names)}
         t = data["time"]
-        dt = float(t[1] - t[0]) if len(t) > 1 else float(meta.get("dt", 1e-3))
+        dt = float(t[1] - t[0]) if len(t) > 1 else float(meta.get("dt", Scenario.dt))
         return cls(dt, data, meta)
 
 

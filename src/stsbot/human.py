@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from .kinematics import GRAVITY
 
 CAPACITY_FACTOR = 1.3  # peak leg force of a fully able adult, x bodyweight
+STANDING_Z_FACTOR = 0.54  # standing CoM height, x body height
 
 
 @dataclass(frozen=True)
@@ -63,10 +64,10 @@ class HumanParams:
         cls,
         height: float,
         mass: float,
-        mobility: float = 1.0,
-        seat_height: float = 0.43,
+        mobility: float = mobility,  # the field defaults above
+        seat_height: float = seat_height,
         chair_y: float = 0.0,
-        standing_z_factor: float = 0.54,
+        standing_z_factor: float = STANDING_Z_FACTOR,
     ) -> "HumanParams":
         """Anthropometric defaults: forward travel one thigh length
         (0.25*height), standing CoM at standing_z_factor*height."""

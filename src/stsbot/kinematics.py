@@ -58,6 +58,9 @@ SINGULARITY_EPS = 1e-6
 # Upper bound on every length of the arm [m]: the belt and strut laws square
 # lengths, which overflows long before any floor-based arm is described.
 MAX_LENGTH = 100.0
+# Bound on every joint limit's magnitude [rad], two turns: sampling a far
+# wider joint range overflows to inf.
+MAX_JOINT_ANGLE = 4.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -86,10 +89,10 @@ class RobotGeometry:
                 raise ValueError(f"{name} must lie in (0, {MAX_LENGTH:g}] m")
         if self.l_cd >= self.l_ce:
             raise ValueError("l_cd must be smaller than l_ce")
-        if self.q_a_limits[0] >= self.q_a_limits[1]:
-            raise ValueError("q_a_limits must be a non-empty interval")
-        if self.q_c_limits[0] >= self.q_c_limits[1]:
-            raise ValueError("q_c_limits must be a non-empty interval")
+        for name in ("q_a_limits", "q_c_limits"):
+            lo, hi = getattr(self, name)
+            if not -MAX_JOINT_ANGLE <= lo < hi <= MAX_JOINT_ANGLE:
+                raise ValueError(f"{name} must be a non-empty interval in [-4 pi, 4 pi] rad")
 
     def in_limits(self, q_a, q_c):
         """Whether (q_a, q_c) lies within the limits, up to 1e-9 rad;
@@ -109,6 +112,11 @@ class JointState:
     qd_c: float = 0.0
 
 
+def _rod_inertia(m: float, length: float) -> float:
+    """Inertia of a slender rod about its CoM."""
+    return m * length**2 / 12.0
+
+
 @dataclass(frozen=True)
 class LinkMassModel:
     """Masses, centre-of-mass offsets and rod inertias of the two links.
@@ -119,25 +127,22 @@ class LinkMassModel:
 
     m_h: float = 2.65
     m_v: float = 4.91
-    L_h: float = 0.305
-    L_v: float = 0.375
-    I_h: float = 2.65 * 0.61**2 / 12.0
-    I_v: float = 4.91 * 0.75**2 / 12.0
+    # the slender rods of the default geometry, as for_geometry builds them
+    L_h: float = RobotGeometry.l_ac / 2.0
+    L_v: float = RobotGeometry.l_ce / 2.0
+    I_h: float = _rod_inertia(m_h, RobotGeometry.l_ac)
+    I_v: float = _rod_inertia(m_v, RobotGeometry.l_ce)
 
     def __post_init__(self):
         if self.m_h < 0.0 or self.m_v < 0.0:
             raise ValueError("link masses must be non-negative")
 
     @classmethod
-    def for_geometry(cls, geom: RobotGeometry, m_h: float = 2.65, m_v: float = 4.91,
-                     L_h: float | None = None, L_v: float | None = None) -> "LinkMassModel":
-        """Slender-rod defaults: CoM at half length, I = m*l^2/12."""
-        L_h = geom.l_ac / 2.0 if L_h is None else L_h
-        L_v = geom.l_ce / 2.0 if L_v is None else L_v
-        if not (0.0 <= L_h <= geom.l_ac and 0.0 <= L_v <= geom.l_ce):
-            raise ValueError("CoM offsets must lie within the link lengths")
-        return cls(m_h, m_v, L_h, L_v,
-                   m_h * geom.l_ac**2 / 12.0, m_v * geom.l_ce**2 / 12.0)
+    def for_geometry(cls, geom: RobotGeometry, m_h: float = m_h,
+                     m_v: float = m_v) -> "LinkMassModel":
+        """Slender rods of geom's link lengths: CoM at half length, I = m*l^2/12."""
+        return cls(m_h, m_v, geom.l_ac / 2.0, geom.l_ce / 2.0,
+                   _rod_inertia(m_h, geom.l_ac), _rod_inertia(m_v, geom.l_ce))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,24 @@
 import json
+import re
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stsbot import (
+    AssistMode,
+    AssistModeConfig,
+    ChairModel,
+    HarnessModel,
+    HumanParams,
+    LinkMassModel,
+    RobotGeometry,
+    Scenario,
+    TransferConfig,
+)
 from stsbot.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
 from stsbot.config import SCHEMA, build_scenario, parse_config_text, validate_config
 from stsbot.errors import ConfigError
@@ -38,6 +51,63 @@ def test_defaults_resolve():
     assert cfg["mode"] == "follow_me"
     assert cfg["geometry.l_ab"] == 0.38
     assert cfg["human.height"] == 1.75
+
+
+def test_config_defaults_build_the_default_objects():
+    # a key left out takes the default of the object that reads it; only
+    # repetitions (3, not 1) and chair_y (0.67, not 0.0) differ from the API
+    sc = build_scenario(parse_config_text(""))
+    assert sc.geom == RobotGeometry()
+    assert sc.masses == LinkMassModel()
+    assert (sc.chair, sc.harness) == (ChairModel(), HarnessModel())
+    assert sc.ctrl_frictions == sc.plant_frictions == Scenario().ctrl_frictions
+    assert sc.human == HumanParams.nominal(1.75, 81.13, chair_y=0.67)
+    assert sc.mode_config == AssistModeConfig(AssistMode.FOLLOW_ME, 1.75, 81.13)
+    assert replace(sc, masses=None, human=None, mode_config=None, repetitions=1) == Scenario()
+    assert build_scenario(parse_config_text("mode = transfer")).transfer == TransferConfig()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+# their documented defaults are sentinels: -1 in the schema
+README_SENTINEL_KEYS = ("map.requirement", "plant_friction.")
+
+
+def _readme_config_table() -> dict:
+    """Key -> documented default text (None where the README gives none) of
+    each key the README's configuration table names; ``a/b`` and ``min/max``
+    pairs name two keys, ``*`` every key under its prefix."""
+    section = README.read_text().split("## Configuration reference", 1)[1]
+    rows = [line for line in section.splitlines() if line.startswith("| ")]
+    table = {}
+    for name, default in re.findall(r"`([^`]+)`(?: \(([^)]*)\))?", "\n".join(rows)):
+        if name.endswith("*"):
+            table.update((k, None) for k in SCHEMA if k.startswith(name[:-1]))
+        elif "/" in name:
+            first, second = name.split("/")
+            pair = [first, first[:-len(second)] + second]
+            table.update(zip(pair, default.split("/")))
+        else:
+            table[name] = default
+    return table
+
+
+def test_readme_table_documents_every_key_and_default():
+    table = _readme_config_table()
+    assert sorted(table) == sorted(SCHEMA)
+    wrong = {}
+    for key, text in table.items():
+        default = SCHEMA[key]
+        if key.startswith(README_SENTINEL_KEYS):
+            continue
+        if isinstance(default, bool):
+            same = text == str(default).lower()
+        elif isinstance(default, str):
+            same = text == default
+        else:
+            same = float(text) == default
+        if not same:
+            wrong[key] = (text, default)
+    assert wrong == {}
 
 
 def test_unknown_key_rejected():
@@ -93,14 +163,14 @@ def test_validate_a_zero_length_strut(tmp_path, capsys):
 
 
 def _schema_value(key):
-    kind, default = SCHEMA[key]
-    if kind == "float":
+    default = SCHEMA[key]
+    if isinstance(default, bool):
+        return st.booleans()
+    if isinstance(default, int):
+        return st.integers(min_value=-3, max_value=2**31)
+    if isinstance(default, float):
         return st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 1.5, 5.0, default]),
                          st.floats(min_value=-1e6, max_value=1e6))
-    if kind == "int":
-        return st.integers(min_value=-3, max_value=2**31)
-    if kind == "bool":
-        return st.booleans()
     if key == "mode":
         return st.sampled_from(["follow_me", "weight_unloading", "com_balance",
                                 "transfer", "bogus"])
@@ -222,10 +292,10 @@ def test_bad_config_exits_2_with_error_line(tmp_path, capsys, command, name):
 
 # the shortest run every command accepts, so each swept key decides the outcome
 SWEEP_BASE = "repetitions = 1\ndt = 0.005\npause = 0\nsettle = 0\nsts.duration = 0.5\n"
-FLOAT_KEYS = sorted(k for k, (kind, _) in SCHEMA.items() if kind == "float")
+FLOAT_KEYS = sorted(k for k, default in SCHEMA.items() if isinstance(default, float))
 
 
-@pytest.mark.parametrize("value", ["1e200", "-1e200"])
+@pytest.mark.parametrize("value", ["1e200", "-1e200", "1e308", "-1e308"])
 @pytest.mark.parametrize("key", FLOAT_KEYS)
 def test_absurd_float_ends_in_an_exit_code(tmp_path, capsys, key, value):
     # every config ends in 0, 2 or 3 from every command, never a traceback

@@ -478,3 +478,10 @@ def test_geometry_validation():
         RobotGeometry(l_cd=0.8)  # longer than the boom
     with pytest.raises(ValueError):
         RobotGeometry(q_a_limits=(0.5, 0.5))
+    with pytest.raises(ValueError, match="4 pi"):
+        RobotGeometry(q_a_limits=(-0.1, 1e308))
+    RobotGeometry(q_c_limits=(-4.0 * math.pi, 4.0 * math.pi))  # the bound itself is allowed
+
+
+def test_default_mass_model_is_the_rods_of_the_default_geometry():
+    assert LinkMassModel() == LinkMassModel.for_geometry(RobotGeometry())
