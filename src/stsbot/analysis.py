@@ -12,6 +12,7 @@ from .actuators import ActuatorSpec
 from .control import TransferConfig
 from .engine import PHASE_DESCENT, PHASE_PAUSE, PHASE_RISE, SimLog
 from .errors import DegenerateInput, EmptyWindow
+from .human import HumanParams
 from .kinematics import (  # noqa: F401  inverse_kinematics: perfbench times calls by name
     ARRAY_MATH,
     GRAVITY,
@@ -157,22 +158,12 @@ def capability_map(
     return CapabilityMap(ys, zs, value, mask, requirement, configuration)
 
 
-def nominal_sts_path(
-    height: float = 1.91,
-    chair_y: float = 0.44,
-    harness_dz: float = 0.02,
-    seat_height: float = 0.43,
-    n: int = 200,
-) -> np.ndarray:
-    """Nominal effector path of a sit-to-stand: straight segment from the
-    seated to the standing CoM, shifted up by the harness ride height.
-
-    The default placement keeps the full path inside the force-capability
-    aperture of the analysis; simulation scenarios place the chair for
-    harness clearance instead.
-    """
-    seated = (chair_y, seat_height + 0.25 + harness_dz)
-    standing = (chair_y + 0.25 * height, 0.55 * height + harness_dz)
+def nominal_sts_path(person: HumanParams, harness_dz: float = 0.02, n: int = 200) -> np.ndarray:
+    """Nominal effector path of a sit-to-stand: n points on the straight
+    segment from person's seated to standing CoM, shifted up by the harness
+    ride height harness_dz."""
+    seated = (person.seated_com[0], person.seated_com[1] + harness_dz)
+    standing = (person.standing_com[0], person.standing_com[1] + harness_dz)
     s = np.linspace(0.0, 1.0, n)
     return np.column_stack((
         seated[0] + s * (standing[0] - seated[0]),

@@ -20,7 +20,7 @@ from .analysis import validate_map_grid
 from .control import AssistMode, AssistModeConfig, TransferConfig
 from .engine import Scenario
 from .errors import ConfigError, OutOfJointLimits, Unreachable
-from .human import STANDING_Z_FACTOR, ChairModel, HarnessModel, HumanParams
+from .human import ChairModel, HarnessModel, HumanParams
 from .kinematics import ARRAY_MATH, Arm, LinkMassModel, RobotGeometry, inverse_kinematics
 
 _MODES = [m.value for m in AssistMode] + ["transfer"]
@@ -46,8 +46,8 @@ SCHEMA: dict[str, object] = {
     "human.mass": 81.13,
     "human.mobility": HumanParams.mobility,
     "human.seat_height": HumanParams.seat_height,
-    "human.standing_z_factor": STANDING_Z_FACTOR,
-    "chair_y": 0.67,  # the arm reaches both attach points here; at nominal's 0.0 it does not
+    "human.standing_z_factor": HumanParams.standing_z_factor,
+    "chair_y": 0.67,  # the arm reaches both attach points here; at HumanParams' 0.0 it does not
     "sts.duration": Scenario.sts_duration,
     "harness.stiffness": HarnessModel.stiffness,
     "harness.damping": HarnessModel.damping,
@@ -197,7 +197,7 @@ def build_scenario(cfg: dict) -> Scenario:
     geom = build_geometry(cfg)
     human = None
     if cfg["human.enabled"] and mode != "transfer":
-        human = HumanParams.nominal(
+        human = HumanParams(
             height=cfg["human.height"], mass=cfg["human.mass"],
             mobility=cfg["human.mobility"], seat_height=cfg["human.seat_height"],
             chair_y=cfg["chair_y"], standing_z_factor=cfg["human.standing_z_factor"],

@@ -20,6 +20,7 @@ from .actuators import (
     friction_force,
 )
 from .errors import ConfigError, WrongMode
+from .human import THIGH_FACTOR
 from .kinematics import (  # noqa: F401  act_diag, dk_entries: perfbench counts calls by name
     GRAVITY,
     ArmEval,
@@ -76,7 +77,7 @@ def anchor_y(config: AssistModeConfig) -> float:
     """Anchor axis of the virtual spring: start position plus a thigh length."""
     if config.mode is not AssistMode.COM_BALANCE:
         raise WrongMode("anchor_y is only defined for com_balance")
-    return config.e_yi + 0.25 * config.user_height
+    return config.e_yi + THIGH_FACTOR * config.user_height
 
 
 def desired_force_field(config: AssistModeConfig, e_y: float) -> tuple[float, float]:

@@ -20,25 +20,31 @@ from dataclasses import dataclass, field
 from .kinematics import GRAVITY
 
 CAPACITY_FACTOR = 1.3  # peak leg force of a fully able adult, x bodyweight
-STANDING_Z_FACTOR = 0.54  # standing CoM height, x body height
+THIGH_FACTOR = 0.25  # thigh length, the forward travel of a rise, x body height
 
 
 @dataclass(frozen=True)
 class HumanParams:
-    """A person: height [m], mass [kg], mobility in [0, 1], seat height and
-    the seated and standing CoM.
+    """A person: height [m], mass [kg], mobility in [0, 1], the seat height,
+    the seated CoM's forward position chair_y [m] and the standing CoM
+    height as a fraction of body height.
 
-    weight, capacity (the peak leg-force magnitude available to this person)
-    and the tracking gains track_kp, track_kd follow from these and are set
-    once, at construction.
+    The seated CoM sits 0.25 m above the seat at chair_y; the standing CoM
+    lies one thigh length (THIGH_FACTOR * height) ahead of it at
+    standing_z_factor * height.  These two CoMs, weight, capacity (the peak
+    leg-force magnitude available to this person) and the tracking gains
+    track_kp, track_kd follow from the fields and are set once, at
+    construction.
     """
 
     height: float
     mass: float
     mobility: float = 1.0
     seat_height: float = 0.43
-    seated_com: tuple[float, float] = (0.0, 0.68)
-    standing_com: tuple[float, float] = (0.4375, 0.9625)
+    chair_y: float = 0.0
+    standing_z_factor: float = 0.54
+    seated_com: tuple[float, float] = field(init=False, repr=False, compare=False)
+    standing_com: tuple[float, float] = field(init=False, repr=False, compare=False)
     weight: float = field(init=False, repr=False, compare=False)
     capacity: float = field(init=False, repr=False, compare=False)
     track_kp: float = field(init=False, repr=False, compare=False)
@@ -49,31 +55,20 @@ class HumanParams:
             raise ValueError("height and mass must be positive")
         if not (0.0 <= self.mobility <= 1.0):
             raise ValueError("mobility is a fraction in [0, 1]")
-        if self.standing_com[1] <= self.seated_com[1]:
+        seated = (self.chair_y, self.seat_height + 0.25)
+        standing = (self.chair_y + THIGH_FACTOR * self.height,
+                    self.standing_z_factor * self.height)
+        if standing[1] <= seated[1]:
             raise ValueError("standing CoM must be above seated CoM")
         weight = self.mass * GRAVITY
         kp = 1600.0 * (self.mass / 80.0)
-        for name, value in (("weight", weight),
+        for name, value in (("seated_com", seated),
+                            ("standing_com", standing),
+                            ("weight", weight),
                             ("capacity", self.mobility * CAPACITY_FACTOR * weight),
                             ("track_kp", kp),
                             ("track_kd", 2.0 * math.sqrt(kp * self.mass))):
             object.__setattr__(self, name, value)
-
-    @classmethod
-    def nominal(
-        cls,
-        height: float,
-        mass: float,
-        mobility: float = mobility,  # the field defaults above
-        seat_height: float = seat_height,
-        chair_y: float = 0.0,
-        standing_z_factor: float = STANDING_Z_FACTOR,
-    ) -> "HumanParams":
-        """Anthropometric defaults: forward travel one thigh length
-        (0.25*height), standing CoM at standing_z_factor*height."""
-        seated = (chair_y, seat_height + 0.25)
-        standing = (chair_y + 0.25 * height, standing_z_factor * height)
-        return cls(height, mass, mobility, seat_height, seated, standing)
 
 
 def minimum_jerk(tau: float) -> tuple[float, float, float]:

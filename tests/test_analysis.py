@@ -37,7 +37,7 @@ from stsbot.errors import (
     SingularTransmission,
     Unreachable,
 )
-from stsbot.human import minimum_jerk
+from stsbot.human import HumanParams, minimum_jerk
 from stsbot.kinematics import (
     GRAVITY,
     Arm,
@@ -445,9 +445,13 @@ def test_box_program_equals_oracle_on_chosen_poses():
             assert np.array_equal(value[i], np.nan if fz is None else fz, equal_nan=True)
 
 
+# criterion 5's tall-stature person (tests/test_acceptance.py)
+TALL = HumanParams(1.91, 100.0, chair_y=0.44, standing_z_factor=0.55)
+
+
 def test_band_cells_follow_path():
     cmap = capability_map(GEOM, MASSES, ACTUATOR_1, ACTUATOR_2_HS, "rehab")
-    path = nominal_sts_path(1.91)
+    path = nominal_sts_path(TALL)
     cells = band_cells(cmap, path, width=0.04)
     assert len(cells) > 20
     for iy, iz in cells:
@@ -457,7 +461,7 @@ def test_band_cells_follow_path():
 
 def test_nominal_sts_path_bytes_pinned():
     # criterion 5 scores this path and no golden digest covers it
-    path = nominal_sts_path(1.91)
+    path = nominal_sts_path(TALL)
     assert hashlib.sha256(path.tobytes()).hexdigest() == (
         "254698c36044f51c172ccd7b414dfe442b09adbfe6d50a011163407036a003ff")
 

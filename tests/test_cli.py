@@ -61,7 +61,7 @@ def test_config_defaults_build_the_default_objects():
     assert sc.masses == LinkMassModel()
     assert (sc.chair, sc.harness) == (ChairModel(), HarnessModel())
     assert sc.ctrl_frictions == sc.plant_frictions == Scenario().ctrl_frictions
-    assert sc.human == HumanParams.nominal(1.75, 81.13, chair_y=0.67)
+    assert sc.human == HumanParams(1.75, 81.13, chair_y=0.67)
     assert sc.mode_config == AssistModeConfig(AssistMode.FOLLOW_ME, 1.75, 81.13)
     assert replace(sc, masses=None, human=None, mode_config=None, repetitions=1) == Scenario()
     assert build_scenario(parse_config_text("mode = transfer")).transfer == TransferConfig()

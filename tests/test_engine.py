@@ -37,7 +37,7 @@ FOLLOW = AssistModeConfig(AssistMode.FOLLOW_ME, 1.75, 81.13)
 
 
 def human(height=1.75, mass=81.13, mobility=1.0):
-    return HumanParams.nominal(height, mass, mobility=mobility, chair_y=0.67)
+    return HumanParams(height, mass, mobility=mobility, chair_y=0.67)
 
 
 def arm_only_scenario(**kw):

@@ -22,7 +22,7 @@ from stsbot.human import (
     muscle_effort,
 )
 
-HUMAN = HumanParams.nominal(1.75, 80.0, chair_y=0.0)
+HUMAN = HumanParams(1.75, 80.0)
 CHAIR = ChairModel()
 STS_DURATION = 2.0
 
@@ -95,7 +95,7 @@ def test_muscle_zero_error_returns_baseline_only():
 
 
 def test_muscle_zero_mobility_exerts_nothing():
-    dummy = HumanParams.nominal(1.75, 80.0, mobility=0.0)
+    dummy = HumanParams(1.75, 80.0, mobility=0.0)
     f = muscle_effort(dummy, **SEATED, chair_fz=0.0, harness_f=(0.0, 0.0),
                       ref_pos=(1.0, 2.0), ref_vel=(0.0, 0.0))
     assert f == (0.0, 0.0)
@@ -165,7 +165,7 @@ def grf(plant, state):
 
 def test_static_seated_grf_sum_equals_weight():
     # mobility 0: no leg force at all, the chair carries everything
-    dummy = HumanParams.nominal(1.75, 80.0, mobility=0.0)
+    dummy = HumanParams(1.75, 80.0, mobility=0.0)
     chair_fz, feet_fz = grf(*settle(dummy))
     assert chair_fz + feet_fz == pytest.approx(dummy.weight, rel=1e-6)
     assert feet_fz == 0.0
@@ -174,7 +174,7 @@ def test_static_seated_grf_sum_equals_weight():
 def test_static_seated_with_harness_unloading():
     # mobility 0, the robot unloading 0.1 bw through the harness: once the
     # settle phase is at rest, chair and feet carry the other 0.9 bw
-    dummy = HumanParams.nominal(1.75, 80.0, mobility=0.0, chair_y=0.67)
+    dummy = HumanParams(1.75, 80.0, mobility=0.0, chair_y=0.67)
     mode = AssistModeConfig(AssistMode.WEIGHT_UNLOADING, 1.75, 80.0, fz_pct=0.10)
     log = run_scenario(Scenario(human=dummy, mode_config=mode, repetitions=1, settle=4.0,
                                 rep_jitter=0.0, pause=0.0, sts_duration=0.5))
@@ -225,12 +225,22 @@ def test_harness_spring_damper_components():
     assert f[1] == 0.0
 
 
+def test_derived_coms_follow_the_fields():
+    # the seated CoM 0.25 m above the seat at chair_y, the standing CoM one
+    # thigh length ahead at standing_z_factor x height
+    assert HumanParams(1.75, 80.0, seat_height=0.6).seated_com == (0.0, 0.85)
+    assert HumanParams(1.75, 80.0).standing_com == (0.25 * 1.75, 0.54 * 1.75)
+    p = HumanParams(1.91, 100.0, seat_height=0.5, chair_y=0.44, standing_z_factor=0.55)
+    assert p.seated_com == (0.44, 0.75)
+    assert p.standing_com == (0.44 + 0.25 * 1.91, 0.55 * 1.91)
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         HumanParams(1.75, -5.0)
     with pytest.raises(ValueError):
-        HumanParams.nominal(1.75, 80.0, mobility=1.5)
+        HumanParams(1.75, 80.0, mobility=1.5)
     with pytest.raises(ValueError):
-        HumanParams(1.75, 80.0, seated_com=(0.0, 1.0), standing_com=(0.4, 0.9))
+        HumanParams(1.75, 80.0, seat_height=0.8)
     with pytest.raises(ConfigError, match="sts.duration"):
         detached(HUMAN, sts_duration=0.0).validate()
