@@ -110,16 +110,13 @@ class SimLog:
         return len(self.data["time"])
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            fh.writelines(self._csv_blocks())
-
-    def _csv_blocks(self):
-        """The CSV text in blocks: the header, then ``csv_rows`` of the
-        channels; ``write_csv`` never holds the whole text."""
+        """Write the header, then ``csv_rows`` of the channels, so the whole
+        text is never held at once."""
         names = list(self.data.keys())
-        yield (f"# {CSV_SCHEMA_VERSION}\n# meta {json.dumps(self.meta, sort_keys=True)}\n"
-               + ",".join(names) + "\n")
-        yield from csv_rows([self.data[n] for n in names])
+        with open(path, "w", newline="\n") as fh:
+            fh.write(f"# {CSV_SCHEMA_VERSION}\n# meta {json.dumps(self.meta, sort_keys=True)}\n"
+                     + ",".join(names) + "\n")
+            fh.writelines(csv_rows([self.data[n] for n in names]))
 
     @classmethod
     def from_csv(cls, path) -> "SimLog":
@@ -156,8 +153,16 @@ class SimLog:
                 f"{path}: rows hold {arr.shape[1]} cells, the header names {len(names)} columns")
         data = {n: arr[:, i].copy() for i, n in enumerate(names)}
         t = data["time"]
-        dt = float(t[1] - t[0]) if len(t) > 1 else float(meta.get("dt", Scenario.dt))
-        return cls(dt, data, meta)
+        if not (np.isfinite(t).all() and (np.diff(t) > 0.0).all()):
+            raise ConfigError(f"{path}: time is not finite and strictly increasing")
+        for name in ("rep", "phase"):
+            col = data.get(name)
+            if col is not None and not (np.isfinite(col).all() and (col == np.floor(col)).all()):
+                raise ConfigError(f"{path}: {name} holds a value that is not a finite integer")
+        dt = float(t[1] - t[0]) if len(t) > 1 else meta.get("dt", Scenario.dt)
+        if type(dt) not in (int, float) or not 0.0 < dt < math.inf:
+            raise ConfigError(f"{path}: the time step {dt!r} is not a positive number")
+        return cls(float(dt), data, meta)
 
 
 def csv_rows(columns):

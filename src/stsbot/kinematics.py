@@ -58,6 +58,9 @@ SINGULARITY_EPS = 1e-6
 # Upper bound on every length of the arm [m]: the belt and strut laws square
 # lengths, which overflows long before any floor-based arm is described.
 MAX_LENGTH = 100.0
+# Upper bound on each link mass [kg]: the weight of a mass near the float
+# range overflows the gravity terms.
+MAX_LINK_MASS = 1000.0
 # Bound on every joint limit's magnitude [rad], two turns: sampling a far
 # wider joint range overflows to inf.
 MAX_JOINT_ANGLE = 4.0 * math.pi
@@ -134,8 +137,8 @@ class LinkMassModel:
     I_v: float = _rod_inertia(m_v, RobotGeometry.l_ce)
 
     def __post_init__(self):
-        if self.m_h < 0.0 or self.m_v < 0.0:
-            raise ValueError("link masses must be non-negative")
+        if not (0.0 <= self.m_h <= MAX_LINK_MASS and 0.0 <= self.m_v <= MAX_LINK_MASS):
+            raise ValueError(f"link masses must lie in [0, {MAX_LINK_MASS:g}] kg")
 
     @classmethod
     def for_geometry(cls, geom: RobotGeometry, m_h: float = m_h,

@@ -237,6 +237,8 @@ BAD_CONFIGS = {
     "negative_height": "human.height = -1",
     "zero_sts_duration": "sts.duration = 0",
     "negative_link_mass": "masses.m_h = -1",
+    "overflowing_mast_mass": "masses.m_h = 1e308",
+    "overflowing_boom_mass": "masses.m_v = 1e308",
     "nan_pause": "pause = nan",
     "nan_transfer_speed": "mode = transfer\ntransfer.v_z = nan",
     "transfer_mast_beyond_stop": "mode = transfer\ntransfer.q_a_locked = 1.5",
@@ -430,11 +432,40 @@ def _non_numeric_cell(lines):
     lines[5] = "fast," + lines[5].split(",", 1)[1]
 
 
+def _set_cell(row, column, text):
+    # rows 3.. are data; columns 0, 1, 2 are time, rep, phase
+    def edit(lines):
+        cells = lines[row].split(",")
+        cells[column] = text
+        lines[row] = ",".join(cells)
+    return edit
+
+
+def _one_row_with_meta_dt(dt):
+    # a one-row log takes its time step from the meta line; the row is one
+    # in mid-rise, where the CoM moves
+    def edit(lines):
+        meta = json.loads(lines[1][len("# meta "):])
+        meta["dt"] = dt
+        lines[1] = "# meta " + json.dumps(meta)
+        lines[3:] = [lines[3 + (len(lines) - 3) // 3]]
+    return edit
+
+
 MALFORMED_LOGS = {
     "wrong_column_header": _rename_time_column,
     "no_data_rows": _drop_data_rows,
     "row_with_wrong_cell_count": _drop_last_cell,
     "non_numeric_cell": _non_numeric_cell,
+    "repeated_time": lambda lines: _set_cell(4, 0, lines[3].split(",")[0])(lines),
+    "decreasing_time": _set_cell(5, 0, "-1"),
+    "nan_time": _set_cell(4, 0, "nan"),
+    "infinite_time": _set_cell(5, 0, "inf"),
+    "infinite_rep": _set_cell(5, 1, "inf"),
+    "nan_phase": _set_cell(5, 2, "nan"),
+    "fractional_rep": _set_cell(5, 1, "0.5"),
+    "one_row_zero_dt": _one_row_with_meta_dt(0.0),
+    "one_row_text_dt": _one_row_with_meta_dt("fast"),
 }
 
 
