@@ -432,6 +432,10 @@ def _non_numeric_cell(lines):
     lines[5] = "fast," + lines[5].split(",", 1)[1]
 
 
+def _repeat_row(lines):
+    lines[4] = lines[3]
+
+
 def _set_cell(row, column, text):
     # rows 3.. are data; columns 0, 1, 2 are time, rep, phase
     def edit(lines):
@@ -457,7 +461,7 @@ MALFORMED_LOGS = {
     "no_data_rows": _drop_data_rows,
     "row_with_wrong_cell_count": _drop_last_cell,
     "non_numeric_cell": _non_numeric_cell,
-    "repeated_time": lambda lines: _set_cell(4, 0, lines[3].split(",")[0])(lines),
+    "repeated_time": _repeat_row,
     "decreasing_time": _set_cell(5, 0, "-1"),
     "nan_time": _set_cell(4, 0, "nan"),
     "infinite_time": _set_cell(5, 0, "inf"),
