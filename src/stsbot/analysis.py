@@ -356,7 +356,7 @@ def transfer_speed_table(
     """Mean regulated |v_z| while raising and lowering, per payload."""
     out = {}
     for payload, log in logs_by_payload.items():
-        v_target = float(log.meta.get("v_z_target", TransferConfig.v_z_target))
+        v_target = log.meta.get("v_z_target", TransferConfig.v_z_target)
         ups, downs = [], []
         for k in repetition_indices(log):
             ups.append(_phase_speed(log, k, PHASE_RISE, v_target))

@@ -26,7 +26,7 @@ from .analysis import (
     transfer_speed_table,
 )
 from .config import load_config, validate_config
-from .engine import Scenario, SimLog, csv_rows, run_scenario
+from .engine import CHANNELS, Scenario, SimLog, csv_rows, run_scenario
 from .errors import ConfigError, NumericalDivergence, StsBotError
 
 EXIT_OK = 0
@@ -117,18 +117,18 @@ def _cmd_map(args) -> int:
 
 def _cmd_analyze(args) -> int:
     log = SimLog.from_csv(args.log)
+    if missing := [name for name in CHANNELS if name not in log.data]:
+        raise ConfigError(f"{args.log}: no {', '.join(missing)} column")
     out = _out_dir(args)
     summary: dict = {"meta": log.meta, "samples": len(log)}
-    mode = log.meta.get("mode", "none")
-    if mode == "transfer":
-        payload = float(log.meta.get("payload", 0.0))
-        table = transfer_speed_table({payload: log})
-        up, down = table[payload]
+    if log.meta.get("mode") == "transfer":
+        payload = log.meta.get("payload", 0.0)
+        up, down = transfer_speed_table({payload: log})[payload]
         summary["transfer"] = {"payload_kg": payload,
                                "lifting_speed_m_s": up, "lowering_speed_m_s": down}
     else:
-        height = float(log.meta.get("height", 0.0))
-        weight = float(log.meta.get("weight", 0.0))
+        height = log.meta.get("height", 0.0)
+        weight = log.meta.get("weight", 0.0)
         if weight > 0.0:
             reps = sts_metrics(log)
             summary["repetitions"] = [vars(m) for m in reps]
@@ -137,7 +137,7 @@ def _cmd_analyze(args) -> int:
                     vars(m.normalized(height, weight)) for m in reps]
             summary["measured_assistance"] = measured_assistance(log, weight)
             summary["measured_assistance_per_rep"] = measured_assistance_per_rep(log, weight)
-            summary["target_assistance"] = float(log.meta.get("fz_pct", 0.0))
+            summary["target_assistance"] = log.meta.get("fz_pct", 0.0)
     (out / "metrics.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out / 'metrics.json'}")
     return EXIT_OK

@@ -211,11 +211,8 @@ def build_scenario(cfg: dict) -> Scenario:
             q_c_start=cfg["transfer.q_c_start"], q_c_end=cfg["transfer.q_c_end"],
         )
     else:
-        mode_config = AssistModeConfig(
-            mode=AssistMode(mode), user_height=cfg["human.height"],
-            user_weight=cfg["human.mass"], fz_pct=cfg["fz_pct"], ky=cfg["ky"],
-            clamp_forward_only=cfg["clamp_forward_only"],
-        )
+        mode_config = AssistModeConfig(AssistMode(mode), fz_pct=cfg["fz_pct"], ky=cfg["ky"],
+                                       clamp_forward_only=cfg["clamp_forward_only"])
     ctrl, plant = [], []
     for stem in ("act1", "act2_hs", "act2_hf"):
         a, b = cfg[f"friction.{stem}.a"], cfg[f"friction.{stem}.b"]

@@ -9,7 +9,7 @@ static effector force error is exactly zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -19,8 +19,8 @@ from .actuators import (
     clamp_to_capability,
     friction_force,
 )
-from .errors import ConfigError, WrongMode
-from .human import THIGH_FACTOR
+from .errors import ConfigError
+from .human import THIGH_FACTOR, HumanParams
 from .kinematics import (  # noqa: F401  act_diag, dk_entries: perfbench counts calls by name
     GRAVITY,
     ArmEval,
@@ -44,17 +44,14 @@ class AssistMode(Enum):
 class AssistModeConfig:
     """Mode selection plus the parameters of the workspace force field.
 
-    fz_pct is the vertical unloading as a fraction of bodyweight, ky the
-    stiffness of the forward virtual spring, e_yi the effector y position
-    captured when the mode is armed.
+    fz_pct is the vertical unloading as a fraction of bodyweight and ky the
+    stiffness of the forward virtual spring; the user is the scenario's human.
     """
 
     mode: AssistMode
-    user_height: float
-    user_weight: float
+    _: KW_ONLY
     fz_pct: float = 0.0
     ky: float = 0.0
-    e_yi: float = 0.0
     clamp_forward_only: bool = False
 
     def __post_init__(self):
@@ -62,8 +59,6 @@ class AssistModeConfig:
             raise ConfigError("fz_pct must lie in [0, 1)")
         if self.ky < 0.0:
             raise ConfigError("ky must be non-negative")
-        if self.user_height <= 0.0 or self.user_weight <= 0.0:
-            raise ConfigError("user height and weight must be positive")
         m = self.mode
         if m is AssistMode.FOLLOW_ME and (self.fz_pct != 0.0 or self.ky != 0.0):
             raise ConfigError("follow_me requires fz_pct = 0 and ky = 0 (safety net only)")
@@ -73,23 +68,24 @@ class AssistModeConfig:
             raise ConfigError("com_balance requires fz_pct > 0 and ky > 0")
 
 
-def anchor_y(config: AssistModeConfig) -> float:
-    """Anchor axis of the virtual spring: start position plus a thigh length."""
-    if config.mode is not AssistMode.COM_BALANCE:
-        raise WrongMode("anchor_y is only defined for com_balance")
-    return config.e_yi + THIGH_FACTOR * config.user_height
+def anchor_y(user: HumanParams, e_yi: float) -> float:
+    """Anchor axis of the virtual spring: the effector y position e_yi
+    captured when the mode is armed plus one thigh length of the user."""
+    return e_yi + THIGH_FACTOR * user.height
 
 
-def desired_force_field(config: AssistModeConfig, e_y: float) -> tuple[float, float]:
+def desired_force_field(config: AssistModeConfig, user: HumanParams | None, e_yi: float,
+                        e_y: float) -> tuple[float, float]:
     """Desired (f_y, f_z) the robot should exert on the user with the
-    effector at forward position e_y."""
+    effector at forward position e_y, the mode armed at e_yi; follow_me
+    exerts none and reads no user."""
     if config.mode is AssistMode.FOLLOW_ME:
         return 0.0, 0.0
-    f_z = config.fz_pct * config.user_weight * GRAVITY
+    f_z = config.fz_pct * user.mass * GRAVITY
     if config.mode is AssistMode.WEIGHT_UNLOADING:
         return 0.0, f_z
     # com_balance: linear spring toward the anchor axis, reversing past it
-    f_y = config.ky * (anchor_y(config) - e_y)
+    f_y = config.ky * (anchor_y(user, e_yi) - e_y)
     if config.clamp_forward_only and f_y < 0.0:
         f_y = 0.0
     return f_y, f_z
@@ -102,8 +98,6 @@ class ForceCommand(NamedTuple):
     f2: float
     saturated_1: bool
     saturated_2: bool
-    fy_des: float
-    fz_des: float
     f1_map: float
     f2_map: float
     f1_fric: float
@@ -114,18 +108,19 @@ def force_controller_step(
     arm: ArmEval,
     specs: tuple[ActuatorSpec, ActuatorSpec],
     frictions: tuple[FrictionModel, FrictionModel],
-    config: AssistModeConfig,
+    desired: tuple[float, float],
     motor_vels: tuple[float, float],
     allow_peak: bool = False,
 ) -> ForceCommand:
-    """One cycle of the open-loop force controller (rehabilitation modes).
+    """One cycle of the open-loop force controller (rehabilitation modes):
+    drive commands that deliver the desired (f_y, f_z) on the user.
 
     arm is the arm evaluated at the measured joint state (``Arm.at``, which
     the plant keeps on each state); motor_vels are the encoder speeds of the
     two drives [rad/s].  No force feedback anywhere: gravity and friction
     are compensated from models only.
     """
-    f_y, f_z = desired_force_field(config, arm.e[0])
+    f_y, f_z = desired
 
     d = arm.d
     check_invertible(*d)
@@ -144,7 +139,7 @@ def force_controller_step(
     f1, sat1 = clamp_to_capability(specs[0], f1_fric, allow_peak)
     f2, sat2 = clamp_to_capability(specs[1], f2_fric, allow_peak)
 
-    return ForceCommand(f1, f2, sat1, sat2, f_y, f_z, f1_map, f2_map, f1_fric, f2_fric)
+    return ForceCommand(f1, f2, sat1, sat2, f1_map, f2_map, f1_fric, f2_fric)
 
 
 # ---------------------------------------------------------------------------

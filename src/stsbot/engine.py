@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -33,8 +34,10 @@ from .actuators import (
     velocity_exceeded,
 )
 from .control import (
+    AssistMode,
     AssistModeConfig,
     TransferConfig,
+    desired_force_field,
     force_controller_step,
     speed_controller_step,
 )
@@ -120,8 +123,8 @@ class SimLog:
 
     @classmethod
     def from_csv(cls, path) -> "SimLog":
-        """Read a log written by ``write_csv``; a file that is missing or not
-        such a log raises ConfigError naming the path."""
+        """Read a log written by ``write_csv``; a file that is missing, not such
+        a log or with a meta number that is not finite raises ConfigError naming the path."""
         meta: dict = {}
         try:
             with open(path) as fh:
@@ -159,8 +162,12 @@ class SimLog:
             col = data.get(name)
             if col is not None and not (np.isfinite(col).all() and (col == np.floor(col)).all()):
                 raise ConfigError(f"{path}: {name} holds a value that is not a finite integer")
+        for key in ("dt", "height", "weight", "payload", "fz_pct", "v_z_target"):
+            value = meta.get(key, 0.0)
+            if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+                raise ConfigError(f"{path}: meta {key} {value!r} is not a finite number")
         dt = float(t[1] - t[0]) if len(t) > 1 else meta.get("dt", Scenario.dt)
-        if type(dt) not in (int, float) or not 0.0 < dt < math.inf:
+        if not 0.0 < dt < math.inf:
             raise ConfigError(f"{path}: the time step {dt!r} is not a positive number")
         return cls(float(dt), data, meta)
 
@@ -239,6 +246,13 @@ class Scenario:
             raise ConfigError("rehabilitation runs need an assist mode config")
         if not is_transfer and self.human is None and not self.robot_attached:
             raise ConfigError("nothing to simulate: no human and no robot")
+        mode = self.mode_config.mode if self.mode_config else AssistMode.FOLLOW_ME
+        if mode is not AssistMode.FOLLOW_ME and self.human is None:
+            raise ConfigError(f"{mode.value} acts on a person: it needs human.enabled = true")
+        # det M(q) = A1*B1 - (G1*sin q_c)^2 is least where |sin q_c| = 1
+        arm = Arm(self.geom, self.resolved_masses())
+        if self.robot_attached and not (arm.A1_B1 - arm.B1) * arm.B1 > arm.neg_G1**2:
+            raise ConfigError("the arm's mass matrix can be singular: masses.m_v must be positive")
         if is_transfer and self.mode_config is not None:
             raise ConfigError("a transfer takes no assist mode config")
         if is_transfer and self.human is not None:
@@ -625,10 +639,7 @@ def run_scenario(scenario: Scenario) -> SimLog:
     plant = Plant(scenario)
     schedule = plant.schedule
     state, e_yi = _initial_state(scenario)
-
-    mode_config = scenario.mode_config
-    if mode_config is not None:
-        mode_config = replace(mode_config, e_yi=e_yi)
+    mode_config, user = scenario.mode_config, scenario.human
 
     dt = scenario.dt
     n_steps = int(round(schedule.total / dt))
@@ -650,12 +661,12 @@ def run_scenario(scenario: Scenario) -> SimLog:
         v2_ref = 0.0
         stages = zeros6
         if rehab_ctrl:
-            cmd = force_controller_step(
-                plant.evaluated(state).arm, specs, plant.ctrl_frictions, mode_config,
-                plant.motor_speeds(state), allow_peak=allow_peak,
-            )
+            arm = plant.evaluated(state).arm
+            desired = desired_force_field(mode_config, user, e_yi, arm.e[0])
+            cmd = force_controller_step(arm, specs, plant.ctrl_frictions, desired,
+                                        plant.motor_speeds(state), allow_peak=allow_peak)
             f1_cmd, f2_cmd, sat1, sat2 = cmd.f1, cmd.f2, cmd.saturated_1, cmd.saturated_2
-            stages = (cmd.fy_des, cmd.fz_des, cmd.f1_map, cmd.f2_map, cmd.f1_fric, cmd.f2_fric)
+            stages = (*desired, cmd.f1_map, cmd.f2_map, cmd.f1_fric, cmd.f2_fric)
         elif is_transfer:
             if seg.phase == PHASE_RISE:
                 v_z_signed = scenario.transfer.v_z_target

@@ -26,10 +26,6 @@ class SingularTransmission(StsBotError):
         super().__init__(f"transmission singular at joint {joint} (derivative {value:.3e} m/rad)")
 
 
-class WrongMode(StsBotError):
-    """Operation called for an assist mode it does not apply to."""
-
-
 class EmptyWindow(StsBotError):
     """A log analysis window contains no samples."""
 

@@ -118,7 +118,7 @@ def test_criterion_1_kinematics_oracles():
 def test_criterion_2_gravity_compensation_statics():
     t0 = time.monotonic()
     rng = np.random.default_rng(202)
-    mode = AssistModeConfig(AssistMode.FOLLOW_ME, 1.75, 80.0)
+    mode = AssistModeConfig(AssistMode.FOLLOW_ME)
     worst = 0.0
     for _ in range(50):
         qa = float(rng.uniform(*GEOM.q_a_limits))
@@ -130,7 +130,7 @@ def test_criterion_2_gravity_compensation_statics():
         for _ in range(5000):
             cmd = force_controller_step(
                 plant.evaluated(state).arm, (plant.spec1, plant.spec2), plant.ctrl_frictions,
-                mode, plant.motor_speeds(state))
+                (0.0, 0.0), plant.motor_speeds(state))
             state = plant.step(state, (cmd.f1, cmd.f2), 1e-3)
         worst = max(worst, abs(state.q_a - qa), abs(state.q_c - qc))
     elapsed = time.monotonic() - t0
@@ -154,10 +154,9 @@ def test_criterion_3_force_fidelity():
         hum = HumanParams(float(h), float(m), chair_y=CHAIR_Y)
         for lvl in levels:
             if lvl == 0.0:
-                mc = AssistModeConfig(AssistMode.FOLLOW_ME, float(h), float(m))
+                mc = AssistModeConfig(AssistMode.FOLLOW_ME)
             else:
-                mc = AssistModeConfig(AssistMode.WEIGHT_UNLOADING, float(h), float(m),
-                                      fz_pct=lvl)
+                mc = AssistModeConfig(AssistMode.WEIGHT_UNLOADING, fz_pct=lvl)
             sc = Scenario(geom=GEOM, human=hum, mode_config=mc, repetitions=2,
                           seed=300 + i, allow_peak=True)
             logs_by_level[lvl].append((run_scenario(sc), float(m)))
@@ -283,7 +282,7 @@ def test_criterion_6_virtual_spring_direction():
     shares = {}
     for ky in (0.0, 200.0, 300.0):
         mode = AssistMode.COM_BALANCE if ky > 0 else AssistMode.WEIGHT_UNLOADING
-        mc = AssistModeConfig(mode, 1.75, 81.13, fz_pct=0.05, ky=ky)
+        mc = AssistModeConfig(mode, fz_pct=0.05, ky=ky)
         sc = Scenario(geom=GEOM, human=hum, mode_config=mc, repetitions=3,
                       seed=606, allow_peak=True)
         log = run_scenario(sc)
@@ -315,7 +314,7 @@ def test_criterion_6_virtual_spring_direction():
 def test_criterion_7_transparency():
     t0 = time.monotonic()
     hum = HumanParams(1.75, 81.13, chair_y=CHAIR_Y)
-    mc = AssistModeConfig(AssistMode.FOLLOW_ME, 1.75, 81.13)
+    mc = AssistModeConfig(AssistMode.FOLLOW_ME)
     wr = Scenario(geom=GEOM, human=hum, mode_config=mc, repetitions=3, seed=707)
     wor = Scenario(geom=GEOM, human=hum, mode_config=mc, repetitions=3, seed=707,
                    robot_attached=False)
@@ -357,14 +356,14 @@ def test_criterion_8_property_suites():
                          (AssistMode.WEIGHT_UNLOADING, 0.0, 0.0),
                          (AssistMode.COM_BALANCE, 0.1, 0.0)):
         try:
-            AssistModeConfig(mode, 1.75, 80.0, fz_pct=fz, ky=ky)
+            AssistModeConfig(mode, fz_pct=fz, ky=ky)
             table_ok = False
         except ConfigError:
             pass
 
     # Newton balance residuals over a full run
     hum = HumanParams(1.75, 81.13, chair_y=CHAIR_Y)
-    mc = AssistModeConfig(AssistMode.WEIGHT_UNLOADING, 1.75, 81.13, fz_pct=0.10)
+    mc = AssistModeConfig(AssistMode.WEIGHT_UNLOADING, fz_pct=0.10)
     sc = Scenario(geom=GEOM, human=hum, mode_config=mc, repetitions=1, seed=808,
                   allow_peak=True)
     log = run_scenario(sc)
@@ -382,7 +381,7 @@ def test_criterion_8_property_suites():
     zero = FrictionModel(0.0, 0.0)
     geom = RobotGeometry(q_a_limits=(-7.0, 7.0), q_c_limits=(-7.0, 7.0))
     sc_e = Scenario(geom=geom, human=None, robot_attached=True,
-                    mode_config=AssistModeConfig(AssistMode.FOLLOW_ME, 1.75, 80.0),
+                    mode_config=AssistModeConfig(AssistMode.FOLLOW_ME),
                     damping=(0.0, 0.0), plant_frictions=(zero, zero, zero),
                     ctrl_frictions=(zero, zero, zero))
     plant = Plant(sc_e)

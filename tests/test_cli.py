@@ -62,7 +62,7 @@ def test_config_defaults_build_the_default_objects():
     assert (sc.chair, sc.harness) == (ChairModel(), HarnessModel())
     assert sc.ctrl_frictions == sc.plant_frictions == Scenario().ctrl_frictions
     assert sc.human == HumanParams(1.75, 81.13, chair_y=0.67)
-    assert sc.mode_config == AssistModeConfig(AssistMode.FOLLOW_ME, 1.75, 81.13)
+    assert sc.mode_config == AssistModeConfig(AssistMode.FOLLOW_ME)
     assert replace(sc, masses=None, human=None, mode_config=None, repetitions=1) == Scenario()
     assert build_scenario(parse_config_text("mode = transfer")).transfer == TransferConfig()
 
@@ -261,6 +261,10 @@ BAD_CONFIGS = {
     "endless_sts_duration": "sts.duration = 1e200",
     "endless_map_y_range": "map.y_max = 1e200",
     "endless_map_z_range": "map.z_min = -1e200",
+    "massless_boom": "masses.m_v = 0",
+    "massless_boom_transfer": "mode = transfer\nmasses.m_v = 0",
+    "arm_only_weight_unloading": "human.enabled = false\nmode = weight_unloading\nfz_pct = 0.1",
+    "arm_only_com_balance": "human.enabled = false\nmode = com_balance\nfz_pct = 0.1\nky = 200",
 }
 BAD_MANIFESTS = {
     "manifest_float_repetitions": {"config": {"repetitions": 1.5}},
@@ -445,14 +449,30 @@ def _set_cell(row, column, text):
     return edit
 
 
+def _set_meta(**items):
+    def edit(lines):
+        meta = json.loads(lines[1][len("# meta "):])
+        meta.update(items)
+        lines[1] = "# meta " + json.dumps(meta)
+    return edit
+
+
 def _one_row_with_meta_dt(dt):
     # a one-row log takes its time step from the meta line; the row is one
     # in mid-rise, where the CoM moves
     def edit(lines):
-        meta = json.loads(lines[1][len("# meta "):])
-        meta["dt"] = dt
-        lines[1] = "# meta " + json.dumps(meta)
+        _set_meta(dt=dt)(lines)
         lines[3:] = [lines[3 + (len(lines) - 3) // 3]]
+    return edit
+
+
+def _drop_column(name):
+    def edit(lines):
+        k = lines[2].split(",").index(name)
+        for i in range(2, len(lines)):
+            cells = lines[i].split(",")
+            del cells[k]
+            lines[i] = ",".join(cells)
     return edit
 
 
@@ -470,6 +490,12 @@ MALFORMED_LOGS = {
     "fractional_rep": _set_cell(5, 1, "0.5"),
     "one_row_zero_dt": _one_row_with_meta_dt(0.0),
     "one_row_text_dt": _one_row_with_meta_dt("fast"),
+    "missing_channel": _drop_column("vcom_y"),
+    "text_weight": _set_meta(weight="heavy"),
+    "null_weight": _set_meta(weight=None),
+    "list_height": _set_meta(height=[1]),
+    "transfer_text_payload": _set_meta(mode="transfer", payload="x"),
+    "transfer_text_v_z_target": _set_meta(mode="transfer", v_z_target="x"),
 }
 
 

@@ -29,11 +29,12 @@ from stsbot.engine import (
 )
 from stsbot.errors import ConfigError, NumericalDivergence
 from stsbot.human import HumanParams
-from stsbot.kinematics import GRAVITY, Arm, JointState, RobotGeometry, act_diag, drive_speeds
+from stsbot.kinematics import (GRAVITY, Arm, JointState, LinkMassModel, RobotGeometry, act_diag,
+                               drive_speeds)
 
 GEOM = RobotGeometry()
 ZERO_F = FrictionModel(0.0, 0.0)
-FOLLOW = AssistModeConfig(AssistMode.FOLLOW_ME, 1.75, 81.13)
+FOLLOW = AssistModeConfig(AssistMode.FOLLOW_ME)
 
 
 def human(height=1.75, mass=81.13, mobility=1.0):
@@ -73,8 +74,8 @@ def test_gravity_compensation_holds_pose():
     state = SimState(q_a=0.45, q_c=-0.7)
     for _ in range(5000):
         cmd = force_controller_step(
-            plant.evaluated(state).arm, (plant.spec1, plant.spec2), plant.ctrl_frictions, FOLLOW,
-            plant.motor_speeds(state))
+            plant.evaluated(state).arm, (plant.spec1, plant.spec2), plant.ctrl_frictions,
+            (0.0, 0.0), plant.motor_speeds(state))
         state = plant.step(state, (cmd.f1, cmd.f2), 1e-3)
     assert abs(state.q_a - 0.45) < 1e-9
     assert abs(state.q_c + 0.7) < 1e-9
@@ -280,7 +281,7 @@ def test_plant_friction_mismatch_error_grows_with_level():
     hum = human()
     errors = []
     for pct in (0.05, 0.10, 0.20):
-        mc = AssistModeConfig(AssistMode.WEIGHT_UNLOADING, 1.75, 81.13, fz_pct=pct)
+        mc = AssistModeConfig(AssistMode.WEIGHT_UNLOADING, fz_pct=pct)
         sc = Scenario(geom=GEOM, human=hum, mode_config=mc, repetitions=2, seed=77,
                       allow_peak=True, plant_frictions=plant_fr)
         errors.append(abs(measured_assistance(run_scenario(sc), 81.13) - pct))
@@ -319,11 +320,37 @@ def test_scenario_validation():
         Scenario(human=human(), mode_config=FOLLOW, pause=1e200).validate()
 
 
+@pytest.mark.parametrize("mode_config", [
+    AssistModeConfig(AssistMode.WEIGHT_UNLOADING, fz_pct=0.1),
+    AssistModeConfig(AssistMode.COM_BALANCE, fz_pct=0.1, ky=200.0),
+], ids=lambda mc: mc.mode.value)
+def test_assist_mode_on_no_person_is_rejected(mode_config):
+    # the field unloads and pulls a person: with none, nothing would read it
+    # but the arm, which it would drive onto its hard stops
+    with pytest.raises(ConfigError, match="human.enabled"):
+        arm_only_scenario(mode_config=mode_config).validate()
+    Scenario(human=human(), mode_config=mode_config).validate()
+
+
+def test_massless_boom_is_rejected_with_the_robot_attached():
+    # m_v = 0 zeroes the boom's inertia B1: the rehab mass matrix and the
+    # transfer's one-joint inertia are then singular somewhere on the arc
+    massless = LinkMassModel.for_geometry(GEOM, m_v=0.0)
+    for sc in (Scenario(human=human(), mode_config=FOLLOW, masses=massless),
+               Scenario(human=None, transfer=TransferConfig(), masses=massless),
+               Scenario(human=None, transfer=TransferConfig(), masses=massless, payload=50.0),
+               arm_only_scenario(masses=massless)):
+        with pytest.raises(ConfigError, match="masses.m_v"):
+            sc.validate()
+    # detached, the arm never moves and its masses are never read
+    Scenario(human=human(), robot_attached=False, masses=massless).validate()
+
+
 # short runs of each plant branch: the force controller with the human, the
 # brake-locked transfer, and the human alone
 REPLAY_SCENARIOS = {
     "com_balance": dict(
-        mode_config=AssistModeConfig(AssistMode.COM_BALANCE, 1.75, 81.13, fz_pct=0.1, ky=200.0),
+        mode_config=AssistModeConfig(AssistMode.COM_BALANCE, fz_pct=0.1, ky=200.0),
         allow_peak=True, pause=0.2, settle=0.1, dt=2e-3, seed=21),
     "transfer": dict(
         human=None, mode_config=None, payload=50.0, pause=0.2, settle=0.1, dt=2e-3, seed=22,

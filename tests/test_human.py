@@ -175,7 +175,7 @@ def test_static_seated_with_harness_unloading():
     # mobility 0, the robot unloading 0.1 bw through the harness: once the
     # settle phase is at rest, chair and feet carry the other 0.9 bw
     dummy = HumanParams(1.75, 80.0, mobility=0.0, chair_y=0.67)
-    mode = AssistModeConfig(AssistMode.WEIGHT_UNLOADING, 1.75, 80.0, fz_pct=0.10)
+    mode = AssistModeConfig(AssistMode.WEIGHT_UNLOADING, fz_pct=0.10)
     log = run_scenario(Scenario(human=dummy, mode_config=mode, repetitions=1, settle=4.0,
                                 rep_jitter=0.0, pause=0.0, sts_duration=0.5))
     i = np.flatnonzero(log["phase"] == PHASE_SETTLE)[-1]
