@@ -252,7 +252,7 @@ class StsMetrics:
     peak_az: float
     peak_feet: float
     peak_chair: float
-    seat_off_time: float
+    seat_off_time: float | None  # None: the chair never unloaded in the window
 
     def normalized(self, height: float, weight: float) -> "StsMetrics":
         """Lengths and velocities by stature, forces by bodyweight."""
@@ -275,7 +275,7 @@ def sts_metrics(log: SimLog, rep: int | None = None) -> list[StsMetrics]:
         t = log["time"][win]
         cy, cz = log["com_y"][win], log["com_z"][win]
         seat = log["seat_off"][win]
-        so = t[np.flatnonzero(seat > 0.5)[0]] - t[0] if (seat > 0.5).any() else math.nan
+        so = float(t[np.flatnonzero(seat > 0.5)[0]] - t[0]) if (seat > 0.5).any() else None
         out.append(StsMetrics(
             disp_y=float(cy.max() - cy.min()),
             disp_z=float(cz.max() - cz.min()),
@@ -285,7 +285,7 @@ def sts_metrics(log: SimLog, rep: int | None = None) -> list[StsMetrics]:
             peak_az=float(np.abs(log["acom_z"][win]).max()),
             peak_feet=float(log["feet_fz"][win].max()),
             peak_chair=float(log["chair_fz"][win].max()),
-            seat_off_time=float(so),
+            seat_off_time=so,
         ))
     return out
 

@@ -32,6 +32,7 @@ from .errors import ConfigError, NumericalDivergence, StsBotError
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
+JSON_STYLE = dict(indent=2, sort_keys=True, allow_nan=False)  # NaN raises, never written
 
 
 def _out_dir(args) -> Path:
@@ -50,7 +51,7 @@ def _write_manifest(out: Path, command: str, cfg: dict, seed: int, outputs: list
         "config": cfg,
         "outputs": outputs,
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    (out / "manifest.json").write_text(json.dumps(manifest, **JSON_STYLE) + "\n")
 
 
 def _checked(cfg: dict, stream) -> Scenario | None:
@@ -109,7 +110,7 @@ def _cmd_map(args) -> int:
                  "z_min": cfg["map.z_min"], "z_max": cfg["map.z_max"],
                  "step": cfg["map.step"]},
     }
-    (out / "map.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    (out / "map.json").write_text(json.dumps(meta, **JSON_STYLE) + "\n")
     _write_manifest(out, "map", cfg, cfg["seed"], ["map.csv", "map.json"])
     print(f"wrote {out / 'map.csv'}")
     return EXIT_OK
@@ -119,7 +120,6 @@ def _cmd_analyze(args) -> int:
     log = SimLog.from_csv(args.log)
     if missing := [name for name in CHANNELS if name not in log.data]:
         raise ConfigError(f"{args.log}: no {', '.join(missing)} column")
-    out = _out_dir(args)
     summary: dict = {"meta": log.meta, "samples": len(log)}
     if log.meta.get("mode") == "transfer":
         payload = log.meta.get("payload", 0.0)
@@ -138,7 +138,12 @@ def _cmd_analyze(args) -> int:
             summary["measured_assistance"] = measured_assistance(log, weight)
             summary["measured_assistance_per_rep"] = measured_assistance_per_rep(log, weight)
             summary["target_assistance"] = log.meta.get("fz_pct", 0.0)
-    (out / "metrics.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    try:
+        text = json.dumps(summary, **JSON_STYLE)
+    except ValueError as exc:
+        raise ConfigError(f"{args.log}: a metric is not a finite number") from exc
+    out = _out_dir(args)
+    (out / "metrics.json").write_text(text + "\n")
     print(f"wrote {out / 'metrics.json'}")
     return EXIT_OK
 

@@ -247,8 +247,9 @@ class Scenario:
         if not is_transfer and self.human is None and not self.robot_attached:
             raise ConfigError("nothing to simulate: no human and no robot")
         mode = self.mode_config.mode if self.mode_config else AssistMode.FOLLOW_ME
-        if mode is not AssistMode.FOLLOW_ME and self.human is None:
-            raise ConfigError(f"{mode.value} acts on a person: it needs human.enabled = true")
+        if mode is not AssistMode.FOLLOW_ME and not (self.human and self.robot_attached):
+            raise ConfigError(f"{mode.value} acts on a person through the robot: it needs "
+                              "human.enabled = true and robot_attached = true")
         # det M(q) = A1*B1 - (G1*sin q_c)^2 is least where |sin q_c| = 1
         arm = Arm(self.geom, self.resolved_masses())
         if self.robot_attached and not (arm.A1_B1 - arm.B1) * arm.B1 > arm.neg_G1**2:
@@ -284,11 +285,11 @@ class Scenario:
 
 @dataclass
 class SimState:
-    """Integrator state between steps (value object, copy to keep); ``forces``
-    and ``motor_vels`` hold the plant's evaluation of it and its drives'
-    encoder speeds once made (``Plant.evaluated``, ``Plant.motor_speeds``).
-    Neither is an init argument, so a copy made with ``replace`` starts
-    without them."""
+    """Integrator state between steps (value object, copy to keep); ``forces``,
+    ``motor_vels`` and ``applied`` hold the plant's evaluation of it, its
+    drives' encoder speeds (``Plant.evaluated``, ``Plant.motor_speeds``) and
+    the transmitted forces the step into it applied (``Plant.step``).  None is
+    an init argument, so a copy made with ``replace`` starts without them."""
 
     t: float = 0.0
     q_a: float = 0.0
@@ -297,9 +298,10 @@ class SimState:
     qd_c: float = 0.0
     com: tuple[float, float] = (0.0, 0.0)
     vcom: tuple[float, float] = (0.0, 0.0)
-    seat_off: bool = False
     forces: Forces | None = field(default=None, init=False, compare=False, repr=False)
     motor_vels: tuple[float, float] | None = field(
+        default=None, init=False, compare=False, repr=False)
+    applied: tuple[float, float] | None = field(
         default=None, init=False, compare=False, repr=False)
 
     def vector(self) -> tuple[float, ...]:
@@ -434,10 +436,10 @@ class Plant:
 
     # -- forces -----------------------------------------------------------
 
-    def forces(self, t: float, s, latched: bool) -> Forces:
+    def forces(self, t: float, s) -> Forces:
         """Every force channel at time t and state s = (q_a, q_c, qd_a, qd_c,
-        cy, cz, cvy, cvz); the integrator, the seat-off check and the logger
-        all read the human's forces from here.
+        cy, cz, cvy, cvz), a function of t and s alone (the chair and floor
+        contacts included); the integrator and the logger both read it.
 
         The arm's evaluation is None when the robot is detached; the human
         terms are zero when there is no human.
@@ -451,7 +453,7 @@ class Plant:
         harness = (0.0, 0.0)
         if arm is not None:
             harness = self.harness.force_on_human(arm.e, arm.ev, com, vcom)
-        chair_fz = self.seat.force(com, vcom, latched)
+        chair_fz = self.seat.force(com, vcom)
         ref_pos, ref_vel = self.schedule.reference(t)
         mx, mz = muscle_effort(self.human, com, vcom, chair_fz, harness, ref_pos, ref_vel)
         pen = FLOOR_Z - cz  # the floor pushes up on a collapsed CoM
@@ -464,7 +466,7 @@ class Plant:
     def evaluated(self, state: SimState) -> Forces:
         """The forces at ``state``, computed once and kept on it."""
         if state.forces is None:
-            state.forces = self.forces(state.t, state.vector(), state.seat_off)
+            state.forces = self.forces(state.t, state.vector())
         return state.forces
 
     def motor_speeds(self, state: SimState) -> tuple[float, float]:
@@ -531,10 +533,9 @@ class Plant:
         """One RK4 step; joint limits applied as hard stops afterwards.  A
         transfer's brake holds the mast, so its RK4 integrates only the boom's
         (q_c, qd_c) and q_a, qd_a, com and vcom keep their values.  The new
-        state carries its evaluation, which also decides the seat-off latch,
-        and the next step's first stage reads it."""
+        state carries its evaluation, which the next step's first stage
+        reads, and the transmitted forces this step applied (``applied``)."""
         f1, f2 = self.transmitted_forces(state, commands) if self.attached else (0.0, 0.0)
-        latched = state.seat_off
         t = state.t
         try:
             if self.is_transfer:
@@ -565,11 +566,11 @@ class Plant:
                 k1 = deriv(s, self.evaluated(state), f1, f2)
                 h2 = dt / 2.0
                 s2 = [x + h2 * k for x, k in zip(s, k1)]
-                k2 = deriv(s2, forces(t + h2, s2, latched), f1, f2)
+                k2 = deriv(s2, forces(t + h2, s2), f1, f2)
                 s3 = [x + h2 * k for x, k in zip(s, k2)]
-                k3 = deriv(s3, forces(t + h2, s3, latched), f1, f2)
+                k3 = deriv(s3, forces(t + h2, s3), f1, f2)
                 s4 = [x + dt * k for x, k in zip(s, k3)]
-                k4 = deriv(s4, forces(t + dt, s4, latched), f1, f2)
+                k4 = deriv(s4, forces(t + dt, s4), f1, f2)
                 h6 = dt / 6.0
                 q_a, q_c, qd_a, qd_c, cy, cz, cvy, cvz = [
                     x + h6 * (a + 2.0 * b + 2.0 * c + d)
@@ -594,12 +595,9 @@ class Plant:
         if abs(qd_a) > 50.0 or abs(qd_c) > 50.0 or abs(cvy) > 20.0 or abs(cvz) > 20.0:
             raise NumericalDivergence(f"runaway velocity at t={t:.3f}s")
 
-        # seat-off latch: once the chair unloads it stays unloaded; a chair force
-        # of 0 is 0 latched or not, so this is also the latched state's evaluation
-        f = self.forces(t + dt, (q_a, q_c, qd_a, qd_c, cy, cz, cvy, cvz), latched)
-        seat_off = latched or (self.has_human and f.chair_fz <= 0.0)
-        new = SimState(t + dt, q_a, q_c, qd_a, qd_c, (cy, cz), (cvy, cvz), seat_off)
-        new.forces = f
+        new = SimState(t + dt, q_a, q_c, qd_a, qd_c, (cy, cz), (cvy, cvz))
+        new.forces = self.forces(new.t, new.vector())
+        new.applied = (f1, f2)
         return new
 
     def mechanical_energy(self, state: SimState) -> float:
@@ -614,32 +612,31 @@ class Plant:
 # scenario execution
 
 
-def _initial_state(scenario: Scenario) -> tuple[SimState, float]:
-    """Start state plus the armed effector y position (e_yi)."""
+def _initial_state(scenario: Scenario) -> SimState:
+    """Start state: the person seated, the attached arm at the harness's
+    attach point above the seated CoM."""
     if scenario.human is not None:
         com0 = scenario.human.seated_com
         if not scenario.robot_attached:
-            return SimState(com=com0), com0[0]
+            return SimState(com=com0)
         r0 = scenario.harness.rest_offset
-        e0 = (com0[0] + r0[0], com0[1] + r0[1])
-        q0 = inverse_kinematics(scenario.geom, e0)
-        return SimState(q_a=q0.q_a, q_c=q0.q_c, com=com0), e0[0]
+        q0 = inverse_kinematics(scenario.geom, (com0[0] + r0[0], com0[1] + r0[1]))
+        return SimState(q_a=q0.q_a, q_c=q0.q_c, com=com0)
     # the arm alone: the transfer's arc start, or the given pose
     tr = scenario.transfer
-    if tr is not None:
-        q0 = JointState(tr.q_a_locked, tr.q_c_start)
-    else:
-        q0 = scenario.initial_q or JointState(0.2, 0.0)
-    e_y = Arm(scenario.geom, scenario.resolved_masses()).at(q0.q_a, q0.q_c).e[0]
-    return SimState(q_a=q0.q_a, q_c=q0.q_c), e_y
+    q0 = (JointState(tr.q_a_locked, tr.q_c_start) if tr is not None
+          else scenario.initial_q or JointState(0.2, 0.0))
+    return SimState(q_a=q0.q_a, q_c=q0.q_c)
 
 
 def run_scenario(scenario: Scenario) -> SimLog:
     """Execute the scenario and return the complete fixed-rate log."""
     plant = Plant(scenario)
     schedule = plant.schedule
-    state, e_yi = _initial_state(scenario)
+    state = _initial_state(scenario)
     mode_config, user = scenario.mode_config, scenario.human
+    # the field is armed at the attach point; only modes with a person read it
+    e_yi = user.seated_com[0] + scenario.harness.rest_offset[0] if user else 0.0
 
     dt = scenario.dt
     n_steps = int(round(schedule.total / dt))
@@ -693,12 +690,11 @@ def run_scenario(scenario: Scenario) -> SimLog:
             d1, d2 = arm.d
             v2_belt = d2 * state.qd_c
             drives = (float(velocity_exceeded(plant.spec1, d1 * state.qd_a, allow_peak)),
-                      float(velocity_exceeded(plant.spec2, v2_belt, allow_peak)),
-                      *plant.transmitted_forces(state, (f1_cmd, f2_cmd)))
+                      float(velocity_exceeded(plant.spec2, v2_belt, allow_peak)), *state.applied)
         human = zeros12
         if plant.has_human:
             human = (*f.harness, *state.com, *state.vcom, *f.acom, f.chair_fz, *f.feet,
-                     float(state.seat_off))
+                     float(f.chair_fz <= 0.0))
         rows[i] = (state.t, seg.rep, seg.phase, state.q_a, state.q_c, state.qd_a, state.qd_c,
                    *effector, *stages, f1_cmd, f2_cmd, float(sat1), float(sat2), *drives,
                    v2_belt, v2_ref, *human, brake)

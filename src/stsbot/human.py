@@ -133,10 +133,8 @@ class Seat:
             return (self.edge - y) / self.chair.edge_taper
         return 1.0
 
-    def force(self, com: tuple[float, float], vel: tuple[float, float], latched: bool) -> float:
-        """Vertical seat force on the CoM; zero once seat-off has latched."""
-        if latched:
-            return 0.0
+    def force(self, com: tuple[float, float], vel: tuple[float, float]) -> float:
+        """Vertical seat force on the CoM: like the floor, a contact with no state."""
         pen = self.plane_z - com[1]
         if pen <= 0.0:
             return 0.0

@@ -265,6 +265,8 @@ BAD_CONFIGS = {
     "massless_boom_transfer": "mode = transfer\nmasses.m_v = 0",
     "arm_only_weight_unloading": "human.enabled = false\nmode = weight_unloading\nfz_pct = 0.1",
     "arm_only_com_balance": "human.enabled = false\nmode = com_balance\nfz_pct = 0.1\nky = 200",
+    "detached_weight_unloading": "robot_attached = false\nmode = weight_unloading\nfz_pct = 0.1",
+    "detached_com_balance": "robot_attached = false\nmode = com_balance\nfz_pct = 0.1\nky = 200",
 }
 BAD_MANIFESTS = {
     "manifest_float_repetitions": {"config": {"repetitions": 1.5}},
@@ -496,6 +498,7 @@ MALFORMED_LOGS = {
     "list_height": _set_meta(height=[1]),
     "transfer_text_payload": _set_meta(mode="transfer", payload="x"),
     "transfer_text_v_z_target": _set_meta(mode="transfer", v_z_target="x"),
+    "subnormal_weight_and_height": _set_meta(weight=1e-320, height=1e-320),
 }
 
 
@@ -520,6 +523,22 @@ def test_analyze_malformed_log_exits_2(tmp_path, capsys, fast_log_lines, name):
     assert len(err_lines) == 1
     assert err_lines[0].startswith("error: ") and str(path) in err_lines[0]
     assert not out.exists()
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_metrics_without_a_seat_off_parse_strictly(tmp_path):
+    # mobility 0: the person never leaves the seat, so the repetition has no
+    # seat-off time, which metrics.json writes as null, not as a bare NaN
+    p = write(tmp_path, FAST_SCENARIO + "human.mobility = 0\n")
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(p), "--out", str(out)]) == EXIT_OK
+    assert main(["analyze", "--log", str(out / "log.csv"), "--out", str(out)]) == EXIT_OK
+    metrics = json.loads((out / "metrics.json").read_text(), parse_constant=_reject_constant)
+    for key in ("repetitions", "repetitions_normalized"):
+        assert [m["seat_off_time"] for m in metrics[key]] == [None]
 
 
 def test_env_var_output_root(tmp_path, monkeypatch):

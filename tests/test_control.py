@@ -322,11 +322,10 @@ def test_transfer_arc_radius(transfer_log):
 def test_transfer_arc_endpoints_match_fk():
     tr = TransferConfig()
     sc = Scenario(geom=GEOM, transfer=tr)
-    state, e_yi = _initial_state(sc)
+    state = _initial_state(sc)
     assert (state.q_a, state.q_c) == (tr.q_a_locked, tr.q_c_start)
     start = ARM.at(tr.q_a_locked, tr.q_c_start).e
     end = ARM.at(tr.q_a_locked, tr.q_c_end).e
-    assert e_yi == start[0]
     assert _rise_duration(sc) == pytest.approx(abs(end[1] - start[1]) / tr.v_z_target, abs=1e-12)
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from stsbot import engine
 from stsbot.actuators import ACTUATOR_1, ACTUATOR_2_HF, ACTUATOR_2_HS, FrictionModel, motor_speed
+from stsbot.analysis import sts_metrics
 from stsbot.control import (
     AssistMode,
     AssistModeConfig,
@@ -20,11 +21,13 @@ from stsbot.control import (
 from stsbot.engine import (
     CSV_SCHEMA_VERSION,
     PHASE_PAUSE,
+    PHASE_PAUSE2,
     PHASE_RISE,
     Plant,
     Scenario,
     SimLog,
     SimState,
+    _initial_state,
     run_scenario,
 )
 from stsbot.errors import ConfigError, NumericalDivergence
@@ -206,6 +209,26 @@ def test_seat_off_monotone_within_rise():
         assert (np.diff(flags) >= 0.0).all()
 
 
+def test_every_repetition_starts_and_ends_seated():
+    # the README quick-start: the chair is a contact like the floor, so every
+    # rise leaves the seat and every descent sits back down on it, with the
+    # arm off its joint stops throughout
+    sc = Scenario(geom=GEOM, human=human(), repetitions=3, seed=42, allow_peak=True,
+                  mode_config=AssistModeConfig(AssistMode.WEIGHT_UNLOADING, fz_pct=0.10))
+    log = run_scenario(sc)
+    reps = sts_metrics(log)
+    assert len(reps) == 3
+    for m in reps:
+        assert m.peak_chair > 0.5 * sc.human.weight
+        assert m.seat_off_time > 0.0
+    for q, (lo, hi) in ((log["q_a"], GEOM.q_a_limits), (log["q_c"], GEOM.q_c_limits)):
+        assert ((lo < q) & (q < hi)).all()
+    for rep in range(3):
+        i = np.flatnonzero((log["rep"] == rep) & (log["phase"] == PHASE_PAUSE2))[-1]
+        assert log["chair_fz"][i] > 0.0
+        assert log["seat_off"][i] == 0.0
+
+
 def test_newton_balance_channel_consistency():
     log = run_scenario(short_scenario(seed=14))
     m = log.meta["weight"]
@@ -329,6 +352,9 @@ def test_assist_mode_on_no_person_is_rejected(mode_config):
     # but the arm, which it would drive onto its hard stops
     with pytest.raises(ConfigError, match="human.enabled"):
         arm_only_scenario(mode_config=mode_config).validate()
+    # and it acts through the harness: a detached robot never evaluates it
+    with pytest.raises(ConfigError, match="robot_attached"):
+        Scenario(human=human(), mode_config=mode_config, robot_attached=False).validate()
     Scenario(human=human(), mode_config=mode_config).validate()
 
 
@@ -364,29 +390,35 @@ HUMAN_CHANNELS = ("harness_fy", "harness_fz", "acom_y", "acom_z", "chair_fz",
 
 @pytest.mark.parametrize("name", sorted(REPLAY_SCENARIOS))
 def test_logged_forces_replay_from_logged_state(name):
-    # the logger reads the step's own evaluation of each state: a fresh
-    # evaluation of the state rebuilt from the log gives the same bits
+    # the logger reads the step's own evaluation of each state and the
+    # transmitted forces the step applied: fresh evaluations of the states
+    # rebuilt from the log give the same bits, row k's transmitted pair from
+    # row k-1's state (the start state for row 0) and row k's commands
     sc = short_scenario(**REPLAY_SCENARIOS[name])
     log = run_scenario(sc)
     plant = Plant(sc)
     col = {c: log[c].tolist() for c in log.data}
     got = {c: [] for c in ARM_CHANNELS + HUMAN_CHANNELS}
+    prev = _initial_state(sc)
     for k in range(len(log)):
         state = SimState(col["time"][k], col["q_a"][k], col["q_c"][k], col["qd_a"][k],
                          col["qd_c"][k], (col["com_y"][k], col["com_z"][k]),
-                         (col["vcom_y"][k], col["vcom_z"][k]), col["seat_off"][k] == 1.0)
-        f = plant.forces(state.t, state.vector(), state.seat_off)
+                         (col["vcom_y"][k], col["vcom_z"][k]))
         arm, hum = (0.0,) * len(ARM_CHANNELS), (0.0,) * len(HUMAN_CHANNELS)
         if plant.attached:
+            trans = plant.transmitted_forces(prev, (col["f1_cmd"][k], col["f2_cmd"][k]))
+        f = plant.evaluated(state)
+        if plant.attached:
             assert f.arm.d == act_diag(GEOM, state.q_a, state.q_c)
-            trans = plant.transmitted_forces(state, (col["f1_cmd"][k], col["f2_cmd"][k]))
             arm = f.arm.e + f.arm.ev + (f.arm.d[1] * state.qd_c,) + trans
         else:
             assert f.arm is None
         if plant.has_human:
             hum = f.harness + f.acom + (f.chair_fz,) + f.feet
+            assert col["seat_off"][k] == float(f.chair_fz <= 0.0)
         for c, v in zip(ARM_CHANNELS + HUMAN_CHANNELS, arm + hum):
             got[c].append(v)
+        prev = state
     for c, values in got.items():
         assert np.array_equal(np.array(values).view(np.int64), log[c].view(np.int64)), c
 
@@ -409,25 +441,6 @@ def test_transfer_block_selects_belt_output_and_brake(name, belt, brake):
     assert plant.motor_speeds(state) is w  # computed once per state
 
 
-@settings(max_examples=300, deadline=None)
-@given(t=st.floats(0.0, 3.0),
-       q=st.tuples(st.floats(-0.1, 0.9), st.floats(-1.2, 0.5), st.floats(-3.0, 3.0),
-                   st.floats(-3.0, 3.0)),
-       dcom=st.tuples(st.floats(-0.2, 0.2), st.floats(-0.1, 0.3)),
-       vcom=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)))
-def test_unloaded_chair_evaluates_the_same_latched(t, q, dcom, vcom):
-    # Plant.step decides the latch from the unlatched evaluation and keeps it
-    # for the latched state: exact whenever the chair carries nothing
-    hum = human()
-    plant = Plant(short_scenario(human=hum))
-    com = (hum.seated_com[0] + dcom[0], hum.seated_com[1] + dcom[1])
-    s = q + com + vcom
-    free = plant.forces(t, s, False)
-    if free.chair_fz == 0.0:
-        # repr tells -0.0 from 0.0
-        assert repr(free) == repr(plant.forces(t, s, True))
-
-
 def test_each_state_is_evaluated_once():
     # RK4 stage 1 reads the evaluation the previous step kept on its state:
     # stages 2-4 and the new state make four per step, plus the first state's
@@ -435,10 +448,10 @@ def test_each_state_is_evaluated_once():
     calls = 0
     forces = Plant.forces
 
-    def counted(self, t, s, latched):
+    def counted(self, t, s):
         nonlocal calls
         calls += 1
-        return forces(self, t, s, latched)
+        return forces(self, t, s)
 
     with mock.patch.object(Plant, "forces", counted):
         log = run_scenario(sc)
@@ -447,8 +460,8 @@ def test_each_state_is_evaluated_once():
 
 def test_transfer_integrates_the_boom_alone():
     # the braked transfer's RK4 evaluates the arm at stages 2-4 and at the new
-    # state and never builds the 8-state derivative; the 6 set-up calls are the
-    # arc's two ends twice (validate, schedule), the start pose and its evaluation
+    # state and never builds the 8-state derivative; the 5 set-up calls are the
+    # arc's two ends twice (validate, schedule) and the start state's evaluation
     sc = short_scenario(**REPLAY_SCENARIOS["transfer"])
     counts = {"at": 0, "deriv": 0}
     at, deriv = Arm.at, Plant._deriv
@@ -464,7 +477,7 @@ def test_transfer_integrates_the_boom_alone():
     with mock.patch.object(Arm, "at", counted_at), \
             mock.patch.object(Plant, "_deriv", counted_deriv):
         log = run_scenario(sc)
-    assert counts == {"at": 4 * len(log) + 6, "deriv": 0}
+    assert counts == {"at": 4 * len(log) + 5, "deriv": 0}
 
 
 def rowwise_csv(log: SimLog) -> str:

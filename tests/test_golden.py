@@ -30,23 +30,23 @@ CONFIGS = {
 
 GOLDEN = {
     ("weight_unloading", "log.csv"):
-        "8dd72bf51e4540ae64e2e9ce78d85a30eb5bcbb337cac8c76433d1a954064673",
+        "6df69147afc2fe2d5ac88872b1cb2e0841d7996fcd735407a1fcd7a808d3abb1",
     ("weight_unloading", "metrics.json"):
-        "521a29f57bb2cceaf71172a7b2736fc257f93df20a6b51b165e6613f103a761f",
+        "b28afcee0119c623e819743789f6749369def0d7288fef3a51a2ec592bfca667",
     ("com_balance", "log.csv"):
-        "f98406ae5221f13c4c458d9f349d0654ffa3539416335428d2ed9f639d5ea9db",
+        "c69b9d4614b8ec8b47b7a4b49aa548bb6ea36a80f7c3ce211c18391b80b15a03",
     ("com_balance", "metrics.json"):
         "5cd5433eaa5d9c1ada75ce8d270acc0d4e0a9b01613e0ae4a63fb81aff1b987e",
     ("transfer_98kg", "log.csv"):
-        "e5ddd96e47b550343232c6954fac2777e018709d80d722611ba5f33a1b991a6b",
+        "87ae87f0bc30b233487b1c5e3c069244a0493528c0ae86cbc52b6c0e6b9d5e0d",
     ("transfer_98kg", "metrics.json"):
         "5f4ad0e795ebdeb79ff845f6b3a70b7d878838ddfb4da81b4c52ba9fff1b882b",
     ("transfer_unloaded", "log.csv"):
-        "7763d0f408e79e417159f3b702aa5e8e9ee0c8f4f733f7fcdf3b50cd8dec8105",
+        "067822945b9a4dc0ef7ae3c137dd3d634818a1bec3cec59d1ee41db861218803",
     ("transfer_unloaded", "metrics.json"):
         "b61caa67e502d5f033933108dbe23ed78588736297684fc63e11f1cb15982924",
     ("detached", "log.csv"):
-        "c4b773b3372c3ba65caa2fa8caf6fb39a2a0ccb55709a2634b615c312785a26d",
+        "e69956cc937d11ae02ea11cb0c3317ee524e6a444c7acc41469b03d824129106",
     ("detached", "metrics.json"):
         "056e25706e3096f79d18d8f4edec2a1b68d980f31af533f40264d9f3d9992a3f",
     ("arm_only", "log.csv"):

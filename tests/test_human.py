@@ -5,7 +5,6 @@ import pytest
 
 from stsbot.control import AssistMode, AssistModeConfig
 from stsbot.engine import (
-    PHASE_RISE,
     PHASE_SETTLE,
     Plant,
     Scenario,
@@ -130,18 +129,14 @@ def test_chair_support_fraction_taper():
 
 
 def test_chair_carries_bodyweight_at_seated_reference():
-    f = CHAIR.seat(HUMAN).force(HUMAN.seated_com, (0.0, 0.0), latched=False)
+    f = CHAIR.seat(HUMAN).force(HUMAN.seated_com, (0.0, 0.0))
     assert f == pytest.approx(HUMAN.weight, rel=1e-12)
-
-
-def test_chair_force_latched_is_zero():
-    assert CHAIR.seat(HUMAN).force(HUMAN.seated_com, (0.0, 0.0), latched=True) == 0.0
 
 
 def test_chair_unilateral():
     seat = CHAIR.seat(HUMAN)
     above = (HUMAN.seated_com[0], seat.plane_z + 0.01)
-    assert seat.force(above, (0.0, 0.0), latched=False) == 0.0
+    assert seat.force(above, (0.0, 0.0)) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +154,7 @@ def settle(params, steps=4000, dt=1e-3):
 
 
 def grf(plant, state):
-    f = plant.forces(state.t, state.vector(), state.seat_off)
+    f = plant.forces(state.t, state.vector())
     return f.chair_fz, f.feet[1]
 
 
@@ -189,20 +184,6 @@ def test_static_seated_active_muscle_balances():
     chair_fz, feet_fz = grf(plant, state)
     assert chair_fz + feet_fz == pytest.approx(HUMAN.weight, rel=1e-5)
     assert abs(state.vcom[0]) < 1e-6 and abs(state.vcom[1]) < 1e-6
-
-
-def test_seat_off_latch_persists():
-    # both states lie inside the first rise: the latch holds within one rise
-    sc = detached(HUMAN, settle=0.0)
-    plant = Plant(sc)
-    assert _build_schedule(sc).segment_at(0.5).phase == PHASE_RISE
-    lifted = (HUMAN.seated_com[0], HUMAN.seated_com[1] + 0.2)
-    state = plant.step(SimState(com=lifted), (0.0, 0.0), 1e-3)
-    assert state.seat_off
-    # even after dropping back below the plane the chair stays unloaded
-    state = plant.step(SimState(t=0.5, com=HUMAN.seated_com, seat_off=True), (0.0, 0.0), 1e-3)
-    assert state.seat_off
-    assert plant.forces(state.t, state.vector(), state.seat_off).chair_fz == 0.0
 
 
 # ---------------------------------------------------------------------------
