@@ -19,9 +19,9 @@ from .actuators import (DEFAULT_FRICTION_1, DEFAULT_FRICTION_2_HF, DEFAULT_FRICT
 from .analysis import validate_map_grid
 from .control import AssistMode, AssistModeConfig, TransferConfig
 from .engine import Scenario
-from .errors import ConfigError, OutOfJointLimits, Unreachable
+from .errors import ConfigError
 from .human import ChairModel, HarnessModel, HumanParams
-from .kinematics import ARRAY_MATH, Arm, LinkMassModel, RobotGeometry, inverse_kinematics
+from .kinematics import ARRAY_MATH, Arm, LinkMassModel, RobotGeometry
 
 _MODES = [m.value for m in AssistMode] + ["transfer"]
 
@@ -47,7 +47,7 @@ SCHEMA: dict[str, object] = {
     "human.mobility": HumanParams.mobility,
     "human.seat_height": HumanParams.seat_height,
     "human.standing_z_factor": HumanParams.standing_z_factor,
-    "chair_y": 0.67,  # the arm reaches both attach points here; at HumanParams' 0.0 it does not
+    "chair_y": HumanParams.chair_y,
     "sts.duration": Scenario.sts_duration,
     "harness.stiffness": HarnessModel.stiffness,
     "harness.damping": HarnessModel.damping,
@@ -273,9 +273,9 @@ _TRANSFER_IGNORES = ("fz_pct", "ky", "clamp_forward_only", "rep_jitter", "sts.du
 
 
 def validate_config(cfg: dict) -> ValidationReport:
-    """Build the runtime objects, collecting the errors their own rules
-    raise, then add the checks no object owns: IK reachability of the harness
-    attach points and the strut stroke.  Nothing is simulated."""
+    """Build and validate the runtime objects, reporting the errors their own
+    rules raise, then add the one check no object owns: the strut-stroke
+    warning.  Nothing is simulated."""
     errors: list[str] = []
     warnings: list[str] = []
     if cfg["mode"] == "transfer":
@@ -294,26 +294,11 @@ def validate_config(cfg: dict) -> ValidationReport:
     except (ConfigError, ValueError) as exc:
         errors.append(str(exc))
         return ValidationReport(errors, warnings)
-    except OverflowError as exc:
-        errors.append(f"a value is too large to compute with: {exc}")
-        return ValidationReport(errors, warnings)
-
-    geom = scenario.geom
-    human = scenario.human
-    if human is not None and scenario.robot_attached:
-        off = scenario.harness.rest_offset
-        for name, com in (("seated", human.seated_com), ("standing", human.standing_com)):
-            target = (com[0] + off[0], com[1] + off[1])
-            try:
-                inverse_kinematics(geom, target)
-            except (Unreachable, OutOfJointLimits) as exc:
-                errors.append(
-                    f"human.{name} CoM attach point {target} unreachable "
-                    f"(chair_y/harness offsets): {type(exc).__name__}")
 
     # strut travel across the q_a range must fit the ball-screw stroke; where
     # the strut has zero length (p1 on B's circle) Arm.at's d is 0/0, unread here
     n = 200
+    geom = scenario.geom
     lo, hi = geom.q_a_limits
     q_a = lo + (hi - lo) * np.arange(n + 1) / n
     with np.errstate(all="ignore"):

@@ -51,6 +51,8 @@ from .human import (
 )
 from .kinematics import (  # noqa: F401  act_diag, dk_entries: perfbench counts calls by name
     GRAVITY,
+    IK_OK,
+    IK_UNREACHABLE,
     Arm,
     ArmEval,
     JointState,
@@ -62,6 +64,7 @@ from .kinematics import (  # noqa: F401  act_diag, dk_entries: perfbench counts 
     gravity_potential,
     inverse_kinematics,
     joint_torques,
+    solve_ik,
 )
 
 # phase codes in the log
@@ -278,6 +281,16 @@ class Scenario:
         if not longest / self.dt <= MAX_STEPS:
             raise ConfigError(f"the run may last {longest:.3g} s, over {MAX_STEPS:.0e} steps "
                               "of dt (shorten pause, settle, sts.duration or repetitions)")
+        # the arm holds the harness over the seated CoM and follows it to standing
+        if self.human is not None and self.robot_attached:
+            for name, com in (("seated", self.human.seated_com),
+                              ("standing", self.human.standing_com)):
+                target = self.harness.attach_point(com)
+                (code,) = solve_ik(g, [target[0]], [target[1]])[2]
+                if code != IK_OK:
+                    why = "out of reach" if code == IK_UNREACHABLE else "outside the joint limits"
+                    raise ConfigError(f"human.{name} CoM attach point {target} unreachable "
+                                      f"(chair_y/harness offsets): {why}")
 
     def resolved_masses(self) -> LinkMassModel:
         return self.masses if self.masses is not None else LinkMassModel.for_geometry(self.geom)
@@ -509,12 +522,10 @@ class Plant:
 
         g_a, g_c = a.g
         tau_act_a, tau_act_c = joint_torques(a.d, f1t, f2t)
-        tau_h_a = tau_h_c = 0.0
-        if self.has_human:
-            j11, j12, j21, j22 = a.jac
-            hx, hz = f.harness
-            tau_h_a = -(j11 * hx + j21 * hz)
-            tau_h_c = -(j12 * hx + j22 * hz)
+        j11, j12, j21, j22 = a.jac
+        hx, hz = f.harness
+        tau_h_a = -(j11 * hx + j21 * hz)
+        tau_h_c = -(j12 * hx + j22 * hz)
 
         m11, m12, m22 = a.inertia
         gamma_p = a.dm12
@@ -619,8 +630,7 @@ def _initial_state(scenario: Scenario) -> SimState:
         com0 = scenario.human.seated_com
         if not scenario.robot_attached:
             return SimState(com=com0)
-        r0 = scenario.harness.rest_offset
-        q0 = inverse_kinematics(scenario.geom, (com0[0] + r0[0], com0[1] + r0[1]))
+        q0 = inverse_kinematics(scenario.geom, scenario.harness.attach_point(com0))
         return SimState(q_a=q0.q_a, q_c=q0.q_c, com=com0)
     # the arm alone: the transfer's arc start, or the given pose
     tr = scenario.transfer
@@ -636,7 +646,7 @@ def run_scenario(scenario: Scenario) -> SimLog:
     state = _initial_state(scenario)
     mode_config, user = scenario.mode_config, scenario.human
     # the field is armed at the attach point; only modes with a person read it
-    e_yi = user.seated_com[0] + scenario.harness.rest_offset[0] if user else 0.0
+    e_yi = scenario.harness.attach_point(user.seated_com)[0] if user else 0.0
 
     dt = scenario.dt
     n_steps = int(round(schedule.total / dt))

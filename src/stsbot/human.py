@@ -41,7 +41,7 @@ class HumanParams:
     mass: float
     mobility: float = 1.0
     seat_height: float = 0.43
-    chair_y: float = 0.0
+    chair_y: float = 0.67  # where the default arm reaches both harness attach points
     standing_z_factor: float = 0.54
     seated_com: tuple[float, float] = field(init=False, repr=False, compare=False)
     standing_com: tuple[float, float] = field(init=False, repr=False, compare=False)
@@ -191,6 +191,10 @@ class HarnessModel:
     def __post_init__(self):
         if self.stiffness <= 0.0:
             raise ValueError("harness stiffness must be positive")
+
+    def attach_point(self, com: tuple[float, float]) -> tuple[float, float]:
+        """Where the effector holds the harness, unloaded, with the CoM at com."""
+        return (com[0] + self.rest_offset[0], com[1] + self.rest_offset[1])
 
     def force_on_human(
         self,

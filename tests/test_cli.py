@@ -1,11 +1,14 @@
+import io
 import json
 import re
+import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stsbot import (
@@ -55,13 +58,13 @@ def test_defaults_resolve():
 
 def test_config_defaults_build_the_default_objects():
     # a key left out takes the default of the object that reads it; only
-    # repetitions (3, not 1) and chair_y (0.67, not 0.0) differ from the API
+    # repetitions (3, not 1) differs from the API
     sc = build_scenario(parse_config_text(""))
     assert sc.geom == RobotGeometry()
     assert sc.masses == LinkMassModel()
     assert (sc.chair, sc.harness) == (ChairModel(), HarnessModel())
     assert sc.ctrl_frictions == sc.plant_frictions == Scenario().ctrl_frictions
-    assert sc.human == HumanParams(1.75, 81.13, chair_y=0.67)
+    assert sc.human == HumanParams(1.75, 81.13)
     assert sc.mode_config == AssistModeConfig(AssistMode.FOLLOW_ME)
     assert replace(sc, masses=None, human=None, mode_config=None, repetitions=1) == Scenario()
     assert build_scenario(parse_config_text("mode = transfer")).transfer == TransferConfig()
@@ -108,6 +111,13 @@ def test_readme_table_documents_every_key_and_default():
         if not same:
             wrong[key] = (text, default)
     assert wrong == {}
+
+
+def test_readme_python_api_example_runs(capsys):
+    block = README.read_text().split("### Python API", 1)[1]
+    code = block.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert float(capsys.readouterr().out) == pytest.approx(0.10, abs=0.02)
 
 
 def test_unknown_key_rejected():
@@ -181,13 +191,18 @@ def _schema_value(key):
 @given(overrides=st.lists(
     st.sampled_from(sorted(SCHEMA)).flatmap(lambda k: st.tuples(st.just(k), _schema_value(k))),
     max_size=4))
+@example(overrides=[("human.seat_height", -1.0)])  # the seated attach point below reach
 def test_validate_config_agrees_with_build(overrides):
-    # every rule lives in the built objects: validate_config reports their
-    # errors instead of raising, and an ok report means the scenario builds
+    # every error rule but the map grid's lives in the built objects:
+    # validate_config reports their errors instead of raising, so the scenario
+    # validates exactly when the report holds no other error
     cfg = parse_config_text("")
     cfg.update(overrides)
     report = validate_config(cfg)
-    if report.ok:
+    if any(not e.startswith("map: ") for e in report.errors):
+        with pytest.raises((ConfigError, ValueError)):
+            build_scenario(cfg).validate()
+    else:
         build_scenario(cfg).validate()
 
 
@@ -539,6 +554,49 @@ def test_metrics_without_a_seat_off_parse_strictly(tmp_path):
     metrics = json.loads((out / "metrics.json").read_text(), parse_constant=_reject_constant)
     for key in ("repetitions", "repetitions_normalized"):
         assert [m["seat_off_time"] for m in metrics[key]] == [None]
+
+
+# the run-length keys held short, so a draw that leaves them alone runs fast
+CONTRACT_BASE = ("dt = 0.005\nrepetitions = 1\npause = 0.1\nsettle = 0.1\n"
+                 "sts.duration = 0.3\nmap.step = 0.1\n")
+# zero, negative, subnormal, tiny, large and overflowing values, then each
+# key's default halved and doubled
+ADVERSARIAL = (0.0, -1.0, 1e-320, 1e-9, 1e6, 1e200, -1e200)
+
+
+def _adversarial_value(key):
+    default = SCHEMA[key]
+    if isinstance(default, bool):
+        return st.booleans()
+    if key == "mode":
+        return st.sampled_from(["follow_me", "weight_unloading", "com_balance", "transfer"])
+    if isinstance(default, str):
+        return st.sampled_from(["rehab", "transfer"])
+    values = ADVERSARIAL + (default * 0.5, default * 2.0)
+    return st.sampled_from([int(v) for v in values] if isinstance(default, int) else values)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(overrides=st.lists(st.sampled_from(sorted(SCHEMA)), min_size=1, max_size=3, unique=True)
+       .flatmap(lambda keys: st.tuples(*(st.tuples(st.just(k), _adversarial_value(k))
+                                         for k in keys))))
+def test_any_config_ends_in_an_exit_code_with_strict_json(overrides):
+    # every command ends in 0, 2 or 3, never an exception, and every JSON it
+    # writes parses strictly
+    text = CONTRACT_BASE + "".join(f"{key} = {value}\n" for key, value in overrides)
+    with tempfile.TemporaryDirectory() as tmp, \
+            redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        tmp = Path(tmp)
+        cfg = str(write(tmp, text))
+        run = tmp / "run"
+        codes = [main(["validate", "--config", cfg]),
+                 main(["simulate", "--config", cfg, "--out", str(run)])]
+        if codes[-1] == EXIT_OK:
+            codes.append(main(["analyze", "--log", str(run / "log.csv"), "--out", str(run)]))
+        codes.append(main(["map", "--config", cfg, "--out", str(tmp / "map")]))
+        assert set(codes) <= {EXIT_OK, EXIT_CONFIG, EXIT_DIVERGED}
+        for path in tmp.rglob("*.json"):
+            json.loads(path.read_text(), parse_constant=_reject_constant)
 
 
 def test_env_var_output_root(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 import json
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -370,6 +371,26 @@ def test_massless_boom_is_rejected_with_the_robot_attached():
             sc.validate()
     # detached, the arm never moves and its masses are never read
     Scenario(human=human(), robot_attached=False, masses=massless).validate()
+
+
+def test_both_attach_points_must_be_reachable():
+    # at chair_y 0.8 the arm holds the seated harness but not the standing
+    # one, which a run would meet as a joint stop mid-rise
+    far = Scenario(human=HumanParams(1.75, 81.13, chair_y=0.8),
+                   mode_config=AssistModeConfig(AssistMode.WEIGHT_UNLOADING, fz_pct=0.1),
+                   repetitions=1, pause=0.5, allow_peak=True)
+    with pytest.raises(ConfigError, match="human.standing CoM attach point"):
+        far.validate()
+    # the default person in the default chair starts seated, held at the attach point
+    sc = Scenario(human=HumanParams(1.75, 81.13), mode_config=FOLLOW)
+    sc.validate()
+    start = _initial_state(sc)
+    seated = sc.human.seated_com
+    assert start.com == seated
+    effector = Arm(GEOM, sc.resolved_masses()).at(start.q_a, start.q_c).e
+    assert effector == pytest.approx(sc.harness.attach_point(seated), abs=1e-12)
+    # the same person detached: the arm is never placed
+    replace(far, robot_attached=False, mode_config=None).validate()
 
 
 # short runs of each plant branch: the force controller with the human, the

@@ -21,7 +21,7 @@ from stsbot.human import (
     muscle_effort,
 )
 
-HUMAN = HumanParams(1.75, 80.0)
+HUMAN = HumanParams(1.75, 80.0, chair_y=0.0)  # the laws are checked at y = 0
 CHAIR = ChairModel()
 STS_DURATION = 2.0
 
@@ -209,8 +209,8 @@ def test_harness_spring_damper_components():
 def test_derived_coms_follow_the_fields():
     # the seated CoM 0.25 m above the seat at chair_y, the standing CoM one
     # thigh length ahead at standing_z_factor x height
-    assert HumanParams(1.75, 80.0, seat_height=0.6).seated_com == (0.0, 0.85)
-    assert HumanParams(1.75, 80.0).standing_com == (0.25 * 1.75, 0.54 * 1.75)
+    assert HumanParams(1.75, 80.0, seat_height=0.6, chair_y=0.0).seated_com == (0.0, 0.85)
+    assert HumanParams(1.75, 80.0, chair_y=0.0).standing_com == (0.25 * 1.75, 0.54 * 1.75)
     p = HumanParams(1.91, 100.0, seat_height=0.5, chair_y=0.44, standing_z_factor=0.55)
     assert p.seated_com == (0.44, 0.75)
     assert p.standing_com == (0.44 + 0.25 * 1.91, 0.55 * 1.91)
