@@ -6,7 +6,9 @@ J_act^T * F_transmitted + J_dk^T * F_harness with RK4 at a fixed step
 own tanh friction, the belt clamped to tension-only.  A transfer brakes the
 mast and carries no human, so the boom turns about C alone: its RK4
 integrates only (q_c, qd_c), and q_a, qd_a, com and vcom keep their start
-values.  Everything is deterministic for a given scenario and seed: the only
+values.  Its stages 2-4 read the boom's three terms from Arm.boom, not the
+whole Arm.at evaluation; a bit-equality test keeps the two copies of those
+terms equal, so a transfer's log does not depend on which one a stage reads.  Everything is deterministic for a given scenario and seed: the only
 randomness is a per-repetition duration jitter drawn once from the seeded
 generator when the schedule is built.
 """
@@ -50,6 +52,7 @@ from .human import (
     muscle_effort,
 )
 from .kinematics import (  # noqa: F401  act_diag, dk_entries: perfbench counts calls by name
+    DRIVE_SIGN,
     GRAVITY,
     IK_OK,
     IK_UNREACHABLE,
@@ -552,21 +555,23 @@ class Plant:
             if self.is_transfer:
                 # the boom about C carrying the payload at E, the mast held at
                 # q_a: qdd_c = (tau_c - g_c - payload_weight*dE_z/dq_c - d_c*qd_c)/m_eff
-                at, q_a = self.arm.at, state.q_a
-                w, d_c, m_eff = self.payload_weight, self.d_c, self.m_eff
+                boom, q_a = self.arm.boom, state.q_a
+                s2, w, d_c, m_eff = DRIVE_SIGN[1], self.payload_weight, self.d_c, self.m_eff
+
+                def qdd_c(d2, g_c, dez, v):
+                    # tau_c is joint_torques' belt term, in its product order
+                    return (s2 * d2 * f2 - g_c - w * dez - d_c * v) / m_eff
+
                 q1, v1 = state.q_c, state.qd_c
                 a = self.evaluated(state).arm
-                k1 = (joint_torques(a.d, f1, f2)[1] - a.g[1] - w * a.jac[3] - d_c * v1) / m_eff
+                k1 = qdd_c(a.d[1], a.g[1], a.jac[3], v1)
                 h2 = dt / 2.0
                 q2, v2 = q1 + h2 * v1, v1 + h2 * k1
-                a = at(q_a, q2, 0.0, v2)
-                k2 = (joint_torques(a.d, f1, f2)[1] - a.g[1] - w * a.jac[3] - d_c * v2) / m_eff
+                k2 = qdd_c(*boom(q_a, q2), v2)
                 q3, v3 = q1 + h2 * v2, v1 + h2 * k2
-                a = at(q_a, q3, 0.0, v3)
-                k3 = (joint_torques(a.d, f1, f2)[1] - a.g[1] - w * a.jac[3] - d_c * v3) / m_eff
+                k3 = qdd_c(*boom(q_a, q3), v3)
                 q4, v4 = q1 + dt * v3, v1 + dt * k3
-                a = at(q_a, q4, 0.0, v4)
-                k4 = (joint_torques(a.d, f1, f2)[1] - a.g[1] - w * a.jac[3] - d_c * v4) / m_eff
+                k4 = qdd_c(*boom(q_a, q4), v4)
                 h6 = dt / 6.0
                 q_c = q1 + h6 * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
                 qd_c = v1 + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

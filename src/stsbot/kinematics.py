@@ -22,7 +22,10 @@ drives one joint and the actuator jacobian is diagonal.
 Arm.at is the one evaluator of the arm: it returns every pose-dependent
 term (effector position and velocity, jacobians, lengths, gravity, inertia)
 of one joint state, or of 1-D arrays of them with ops=ARRAY_MATH; solve_ik,
-the one inverse kinematics, takes arrays of targets.  act_diag and
+the one inverse kinematics, takes arrays of targets.  Arm.boom is its one
+shortcut: a braked transfer's RK4 stages read only three terms (dL2/dq_c,
+g_c and dE_z/dq_c), so boom writes those three again, and a test keeps its
+bits equal to Arm.at's.  act_diag and
 dk_entries remain only as named points where the benchmark's tracer counts
 calls; nothing in the package calls them.  Over arrays numpy does
 +, -, *, / and sqrt, which are correctly rounded, and math does each sin,
@@ -190,7 +193,9 @@ class Arm:
 
     ``at`` takes sin and cos of q_a, q_c and q_a + q_c once per joint state
     and writes each formula of the arm once; it is the package's one
-    evaluator of the arm.  act_diag and dk_entries, kept only as points where
+    evaluator of the arm.  ``boom`` repeats the three terms a braked
+    transfer's RK4 stages read, so those stages skip the rest of the arm; a
+    bit-equality test guards the copy.  act_diag and dk_entries, kept only as points where
     the benchmark's tracer counts calls, read theirs from an ``Arm`` built per
     call.
     """
@@ -240,6 +245,16 @@ class Arm:
             (self.A1_B1 + 2.0 * gamma, self.B1 + gamma, self.B1),
             self.neg_G1 * cc,
         )
+
+    def boom(self, q_a: float, q_c: float) -> tuple[float, float, float]:
+        """The three terms the braked boom reads, (d[1], g[1], jac[3]) of
+        ``at(q_a, q_c)``: dL2/dq_c, the boom's gravity torque g_c and
+        dE_z/dq_c.  Each is written as ``at`` writes it, so the two agree bit
+        for bit (a test checks); ``at`` keeps its own copy because the 2-DOF
+        step reads all of it."""
+        cf = math.cos(q_a + q_c)
+        l2 = 2.0 * math.sqrt(self.belt_sq + self.belt_sin * math.sin(q_c))
+        return self.belt_cos * math.cos(q_c) / l2, -(self.grav_c * cf), -(self.l_ce * cf)
 
 
 # ---------------------------------------------------------------------------

@@ -480,25 +480,35 @@ def test_each_state_is_evaluated_once():
 
 
 def test_transfer_integrates_the_boom_alone():
-    # the braked transfer's RK4 evaluates the arm at stages 2-4 and at the new
-    # state and never builds the 8-state derivative; the 5 set-up calls are the
+    # the braked transfer's RK4 reads the boom's three terms at stages 2-4
+    # (Arm.boom), evaluates the whole arm only at the new state and never
+    # builds the 8-state derivative; the 5 set-up calls of Arm.at are the
     # arc's two ends twice (validate, schedule) and the start state's evaluation
     sc = short_scenario(**REPLAY_SCENARIOS["transfer"])
-    counts = {"at": 0, "deriv": 0}
-    at, deriv = Arm.at, Plant._deriv
+    counts = {"at": 0, "boom": 0, "deriv": 0}
 
-    def counted_at(self, *args):
-        counts["at"] += 1
-        return at(self, *args)
+    def counted(cls, name, key):
+        original = getattr(cls, name)
 
-    def counted_deriv(self, *args):
-        counts["deriv"] += 1
-        return deriv(self, *args)
+        def wrapper(self, *args):
+            counts[key] += 1
+            return original(self, *args)
+        return mock.patch.object(cls, name, wrapper)
 
-    with mock.patch.object(Arm, "at", counted_at), \
-            mock.patch.object(Plant, "_deriv", counted_deriv):
+    with counted(Arm, "at", "at"), counted(Arm, "boom", "boom"), \
+            counted(Plant, "_deriv", "deriv"):
         log = run_scenario(sc)
-    assert counts == {"at": 4 * len(log) + 5, "deriv": 0}
+    assert counts == {"at": len(log) + 5, "boom": 3 * len(log), "deriv": 0}
+
+
+@pytest.mark.parametrize("qd_c, message", [(math.inf, "in an RK4 stage"),
+                                           (60.0, "runaway velocity")])
+def test_transfer_step_divergence_guards(qd_c, message):
+    # a non-finite boom rate reaches a stage's sin/cos and ends as a
+    # divergence, not a ValueError; a finite runaway rate trips the guard
+    plant = Plant(short_scenario(**REPLAY_SCENARIOS["transfer"]))
+    with pytest.raises(NumericalDivergence, match=message):
+        plant.step(SimState(q_a=0.3, q_c=0.2, qd_c=qd_c), (0.0, 0.0), 2e-3)
 
 
 def rowwise_csv(log: SimLog) -> str:

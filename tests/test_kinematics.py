@@ -9,6 +9,7 @@ from stsbot.errors import OutOfJointLimits, SingularTransmission, Unreachable
 from stsbot.kinematics import (
     ARRAY_MATH,
     GRAVITY,
+    MAX_JOINT_ANGLE,
     Arm,
     JointState,
     LinkMassModel,
@@ -192,6 +193,38 @@ def test_arm_over_arrays_equals_each_scalar_evaluation(arm, states):
     many = flat_terms(a.at(*columns, ops=ARRAY_MATH), len(states))
     for i, state in enumerate(states):
         assert bits(t[i] for t in many) == bits(t[0] for t in flat_terms(a.at(*state), 1))
+
+
+def boom_terms(a):
+    """The three terms of an ArmEval that Arm.boom writes again."""
+    return a.d[1], a.g[1], a.jac[3]
+
+
+def joint_grid(limits, n=41):
+    """n angles across a joint range, its limits, +-MAX_JOINT_ANGLE and both zeros."""
+    lo, hi = limits
+    return [float(x) for x in np.linspace(lo, hi, n)] + [
+        lo, hi, -MAX_JOINT_ANGLE, MAX_JOINT_ANGLE, 0.0, -0.0]
+
+
+@pytest.mark.parametrize("arm", ARMS[:2], ids=["default", "odd"])
+def test_boom_terms_equal_the_full_evaluation_on_a_grid(arm):
+    # the braked transfer's stages read Arm.boom, its first stage and the log
+    # Arm.at: the two copies of the three terms must not drift apart
+    geom, masses = arm
+    a = Arm(geom, masses)
+    for q_a in joint_grid(geom.q_a_limits):
+        for q_c in joint_grid(geom.q_c_limits):
+            assert bits(a.boom(q_a, q_c)) == bits(boom_terms(a.at(q_a, q_c))), (q_a, q_c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(arm=st.sampled_from(ARMS),
+       q=st.tuples(st.floats(-MAX_JOINT_ANGLE, MAX_JOINT_ANGLE),
+                   st.floats(-MAX_JOINT_ANGLE, MAX_JOINT_ANGLE)))
+def test_boom_terms_equal_the_full_evaluation(arm, q):
+    a = Arm(*arm)
+    assert bits(a.boom(*q)) == bits(boom_terms(a.at(*q)))
 
 
 # ---------------------------------------------------------------------------
