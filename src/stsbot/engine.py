@@ -8,7 +8,8 @@ mast and carries no human, so the boom turns about C alone: its RK4
 integrates only (q_c, qd_c), and q_a, qd_a, com and vcom keep their start
 values.  Its stages 2-4 read the boom's three terms from Arm.boom, not the
 whole Arm.at evaluation; a bit-equality test keeps the two copies of those
-terms equal, so a transfer's log does not depend on which one a stage reads.  Everything is deterministic for a given scenario and seed: the only
+terms equal, so a transfer's log does not depend on which one a stage
+reads.  Everything is deterministic for a given scenario and seed: the only
 randomness is a per-repetition duration jitter drawn once from the seeded
 generator when the schedule is built.
 """

@@ -25,12 +25,12 @@ of one joint state, or of 1-D arrays of them with ops=ARRAY_MATH; solve_ik,
 the one inverse kinematics, takes arrays of targets.  Arm.boom is its one
 shortcut: a braked transfer's RK4 stages read only three terms (dL2/dq_c,
 g_c and dE_z/dq_c), so boom writes those three again, and a test keeps its
-bits equal to Arm.at's.  act_diag and
-dk_entries remain only as named points where the benchmark's tracer counts
-calls; nothing in the package calls them.  Over arrays numpy does
-+, -, *, / and sqrt, which are correctly rounded, and math does each sin,
-cos, hypot, asin, acos and atan2 per element (numpy's can differ in the last
-bit), so an array result equals the scalar one bit for bit.
+bits equal to Arm.at's.  act_diag and dk_entries remain only as named points
+where the benchmark's tracer counts calls; nothing in the package calls
+them.  Over arrays numpy does +, -, *, / and sqrt, which are correctly
+rounded, and math does each sin, cos, hypot, asin, acos and atan2 per element
+(numpy's can differ in the last bit), so an array result equals the scalar
+one bit for bit.
 
 Actuator force sign:  the actuator-jacobian diagonal ArmEval.d is in the
 length-conjugate convention (positive force does positive work while the
@@ -195,9 +195,9 @@ class Arm:
     and writes each formula of the arm once; it is the package's one
     evaluator of the arm.  ``boom`` repeats the three terms a braked
     transfer's RK4 stages read, so those stages skip the rest of the arm; a
-    bit-equality test guards the copy.  act_diag and dk_entries, kept only as points where
-    the benchmark's tracer counts calls, read theirs from an ``Arm`` built per
-    call.
+    bit-equality test guards the copy.  act_diag and dk_entries, kept only
+    as points where the benchmark's tracer counts calls, read theirs from an
+    ``Arm`` built per call.
     """
 
     def __init__(self, geom: RobotGeometry, masses: LinkMassModel):

@@ -502,7 +502,8 @@ def test_transfer_integrates_the_boom_alone():
 
 
 @pytest.mark.parametrize("qd_c, message", [(math.inf, "in an RK4 stage"),
-                                           (60.0, "runaway velocity")])
+                                           (60.0, "runaway velocity")],
+                         ids=["non_finite", "runaway"])
 def test_transfer_step_divergence_guards(qd_c, message):
     # a non-finite boom rate reaches a stage's sin/cos and ends as a
     # divergence, not a ValueError; a finite runaway rate trips the guard
