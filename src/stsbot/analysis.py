@@ -205,7 +205,8 @@ def connected_fraction(cells: set[tuple[int, int]]) -> float:
 
 
 def repetition_indices(log: SimLog) -> list[int]:
-    return sorted({int(r) for r in log["rep"] if r >= 0})
+    rep = log["rep"]
+    return [int(r) for r in np.unique(rep[rep >= 0]).tolist()]
 
 
 def rise_window(log: SimLog, rep: int) -> np.ndarray:

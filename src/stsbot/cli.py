@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .actuators import DRIVES, engaged_pair
-from .analysis import (
+from .analysis import (  # noqa: F401  measured_assistance: perfbench times calls by name
     MASK_LEGEND,
     capability_map,
     measured_assistance,
@@ -135,8 +135,10 @@ def _cmd_analyze(args) -> int:
             if height > 0.0:
                 summary["repetitions_normalized"] = [
                     vars(m.normalized(height, weight)) for m in reps]
-            summary["measured_assistance"] = measured_assistance(log, weight)
-            summary["measured_assistance_per_rep"] = measured_assistance_per_rep(log, weight)
+            per_rep = measured_assistance_per_rep(log, weight)
+            # measured_assistance's own expression, from the one per-rep list
+            summary["measured_assistance"] = float(np.mean(per_rep))
+            summary["measured_assistance_per_rep"] = per_rep
             summary["target_assistance"] = log.meta.get("fz_pct", 0.0)
     try:
         text = json.dumps(summary, **JSON_STYLE)

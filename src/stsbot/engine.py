@@ -100,14 +100,21 @@ CHANNELS = [
 ]
 
 CSV_SCHEMA_VERSION = "stsbot-log v1"
-CSV_BLOCK_ROWS = 4096
+CSV_BLOCK_ROWS = 2048
 
-MAX_STEPS = 10_000_000  # longest run: its log rows take 3.2 GB
+# longest run: its log is held once, 328 B per sample (41 float64 channels), 3.28 GB
+MAX_STEPS = 10_000_000
 
 
 @dataclass
 class SimLog:
-    """Uniform-rate time series of every simulation channel."""
+    """Uniform-rate time series of every simulation channel.
+
+    ``data`` maps each channel to a 1-D float64 array. The log is held once:
+    from ``run_scenario`` each channel is a contiguous row of one
+    (channels, samples) array, and from ``from_csv`` a strided column of the
+    (rows, columns) array that ``np.loadtxt`` read.
+    """
 
     dt: float
     data: dict[str, np.ndarray]
@@ -161,7 +168,7 @@ class SimLog:
         if arr.shape[1] != len(names):
             raise ConfigError(
                 f"{path}: rows hold {arr.shape[1]} cells, the header names {len(names)} columns")
-        data = {n: arr[:, i].copy() for i, n in enumerate(names)}
+        data = dict(zip(names, arr.T))
         t = data["time"]
         if not (np.isfinite(t).all() and (np.diff(t) > 0.0).all()):
             raise ConfigError(f"{path}: time is not finite and strictly increasing")
@@ -187,9 +194,10 @@ def csv_rows(columns):
     once (keying on bits keeps ``-0.0`` apart from ``0.0``) and indexes the
     text back out.
     """
-    cols = [np.ascontiguousarray(c, dtype=np.float64) for c in columns]
-    for start in range(0, len(cols[0]), CSV_BLOCK_ROWS):
-        cells = [_format_cells(c[start:start + CSV_BLOCK_ROWS]) for c in cols]
+    for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+        # only one block of a column is made contiguous float64 at a time
+        cells = [_format_cells(np.ascontiguousarray(c[start:start + CSV_BLOCK_ROWS],
+                                                    dtype=np.float64)) for c in columns]
         yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
@@ -664,7 +672,8 @@ def run_scenario(scenario: Scenario) -> SimLog:
     brake = float(is_transfer)
     zeros4, zeros6, zeros12 = (0.0,) * 4, (0.0,) * 6, (0.0,) * 12
 
-    rows = np.zeros((n_steps, len(CHANNELS)))
+    # one row per channel, so each channel is a contiguous view of this one array
+    rows = np.zeros((len(CHANNELS), n_steps))
     for i in range(n_steps):
         # the plant reads the same cursor; all lookups come at non-decreasing t
         seg = schedule.segment_at(state.t)
@@ -711,11 +720,11 @@ def run_scenario(scenario: Scenario) -> SimLog:
         if plant.has_human:
             human = (*f.harness, *state.com, *state.vcom, *f.acom, f.chair_fz, *f.feet,
                      float(f.chair_fz <= 0.0))
-        rows[i] = (state.t, seg.rep, seg.phase, state.q_a, state.q_c, state.qd_a, state.qd_c,
-                   *effector, *stages, f1_cmd, f2_cmd, float(sat1), float(sat2), *drives,
-                   v2_belt, v2_ref, *human, brake)
+        rows[:, i] = (state.t, seg.rep, seg.phase, state.q_a, state.q_c, state.qd_a, state.qd_c,
+                      *effector, *stages, f1_cmd, f2_cmd, float(sat1), float(sat2), *drives,
+                      v2_belt, v2_ref, *human, brake)
 
-    data = {name: rows[:, k].copy() for k, name in enumerate(CHANNELS)}
+    data = dict(zip(CHANNELS, rows))
     meta = {
         "dt": scenario.dt,
         "seed": scenario.seed,

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stsbot import analysis
@@ -25,6 +25,7 @@ from stsbot.analysis import (
     mean_rise_waveform,
     motion_window,
     nominal_sts_path,
+    repetition_indices,
     resample,
     sts_metrics,
     transfer_speed_table,
@@ -187,6 +188,22 @@ def test_motion_window_missing_rep():
     log = make_log()
     with pytest.raises(EmptyWindow):
         motion_window(log, 3)
+
+
+# a schedule's rep channel: -1 on settle rows, then runs of each repetition's
+# index; drawn freely, so runs repeat, skip indices and come in any order
+@settings(max_examples=200, deadline=None)
+@given(rep=st.lists(st.integers(-1, 6), min_size=1, max_size=60))
+@example(rep=[-1, -1, 0, 0, 1, 1])
+@example(rep=[-1, 0, 0, 3, 3, 5])   # gaps
+@example(rep=[-1, -1, 0, 0, 0])     # a single repetition
+@example(rep=[-1, -1, -1])          # settle only
+def test_repetition_indices_match_the_set_oracle(rep):
+    col = np.array(rep, dtype=np.float64)
+    log = SimLog(1e-3, {"time": np.arange(len(rep)) * 1e-3, "rep": col})
+    got = repetition_indices(log)
+    assert got == sorted({int(r) for r in col if r >= 0})
+    assert all(type(k) is int for k in got)
 
 
 # ---------------------------------------------------------------------------

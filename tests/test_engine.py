@@ -1,6 +1,7 @@
 import json
 import math
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -20,6 +21,7 @@ from stsbot.control import (
     force_controller_step,
 )
 from stsbot.engine import (
+    CHANNELS,
     CSV_SCHEMA_VERSION,
     PHASE_PAUSE,
     PHASE_PAUSE2,
@@ -556,6 +558,9 @@ def edge_logs(draw):
         pool = draw(st.lists(value, min_size=1, max_size=5))
         picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n_rows, max_size=n_rows))
         data[name] = np.array([pool[i] for i in picks], dtype=np.float64)
+    if draw(st.booleans()):
+        # strided views, as from_csv hands out: the columns of one row-major array
+        data = dict(zip(data, np.column_stack(list(data.values())).T))
     return SimLog(1e-3, data, {"seed": draw(st.integers(0, 9))})
 
 
@@ -564,3 +569,80 @@ def edge_logs(draw):
 def test_csv_bytes_match_rowwise_writer(log, block_rows):
     with mock.patch.object(engine, "CSV_BLOCK_ROWS", block_rows):
         assert_csv_exact(log)
+
+
+# ---------------------------------------------------------------------------
+# the log is held once
+
+
+def quick_start(repetitions):
+    return Scenario(geom=GEOM, human=human(), repetitions=repetitions, seed=42, allow_peak=True,
+                    mode_config=AssistModeConfig(AssistMode.WEIGHT_UNLOADING, fz_pct=0.10))
+
+
+# a 9 104-sample transfer at the longest step the rules allow: a 3 MB log
+# that runs in well under a second, so tracing it stays cheap
+MEMORY_TRANSFER = Scenario(transfer=TransferConfig(), repetitions=1, pause=0.5, payload=50.0,
+                           dt=5e-3)
+
+
+def traced_peak(fn):
+    """``fn()`` and the peak bytes tracemalloc (numpy included) saw during it."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_log_channels_are_views_of_one_array(tmp_path):
+    # run_scenario's channels are contiguous rows of one (channels, samples)
+    # array: strided in-memory columns made sts_metrics plus
+    # measured_assistance 1.38x slower, which would cost study_sweep's analysis
+    log = run_scenario(short_scenario(seed=24, pause=0.2, settle=0.1, dt=2e-3))
+    assert list(log.data) == CHANNELS
+    assert all(log[name].flags.c_contiguous for name in CHANNELS)
+    base = log["time"].base
+    assert base is not None and base.shape == (len(CHANNELS), len(log))
+    assert all(log[name].base is base for name in CHANNELS)
+    # from_csv hands out the columns of loadtxt's one array, copying none
+    path = tmp_path / "log.csv"
+    log.write_csv(path)
+    back = SimLog.from_csv(path)
+    base = back["time"].base
+    assert base is not None and base.shape == (len(log), len(CHANNELS))
+    assert all(back[name].base is base for name in CHANNELS)
+
+
+def test_run_scenario_holds_the_log_once():
+    log, peak = traced_peak(lambda: run_scenario(MEMORY_TRANSFER))
+    nbytes = len(log) * len(CHANNELS) * 8
+    assert nbytes > 2e6
+    # a copy of every channel would double the peak
+    assert peak <= 1.1 * nbytes + 1e6
+
+
+def test_from_csv_holds_the_log_once(tmp_path):
+    path = tmp_path / "log.csv"
+    run_scenario(MEMORY_TRANSFER).write_csv(path)
+    back, peak = traced_peak(lambda: SimLog.from_csv(path))
+    nbytes = back["time"].base.nbytes
+    assert nbytes > 2e6
+    # loadtxt grows its array as it reads (1.14x measured); a copy of every
+    # column would add 1x more
+    assert peak <= 1.25 * nbytes + 1e6
+
+
+def test_csv_writer_peak_does_not_grow_with_the_log(tmp_path):
+    short, long = run_scenario(quick_start(1)), run_scenario(quick_start(3))
+    # the long log's channels laid out as from_csv hands them out, strided
+    # columns of one row-major array: the writer makes one block of a column
+    # contiguous at a time, never the whole column
+    long.data = dict(zip(CHANNELS, np.column_stack(list(long.data.values())).T))
+    peaks = [traced_peak(lambda lg=lg: lg.write_csv(tmp_path / "log.csv"))[1]
+             for lg in (short, long)]
+    assert abs(peaks[1] - peaks[0]) <= 1e6
+    # one block's cell texts, the lists holding them and its joined rows
+    # measured 110 B per cell at 2 048 rows (9.3 MB)
+    assert max(peaks) <= 140 * engine.CSV_BLOCK_ROWS * len(CHANNELS)
