@@ -102,7 +102,7 @@ CHANNELS = [
 CSV_SCHEMA_VERSION = "stsbot-log v1"
 CSV_BLOCK_ROWS = 2048
 
-# longest run: its log is held once, 328 B per sample (41 float64 channels), 3.28 GB
+# longest run: its log is held once, 320 B per sample (40 float64 channels), 3.2 GB
 MAX_STEPS = 10_000_000
 
 

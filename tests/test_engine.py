@@ -139,6 +139,12 @@ def short_scenario(**kw):
     return Scenario(**base)
 
 
+def quick_start(repetitions=3):
+    """The README quick-start scenario."""
+    return Scenario(geom=GEOM, human=human(), repetitions=repetitions, seed=42, allow_peak=True,
+                    mode_config=AssistModeConfig(AssistMode.WEIGHT_UNLOADING, fz_pct=0.10))
+
+
 def test_run_is_deterministic_bitwise(tmp_path):
     sc = short_scenario(seed=99)
     log1, log2 = run_scenario(sc), run_scenario(sc)
@@ -216,8 +222,7 @@ def test_every_repetition_starts_and_ends_seated():
     # the README quick-start: the chair is a contact like the floor, so every
     # rise leaves the seat and every descent sits back down on it, with the
     # arm off its joint stops throughout
-    sc = Scenario(geom=GEOM, human=human(), repetitions=3, seed=42, allow_peak=True,
-                  mode_config=AssistModeConfig(AssistMode.WEIGHT_UNLOADING, fz_pct=0.10))
+    sc = quick_start()
     log = run_scenario(sc)
     reps = sts_metrics(log)
     assert len(reps) == 3
@@ -575,12 +580,7 @@ def test_csv_bytes_match_rowwise_writer(log, block_rows):
 # the log is held once
 
 
-def quick_start(repetitions):
-    return Scenario(geom=GEOM, human=human(), repetitions=repetitions, seed=42, allow_peak=True,
-                    mode_config=AssistModeConfig(AssistMode.WEIGHT_UNLOADING, fz_pct=0.10))
-
-
-# a 9 104-sample transfer at the longest step the rules allow: a 3 MB log
+# a 9 103-sample transfer at the longest step the rules allow: a 2.9 MB log
 # that runs in well under a second, so tracing it stays cheap
 MEMORY_TRANSFER = Scenario(transfer=TransferConfig(), repetitions=1, pause=0.5, payload=50.0,
                            dt=5e-3)
@@ -589,7 +589,6 @@ MEMORY_TRANSFER = Scenario(transfer=TransferConfig(), repetitions=1, pause=0.5, 
 def traced_peak(fn):
     """``fn()`` and the peak bytes tracemalloc (numpy included) saw during it."""
     tracemalloc.start()
-    tracemalloc.reset_peak()
     try:
         return fn(), tracemalloc.get_traced_memory()[1]
     finally:
@@ -644,5 +643,5 @@ def test_csv_writer_peak_does_not_grow_with_the_log(tmp_path):
              for lg in (short, long)]
     assert abs(peaks[1] - peaks[0]) <= 1e6
     # one block's cell texts, the lists holding them and its joined rows
-    # measured 110 B per cell at 2 048 rows (9.3 MB)
+    # measured 113 B per cell at 2 048 rows (9.3 MB)
     assert max(peaks) <= 140 * engine.CSV_BLOCK_ROWS * len(CHANNELS)
