@@ -10,16 +10,21 @@ bench_record = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_record)
 
 
-def write_run(tree, workload, seed, sha, values, failed=0, smoke=False):
-    results = tree / "perfbench" / "results"
-    results.mkdir(parents=True, exist_ok=True)
+RESULTS = {"engine.steps": 100, "engine.csv_bytes": 4096, "sim.sat_frac": 0.25,
+           "sim.seated_reps": 3, "outputs": {"session0/log.csv": "ab12", "map/map.csv": "cd34"}}
+
+
+def write_run(tree, workload, seed, sha, values, failed=0, smoke=False, results=RESULTS):
+    results_dir = tree / "perfbench" / "results"
+    results_dir.mkdir(parents=True, exist_ok=True)
     env = {"nproc": 2, "cpus_usable": 2, "cpu_model": "cpu", "python": "3.11.7",
            "numpy": "2.4.6", "git_sha": sha, "src_sha256": sha * 2, "seed": seed}
     rec = {"workload": workload, "smoke": smoke, "environment": env,
            "ops": {"attempted": 4, "failed": failed},
-           "metrics": {name: {"value": v, "unit": "s"} for name, v in values.items()}}
+           "metrics": {name: {"value": v, "unit": "s"} for name, v in values.items()},
+           "results": results}
     name = f"{workload}-seed{seed}-trace0{'-smoke' if smoke else ''}.json"
-    (results / name).write_text(json.dumps(rec))
+    (results_dir / name).write_text(json.dumps(rec))
 
 
 def test_pairs_by_seed_and_counts_wins(tmp_path):
@@ -44,6 +49,28 @@ def test_pairs_by_seed_and_counts_wins(tmp_path):
     assert sim["change"]["median"] == 1.2
     assert sim["change_wins"] == 2
     assert w["metrics"]["realtime_factor"]["change_wins"] == 2
+
+
+def test_counts_pairs_whose_outputs_agree(tmp_path):
+    bench = tmp_path / "BENCHMARK.json"
+    bench.write_text(json.dumps({"end_to_end": [
+        {"name": "simulate_s", "better": "lower", "bound": 0.25}]}))
+    changed = [
+        RESULTS,
+        {**RESULTS, "outputs": {**RESULTS["outputs"], "map/map.csv": "ee56"}},
+        {**RESULTS, "outputs": {"session0/log.csv": "ab12"}},  # an output missing
+        {**RESULTS, "engine.csv_bytes": 4097},
+        {**RESULTS, "engine.steps": 101},
+        {**RESULTS, "sim.sat_frac": 0.25000000000000006},
+        {**RESULTS, "sim.reps": 3},  # a result the parent's run lacks
+    ]
+    for seed, results in enumerate(changed):
+        write_run(tmp_path / "parent", "w", seed, "a", {"simulate_s": 1.0})
+        write_run(tmp_path / "change", "w", seed, "b", {"simulate_s": 1.0}, results=results)
+    doc = bench_record.record(tmp_path / "parent", tmp_path / "change", bench)
+    assert doc["workloads"]["w"]["outputs_equal"] == 1
+    assert [bench_record.same_outputs({"results": RESULTS}, {"results": r})
+            for r in changed] == [True] + [False] * 6
 
 
 def test_runs_of_one_side_must_share_a_tree(tmp_path):

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stsbot import engine
@@ -540,7 +540,8 @@ def assert_csv_exact(log: SimLog) -> None:
     assert back.meta == log.meta
     assert list(back.data) == list(log.data)
     for name in log.data:
-        assert np.array_equal(back[name].view(np.int64), log[name].view(np.int64))
+        want = np.asarray(log[name], dtype=np.float64)
+        assert np.array_equal(back[name].view(np.int64), want.view(np.int64))
 
 
 def test_csv_roundtrip():
@@ -559,20 +560,43 @@ def edge_logs(draw):
     value = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_nan=False))
     data = {"time": np.arange(n_rows) * 1e-3}
     for name in [f"c{k}" for k in range(draw(st.integers(1, 4)))]:
-        # a small pool per column, so rows repeat values across block edges
-        pool = draw(st.lists(value, min_size=1, max_size=5))
+        # a pool per column, small or as large as the log, so a block's column
+        # repeats its values or varies; picks held for a run of rows, so whole
+        # blocks hold one value
+        pool = draw(st.lists(value, min_size=1, max_size=draw(st.sampled_from([3, 30]))))
+        run = draw(st.integers(1, 8))
         picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n_rows, max_size=n_rows))
-        data[name] = np.array([pool[i] for i in picks], dtype=np.float64)
+        data[name] = np.array([pool[picks[i - i % run]] for i in range(n_rows)], dtype=np.float64)
     if draw(st.booleans()):
         # strided views, as from_csv hands out: the columns of one row-major array
         data = dict(zip(data, np.column_stack(list(data.values())).T))
+    if draw(st.booleans()):
+        # an integer column, as the map's mask is
+        data["mask"] = np.array(draw(st.lists(st.integers(0, 2), min_size=n_rows,
+                                              max_size=n_rows)), dtype=np.int64)
     return SimLog(1e-3, data, {"seed": draw(st.integers(0, 9))})
 
 
+# blocks of these five columns that draw each case: at 20 cells (four rows)
+# c0 is constant at -0.0 in one block and at 0.0 in the next, c1 is constant
+# at NaN, c2 repeats {0.0, 1.0} and then {-0.0, 1.0}, whose text the second
+# block must not take from the first, and the integer mask repeats, then is
+# constant; at 40 cells c0 repeats both zeros; at one cell every column is
+# constant, so the row template is all literal text and takes no arguments
+EDGE_BLOCKS = SimLog(1e-3, {"time": np.arange(8) * 1e-3,
+                            "c0": np.array([-0.0] * 4 + [0.0] * 4),
+                            "c1": np.full(8, math.nan),
+                            "c2": np.array([0.0, 1.0, 1.0, 0.0, -0.0, 1.0, 1.0, -0.0]),
+                            "mask": np.array([1, 1, 0, 1, 2, 2, 2, 2])}, {"seed": 0})
+
+
 @settings(max_examples=200, deadline=None)
-@given(log=edge_logs(), block_rows=st.integers(1, 8))
-def test_csv_bytes_match_rowwise_writer(log, block_rows):
-    with mock.patch.object(engine, "CSV_BLOCK_ROWS", block_rows):
+@given(log=edge_logs(), block_cells=st.integers(1, 48))
+@example(log=EDGE_BLOCKS, block_cells=20)
+@example(log=EDGE_BLOCKS, block_cells=40)
+@example(log=EDGE_BLOCKS, block_cells=1)
+def test_csv_bytes_match_rowwise_writer(log, block_cells):
+    with mock.patch.object(engine, "CSV_BLOCK_CELLS", block_cells):
         assert_csv_exact(log)
 
 
@@ -642,6 +666,15 @@ def test_csv_writer_peak_does_not_grow_with_the_log(tmp_path):
     peaks = [traced_peak(lambda lg=lg: lg.write_csv(tmp_path / "log.csv"))[1]
              for lg in (short, long)]
     assert abs(peaks[1] - peaks[0]) <= 1e6
-    # one block's cell texts, the lists holding them and its joined rows
-    # measured 113 B per cell at 2 048 rows (9.3 MB)
-    assert max(peaks) <= 140 * engine.CSV_BLOCK_ROWS * len(CHANNELS)
+    # a map.csv as cli._cmd_map lays it out: a 241 x 241 grid (58 081 rows of
+    # y, z, a mostly-NaN value and an integer mask), whose blocks hold ten
+    # times the rows of a log's for the same cells
+    rng = np.random.default_rng(0)
+    grid = np.linspace(0.1, 1.3, 241)
+    value = np.where(rng.random(241 * 241) < 0.7, math.nan, rng.normal(1e3, 3e2, 241 * 241))
+    columns = [np.tile(grid, 241), np.repeat(grid, 241), value, np.isfinite(value).astype(int)]
+    peaks.append(traced_peak(lambda: sum(map(len, engine.csv_rows(columns))))[1])
+    # one block's argument lists and tuple, its row template and its text
+    # measured 63 B per cell of CSV_BLOCK_CELLS for the logs (1.03 MB) and
+    # 53 B for the map
+    assert max(peaks) <= 80 * engine.CSV_BLOCK_CELLS

@@ -12,6 +12,10 @@ quartiles, how many pairs the change won and a verdict:
   than the parent's interquartile range;
 - ``unchanged``: neither.
 
+Each workload also counts ``outputs_equal``: the pairs whose two runs wrote
+the same outputs (see ``same_outputs``), so a change that claims only speed
+shows that its bytes did not move.
+
 Standard library only.
 
     python3 tools/bench_record.py --parent ../parent --change . --out BENCH_7.json
@@ -65,6 +69,16 @@ def verdict(parent: dict, change: dict, wins: int, pairs: int, better: str,
     return "unchanged"
 
 
+def same_outputs(parent: dict, change: dict) -> bool:
+    """Whether two runs' first cycles agree exactly: the SHA-256 map of every
+    output (``results.outputs``), ``engine.steps``, ``engine.csv_bytes`` and
+    every ``sim.*`` result."""
+    a, b = parent["results"], change["results"]
+    keys = {k for k in a.keys() | b.keys()
+            if k in ("outputs", "engine.steps", "engine.csv_bytes") or k.startswith("sim.")}
+    return all(a.get(k) == b.get(k) for k in keys)
+
+
 def side_identity(runs: list[dict]) -> dict:
     """The git SHA and source digest of one side; every run must agree."""
     ids = {(r["environment"]["git_sha"], r["environment"]["src_sha256"]) for r in runs}
@@ -107,6 +121,7 @@ def record(parent: Path, change: Path, benchmark: Path) -> dict:
             "seeds": seeds,
             "failed_ops": {"parent": sum(p["ops"]["failed"] for p, _ in pairs),
                            "change": sum(c["ops"]["failed"] for _, c in pairs)},
+            "outputs_equal": sum(same_outputs(p, c) for p, c in pairs),
             "metrics": metrics,
         }
     return out
