@@ -129,8 +129,9 @@ class SimLog:
         return len(self.data["time"])
 
     def write_csv(self, path) -> None:
-        """Write the header, then ``csv_rows`` of the channels, so the whole
-        text is never held at once."""
+        """Write the header, then ``csv_rows`` of the channels: one block of
+        CSV_BLOCK_CELLS cells is formatted and written at a time, so the
+        whole text is never held at once."""
         names = list(self.data.keys())
         with open(path, "w", newline="\n") as fh:
             fh.write(f"# {CSV_SCHEMA_VERSION}\n# meta {json.dumps(self.meta, sort_keys=True)}\n"
