@@ -242,6 +242,11 @@ def motion_window(log: SimLog, rep: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # STS metrics
 
+# every channel sts_metrics, measured_assistance_per_rep and
+# transfer_speed_table read: the ones `stsbot analyze` decodes
+METRIC_CHANNELS = ("time", "rep", "phase", "com_y", "com_z", "vcom_y", "vcom_z",
+                   "acom_y", "acom_z", "chair_fz", "feet_fz", "seat_off", "e_vz")
+
 
 @dataclass
 class StsMetrics:

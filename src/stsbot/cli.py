@@ -19,6 +19,7 @@ from . import __version__
 from .actuators import DRIVES, engaged_pair
 from .analysis import (  # noqa: F401  measured_assistance: perfbench times calls by name
     MASK_LEGEND,
+    METRIC_CHANNELS,
     capability_map,
     measured_assistance,
     measured_assistance_per_rep,
@@ -26,7 +27,7 @@ from .analysis import (  # noqa: F401  measured_assistance: perfbench times call
     transfer_speed_table,
 )
 from .config import load_config, validate_config
-from .engine import CHANNELS, Scenario, SimLog, csv_rows, run_scenario
+from .engine import CHANNELS, Scenario, csv_rows, read_log, run_scenario
 from .errors import ConfigError, NumericalDivergence, StsBotError
 
 EXIT_OK = 0
@@ -117,9 +118,9 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    log = SimLog.from_csv(args.log)
-    if missing := [name for name in CHANNELS if name not in log.data]:
-        raise ConfigError(f"{args.log}: no {', '.join(missing)} column")
+    # read_log, not SimLog.from_csv: the header must name every channel, but
+    # only the ones the metrics read are decoded
+    log = read_log(args.log, decode=METRIC_CHANNELS, require=CHANNELS)
     summary: dict = {"meta": log.meta, "samples": len(log)}
     if log.meta.get("mode") == "transfer":
         payload = log.meta.get("payload", 0.0)

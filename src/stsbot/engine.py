@@ -114,8 +114,9 @@ class SimLog:
 
     ``data`` maps each channel to a 1-D float64 array. The log is held once:
     from ``run_scenario`` each channel is a contiguous row of one
-    (channels, samples) array, and from ``from_csv`` a strided column of the
-    (rows, columns) array that ``np.loadtxt`` read.
+    (channels, samples) array, and from ``read_log`` a strided column of the
+    (rows, columns) array that ``np.loadtxt`` read, which holds every column
+    for ``from_csv`` and only the decoded ones for ``stsbot analyze``.
     """
 
     dt: float
@@ -140,53 +141,101 @@ class SimLog:
 
     @classmethod
     def from_csv(cls, path) -> "SimLog":
-        """Read a log written by ``write_csv``; a file that is missing, not such
-        a log or with a meta number that is not finite raises ConfigError naming the path."""
-        meta: dict = {}
-        try:
-            with open(path) as fh:
-                header = fh.readline().strip()
-                if not header.startswith("#") or CSV_SCHEMA_VERSION not in header:
-                    raise ConfigError(f"{path}: not a {CSV_SCHEMA_VERSION} file")
-                line = fh.readline().strip()
-                if line.startswith("# meta "):
-                    meta = json.loads(line[len("# meta "):])
-                    if not isinstance(meta, dict):
-                        raise ConfigError(f"{path}: the meta line is not a JSON object")
-                    line = fh.readline().strip()
-                names = line.split(",")
-                if "time" not in names or len(set(names)) < len(names):
-                    raise ConfigError(f"{path}: bad column header {line!r}")
-                with warnings.catch_warnings():
-                    # an empty body is reported below, not warned about
-                    warnings.simplefilter("ignore", UserWarning)
-                    arr = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except OSError as exc:
-            raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
-        except ValueError as exc:
-            # loadtxt appends advice on its own options after a ';'
-            raise ConfigError(f"{path}: {str(exc).split(';')[0]}") from exc
-        if arr.shape[0] == 0:
-            raise ConfigError(f"{path}: no data rows")
-        if arr.shape[1] != len(names):
-            raise ConfigError(
-                f"{path}: rows hold {arr.shape[1]} cells, the header names {len(names)} columns")
-        data = dict(zip(names, arr.T))
-        t = data["time"]
-        if not (np.isfinite(t).all() and (np.diff(t) > 0.0).all()):
-            raise ConfigError(f"{path}: time is not finite and strictly increasing")
-        for name in ("rep", "phase"):
-            col = data.get(name)
-            if col is not None and not (np.isfinite(col).all() and (col == np.floor(col)).all()):
-                raise ConfigError(f"{path}: {name} holds a value that is not a finite integer")
-        for key in ("dt", "height", "weight", "payload", "fz_pct", "v_z_target"):
-            value = meta.get(key, 0.0)
-            if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
-                raise ConfigError(f"{path}: meta {key} {value!r} is not a finite number")
-        dt = float(t[1] - t[0]) if len(t) > 1 else meta.get("dt", Scenario.dt)
-        if not 0.0 < dt < math.inf:
-            raise ConfigError(f"{path}: the time step {dt!r} is not a positive number")
-        return cls(float(dt), data, meta)
+        """Read every column of a log written by ``write_csv`` (``read_log``)."""
+        return read_log(path)
+
+
+def read_log(path, decode=None, require=()) -> SimLog:
+    """Read a log written by ``write_csv``, decoding the columns ``decode``
+    names (None: every column), ``time`` and the header's last column.
+
+    A file that is missing or not such a log, a header that lacks ``time``
+    or a channel of ``require`` or ``decode``, a row whose cell count is not
+    the header's, a decoded cell that is not a number, a ``time`` that is not
+    finite and strictly increasing, a decoded ``rep`` or ``phase`` that is not
+    a finite integer, or a meta number that is not finite raises ConfigError
+    naming the path.  The cells of a column not decoded are never converted:
+    ``stsbot analyze`` decodes only the channels its metrics read, so it
+    passes a text cell in another channel that ``SimLog.from_csv`` refuses.
+    """
+    meta: dict = {}
+    try:
+        with open(path) as fh:
+            head = [fh.readline()]
+            header = head[0].strip()
+            if not header.startswith("#") or CSV_SCHEMA_VERSION not in header:
+                raise ConfigError(f"{path}: not a {CSV_SCHEMA_VERSION} file")
+            head.append(fh.readline())
+            line = head[-1].strip()
+            if line.startswith("# meta "):
+                meta = json.loads(line[len("# meta "):])
+                if not isinstance(meta, dict):
+                    raise ConfigError(f"{path}: the meta line is not a JSON object")
+                head.append(fh.readline())
+                line = head[-1].strip()
+            names = line.split(",")
+            if "time" not in names or len(set(names)) < len(names):
+                raise ConfigError(f"{path}: bad column header {line!r}")
+            if missing := [c for c in dict.fromkeys([*require, *(decode or ())])
+                           if c not in names]:
+                raise ConfigError(f"{path}: no {', '.join(missing)} column")
+            # with the last column among them, loadtxt refuses a row short of any cell
+            cols = range(len(names)) if decode is None else sorted(
+                {names.index(c) for c in ("time", *decode)} | {len(names) - 1})
+            with warnings.catch_warnings():
+                # an empty body is reported below, not warned about
+                warnings.simplefilter("ignore", UserWarning)
+                arr = np.loadtxt(fh, delimiter=",", ndmin=2, usecols=cols)
+        _check_cell_counts(path, head, len(arr), len(names))
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        # loadtxt appends advice on its own options after a ';'
+        raise ConfigError(f"{path}: {str(exc).split(';')[0]}") from exc
+    if arr.shape[0] == 0:
+        raise ConfigError(f"{path}: no data rows")
+    data = {names[k]: column for k, column in zip(cols, arr.T)}
+    t = data["time"]
+    if not (np.isfinite(t).all() and (np.diff(t) > 0.0).all()):
+        raise ConfigError(f"{path}: time is not finite and strictly increasing")
+    for name in ("rep", "phase"):
+        col = data.get(name)
+        if col is not None and not (np.isfinite(col).all() and (col == np.floor(col)).all()):
+            raise ConfigError(f"{path}: {name} holds a value that is not a finite integer")
+    for key in ("dt", "height", "weight", "payload", "fz_pct", "v_z_target"):
+        value = meta.get(key, 0.0)
+        if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"{path}: meta {key} {value!r} is not a finite number")
+    dt = float(t[1] - t[0]) if len(t) > 1 else meta.get("dt", Scenario.dt)
+    if not 0.0 < dt < math.inf:
+        raise ConfigError(f"{path}: the time step {dt!r} is not a positive number")
+    return SimLog(float(dt), data, meta)
+
+
+def _check_cell_counts(path, head: list[str], rows: int, columns: int) -> None:
+    """Raise ConfigError unless each of the ``rows`` rows ``np.loadtxt`` read
+    past the ``head`` lines holds ``columns`` cells.
+
+    loadtxt with ``usecols`` takes a row with extra cells.  With the last
+    column among them it refuses a short one, so each row it read holds at
+    least ``columns - 1`` commas, and if the body holds ``rows * (columns - 1)``
+    commas in all, no row holds more.  They are counted in 64 kB binary
+    blocks: ~25 ms for a 32 MB log (1 MB blocks took as long and held 2 MB).
+    On any other count the lines are read as loadtxt reads them, each the text
+    before a ``#`` and skipped when empty, so commas in a comment pass and the
+    first row of another length is named.
+    """
+    with open(path, "rb") as fh:
+        commas = sum(block.count(b",") for block in iter(lambda: fh.read(1 << 16), b""))
+    if commas - sum(line.count(",") for line in head) == rows * (columns - 1):
+        return
+    with open(path) as fh:
+        for number, line in enumerate(fh, 1):
+            text = line.rstrip("\n").split("#", 1)[0]
+            cells = text.count(",") + 1
+            if number > len(head) and text and cells != columns:
+                raise ConfigError(
+                    f"{path}: line {number} holds {cells} cells, the header names {columns} columns")
 
 
 def csv_rows(columns):

@@ -16,12 +16,14 @@ from stsbot.analysis import (
     MASK_OK,
     MASK_SINGULAR,
     MASK_UNREACHABLE,
+    METRIC_CHANNELS,
     assistance_error_table,
     band_cells,
     capability_map,
     cmc,
     connected_fraction,
     measured_assistance,
+    measured_assistance_per_rep,
     mean_rise_waveform,
     motion_window,
     nominal_sts_path,
@@ -30,7 +32,8 @@ from stsbot.analysis import (
     sts_metrics,
     transfer_speed_table,
 )
-from stsbot.engine import CHANNELS, PHASE_DESCENT, PHASE_PAUSE, PHASE_RISE, SimLog
+from stsbot.config import build_scenario, parse_config_text
+from stsbot.engine import CHANNELS, PHASE_DESCENT, PHASE_PAUSE, PHASE_RISE, SimLog, run_scenario
 from stsbot.errors import (
     DegenerateInput,
     EmptyWindow,
@@ -252,6 +255,26 @@ def test_transfer_speed_table_synthetic():
     up, down = table[50.0]
     assert up == pytest.approx(0.04, rel=1e-9)
     assert down == pytest.approx(0.04, rel=1e-9)
+
+
+# a short assisted rise and a short transfer, as `stsbot simulate` runs them
+METRIC_RUNS = {
+    "rehab": "mode = weight_unloading\nfz_pct = 0.10\nrepetitions = 2\npause = 0.2\n"
+             "settle = 0.1\nsts.duration = 1.0\ndt = 0.002\nallow_peak = true\n",
+    "transfer": "mode = transfer\npayload = 50\ntransfer.v_z = 0.1\ndt = 0.005\n",
+}
+
+
+@pytest.mark.parametrize("run", sorted(METRIC_RUNS))
+def test_metric_channels_cover_the_metrics(run):
+    # `stsbot analyze` decodes only METRIC_CHANNELS: a metric that reads any
+    # other channel fails here with a KeyError, not in a user's analyze
+    log = run_scenario(build_scenario(parse_config_text(METRIC_RUNS[run])))
+    assert set(METRIC_CHANNELS) <= set(CHANNELS)
+    only = SimLog(log.dt, {name: log[name] for name in METRIC_CHANNELS}, log.meta)
+    assert sts_metrics(only) == sts_metrics(log)
+    assert measured_assistance_per_rep(only, 80.0) == measured_assistance_per_rep(log, 80.0)
+    assert transfer_speed_table({0.0: only}) == transfer_speed_table({0.0: log})
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,10 @@ from stsbot import (
     Scenario,
     TransferConfig,
 )
+from stsbot.analysis import METRIC_CHANNELS
 from stsbot.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
 from stsbot.config import SCHEMA, build_scenario, parse_config_text, validate_config
+from stsbot.engine import CHANNELS, SimLog
 from stsbot.errors import ConfigError
 
 FAST_SCENARIO = """
@@ -449,6 +451,26 @@ def _drop_last_cell(lines):
     lines[5] = lines[5].rsplit(",", 1)[0]
 
 
+def _add_cell(lines):
+    lines[5] += ",0"
+
+
+def _drop_cell(name):
+    # one row loses the cell, so the cells after it shift left
+    def edit(lines):
+        cells = lines[5].split(",")
+        del cells[CHANNELS.index(name)]
+        lines[5] = ",".join(cells)
+    return edit
+
+
+def _short_row_and_long_row(lines):
+    # the file holds as many cells as the header asks for, one row short and
+    # the next one long
+    _drop_cell("harness_fy")(lines)
+    lines[6] += ",0"
+
+
 def _non_numeric_cell(lines):
     lines[5] = "fast," + lines[5].split(",", 1)[1]
 
@@ -497,7 +519,11 @@ MALFORMED_LOGS = {
     "wrong_column_header": _rename_time_column,
     "no_data_rows": _drop_data_rows,
     "row_with_wrong_cell_count": _drop_last_cell,
+    "row_with_extra_cell": _add_cell,
+    "row_missing_an_unread_cell": _drop_cell("harness_fy"),
+    "short_row_then_long_row": _short_row_and_long_row,
     "non_numeric_cell": _non_numeric_cell,
+    "non_numeric_cell_in_read_channel": _set_cell(5, CHANNELS.index("feet_fz"), "heavy"),
     "repeated_time": _repeat_row,
     "decreasing_time": _set_cell(5, 0, "-1"),
     "nan_time": _set_cell(4, 0, "nan"),
@@ -538,6 +564,42 @@ def test_analyze_malformed_log_exits_2(tmp_path, capsys, fast_log_lines, name):
     assert len(err_lines) == 1
     assert err_lines[0].startswith("error: ") and str(path) in err_lines[0]
     assert not out.exists()
+
+
+def test_from_csv_decodes_every_channel(tmp_path, fast_log_lines):
+    # analyze converts only the cells of the channels its metrics read; the
+    # API's full read converts every cell
+    assert "harness_fy" not in METRIC_CHANNELS
+    lines = list(fast_log_lines)
+    _set_cell(5, CHANNELS.index("harness_fy"), "heavy")(lines)
+    path = tmp_path / "log.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=re.escape(str(path))):
+        SimLog.from_csv(path)
+
+
+def test_analyze_skips_the_lines_loadtxt_skips(tmp_path, capsys, fast_log_lines):
+    # a blank line and comments holding commas are not rows, as np.loadtxt
+    # reads the body, so they pass the cell count; a longer row among them
+    # is still named
+    path, out = tmp_path / "log.csv", tmp_path / "out"
+    path.write_text("\n".join(fast_log_lines) + "\n")
+    assert main(["analyze", "--log", str(path), "--out", str(out)]) == EXIT_OK
+    want = (out / "metrics.json").read_bytes()
+    lines = list(fast_log_lines)
+    lines[4:4] = ["", "# a comment, with commas,,"]
+    lines[7] += " # and a trailing one, too"
+    path.write_text("\n".join(lines) + "\n")
+    assert len(SimLog.from_csv(path)) == len(fast_log_lines) - 3
+    assert main(["analyze", "--log", str(path), "--out", str(out)]) == EXIT_OK
+    assert (out / "metrics.json").read_bytes() == want
+    lines[8] += ",0"
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["analyze", "--log", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: {path}: line 9 holds {len(CHANNELS) + 1} cells, "
+        f"the header names {len(CHANNELS)} columns\n")
 
 
 def _reject_constant(name):
