@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -114,7 +115,10 @@ class SimLog:
 
     ``data`` maps each channel to a 1-D float64 array. The log is held once:
     from ``run_scenario`` each channel is a contiguous row of one
-    (channels, samples) array, and from ``read_log`` a strided column of the
+    (channels, samples) array, filled a block of CSV_BLOCK_CELLS cells at a
+    time from a row-major buffer that each sample is packed into whole, so
+    the last samples of a run reach it only when the run ends; from
+    ``read_log`` each channel is a strided column of the
     (rows, columns) array that ``np.loadtxt`` read, which holds every column
     for ``from_csv`` and only the decoded ones for ``stsbot analyze``.
     """
@@ -185,8 +189,14 @@ def read_log(path, decode=None, require=()) -> SimLog:
             with warnings.catch_warnings():
                 # an empty body is reported below, not warned about
                 warnings.simplefilter("ignore", UserWarning)
-                arr = np.loadtxt(fh, delimiter=",", ndmin=2, usecols=cols)
-        _check_cell_counts(path, head, len(arr), len(names))
+                try:
+                    arr = np.loadtxt(fh, delimiter=",", ndmin=2, usecols=cols)
+                except ValueError as exc:
+                    # loadtxt's row numbers count neither file lines nor agree
+                    # with each other, so the line is found again here
+                    raise ConfigError(_first_bad_line(path, len(head), names, cols)
+                                      or f"{path}: {str(exc).split(';')[0]}") from exc
+        _check_cell_counts(path, head, len(arr), names)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
     except ValueError as exc:
@@ -212,30 +222,59 @@ def read_log(path, decode=None, require=()) -> SimLog:
     return SimLog(float(dt), data, meta)
 
 
-def _check_cell_counts(path, head: list[str], rows: int, columns: int) -> None:
+def _check_cell_counts(path, head: list[str], rows: int, names: list[str]) -> None:
     """Raise ConfigError unless each of the ``rows`` rows ``np.loadtxt`` read
-    past the ``head`` lines holds ``columns`` cells.
+    past the ``head`` lines holds a cell for each of ``names``.
 
     loadtxt with ``usecols`` takes a row with extra cells.  With the last
     column among them it refuses a short one, so each row it read holds at
-    least ``columns - 1`` commas, and if the body holds ``rows * (columns - 1)``
-    commas in all, no row holds more.  They are counted in 64 kB binary
-    blocks: ~25 ms for a 32 MB log (1 MB blocks took as long and held 2 MB).
-    On any other count the lines are read as loadtxt reads them, each the text
-    before a ``#`` and skipped when empty, so commas in a comment pass and the
-    first row of another length is named.
+    least ``len(names) - 1`` commas, and if the body holds that many per row
+    in all, no row holds more.  They are counted in 64 kB binary blocks:
+    ~25 ms for a 32 MB log (1 MB blocks took as long and held 2 MB).  On any
+    other count ``_first_bad_line`` reads the lines as loadtxt reads them, so
+    commas in a comment pass and the first row of another length is named.
     """
     with open(path, "rb") as fh:
         commas = sum(block.count(b",") for block in iter(lambda: fh.read(1 << 16), b""))
-    if commas - sum(line.count(",") for line in head) == rows * (columns - 1):
+    if commas - sum(line.count(",") for line in head) == rows * (len(names) - 1):
         return
+    if error := _first_bad_line(path, len(head), names, ()):
+        raise ConfigError(error)
+
+
+def _first_bad_line(path, skip: int, names: list[str], decode) -> str | None:
+    """The error naming the first line past the ``skip`` head lines whose
+    cell count is not ``len(names)`` or whose cell in a column of ``decode``
+    (indices into ``names``) is not a number; None if there is none.
+
+    The lines are read as ``np.loadtxt`` reads them: each is the text before
+    a ``#``, skipped when empty.
+    """
+    columns = len(names)
     with open(path) as fh:
         for number, line in enumerate(fh, 1):
             text = line.rstrip("\n").split("#", 1)[0]
-            cells = text.count(",") + 1
-            if number > len(head) and text and cells != columns:
-                raise ConfigError(
-                    f"{path}: line {number} holds {cells} cells, the header names {columns} columns")
+            if number <= skip or not text:
+                continue
+            cells = text.split(",")
+            if len(cells) != columns:
+                end = f" (it ends before {names[len(cells)]})" if len(cells) < columns else ""
+                return (f"{path}: line {number} holds {len(cells)} cells, "
+                        f"the header names {columns} columns{end}")
+            for k in decode:
+                if not _is_number(cells[k]):
+                    return f"{path}: line {number}: {names[k]} {cells[k]!r} is not a number"
+    return None
+
+
+def _is_number(cell: str) -> bool:
+    """Whether ``np.loadtxt`` reads ``cell`` as a float: what ``float``
+    takes, less the underscores and non-ASCII digits loadtxt refuses."""
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return cell.isascii() and "_" not in cell
 
 
 def csv_rows(columns):
@@ -250,10 +289,20 @@ def csv_rows(columns):
     reuses it when its distinct values are the same (the map's ``y_m`` holds
     the same values in every block).  Any other column passes its floats to
     ``%.17g``.
+
+    A column that took ``%.17g`` in the last block is first tried without
+    ``np.unique``: its cells hold at least as many distinct values as distinct
+    low 12 bits (``bincount`` of ``bits & 4095``), so more than ``rows / 2``
+    of those sends it to ``%.17g`` at once.  The test only ever proves "many
+    distinct", the choice ``np.unique`` would make, so it cannot change the
+    bytes; when it cannot decide, ``np.unique`` does.  A column that was
+    constant or repeated in the last block goes to ``np.unique`` first, so a
+    repeating column, such as the map's ``y_m``, does not pay for both.
     """
     n_rows = len(columns[0])
     block = max(1, CSV_BLOCK_CELLS // len(columns))
     kept = [None] * len(columns)  # (distinct bits, their text) per column
+    varied = [False] * len(columns)  # whether the column took %.17g in the last block
     for start in range(0, n_rows, block):
         rows = min(block, n_rows - start)
         fields, args = [], []
@@ -263,9 +312,14 @@ def csv_rows(columns):
             bits = x.view(np.int64)
             if (bits == bits[0]).all():
                 fields.append(f"{x[0]:.17g}")
+                varied[i] = False
                 continue
-            distinct, inverse = np.unique(bits, return_inverse=True)
-            if 2 * len(distinct) > rows:
+            # distinct low 12 bits are at most as many as distinct values
+            varied[i] = varied[i] and 2 * np.count_nonzero(np.bincount(bits & 4095)) > rows
+            if not varied[i]:
+                distinct, inverse = np.unique(bits, return_inverse=True)
+                varied[i] = 2 * len(distinct) > rows
+            if varied[i]:
                 fields.append("%.17g")
                 args.append(x.tolist())
                 continue
@@ -747,8 +801,17 @@ def run_scenario(scenario: Scenario) -> SimLog:
     brake = float(is_transfer)
     zeros4, zeros6, zeros12 = (0.0,) * 4, (0.0,) * 6, (0.0,) * 12
 
-    # one row per channel, so each channel is a contiguous view of this one array
+    # one row per channel, so each channel is a contiguous view of this one
+    # array; each sample is packed whole into a row-major block of samples,
+    # and each full block, then the last partial one, is copied in transposed
+    # (storing a sample straight into the log wrote 40 cells 8 * n_steps
+    # bytes apart)
     rows = np.zeros((len(CHANNELS), n_steps))
+    sample = struct.Struct(f"{len(CHANNELS)}d")
+    pack, size = sample.pack_into, sample.size
+    block = max(1, CSV_BLOCK_CELLS // len(CHANNELS))
+    buf = np.empty((block, len(CHANNELS)))
+    at, full = 0, block * size  # the byte offset of the next sample in buf
     for i in range(n_steps):
         # the plant reads the same cursor; all lookups come at non-decreasing t
         seg = schedule.segment_at(state.t)
@@ -795,9 +858,16 @@ def run_scenario(scenario: Scenario) -> SimLog:
         if plant.has_human:
             human = (*f.harness, *state.com, *state.vcom, *f.acom, f.chair_fz, *f.feet,
                      float(f.chair_fz <= 0.0))
-        rows[:, i] = (state.t, seg.rep, seg.phase, state.q_a, state.q_c, state.qd_a, state.qd_c,
-                      *effector, *stages, f1_cmd, f2_cmd, float(sat1), float(sat2), *drives,
-                      v2_belt, v2_ref, *human, brake)
+        pack(buf, at, state.t, seg.rep, seg.phase, state.q_a, state.q_c, state.qd_a, state.qd_c,
+             *effector, *stages, f1_cmd, f2_cmd, float(sat1), float(sat2), *drives,
+             v2_belt, v2_ref, *human, brake)
+        at += size
+        if at == full:
+            rows[:, i + 1 - block:i + 1] = buf.T
+            at = 0
+    if at:
+        k = at // size
+        rows[:, n_steps - k:] = buf[:k].T
 
     data = dict(zip(CHANNELS, rows))
     meta = {

@@ -578,6 +578,27 @@ def test_from_csv_decodes_every_channel(tmp_path, fast_log_lines):
         SimLog.from_csv(path)
 
 
+@pytest.mark.parametrize("name, want", [
+    ("non_numeric_cell", "line 6: time 'fast' is not a number"),
+    ("non_numeric_cell_in_read_channel", "line 6: feet_fz 'heavy' is not a number"),
+    ("row_with_wrong_cell_count", f"line 6 holds {len(CHANNELS) - 1} cells, the header names "
+                                  f"{len(CHANNELS)} columns (it ends before {CHANNELS[-1]})"),
+])
+def test_a_row_np_loadtxt_refuses_is_named_by_its_file_line(
+        tmp_path, capsys, fast_log_lines, name, want):
+    # loadtxt's own messages count rows from 0 or from 1, not file lines: the
+    # fault on line 6 read "at row 2, column 38" and "at row 3 with 39 columns"
+    lines = list(fast_log_lines)
+    MALFORMED_LOGS[name](lines)
+    path, out = tmp_path / "log.csv", tmp_path / "out"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["analyze", "--log", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {path}: {want}\n"
+    with pytest.raises(ConfigError) as exc:
+        SimLog.from_csv(path)
+    assert str(exc.value) == f"{path}: {want}"
+
+
 def test_analyze_skips_the_lines_loadtxt_skips(tmp_path, capsys, fast_log_lines):
     # a blank line and comments holding commas are not rows, as np.loadtxt
     # reads the body, so they pass the cell count; a longer row among them

@@ -589,12 +589,27 @@ EDGE_BLOCKS = SimLog(1e-3, {"time": np.arange(8) * 1e-3,
                             "c2": np.array([0.0, 1.0, 1.0, 0.0, -0.0, 1.0, 1.0, -0.0]),
                             "mask": np.array([1, 1, 0, 1, 2, 2, 2, 2])}, {"seed": 0})
 
+# blocks that draw the writer's pre-check, which runs first on a column that
+# took %.17g in the last block: 409-row blocks (at 818 cells) whose second
+# holds 409 distinct values that share their low 12 bits, so only np.unique
+# can tell that they vary; and four-row blocks (at 8 cells) in which c0
+# varies, varies again, repeats {5.0, 6.0} and varies once more
+SHARED_LOW_BITS = SimLog(1e-3, {"time": np.arange(818) * 1e-3,
+                                "c0": np.concatenate([np.arange(409) * 0.1,
+                                                      np.arange(409) * 2.0**20])}, {"seed": 0})
+VARY_REPEAT_VARY = SimLog(1e-3, {"time": np.arange(16) * 1e-3,
+                                 "c0": np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8,
+                                                 5.0, 5.0, 6.0, 5.0, 0.9, 1.1, 1.3, 1.7])},
+                         {"seed": 0})
+
 
 @settings(max_examples=200, deadline=None)
 @given(log=edge_logs(), block_cells=st.integers(1, 48))
 @example(log=EDGE_BLOCKS, block_cells=20)
 @example(log=EDGE_BLOCKS, block_cells=40)
 @example(log=EDGE_BLOCKS, block_cells=1)
+@example(log=SHARED_LOW_BITS, block_cells=818)
+@example(log=VARY_REPEAT_VARY, block_cells=8)
 def test_csv_bytes_match_rowwise_writer(log, block_cells):
     with mock.patch.object(engine, "CSV_BLOCK_CELLS", block_cells):
         assert_csv_exact(log)
@@ -646,6 +661,23 @@ def test_run_scenario_holds_the_log_once():
     assert peak <= 1.1 * nbytes + 1e6
 
 
+def test_sample_store_does_not_depend_on_its_block_size():
+    # run_scenario packs samples into blocks of CSV_BLOCK_CELLS cells and
+    # copies each block into the log: one-row blocks, seven-row blocks (which
+    # divide none of these runs) and the default 409 rows must log the same
+    # bits, also for a run shorter than one block
+    rows = engine.CSV_BLOCK_CELLS // len(CHANNELS)
+    for sc in (short_scenario(seed=24, pause=0.2, settle=0.1, dt=2e-3), MEMORY_TRANSFER,
+               short_scenario(dt=5e-3, sts_duration=0.5, pause=0.1, settle=0.1)):
+        want = run_scenario(sc)["time"].base
+        assert want.shape[1] % 7 and want.shape[1] % rows
+        for block_cells in (len(CHANNELS), 7 * len(CHANNELS)):
+            with mock.patch.object(engine, "CSV_BLOCK_CELLS", block_cells):
+                got = run_scenario(sc)["time"].base
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert want.shape[1] < rows
+
+
 def test_from_csv_holds_the_log_once(tmp_path):
     path = tmp_path / "log.csv"
     run_scenario(MEMORY_TRANSFER).write_csv(path)
@@ -658,11 +690,19 @@ def test_from_csv_holds_the_log_once(tmp_path):
 
 
 def test_csv_writer_peak_does_not_grow_with_the_log(tmp_path):
-    short, long = run_scenario(quick_start(1)), run_scenario(quick_start(3))
+    # 3 and 15 blocks of a quick-start log: tracemalloc slows the writer
+    # ~0.2 ms per row, and 15 blocks still span the rise, the pause and the
+    # descent. A writer that first copied every whole column would add
+    # 2.0 MB to the long peak and fail both bounds below.
+    log = run_scenario(quick_start(1))
+    rows = engine.CSV_BLOCK_CELLS // len(CHANNELS)
+    short = SimLog(log.dt, {n: c[:3 * rows] for n, c in log.data.items()}, log.meta)
     # the long log's channels laid out as from_csv hands them out, strided
     # columns of one row-major array: the writer makes one block of a column
     # contiguous at a time, never the whole column
-    long.data = dict(zip(CHANNELS, np.column_stack(list(long.data.values())).T))
+    long = SimLog(log.dt, dict(zip(CHANNELS, np.column_stack(
+        [c[:15 * rows] for c in log.data.values()]).T)), log.meta)
+    assert len(log) > len(long)
     peaks = [traced_peak(lambda lg=lg: lg.write_csv(tmp_path / "log.csv"))[1]
              for lg in (short, long)]
     assert abs(peaks[1] - peaks[0]) <= 1e6
