@@ -600,8 +600,9 @@ class Plant:
         """
         q_a, q_c, qd_a, qd_c, cy, cz, cvy, cvz = s
         arm = self.arm.at(q_a, q_c, qd_a, qd_c) if self.attached else None
+        # tuple.__new__ gives the record Forces(...) gives, without the namedtuple's Python frame
         if not self.has_human:
-            return Forces(arm, (0.0, 0.0), 0.0, (0.0, 0.0), (0.0, 0.0))
+            return tuple.__new__(Forces, (arm, (0.0, 0.0), 0.0, (0.0, 0.0), (0.0, 0.0)))
         com = (cy, cz)
         vcom = (cvy, cvz)
         harness = (0.0, 0.0)
@@ -615,7 +616,7 @@ class Plant:
         m = self.human.mass
         hx, hz = harness
         acom = ((mx + hx) / m, (mz + chair_fz + hz) / m - GRAVITY)
-        return Forces(arm, harness, chair_fz, (mx, mz), acom)
+        return tuple.__new__(Forces, (arm, harness, chair_fz, (mx, mz), acom))
 
     def evaluated(self, state: SimState) -> Forces:
         """The forces at ``state``, computed once and kept on it."""
@@ -686,7 +687,12 @@ class Plant:
         transfer's brake holds the mast, so its RK4 integrates only the boom's
         (q_c, qd_c) and q_a, qd_a, com and vcom keep their values.  The new
         state carries its evaluation, which the next step's first stage
-        reads, and the transmitted forces this step applied (``applied``)."""
+        reads, and the transmitted forces this step applied (``applied``).
+
+        The 2-DOF stages are written out, one scalar per state entry: a zip
+        comprehension over the 8-state vector cost 4x as much per stage.
+        tests/test_engine.py keeps that comprehension as an oracle and checks
+        that the two agree bit for bit."""
         f1, f2 = self.transmitted_forces(state, commands) if self.attached else (0.0, 0.0)
         t = state.t
         try:
@@ -716,19 +722,32 @@ class Plant:
                 qd_a, (cy, cz), (cvy, cvz) = state.qd_a, state.com, state.vcom
             else:
                 s = state.vector()
+                qa, qc, va, vc, y, z, vy, vz = s
                 forces, deriv = self.forces, self._deriv
-                k1 = deriv(s, self.evaluated(state), f1, f2)
+                dqa1, dqc1, dva1, dvc1, dy1, dz1, dvy1, dvz1 = deriv(
+                    s, self.evaluated(state), f1, f2)
                 h2 = dt / 2.0
-                s2 = [x + h2 * k for x, k in zip(s, k1)]
-                k2 = deriv(s2, forces(t + h2, s2), f1, f2)
-                s3 = [x + h2 * k for x, k in zip(s, k2)]
-                k3 = deriv(s3, forces(t + h2, s3), f1, f2)
-                s4 = [x + dt * k for x, k in zip(s, k3)]
-                k4 = deriv(s4, forces(t + dt, s4), f1, f2)
+                s2 = (qa + h2 * dqa1, qc + h2 * dqc1, va + h2 * dva1, vc + h2 * dvc1,
+                      y + h2 * dy1, z + h2 * dz1, vy + h2 * dvy1, vz + h2 * dvz1)
+                dqa2, dqc2, dva2, dvc2, dy2, dz2, dvy2, dvz2 = deriv(
+                    s2, forces(t + h2, s2), f1, f2)
+                s3 = (qa + h2 * dqa2, qc + h2 * dqc2, va + h2 * dva2, vc + h2 * dvc2,
+                      y + h2 * dy2, z + h2 * dz2, vy + h2 * dvy2, vz + h2 * dvz2)
+                dqa3, dqc3, dva3, dvc3, dy3, dz3, dvy3, dvz3 = deriv(
+                    s3, forces(t + h2, s3), f1, f2)
+                s4 = (qa + dt * dqa3, qc + dt * dqc3, va + dt * dva3, vc + dt * dvc3,
+                      y + dt * dy3, z + dt * dz3, vy + dt * dvy3, vz + dt * dvz3)
+                dqa4, dqc4, dva4, dvc4, dy4, dz4, dvy4, dvz4 = deriv(
+                    s4, forces(t + dt, s4), f1, f2)
                 h6 = dt / 6.0
-                q_a, q_c, qd_a, qd_c, cy, cz, cvy, cvz = [
-                    x + h6 * (a + 2.0 * b + 2.0 * c + d)
-                    for x, a, b, c, d in zip(s, k1, k2, k3, k4)]
+                q_a = qa + h6 * (dqa1 + 2.0 * dqa2 + 2.0 * dqa3 + dqa4)
+                q_c = qc + h6 * (dqc1 + 2.0 * dqc2 + 2.0 * dqc3 + dqc4)
+                qd_a = va + h6 * (dva1 + 2.0 * dva2 + 2.0 * dva3 + dva4)
+                qd_c = vc + h6 * (dvc1 + 2.0 * dvc2 + 2.0 * dvc3 + dvc4)
+                cy = y + h6 * (dy1 + 2.0 * dy2 + 2.0 * dy3 + dy4)
+                cz = z + h6 * (dz1 + 2.0 * dz2 + 2.0 * dz3 + dz4)
+                cvy = vy + h6 * (dvy1 + 2.0 * dvy2 + 2.0 * dvy3 + dvy4)
+                cvz = vz + h6 * (dvz1 + 2.0 * dvz2 + 2.0 * dvz3 + dvz4)
         except (ValueError, OverflowError) as exc:
             # a non-finite stage state reached a math function before the guard
             raise NumericalDivergence(f"{exc} in an RK4 stage at t={t:.3f}s") from exc

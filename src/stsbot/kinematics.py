@@ -235,7 +235,8 @@ class Arm:
         l2 = 2.0 * ops.sqrt(self.belt_sq + self.belt_sin * sc)
         w2 = self.grav_c * cf
         gamma = self.neg_G1 * sc
-        return ArmEval(
+        # tuple.__new__ gives the record ArmEval(...) gives, without the namedtuple's Python frame
+        return tuple.__new__(ArmEval, (
             (mast_s + boom_c, self.base_height + mast_c - boom_s),
             (j11 * qd_a + j12 * qd_c, j21 * qd_a + j22 * qd_c),
             (j11, j12, j21, j22),
@@ -244,7 +245,7 @@ class Arm:
             (self.grav_a * sa - w2, -w2),
             (self.A1_B1 + 2.0 * gamma, self.B1 + gamma, self.B1),
             self.neg_G1 * cc,
-        )
+        ))
 
     def boom(self, q_a: float, q_c: float) -> tuple[float, float, float]:
         """The three terms the braked boom reads, (d[1], g[1], jac[3]) of

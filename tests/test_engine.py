@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stsbot import engine
@@ -23,6 +23,7 @@ from stsbot.control import (
 from stsbot.engine import (
     CHANNELS,
     CSV_SCHEMA_VERSION,
+    Forces,
     PHASE_PAUSE,
     PHASE_PAUSE2,
     PHASE_RISE,
@@ -35,8 +36,8 @@ from stsbot.engine import (
 )
 from stsbot.errors import ConfigError, NumericalDivergence
 from stsbot.human import HumanParams
-from stsbot.kinematics import (GRAVITY, Arm, JointState, LinkMassModel, RobotGeometry, act_diag,
-                               drive_speeds)
+from stsbot.kinematics import (ARRAY_MATH, GRAVITY, Arm, ArmEval, JointState, LinkMassModel,
+                               RobotGeometry, act_diag, drive_speeds)
 
 GEOM = RobotGeometry()
 ZERO_F = FrictionModel(0.0, 0.0)
@@ -517,6 +518,87 @@ def test_transfer_step_divergence_guards(qd_c, message):
     plant = Plant(short_scenario(**REPLAY_SCENARIOS["transfer"]))
     with pytest.raises(NumericalDivergence, match=message):
         plant.step(SimState(q_a=0.3, q_c=0.2, qd_c=qd_c), (0.0, 0.0), 2e-3)
+
+
+def zip_rk4(plant: Plant, state: SimState, commands, dt: float) -> list[float]:
+    """The 2-DOF RK4 of ``Plant.step`` as zip comprehensions over the 8-state
+    vector, before the joint stops: the bit oracle for its written-out stages."""
+    f1, f2 = plant.transmitted_forces(state, commands) if plant.attached else (0.0, 0.0)
+    t, s = state.t, state.vector()
+    k1 = plant._deriv(s, plant.forces(t, s), f1, f2)
+    h2 = dt / 2.0
+    s2 = [x + h2 * k for x, k in zip(s, k1)]
+    k2 = plant._deriv(s2, plant.forces(t + h2, s2), f1, f2)
+    s3 = [x + h2 * k for x, k in zip(s, k2)]
+    k3 = plant._deriv(s3, plant.forces(t + h2, s3), f1, f2)
+    s4 = [x + dt * k for x, k in zip(s, k3)]
+    k4 = plant._deriv(s4, plant.forces(t + dt, s4), f1, f2)
+    h6 = dt / 6.0
+    return [x + h6 * (a + 2.0 * b + 2.0 * c + d) for x, a, b, c, d in zip(s, k1, k2, k3, k4)]
+
+
+# each 2-DOF branch of Plant.step: the human with the robot, the arm alone,
+# the human alone
+RK4_SCENARIOS = {
+    "human_with_robot": short_scenario(**REPLAY_SCENARIOS["com_balance"]),
+    "arm_only": arm_only_scenario(),
+    "detached": short_scenario(**REPLAY_SCENARIOS["detached"]),
+}
+
+
+def limited(lo_hi, u):
+    lo, hi = lo_hi
+    return lo + u * (hi - lo)
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(RK4_SCENARIOS)), t=st.floats(0.0, 4.5),
+       q=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+       qd=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+       com=st.tuples(st.floats(0.5, 1.2), st.floats(0.4, 1.0)),
+       vcom=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+       commands=st.tuples(st.floats(-2000.0, 2000.0), st.floats(-500.0, 2000.0)),
+       dt=st.floats(0.0, 5e-3, exclude_min=True))
+def test_written_out_step_matches_the_zip_rk4(name, t, q, qd, com, vcom, commands, dt):
+    # a fresh plant for each side: the schedule's lookup cursor only moves forward
+    scenario = RK4_SCENARIOS[name]
+
+    def start():
+        return SimState(t, limited(GEOM.q_a_limits, q[0]), limited(GEOM.q_c_limits, q[1]),
+                        *qd, com, vcom)
+    expected = zip_rk4(Plant(scenario), start(), commands, dt)
+    # the joint stops and the divergence guards act after the RK4
+    q_a, q_c, qd_a, qd_c, _, _, cvy, cvz = expected
+    assume(all(map(math.isfinite, expected)))
+    assume(GEOM.q_a_limits[0] <= q_a <= GEOM.q_a_limits[1]
+           and GEOM.q_c_limits[0] <= q_c <= GEOM.q_c_limits[1])
+    assume(max(abs(qd_a), abs(qd_c)) <= 50.0 and max(abs(cvy), abs(cvz)) <= 20.0)
+    new = Plant(scenario).step(start(), commands, dt)
+    assert [x.hex() for x in new.vector()] == [x.hex() for x in expected]
+
+
+def assert_exact_record(record, cls):
+    # tuple.__new__ checks neither the type nor the number of the fields; what
+    # each field holds is pinned by test_kinematics.py's formula tests
+    assert type(record) is cls
+    keyword = cls(**{name: getattr(record, name) for name in cls._fields})
+    assert len(record) == len(keyword)
+    assert all(mine is theirs for mine, theirs in zip(record, keyword))
+
+
+def test_arm_at_and_plant_forces_return_exact_records():
+    arm = Arm(GEOM, LinkMassModel())
+    assert_exact_record(arm.at(0.3, -0.2, 0.5, -0.4), ArmEval)
+    many = arm.at(np.array([0.3, 0.1]), np.array([-0.2, 0.0]), ops=ARRAY_MATH)
+    assert_exact_record(many, ArmEval)
+    for scenario in RK4_SCENARIOS.values():
+        plant = Plant(scenario)
+        f = plant.forces(0.1, _initial_state(scenario).vector())
+        assert_exact_record(f, Forces)
+        if plant.attached:
+            assert_exact_record(f.arm, ArmEval)
+        else:
+            assert f.arm is None
 
 
 def rowwise_csv(log: SimLog) -> str:

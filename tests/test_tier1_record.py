@@ -56,8 +56,9 @@ def test_alternates_the_sides_and_adds_to_the_bench_file(tmp_path, monkeypatch):
     bench = tmp_path / "BENCH_9.json"
     bench.write_text(json.dumps({"workloads": {"w": {}}}))
     doc = tier1_record.record(parent, change, 3, [sys.executable, "-c", suite])
-    assert order.read_text().split() == ["parent", "change", "change", "parent",
-                                         "parent", "change"]
+    # one warm-up run of each tree, then the alternated pairs
+    assert order.read_text().split() == ["parent", "change", "parent", "change",
+                                         "change", "parent", "parent", "change"]
     assert doc["pairs"] == 3
     for side in ("parent", "change"):
         assert doc[side]["outcomes"] == ["2 passed"] * 3
@@ -70,3 +71,18 @@ def test_alternates_the_sides_and_adds_to_the_bench_file(tmp_path, monkeypatch):
     written = json.loads(bench.read_text())
     assert written["workloads"] == {"w": {}}
     assert written["tier1"]["parent"]["outcomes"] == ["2 passed"]
+
+
+def test_the_warm_up_stays_out_of_the_timed_runs(monkeypatch):
+    # the n-th run takes n seconds: the two warm-ups take 0 and 1
+    walls = iter(range(100))
+
+    def fake_run(tree, command):
+        return {"wall_s": float(next(walls)), "outcome": "1 passed", "durations": {}}
+
+    monkeypatch.setattr(tier1_record, "run_once", fake_run)
+    doc = tier1_record.record(Path("parent"), Path("change"), 2, ["pytest"])
+    assert doc["parent"]["warmup_s"] == 0.0 and doc["change"]["warmup_s"] == 1.0
+    assert doc["parent"]["wall_s"] == [2.0, 5.0] and doc["change"]["wall_s"] == [3.0, 4.0]
+    assert doc["parent"]["median"] == 3.5 and doc["change"]["median"] == 3.5
+    assert doc["parent"]["outcomes"] == ["1 passed"] * 2

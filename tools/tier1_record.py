@@ -1,11 +1,12 @@
 """Record the Tier-1 suite's wall time on a parent and a change tree.
 
-Runs the suite alternately in two checkouts, the parent first in odd pairs
-and the change first in even ones, and adds a ``tier1`` entry to a
-BENCH_<n>.json file (made if missing, its other entries kept): per side,
-the wall time of each run with its median and quartiles, each run's pytest
-outcome line, and the ten slowest tests by their median time over the runs
-(setup, call and teardown summed).
+Runs the suite once in each of two checkouts to warm up, then alternately,
+the parent first in odd pairs and the change first in even ones, and adds a
+``tier1`` entry to a BENCH_<n>.json file (made if missing, its other entries
+kept): per side, the warm-up run's wall time (``warmup_s``, outside the
+statistics), the wall time of each timed run with its median and quartiles,
+each timed run's pytest outcome line, and the ten slowest tests by their
+median time over the timed runs (setup, call and teardown summed).
 
 Standard library only.
 
@@ -77,13 +78,18 @@ def summary(runs: list[dict]) -> dict:
 
 
 def record(parent: Path, change: Path, pairs: int, command: list[str]) -> dict:
+    trees = {"parent": parent, "change": change}
+    # a warm-up run of each tree, kept out of wall_s: in BENCH_22.json the
+    # first run of a series read 104 s against 84-88 s for the runs after it
+    warmup = {side: run_once(tree, command)["wall_s"] for side, tree in trees.items()}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for i in range(pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(run_once(parent if side == "parent" else change, command))
+            runs[side].append(run_once(trees[side], command))
     return {"command": " ".join(["python3", *command[1:]]), "pairs": pairs,
-            "parent": summary(runs["parent"]), "change": summary(runs["change"])}
+            **{side: {"warmup_s": round(warmup[side], 3), **summary(runs[side])}
+               for side in trees}}
 
 
 def main(argv=None) -> int:
