@@ -242,10 +242,17 @@ def motion_window(log: SimLog, rep: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # STS metrics
 
-# every channel sts_metrics, measured_assistance_per_rep and
-# transfer_speed_table read: the ones `stsbot analyze` decodes
-METRIC_CHANNELS = ("time", "rep", "phase", "com_y", "com_z", "vcom_y", "vcom_z",
-                   "acom_y", "acom_z", "chair_fz", "feet_fz", "seat_off", "e_vz")
+# every channel sts_metrics and measured_assistance_per_rep read, and every
+# channel transfer_speed_table reads
+STS_CHANNELS = ("time", "rep", "phase", "com_y", "com_z", "vcom_y", "vcom_z",
+                "acom_y", "acom_z", "chair_fz", "feet_fz", "seat_off")
+TRANSFER_CHANNELS = ("time", "rep", "phase", "e_vz")
+
+
+def metric_channels(meta: dict) -> tuple[str, ...]:
+    """The channels `stsbot analyze` decodes from a log with this meta: the
+    ones its mode's metrics read."""
+    return TRANSFER_CHANNELS if meta.get("mode") == "transfer" else STS_CHANNELS
 
 
 @dataclass

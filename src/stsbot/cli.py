@@ -19,10 +19,10 @@ from . import __version__
 from .actuators import DRIVES, engaged_pair
 from .analysis import (  # noqa: F401  measured_assistance: perfbench times calls by name
     MASK_LEGEND,
-    METRIC_CHANNELS,
     capability_map,
     measured_assistance,
     measured_assistance_per_rep,
+    metric_channels,
     sts_metrics,
     transfer_speed_table,
 )
@@ -119,8 +119,8 @@ def _cmd_map(args) -> int:
 
 def _cmd_analyze(args) -> int:
     # read_log, not SimLog.from_csv: the header must name every channel, but
-    # only the ones the metrics read are decoded
-    log = read_log(args.log, decode=METRIC_CHANNELS, require=CHANNELS)
+    # only the ones the metrics of the log's mode read are decoded
+    log = read_log(args.log, decode=metric_channels, require=CHANNELS)
     summary: dict = {"meta": log.meta, "samples": len(log)}
     if log.meta.get("mode") == "transfer":
         payload = log.meta.get("payload", 0.0)

@@ -105,7 +105,8 @@ CSV_SCHEMA_VERSION = "stsbot-log v1"
 # 32 768 cells made study_sweep's peak RSS 1.3 MB higher, 8 192 its map writes slower
 CSV_BLOCK_CELLS = 16384
 
-# longest run: its log is held once, 320 B per sample (40 float64 channels), 3.2 GB
+# longest run: its log is held once, at most 320 B per sample (40 float64
+# channels, each stored only if it varies), 3.2 GB
 MAX_STEPS = 10_000_000
 
 
@@ -113,14 +114,16 @@ MAX_STEPS = 10_000_000
 class SimLog:
     """Uniform-rate time series of every simulation channel.
 
-    ``data`` maps each channel to a 1-D float64 array. The log is held once:
-    from ``run_scenario`` each channel is a contiguous row of one
-    (channels, samples) array, filled a block of CSV_BLOCK_CELLS cells at a
-    time from a row-major buffer that each sample is packed into whole, so
-    the last samples of a run reach it only when the run ends; from
-    ``read_log`` each channel is a strided column of the
-    (rows, columns) array that ``np.loadtxt`` read, which holds every column
-    for ``from_csv`` and only the decoded ones for ``stsbot analyze``.
+    ``data`` maps each channel to a 1-D float64 array. The log is held once.
+    From ``run_scenario`` every channel is read-only: a channel that varies
+    owns a C-contiguous array, and a channel that holds one value throughout
+    is a zero-stride view of it that costs no memory (``_SampleStore``).
+    Each sample is packed whole into a row-major buffer of CSV_BLOCK_CELLS
+    cells that the store takes when it fills, so the last samples of a run
+    reach it only when the run ends.  From ``read_log`` each channel is a
+    strided column of the (rows, columns) array that ``np.loadtxt`` read,
+    which holds every column for ``from_csv`` and only the decoded ones for
+    ``stsbot analyze``.
     """
 
     dt: float
@@ -151,7 +154,8 @@ class SimLog:
 
 def read_log(path, decode=None, require=()) -> SimLog:
     """Read a log written by ``write_csv``, decoding the columns ``decode``
-    names (None: every column), ``time`` and the header's last column.
+    names (None: every column; a function: the ones it returns for the
+    file's meta), ``time`` and the header's last column.
 
     A file that is missing or not such a log, a header that lacks ``time``
     or a channel of ``require`` or ``decode``, a row whose cell count is not
@@ -161,6 +165,8 @@ def read_log(path, decode=None, require=()) -> SimLog:
     naming the path.  The cells of a column not decoded are never converted:
     ``stsbot analyze`` decodes only the channels its metrics read, so it
     passes a text cell in another channel that ``SimLog.from_csv`` refuses.
+    It decodes 5 columns of a transfer's log and 13 of any other, the last
+    column (``brake``) among them.
     """
     meta: dict = {}
     try:
@@ -178,6 +184,8 @@ def read_log(path, decode=None, require=()) -> SimLog:
                 head.append(fh.readline())
                 line = head[-1].strip()
             names = line.split(",")
+            if callable(decode):
+                decode = decode(meta)
             if "time" not in names or len(set(names)) < len(names):
                 raise ConfigError(f"{path}: bad column header {line!r}")
             if missing := [c for c in dict.fromkeys([*require, *(decode or ())])
@@ -785,6 +793,44 @@ class Plant:
 # scenario execution
 
 
+class _SampleStore:
+    """A log's channels, filled a block of samples at a time.
+
+    A channel is held as its first sample's value until a block differs from
+    it by float64 bits (so ``-0.0`` stays apart from ``0.0``); then it gets
+    its own C-contiguous array, the earlier samples set to that value, and
+    that block and every later one are copied in.  ``channels`` returns each
+    channel read-only: its own array, or a zero-stride view of its one value
+    if it never varied.  Of the 98 kg transfer's 40 channels 14 vary.
+    """
+
+    def __init__(self, n_samples: int, n_channels: int):
+        self.n = n_samples
+        self.filled = 0
+        self.first = np.zeros(n_channels)  # a run of no samples logs zeros
+        self.own = [None] * n_channels
+
+    def add(self, block: np.ndarray) -> None:
+        """Append ``block``'s rows, one sample per row in channel order."""
+        start, stop = self.filled, self.filled + len(block)
+        if start == 0:
+            self.first = block[0].copy()
+        varied = (block.view(np.int64) != self.first.view(np.int64)).any(axis=0)
+        for j, col in enumerate(self.own):
+            if col is None and varied[j]:
+                col = self.own[j] = np.full(self.n, self.first[j])
+            if col is not None:
+                col[start:stop] = block[:, j]
+        self.filled = stop
+
+    def channels(self) -> list[np.ndarray]:
+        for col in self.own:
+            if col is not None:
+                col.flags.writeable = False
+        return [np.broadcast_to(v, (self.n,)) if col is None else col
+                for v, col in zip(self.first, self.own)]
+
+
 def _initial_state(scenario: Scenario) -> SimState:
     """Start state: the person seated, the attached arm at the harness's
     attach point above the seated CoM."""
@@ -820,12 +866,11 @@ def run_scenario(scenario: Scenario) -> SimLog:
     brake = float(is_transfer)
     zeros4, zeros6, zeros12 = (0.0,) * 4, (0.0,) * 6, (0.0,) * 12
 
-    # one row per channel, so each channel is a contiguous view of this one
-    # array; each sample is packed whole into a row-major block of samples,
-    # and each full block, then the last partial one, is copied in transposed
-    # (storing a sample straight into the log wrote 40 cells 8 * n_steps
-    # bytes apart)
-    rows = np.zeros((len(CHANNELS), n_steps))
+    # each sample is packed whole into a row-major block of samples, and each
+    # full block, then the last partial one, goes to the store (storing a
+    # sample straight into a (channels, samples) log wrote 40 cells 8 *
+    # n_steps bytes apart)
+    store = _SampleStore(n_steps, len(CHANNELS))
     sample = struct.Struct(f"{len(CHANNELS)}d")
     pack, size = sample.pack_into, sample.size
     block = max(1, CSV_BLOCK_CELLS // len(CHANNELS))
@@ -882,13 +927,12 @@ def run_scenario(scenario: Scenario) -> SimLog:
              v2_belt, v2_ref, *human, brake)
         at += size
         if at == full:
-            rows[:, i + 1 - block:i + 1] = buf.T
+            store.add(buf)
             at = 0
     if at:
-        k = at // size
-        rows[:, n_steps - k:] = buf[:k].T
+        store.add(buf[:at // size])
 
-    data = dict(zip(CHANNELS, rows))
+    data = dict(zip(CHANNELS, store.channels()))
     meta = {
         "dt": scenario.dt,
         "seed": scenario.seed,

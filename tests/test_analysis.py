@@ -16,7 +16,8 @@ from stsbot.analysis import (
     MASK_OK,
     MASK_SINGULAR,
     MASK_UNREACHABLE,
-    METRIC_CHANNELS,
+    STS_CHANNELS,
+    TRANSFER_CHANNELS,
     assistance_error_table,
     band_cells,
     capability_map,
@@ -25,6 +26,7 @@ from stsbot.analysis import (
     measured_assistance,
     measured_assistance_per_rep,
     mean_rise_waveform,
+    metric_channels,
     motion_window,
     nominal_sts_path,
     repetition_indices,
@@ -33,7 +35,16 @@ from stsbot.analysis import (
     transfer_speed_table,
 )
 from stsbot.config import build_scenario, parse_config_text
-from stsbot.engine import CHANNELS, PHASE_DESCENT, PHASE_PAUSE, PHASE_RISE, SimLog, run_scenario
+from stsbot.engine import (
+    CHANNELS,
+    PHASE_DESCENT,
+    PHASE_PAUSE,
+    PHASE_RISE,
+    SimLog,
+    csv_rows,
+    read_log,
+    run_scenario,
+)
 from stsbot.errors import (
     DegenerateInput,
     EmptyWindow,
@@ -265,16 +276,64 @@ METRIC_RUNS = {
 }
 
 
+@pytest.fixture(scope="module")
+def metric_logs():
+    return {run: run_scenario(build_scenario(parse_config_text(text)))
+            for run, text in METRIC_RUNS.items()}
+
+
+def metric_results(log: SimLog) -> str:
+    """Every metric `stsbot analyze` computes, as text that tells every bit
+    of each number (a float's repr round-trips it)."""
+    return repr((sts_metrics(log), measured_assistance_per_rep(log, 80.0),
+                 transfer_speed_table({0.0: log})))
+
+
 @pytest.mark.parametrize("run", sorted(METRIC_RUNS))
-def test_metric_channels_cover_the_metrics(run):
-    # `stsbot analyze` decodes only METRIC_CHANNELS: a metric that reads any
-    # other channel fails here with a KeyError, not in a user's analyze
-    log = run_scenario(build_scenario(parse_config_text(METRIC_RUNS[run])))
-    assert set(METRIC_CHANNELS) <= set(CHANNELS)
-    only = SimLog(log.dt, {name: log[name] for name in METRIC_CHANNELS}, log.meta)
+def test_metric_channels_cover_the_metrics(run, metric_logs):
+    # `stsbot analyze` decodes only the channels the metrics read: a metric
+    # that reads any other channel fails here with a KeyError, not in a
+    # user's analyze
+    log = metric_logs[run]
+    every = (*STS_CHANNELS, *TRANSFER_CHANNELS)
+    assert set(every) <= set(CHANNELS)
+    only = SimLog(log.dt, {name: log[name] for name in every}, log.meta)
     assert sts_metrics(only) == sts_metrics(log)
     assert measured_assistance_per_rep(only, 80.0) == measured_assistance_per_rep(log, 80.0)
     assert transfer_speed_table({0.0: only}) == transfer_speed_table({0.0: log})
+
+
+@pytest.mark.parametrize("run", sorted(METRIC_RUNS))
+def test_analyze_decodes_the_channels_of_the_logs_mode(run, metric_logs, tmp_path):
+    # read as `stsbot analyze` reads it, a transfer's log holds time, rep,
+    # phase, e_vz and the last column, and gives the same speed table; any
+    # other log holds the STS channels and gives the same STS metrics
+    log = metric_logs[run]
+    path = tmp_path / "log.csv"
+    log.write_csv(path)
+    read = read_log(path, decode=metric_channels, require=CHANNELS)
+    want = TRANSFER_CHANNELS if run == "transfer" else STS_CHANNELS
+    assert metric_channels(log.meta) == want
+    assert list(read.data) == [c for c in CHANNELS if c in want or c == CHANNELS[-1]]
+    if run == "transfer":
+        assert repr(transfer_speed_table({0.0: read})) == repr(transfer_speed_table({0.0: log}))
+    else:
+        assert repr(sts_metrics(read)) == repr(sts_metrics(log))
+        assert repr(measured_assistance_per_rep(read, 80.0)) == \
+            repr(measured_assistance_per_rep(log, 80.0))
+
+
+@pytest.mark.parametrize("run", sorted(METRIC_RUNS))
+def test_log_layout_does_not_change_results(run, metric_logs):
+    # run_scenario's read-only channels, constant ones as zero-stride views,
+    # give the metrics and the CSV text of a dense writable copy, bit for bit
+    log = metric_logs[run]
+    dense = SimLog(log.dt, {name: np.array(c) for name, c in log.data.items()}, log.meta)
+    assert any(c.strides == (0,) for c in log.data.values())
+    assert all(c.flags.writeable and c.flags.c_contiguous for c in dense.data.values())
+    assert metric_results(log) == metric_results(dense)
+    assert "".join(csv_rows([log[name] for name in CHANNELS])) == \
+        "".join(csv_rows([dense[name] for name in CHANNELS]))
 
 
 # ---------------------------------------------------------------------------

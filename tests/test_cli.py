@@ -22,7 +22,7 @@ from stsbot import (
     Scenario,
     TransferConfig,
 )
-from stsbot.analysis import METRIC_CHANNELS
+from stsbot.analysis import STS_CHANNELS
 from stsbot.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
 from stsbot.config import SCHEMA, build_scenario, parse_config_text, validate_config
 from stsbot.engine import CHANNELS, SimLog
@@ -569,7 +569,7 @@ def test_analyze_malformed_log_exits_2(tmp_path, capsys, fast_log_lines, name):
 def test_from_csv_decodes_every_channel(tmp_path, fast_log_lines):
     # analyze converts only the cells of the channels its metrics read; the
     # API's full read converts every cell
-    assert "harness_fy" not in METRIC_CHANNELS
+    assert "harness_fy" not in STS_CHANNELS
     lines = list(fast_log_lines)
     _set_cell(5, CHANNELS.index("harness_fy"), "heavy")(lines)
     path = tmp_path / "log.csv"

@@ -716,16 +716,26 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
-def test_log_channels_are_views_of_one_array(tmp_path):
-    # run_scenario's channels are contiguous rows of one (channels, samples)
-    # array: strided in-memory columns made sts_metrics plus
-    # measured_assistance 1.38x slower, which would cost study_sweep's analysis
-    log = run_scenario(short_scenario(seed=24, pause=0.2, settle=0.1, dt=2e-3))
+def assert_stored_once(log: SimLog) -> None:
+    """Each channel that varies owns one C-contiguous array; each constant
+    one is a zero-stride view of its first sample's bits; all are read-only."""
     assert list(log.data) == CHANNELS
-    assert all(log[name].flags.c_contiguous for name in CHANNELS)
-    base = log["time"].base
-    assert base is not None and base.shape == (len(CHANNELS), len(log))
-    assert all(log[name].base is base for name in CHANNELS)
+    for name in CHANNELS:
+        c = log[name]
+        bits = np.asarray(c).view(np.int64)
+        assert not c.flags.writeable
+        if (bits == bits[0]).all():
+            assert c.strides == (0,) and c.base is not None
+        else:
+            assert c.flags.c_contiguous and c.flags.owndata and c.base is None
+
+
+def test_log_channels_own_memory_only_when_they_vary(tmp_path):
+    # run_scenario stores a channel only once it varies: the 98 kg transfer
+    # stores 14 of its 40 channels, and a constant channel costs no memory
+    log = run_scenario(short_scenario(seed=24, pause=0.2, settle=0.1, dt=2e-3))
+    assert_stored_once(log)
+    assert log["brake"].strides == (0,) and log["time"].strides == (8,)
     # from_csv hands out the columns of loadtxt's one array, copying none
     path = tmp_path / "log.csv"
     log.write_csv(path)
@@ -736,28 +746,74 @@ def test_log_channels_are_views_of_one_array(tmp_path):
 
 
 def test_run_scenario_holds_the_log_once():
-    log, peak = traced_peak(lambda: run_scenario(MEMORY_TRANSFER))
-    nbytes = len(log) * len(CHANNELS) * 8
-    assert nbytes > 2e6
-    # a copy of every channel would double the peak
-    assert peak <= 1.1 * nbytes + 1e6
+    # the transfer and a human-with-robot run: a copy of every stored channel
+    # would double the transfer's peak, and storing its 26 constant channels
+    # would add 1.9 MB
+    counts = []
+    for sc in (MEMORY_TRANSFER, short_scenario(dt=5e-3, sts_duration=1.0, pause=0.2, settle=0.1)):
+        log, peak = traced_peak(lambda sc=sc: run_scenario(sc))
+        stored = [c for c in log.data.values() if c.flags.owndata]
+        assert peak <= 1.1 * sum(c.nbytes for c in stored) + 1e6
+        counts.append(len(stored))
+    # the transfer stores fewer than half of its channels, the human run more
+    assert 2 * counts[0] < len(CHANNELS) < 2 * counts[1]
 
 
 def test_sample_store_does_not_depend_on_its_block_size():
-    # run_scenario packs samples into blocks of CSV_BLOCK_CELLS cells and
-    # copies each block into the log: one-row blocks, seven-row blocks (which
-    # divide none of these runs) and the default 409 rows must log the same
-    # bits, also for a run shorter than one block
+    # run_scenario packs samples into blocks of CSV_BLOCK_CELLS cells and hands
+    # each block to the store: one-row blocks, seven-row blocks (which divide
+    # none of these runs) and the default 409 rows must log the same bits and
+    # store the same channels, also for a run shorter than one block
     rows = engine.CSV_BLOCK_CELLS // len(CHANNELS)
     for sc in (short_scenario(seed=24, pause=0.2, settle=0.1, dt=2e-3), MEMORY_TRANSFER,
                short_scenario(dt=5e-3, sts_duration=0.5, pause=0.1, settle=0.1)):
-        want = run_scenario(sc)["time"].base
-        assert want.shape[1] % 7 and want.shape[1] % rows
+        want = run_scenario(sc)
+        assert len(want) % 7 and len(want) % rows
         for block_cells in (len(CHANNELS), 7 * len(CHANNELS)):
             with mock.patch.object(engine, "CSV_BLOCK_CELLS", block_cells):
-                got = run_scenario(sc)["time"].base
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    assert want.shape[1] < rows
+                got = run_scenario(sc)
+            assert_stored_once(got)
+            for name in CHANNELS:
+                assert got[name].strides == want[name].strides
+                assert np.array_equal(np.asarray(got[name]).view(np.int64),
+                                      np.asarray(want[name]).view(np.int64))
+    assert len(want) < rows
+    # the store alone, on channels that run_scenario's runs do not all draw:
+    # -0.0 throughout, 0.0 throughout, -0.0 then 0.0 from the second block,
+    # constant until the last partial block, and NaN throughout
+    n = 3 * rows + 5
+    samples = np.zeros((n, 6))
+    samples[:, 0] = np.arange(n)
+    samples[:, 1] = -0.0
+    samples[:, 3] = -0.0
+    samples[rows:, 3] = 0.0
+    samples[-1, 4] = 1.0
+    samples[:, 5] = math.nan
+    for block in (1, 7, rows):
+        store = engine._SampleStore(n, 6)
+        for start in range(0, n, block):
+            store.add(samples[start:start + block])
+        got = store.channels()
+        assert [c.strides == (0,) for c in got] == [False, True, True, False, False, True]
+        assert all(not c.flags.writeable for c in got)
+        assert np.array_equal(np.column_stack(got).view(np.int64), samples.view(np.int64))
+
+
+def test_signed_zero_stays_apart_in_the_log():
+    # the mast locked at -0.0: q_a holds the sign bit on every sample and is
+    # written "-0", while the constant qd_a stays +0.0
+    sc = replace(MEMORY_TRANSFER, transfer=TransferConfig(q_a_locked=-0.0, v_z_target=0.1))
+    log = run_scenario(sc)
+    assert (log["q_a"].view(np.int64) == np.float64(-0.0).view(np.int64)).all()
+    assert (log["qd_a"].view(np.int64) == 0).all()
+    k = CHANNELS.index("q_a")
+    text = "".join(engine.csv_rows([log[name] for name in CHANNELS]))
+    assert {line.split(",")[k] for line in text.splitlines()} == {"-0"}
+    # writing into a run's log fails the same way for a stored channel and a
+    # constant one
+    for name in CHANNELS:
+        with pytest.raises(ValueError, match="read-only"):
+            log[name][0] = 1.0
 
 
 def test_from_csv_holds_the_log_once(tmp_path):
