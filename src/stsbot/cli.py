@@ -27,7 +27,16 @@ from .analysis import (  # noqa: F401  measured_assistance: perfbench times call
     transfer_speed_table,
 )
 from .config import load_config, validate_config
-from .engine import CHANNELS, Scenario, csv_rows, read_log, run_scenario
+from .engine import (
+    CHANNELS,
+    CsvBlocks,
+    Scenario,
+    csv_header,
+    csv_rows,
+    log_meta,
+    read_log,
+    run_scenario,
+)
 from .errors import ConfigError, NumericalDivergence, StsBotError
 
 EXIT_OK = 0
@@ -36,9 +45,12 @@ EXIT_DIVERGED = 3
 JSON_STYLE = dict(indent=2, sort_keys=True, allow_nan=False)  # NaN raises, never written
 
 
+def _out_root(args) -> Path:
+    return Path(args.out or os.environ.get("STSBOT_OUT_ROOT", "stsbot_out"))
+
+
 def _out_dir(args) -> Path:
-    root = args.out or os.environ.get("STSBOT_OUT_ROOT", "stsbot_out")
-    path = Path(root)
+    path = _out_root(args)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -72,11 +84,25 @@ def _cmd_simulate(args) -> int:
     scenario = _checked(cfg, sys.stderr)
     if scenario is None:
         return EXIT_CONFIG
-    log = run_scenario(scenario)
-    out = _out_dir(args)
-    log.write_csv(out / "log.csv")
+    # the log streams into a temporary file that takes its name once the run
+    # ends, so a run that fails leaves the out directory as it was
+    out = _out_root(args)
+    made = [p for p in (out, *out.parents) if not p.exists()]
+    out.mkdir(parents=True, exist_ok=True)
+    part = out / "log.csv.part"
+    try:
+        with open(part, "w", newline="\n") as fh:
+            fh.write(csv_header(CHANNELS, log_meta(scenario)))
+            text = CsvBlocks(len(CHANNELS))
+            samples = run_scenario(scenario, lambda block: fh.write(text(block.T)))
+    except BaseException:
+        part.unlink(missing_ok=True)
+        for path in made:
+            path.rmdir()
+        raise
+    os.replace(part, out / "log.csv")
     _write_manifest(out, "simulate", cfg, cfg["seed"], ["log.csv"])
-    print(f"wrote {out / 'log.csv'} ({len(log)} samples)")
+    print(f"wrote {out / 'log.csv'} ({samples} samples)")
     return EXIT_OK
 
 

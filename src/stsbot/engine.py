@@ -105,7 +105,8 @@ CSV_SCHEMA_VERSION = "stsbot-log v1"
 # 32 768 cells made study_sweep's peak RSS 1.3 MB higher, 8 192 its map writes slower
 CSV_BLOCK_CELLS = 16384
 
-# longest run: its log is held once, at most 320 B per sample (40 float64
+# longest run: ``stsbot simulate`` holds one block of it at any length;
+# ``run_scenario``'s log is held once, at most 320 B per sample (40 float64
 # channels, each stored only if it varies), 3.2 GB
 MAX_STEPS = 10_000_000
 
@@ -120,10 +121,11 @@ class SimLog:
     is a zero-stride view of it that costs no memory (``_SampleStore``).
     Each sample is packed whole into a row-major buffer of CSV_BLOCK_CELLS
     cells that the store takes when it fills, so the last samples of a run
-    reach it only when the run ends.  From ``read_log`` each channel is a
-    strided column of the (rows, columns) array that ``np.loadtxt`` read,
-    which holds every column for ``from_csv`` and only the decoded ones for
-    ``stsbot analyze``.
+    reach it only when the run ends.  ``stsbot simulate`` builds no SimLog:
+    it hands each buffer to the CSV writer instead (``run_scenario``'s
+    ``sink``).  From ``read_log`` each channel is a strided column of the
+    (rows, columns) array that ``np.loadtxt`` read, which holds every column
+    for ``from_csv`` and only the decoded ones for ``stsbot analyze``.
     """
 
     dt: float
@@ -142,8 +144,7 @@ class SimLog:
         whole text is never held at once."""
         names = list(self.data.keys())
         with open(path, "w", newline="\n") as fh:
-            fh.write(f"# {CSV_SCHEMA_VERSION}\n# meta {json.dumps(self.meta, sort_keys=True)}\n"
-                     + ",".join(names) + "\n")
+            fh.write(csv_header(names, self.meta))
             fh.writelines(csv_rows([self.data[n] for n in names]))
 
     @classmethod
@@ -285,9 +286,26 @@ def _is_number(cell: str) -> bool:
     return cell.isascii() and "_" not in cell
 
 
+def csv_header(names, meta: dict) -> str:
+    """The head lines of a log file: the schema, the meta and the column names."""
+    return (f"# {CSV_SCHEMA_VERSION}\n# meta {json.dumps(meta, sort_keys=True)}\n"
+            + ",".join(names) + "\n")
+
+
 def csv_rows(columns):
     """CSV rows of equal-length columns in blocks of CSV_BLOCK_CELLS cells
-    (at least one row), every cell the ``%.17g`` text of its float64 value.
+    (at least one row), each block the text of one ``CsvBlocks`` call."""
+    text = CsvBlocks(len(columns))
+    block = max(1, CSV_BLOCK_CELLS // len(columns))
+    for start in range(0, len(columns[0]), block):
+        yield text([c[start:start + block] for c in columns])
+
+
+class CsvBlocks:
+    """The CSV text of a table handed in one block of rows at a time, every
+    cell the ``%.17g`` text of its float64 value.  ``csv_rows`` (the log
+    writer and the map writer) and ``stsbot simulate``'s stream call it, and
+    what it keeps of each column carries from one block to the next.
 
     Each block is one ``%``-format of a row template.  A column constant in
     the block is literal text in the template (keyed on its bits, so ``-0.0``
@@ -307,16 +325,19 @@ def csv_rows(columns):
     constant or repeated in the last block goes to ``np.unique`` first, so a
     repeating column, such as the map's ``y_m``, does not pay for both.
     """
-    n_rows = len(columns[0])
-    block = max(1, CSV_BLOCK_CELLS // len(columns))
-    kept = [None] * len(columns)  # (distinct bits, their text) per column
-    varied = [False] * len(columns)  # whether the column took %.17g in the last block
-    for start in range(0, n_rows, block):
-        rows = min(block, n_rows - start)
+
+    def __init__(self, n_columns: int):
+        self.kept = [None] * n_columns  # (distinct bits, their text) per column
+        self.varied = [False] * n_columns  # whether the column took %.17g in the last block
+
+    def __call__(self, columns) -> str:
+        """The rows of one block: ``columns`` are its equal-length columns."""
+        kept, varied = self.kept, self.varied
+        rows = len(columns[0])
         fields, args = [], []
         for i, c in enumerate(columns):
             # only one block of a column is made contiguous float64 at a time
-            x = np.ascontiguousarray(c[start:start + block], dtype=np.float64)
+            x = np.ascontiguousarray(c, dtype=np.float64)
             bits = x.view(np.int64)
             if (bits == bits[0]).all():
                 fields.append(f"{x[0]:.17g}")
@@ -341,7 +362,7 @@ def csv_rows(columns):
         cells = [None] * (rows * k)
         for j, a in enumerate(args):
             cells[j::k] = a
-        yield ((",".join(fields) + "\n") * rows) % tuple(cells)
+        return ((",".join(fields) + "\n") * rows) % tuple(cells)
 
 
 @dataclass(frozen=True)
@@ -548,9 +569,10 @@ def _rise_duration(scenario: Scenario) -> float:
 
 
 def _build_schedule(scenario: Scenario) -> _Schedule:
-    rng = np.random.default_rng(scenario.seed)
     zero = (0.0, 0.0)
     jitter = scenario.rep_jitter if scenario.transfer is None else 0.0
+    # only a run that draws imports numpy.random (1.8-5.4 MB of RSS)
+    rng = np.random.default_rng(scenario.seed) if jitter > 0.0 else None
     human = scenario.human
     seated = human.seated_com if human else zero
     standing = human.standing_com if human else zero
@@ -847,8 +869,38 @@ def _initial_state(scenario: Scenario) -> SimState:
     return SimState(q_a=q0.q_a, q_c=q0.q_c)
 
 
-def run_scenario(scenario: Scenario) -> SimLog:
-    """Execute the scenario and return the complete fixed-rate log."""
+def log_meta(scenario: Scenario) -> dict:
+    """The meta of the scenario's log, known before its first sample."""
+    mode_config, human = scenario.mode_config, scenario.human
+    is_transfer = scenario.transfer is not None
+    return {
+        "dt": scenario.dt,
+        "seed": scenario.seed,
+        "repetitions": scenario.repetitions,
+        "pause": scenario.pause,
+        "settle": scenario.settle,
+        "robot_attached": scenario.robot_attached,
+        "payload": scenario.payload,
+        "mode": (mode_config.mode.value if mode_config is not None
+                 else ("transfer" if is_transfer else "none")),
+        "fz_pct": mode_config.fz_pct if mode_config is not None else 0.0,
+        "ky": mode_config.ky if mode_config is not None else 0.0,
+        "height": human.height if human else 0.0,
+        "weight": human.mass if human else 0.0,
+        "mobility": human.mobility if human else 0.0,
+        "duration": scenario.sts_duration,
+        "v_z_target": scenario.transfer.v_z_target if is_transfer else 0.0,
+    }
+
+
+def run_scenario(scenario: Scenario, sink=None) -> SimLog | int:
+    """Execute the scenario and return the complete fixed-rate log.
+
+    With ``sink``, hold no log: hand ``sink`` each block of samples, a
+    (rows, channels) float64 array in CHANNELS order that the run reuses,
+    as it fills and the last partial block when the run ends, and return
+    the sample count.  A run that raises has handed on only its full blocks.
+    """
     plant = Plant(scenario)
     schedule = plant.schedule
     state = _initial_state(scenario)
@@ -867,10 +919,11 @@ def run_scenario(scenario: Scenario) -> SimLog:
     zeros4, zeros6, zeros12 = (0.0,) * 4, (0.0,) * 6, (0.0,) * 12
 
     # each sample is packed whole into a row-major block of samples, and each
-    # full block, then the last partial one, goes to the store (storing a
-    # sample straight into a (channels, samples) log wrote 40 cells 8 *
-    # n_steps bytes apart)
-    store = _SampleStore(n_steps, len(CHANNELS))
+    # full block, then the last partial one, goes to the sink or the store
+    # (storing a sample straight into a (channels, samples) log wrote 40
+    # cells 8 * n_steps bytes apart)
+    store = _SampleStore(n_steps, len(CHANNELS)) if sink is None else None
+    add = store.add if sink is None else sink
     sample = struct.Struct(f"{len(CHANNELS)}d")
     pack, size = sample.pack_into, sample.size
     block = max(1, CSV_BLOCK_CELLS // len(CHANNELS))
@@ -927,29 +980,11 @@ def run_scenario(scenario: Scenario) -> SimLog:
              v2_belt, v2_ref, *human, brake)
         at += size
         if at == full:
-            store.add(buf)
+            add(buf)
             at = 0
     if at:
-        store.add(buf[:at // size])
-
-    data = dict(zip(CHANNELS, store.channels()))
-    meta = {
-        "dt": scenario.dt,
-        "seed": scenario.seed,
-        "repetitions": scenario.repetitions,
-        "pause": scenario.pause,
-        "settle": scenario.settle,
-        "robot_attached": scenario.robot_attached,
-        "payload": scenario.payload,
-        "mode": (mode_config.mode.value if mode_config is not None
-                 else ("transfer" if is_transfer else "none")),
-        "fz_pct": mode_config.fz_pct if mode_config is not None else 0.0,
-        "ky": mode_config.ky if mode_config is not None else 0.0,
-        "height": scenario.human.height if scenario.human else 0.0,
-        "weight": scenario.human.mass if scenario.human else 0.0,
-        "mobility": scenario.human.mobility if scenario.human else 0.0,
-        "duration": scenario.sts_duration,
-        "v_z_target": scenario.transfer.v_z_target if is_transfer else 0.0,
-    }
-    return SimLog(scenario.dt, data, meta)
+        add(buf[:at // size])
+    if store is None:
+        return n_steps
+    return SimLog(scenario.dt, dict(zip(CHANNELS, store.channels())), log_meta(scenario))
 

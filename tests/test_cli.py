@@ -1,11 +1,15 @@
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,11 +26,12 @@ from stsbot import (
     Scenario,
     TransferConfig,
 )
+from stsbot import cli, engine
 from stsbot.analysis import STS_CHANNELS
 from stsbot.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
 from stsbot.config import SCHEMA, build_scenario, parse_config_text, validate_config
-from stsbot.engine import CHANNELS, SimLog
-from stsbot.errors import ConfigError
+from stsbot.engine import CHANNELS, SimLog, run_scenario
+from stsbot.errors import ConfigError, NumericalDivergence
 
 FAST_SCENARIO = """
 mode = weight_unloading
@@ -359,6 +364,60 @@ def test_divergence_in_an_rk4_stage_exits_3(tmp_path, capsys):
     p = write(tmp_path, "harness.stiffness = 1e200\ndt = 0.005\nrepetitions = 1\n")
     assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == EXIT_DIVERGED
     assert "diverged" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("error, code", [(NumericalDivergence, EXIT_DIVERGED),
+                                         (ConfigError, EXIT_CONFIG)])
+def test_a_failed_simulate_leaves_the_out_directory_as_it_was(tmp_path, monkeypatch, error, code):
+    # the run fails once its first block of samples is in the log file
+    p = write(tmp_path, FAST_SCENARIO)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(p), "--out", str(out)]) == EXIT_OK
+    before = {f.name: f.read_bytes() for f in out.iterdir()}
+
+    def fails_after_a_block(scenario, sink):
+        def add(block):
+            sink(block)
+            raise error("after the first block")
+        return run_scenario(scenario, add)
+
+    monkeypatch.setattr(cli, "run_scenario", fails_after_a_block)
+    assert main(["simulate", "--config", str(p), "--out", str(out)]) == code
+    assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+    # nor are the directories it was to write into left behind
+    assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "a" / "b")]) == code
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["out", "scenario.cfg"]
+
+
+@pytest.mark.parametrize("block_cells", [len(CHANNELS), 6 * len(CHANNELS)])
+def test_simulate_streams_the_bytes_write_csv_writes(tmp_path, block_cells):
+    # one-row blocks, and six-row ones that leave a partial last block
+    p = write(tmp_path, FAST_SCENARIO)
+    with mock.patch.object(engine, "CSV_BLOCK_CELLS", block_cells):
+        assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == EXIT_OK
+    log = run_scenario(build_scenario(parse_config_text(FAST_SCENARIO)))
+    assert len(log) % 6
+    log.write_csv(tmp_path / "log.csv")
+    assert (tmp_path / "o" / "log.csv").read_bytes() == (tmp_path / "log.csv").read_bytes()
+
+
+def test_only_a_jittered_schedule_imports_numpy_random(tmp_path):
+    # numpy.random costs 1.8-5.4 MB of RSS, and a transfer draws no jitter
+    transfer = write(tmp_path, "mode = transfer\nrepetitions = 1\npause = 0.1\nsettle = 0.1\n"
+                     "dt = 0.005\ntransfer.v_z = 0.15\n", "transfer.cfg")
+    rehab = write(tmp_path, "repetitions = 1\npause = 0.1\nsettle = 0.1\ndt = 0.005\n"
+                  "sts.duration = 0.5\nrep_jitter = 0.05\n", "rehab.cfg")
+    code = ("import sys\nfrom stsbot.cli import main\n"
+            "for cfg in sys.argv[2:]:\n"
+            "    assert main(['simulate', '--config', cfg, '--out', sys.argv[1]]) == 0\n"
+            "    print('numpy.random' in sys.modules)\n")
+    src = Path(engine.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "o"), str(transfer),
+                           str(rehab)], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[1::2] == ["False", "True"]
 
 
 def test_simulate_writes_log_and_manifest(tmp_path):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from stsbot import engine
+from stsbot import cli, engine
 from stsbot.actuators import ACTUATOR_1, ACTUATOR_2_HF, ACTUATOR_2_HS, FrictionModel, motor_speed
 from stsbot.analysis import sts_metrics
 from stsbot.control import (
@@ -748,7 +748,8 @@ def test_log_channels_own_memory_only_when_they_vary(tmp_path):
 def test_run_scenario_holds_the_log_once():
     # the transfer and a human-with-robot run: a copy of every stored channel
     # would double the transfer's peak, and storing its 26 constant channels
-    # would add 1.9 MB
+    # would add 1.9 MB. A transfer does not import numpy.random, so its first
+    # traced run in a process peaks as a repeat does (1.24 MB, bound 2.12 MB)
     counts = []
     for sc in (MEMORY_TRANSFER, short_scenario(dt=5e-3, sts_duration=1.0, pause=0.2, settle=0.1)):
         log, peak = traced_peak(lambda sc=sc: run_scenario(sc))
@@ -757,6 +758,26 @@ def test_run_scenario_holds_the_log_once():
         counts.append(len(stored))
     # the transfer stores fewer than half of its channels, the human run more
     assert 2 * counts[0] < len(CHANNELS) < 2 * counts[1]
+
+
+def test_simulate_holds_one_block_of_the_log(tmp_path):
+    # stsbot simulate writes each block of samples into log.csv as it fills,
+    # so a transfer three times as long (5 522 samples) peaks no higher
+    peaks = []
+    for reps in (1, 3):
+        cfg = tmp_path / f"transfer{reps}.cfg"
+        cfg.write_text(f"mode = transfer\npayload = 50\ntransfer.v_z = 0.15\nrepetitions = {reps}\n"
+                       "pause = 0.2\nsettle = 0\ndt = 0.005\n")
+        argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]
+        code, peak = traced_peak(lambda: cli.main(argv))
+        assert code == 0
+        peaks.append(peak)
+    assert abs(peaks[1] - peaks[0]) < 1e6
+    # one block: its samples, its argument lists and its text, measured at
+    # 39 B per cell of CSV_BLOCK_CELLS (0.64 MB; 0.80 MB for the first run in
+    # a process). Holding the longer log's 14 varying channels until the end
+    # as well read 1.18 MB.
+    assert max(peaks) <= 64 * engine.CSV_BLOCK_CELLS
 
 
 def test_sample_store_does_not_depend_on_its_block_size():

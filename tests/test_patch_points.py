@@ -9,7 +9,7 @@ Keep this list equal to the tracer's.
 import pytest
 
 from stsbot import analysis, cli, control, engine
-from stsbot.engine import Plant, SimLog
+from stsbot.engine import Plant, SimLog, run_scenario
 
 PATCH_POINTS = [
     (cli, "run_scenario"),
@@ -37,3 +37,20 @@ PATCH_POINTS = [
 def test_tracer_patch_point_is_defined_on_its_owner(owner, name):
     # the tracer reads vars(owner)[name] to restore it afterwards
     assert name in vars(owner)
+
+
+def test_simulate_enters_the_run_through_cli_run_scenario(tmp_path, monkeypatch):
+    # the tracer spans a session's run by replacing cli.run_scenario: a
+    # simulate that went around it would record no engine.run_scenario span
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return run_scenario(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_scenario", counting)
+    cfg = tmp_path / "transfer.cfg"
+    cfg.write_text("mode = transfer\nrepetitions = 1\npause = 0.1\nsettle = 0.1\ndt = 0.005\n"
+                   "transfer.v_z = 0.15\n")
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 1 and calls[0].transfer is not None
