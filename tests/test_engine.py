@@ -762,22 +762,25 @@ def test_run_scenario_holds_the_log_once():
 
 def test_simulate_holds_one_block_of_the_log(tmp_path):
     # stsbot simulate writes each block of samples into log.csv as it fills,
-    # so a transfer three times as long (5 522 samples) peaks no higher
+    # so a transfer three times as long (4 201 samples) peaks no higher
+    def simulate(reps):
+        cfg = tmp_path / f"transfer{reps}.cfg"
+        cfg.write_text(f"mode = transfer\npayload = 50\ntransfer.v_z = 0.2\nrepetitions = {reps}\n"
+                       "pause = 0.2\nsettle = 0\ndt = 0.005\n")
+        return cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+
+    # an untraced run first, so that no one-time set-up is traced
+    assert simulate(1) == 0
     peaks = []
     for reps in (1, 3):
-        cfg = tmp_path / f"transfer{reps}.cfg"
-        cfg.write_text(f"mode = transfer\npayload = 50\ntransfer.v_z = 0.15\nrepetitions = {reps}\n"
-                       "pause = 0.2\nsettle = 0\ndt = 0.005\n")
-        argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]
-        code, peak = traced_peak(lambda: cli.main(argv))
+        code, peak = traced_peak(lambda: simulate(reps))
         assert code == 0
         peaks.append(peak)
     assert abs(peaks[1] - peaks[0]) < 1e6
     # one block: its samples, its argument lists and its text, measured at
-    # 39 B per cell of CSV_BLOCK_CELLS (0.64 MB; 0.80 MB for the first run in
-    # a process). Holding the longer log's 14 varying channels until the end
-    # as well read 1.18 MB.
-    assert max(peaks) <= 64 * engine.CSV_BLOCK_CELLS
+    # 39 B per cell of CSV_BLOCK_CELLS (0.64 MB). Holding the longer log's
+    # 14 varying channels until the end as well read 62 B per cell.
+    assert max(peaks) <= 48 * engine.CSV_BLOCK_CELLS
 
 
 def test_sample_store_does_not_depend_on_its_block_size():
