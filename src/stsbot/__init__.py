@@ -19,9 +19,10 @@ from .control import (
     force_controller_step,
     speed_controller_step,
 )
-from .engine import Plant, Scenario, SimLog, SimState, run_scenario
+from .engine import Plant, Scenario, SimState, run_scenario
 from .human import ChairModel, HarnessModel, HumanParams
 from .kinematics import JointState, LinkMassModel, RobotGeometry, inverse_kinematics
+from .simlog import SimLog
 
 __all__ = [
     "__version__",

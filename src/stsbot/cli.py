@@ -1,13 +1,14 @@
 """Command-line runner: simulate scenarios, compute capability maps, analyze
 logs and validate configurations.
 
-Exit codes: 0 success, 2 configuration/validation error, 3 numerical
-divergence during integration.
+Exit codes: 0 success, 2 configuration/validation error or an output that
+cannot be written, 3 numerical divergence during integration.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -27,17 +28,9 @@ from .analysis import (  # noqa: F401  measured_assistance: perfbench times call
     transfer_speed_table,
 )
 from .config import load_config, validate_config
-from .engine import (
-    CHANNELS,
-    CsvBlocks,
-    Scenario,
-    csv_header,
-    csv_rows,
-    log_meta,
-    read_log,
-    run_scenario,
-)
+from .engine import Scenario, run_scenario
 from .errors import ConfigError, NumericalDivergence, StsBotError
+from .simlog import csv_log_file, csv_rows, read_log
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -84,23 +77,13 @@ def _cmd_simulate(args) -> int:
     scenario = _checked(cfg, sys.stderr)
     if scenario is None:
         return EXIT_CONFIG
-    # the log streams into a temporary file that takes its name once the run
-    # ends, so a run that fails leaves the out directory as it was
     out = _out_root(args)
-    made = [p for p in (out, *out.parents) if not p.exists()]
-    out.mkdir(parents=True, exist_ok=True)
-    part = out / "log.csv.part"
-    try:
-        with open(part, "w", newline="\n") as fh:
-            fh.write(csv_header(CHANNELS, log_meta(scenario)))
-            text = CsvBlocks(len(CHANNELS))
-            samples = run_scenario(scenario, lambda block: fh.write(text(block.T)))
-    except BaseException:
-        part.unlink(missing_ok=True)
-        for path in made:
-            path.rmdir()
-        raise
-    os.replace(part, out / "log.csv")
+    for path in (out / "log.csv", out / "manifest.json"):
+        if path.is_dir():  # found before the run, not after it
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    # a run that fails leaves the out directory as it was
+    with csv_log_file(out / "log.csv", scenario) as sink:
+        samples = run_scenario(scenario, sink)
     _write_manifest(out, "simulate", cfg, cfg["seed"], ["log.csv"])
     print(f"wrote {out / 'log.csv'} ({samples} samples)")
     return EXIT_OK
@@ -144,9 +127,9 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    # read_log, not SimLog.from_csv: the header must name every channel, but
-    # only the ones the metrics of the log's mode read are decoded
-    log = read_log(args.log, decode=metric_channels, require=CHANNELS)
+    # read as a run's log: its header must name every channel, but only the
+    # ones the metrics of the log's mode read are decoded
+    log = read_log(args.log, decode=metric_channels)
     summary: dict = {"meta": log.meta, "samples": len(log)}
     if log.meta.get("mode") == "transfer":
         payload = log.meta.get("payload", 0.0)
@@ -219,14 +202,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except NumericalDivergence as exc:
         print(f"error: simulation diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     except StsBotError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        # an input that cannot be read raises ConfigError, so this is an output
+        path = exc.filename2 or exc.filename or _out_root(args)
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

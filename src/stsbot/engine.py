@@ -12,20 +12,22 @@ terms equal, so a transfer's log does not depend on which one a stage
 reads.  Everything is deterministic for a given scenario and seed: the only
 randomness is a per-repetition duration jitter drawn once from the seeded
 generator when the schedule is built.
+
+This module holds the plant, the schedule and the run loop.  The loop packs
+each logged sample into a block and hands the blocks to a sink; the log's
+channels, its CSV format and the sinks are in ``simlog``.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import struct
-import sys
-import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
+from . import simlog
 from .actuators import (
     DEFAULT_FRICTION_1,
     DEFAULT_FRICTION_2_HF,
@@ -71,6 +73,7 @@ from .kinematics import (  # noqa: F401  act_diag, dk_entries: perfbench counts 
     joint_torques,
     solve_ik,
 )
+from .simlog import CHANNELS, DEFAULT_DT, SimLog  # noqa: F401  perfbench reads engine.SimLog
 
 # phase codes in the log
 PHASE_SETTLE = 0
@@ -85,284 +88,10 @@ FLOOR_Z = 0.10
 FLOOR_STIFFNESS = 5.0e4
 FLOOR_DAMPING = 1.0e3
 
-CHANNELS = [
-    "time", "rep", "phase",
-    "q_a", "q_c", "qd_a", "qd_c",
-    "e_y", "e_z", "e_vy", "e_vz",
-    "fy_des", "fz_des",
-    "f1_map", "f2_map", "f1_fric", "f2_fric", "f1_cmd", "f2_cmd",
-    "sat_1", "sat_2", "vel_exc_1", "vel_exc_2",
-    "f1_trans", "f2_trans",
-    "v2_belt", "v2_ref",
-    "harness_fy", "harness_fz",
-    "com_y", "com_z", "vcom_y", "vcom_z", "acom_y", "acom_z",
-    "chair_fz", "feet_fy", "feet_fz",
-    "seat_off", "brake",
-]
-
-CSV_SCHEMA_VERSION = "stsbot-log v1"
-# a log's 40 channels in 409-row blocks, map.csv's 4 columns in 4 096-row ones:
-# 32 768 cells made study_sweep's peak RSS 1.3 MB higher, 8 192 its map writes slower
-CSV_BLOCK_CELLS = 16384
-
 # longest run: ``stsbot simulate`` holds one block of it at any length;
 # ``run_scenario``'s log is held once, at most 320 B per sample (40 float64
 # channels, each stored only if it varies), 3.2 GB
 MAX_STEPS = 10_000_000
-
-
-@dataclass
-class SimLog:
-    """Uniform-rate time series of every simulation channel.
-
-    ``data`` maps each channel to a 1-D float64 array. The log is held once.
-    From ``run_scenario`` every channel is read-only: a channel that varies
-    owns a C-contiguous array, and a channel that holds one value throughout
-    is a zero-stride view of it that costs no memory (``_SampleStore``).
-    Each sample is packed whole into a row-major buffer of CSV_BLOCK_CELLS
-    cells that the store takes when it fills, so the last samples of a run
-    reach it only when the run ends.  ``stsbot simulate`` builds no SimLog:
-    it hands each buffer to the CSV writer instead (``run_scenario``'s
-    ``sink``).  From ``read_log`` each channel is a strided column of the
-    (rows, columns) array that ``np.loadtxt`` read, which holds every column
-    for ``from_csv`` and only the decoded ones for ``stsbot analyze``.
-    """
-
-    dt: float
-    data: dict[str, np.ndarray]
-    meta: dict = field(default_factory=dict)
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.data[name]
-
-    def __len__(self) -> int:
-        return len(self.data["time"])
-
-    def write_csv(self, path) -> None:
-        """Write the header, then ``csv_rows`` of the channels: one block of
-        CSV_BLOCK_CELLS cells is formatted and written at a time, so the
-        whole text is never held at once."""
-        names = list(self.data.keys())
-        with open(path, "w", newline="\n") as fh:
-            fh.write(csv_header(names, self.meta))
-            fh.writelines(csv_rows([self.data[n] for n in names]))
-
-    @classmethod
-    def from_csv(cls, path) -> "SimLog":
-        """Read every column of a log written by ``write_csv`` (``read_log``)."""
-        return read_log(path)
-
-
-def read_log(path, decode=None, require=()) -> SimLog:
-    """Read a log written by ``write_csv``, decoding the columns ``decode``
-    names (None: every column; a function: the ones it returns for the
-    file's meta), ``time`` and the header's last column.
-
-    A file that is missing or not such a log, a header that lacks ``time``
-    or a channel of ``require`` or ``decode``, a row whose cell count is not
-    the header's, a decoded cell that is not a number, a ``time`` that is not
-    finite and strictly increasing, a decoded ``rep`` or ``phase`` that is not
-    a finite integer, or a meta number that is not finite raises ConfigError
-    naming the path.  The cells of a column not decoded are never converted:
-    ``stsbot analyze`` decodes only the channels its metrics read, so it
-    passes a text cell in another channel that ``SimLog.from_csv`` refuses.
-    It decodes 5 columns of a transfer's log and 13 of any other, the last
-    column (``brake``) among them.
-    """
-    meta: dict = {}
-    try:
-        with open(path) as fh:
-            head = [fh.readline()]
-            header = head[0].strip()
-            if not header.startswith("#") or CSV_SCHEMA_VERSION not in header:
-                raise ConfigError(f"{path}: not a {CSV_SCHEMA_VERSION} file")
-            head.append(fh.readline())
-            line = head[-1].strip()
-            if line.startswith("# meta "):
-                meta = json.loads(line[len("# meta "):])
-                if not isinstance(meta, dict):
-                    raise ConfigError(f"{path}: the meta line is not a JSON object")
-                head.append(fh.readline())
-                line = head[-1].strip()
-            names = line.split(",")
-            if callable(decode):
-                decode = decode(meta)
-            if "time" not in names or len(set(names)) < len(names):
-                raise ConfigError(f"{path}: bad column header {line!r}")
-            if missing := [c for c in dict.fromkeys([*require, *(decode or ())])
-                           if c not in names]:
-                raise ConfigError(f"{path}: no {', '.join(missing)} column")
-            # with the last column among them, loadtxt refuses a row short of any cell
-            cols = range(len(names)) if decode is None else sorted(
-                {names.index(c) for c in ("time", *decode)} | {len(names) - 1})
-            with warnings.catch_warnings():
-                # an empty body is reported below, not warned about
-                warnings.simplefilter("ignore", UserWarning)
-                try:
-                    arr = np.loadtxt(fh, delimiter=",", ndmin=2, usecols=cols)
-                except ValueError as exc:
-                    # loadtxt's row numbers count neither file lines nor agree
-                    # with each other, so the line is found again here
-                    raise ConfigError(_first_bad_line(path, len(head), names, cols)
-                                      or f"{path}: {str(exc).split(';')[0]}") from exc
-        _check_cell_counts(path, head, len(arr), names)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
-    except ValueError as exc:
-        # loadtxt appends advice on its own options after a ';'
-        raise ConfigError(f"{path}: {str(exc).split(';')[0]}") from exc
-    if arr.shape[0] == 0:
-        raise ConfigError(f"{path}: no data rows")
-    data = {names[k]: column for k, column in zip(cols, arr.T)}
-    t = data["time"]
-    if not (np.isfinite(t).all() and (np.diff(t) > 0.0).all()):
-        raise ConfigError(f"{path}: time is not finite and strictly increasing")
-    for name in ("rep", "phase"):
-        col = data.get(name)
-        if col is not None and not (np.isfinite(col).all() and (col == np.floor(col)).all()):
-            raise ConfigError(f"{path}: {name} holds a value that is not a finite integer")
-    for key in ("dt", "height", "weight", "payload", "fz_pct", "v_z_target"):
-        value = meta.get(key, 0.0)
-        if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
-            raise ConfigError(f"{path}: meta {key} {value!r} is not a finite number")
-    dt = float(t[1] - t[0]) if len(t) > 1 else meta.get("dt", Scenario.dt)
-    if not 0.0 < dt < math.inf:
-        raise ConfigError(f"{path}: the time step {dt!r} is not a positive number")
-    return SimLog(float(dt), data, meta)
-
-
-def _check_cell_counts(path, head: list[str], rows: int, names: list[str]) -> None:
-    """Raise ConfigError unless each of the ``rows`` rows ``np.loadtxt`` read
-    past the ``head`` lines holds a cell for each of ``names``.
-
-    loadtxt with ``usecols`` takes a row with extra cells.  With the last
-    column among them it refuses a short one, so each row it read holds at
-    least ``len(names) - 1`` commas, and if the body holds that many per row
-    in all, no row holds more.  They are counted in 64 kB binary blocks:
-    ~25 ms for a 32 MB log (1 MB blocks took as long and held 2 MB).  On any
-    other count ``_first_bad_line`` reads the lines as loadtxt reads them, so
-    commas in a comment pass and the first row of another length is named.
-    """
-    with open(path, "rb") as fh:
-        commas = sum(block.count(b",") for block in iter(lambda: fh.read(1 << 16), b""))
-    if commas - sum(line.count(",") for line in head) == rows * (len(names) - 1):
-        return
-    if error := _first_bad_line(path, len(head), names, ()):
-        raise ConfigError(error)
-
-
-def _first_bad_line(path, skip: int, names: list[str], decode) -> str | None:
-    """The error naming the first line past the ``skip`` head lines whose
-    cell count is not ``len(names)`` or whose cell in a column of ``decode``
-    (indices into ``names``) is not a number; None if there is none.
-
-    The lines are read as ``np.loadtxt`` reads them: each is the text before
-    a ``#``, skipped when empty.
-    """
-    columns = len(names)
-    with open(path) as fh:
-        for number, line in enumerate(fh, 1):
-            text = line.rstrip("\n").split("#", 1)[0]
-            if number <= skip or not text:
-                continue
-            cells = text.split(",")
-            if len(cells) != columns:
-                end = f" (it ends before {names[len(cells)]})" if len(cells) < columns else ""
-                return (f"{path}: line {number} holds {len(cells)} cells, "
-                        f"the header names {columns} columns{end}")
-            for k in decode:
-                if not _is_number(cells[k]):
-                    return f"{path}: line {number}: {names[k]} {cells[k]!r} is not a number"
-    return None
-
-
-def _is_number(cell: str) -> bool:
-    """Whether ``np.loadtxt`` reads ``cell`` as a float: what ``float``
-    takes, less the underscores and non-ASCII digits loadtxt refuses."""
-    try:
-        float(cell)
-    except ValueError:
-        return False
-    return cell.isascii() and "_" not in cell
-
-
-def csv_header(names, meta: dict) -> str:
-    """The head lines of a log file: the schema, the meta and the column names."""
-    return (f"# {CSV_SCHEMA_VERSION}\n# meta {json.dumps(meta, sort_keys=True)}\n"
-            + ",".join(names) + "\n")
-
-
-def csv_rows(columns):
-    """CSV rows of equal-length columns in blocks of CSV_BLOCK_CELLS cells
-    (at least one row), each block the text of one ``CsvBlocks`` call."""
-    text = CsvBlocks(len(columns))
-    block = max(1, CSV_BLOCK_CELLS // len(columns))
-    for start in range(0, len(columns[0]), block):
-        yield text([c[start:start + block] for c in columns])
-
-
-class CsvBlocks:
-    """The CSV text of a table handed in one block of rows at a time, every
-    cell the ``%.17g`` text of its float64 value.  ``csv_rows`` (the log
-    writer and the map writer) and ``stsbot simulate``'s stream call it, and
-    what it keeps of each column carries from one block to the next.
-
-    Each block is one ``%``-format of a row template.  A column constant in
-    the block is literal text in the template (keyed on its bits, so ``-0.0``
-    stays apart from ``0.0``).  A column with at most half as many distinct
-    values as the block has rows passes the text of each distinct value,
-    formatted once, through ``%s``; the text is kept for the next block, which
-    reuses it when its distinct values are the same (the map's ``y_m`` holds
-    the same values in every block).  Any other column passes its floats to
-    ``%.17g``.
-
-    A column that took ``%.17g`` in the last block is first tried without
-    ``np.unique``: its cells hold at least as many distinct values as distinct
-    low 12 bits (``bincount`` of ``bits & 4095``), so more than ``rows / 2``
-    of those sends it to ``%.17g`` at once.  The test only ever proves "many
-    distinct", the choice ``np.unique`` would make, so it cannot change the
-    bytes; when it cannot decide, ``np.unique`` does.  A column that was
-    constant or repeated in the last block goes to ``np.unique`` first, so a
-    repeating column, such as the map's ``y_m``, does not pay for both.
-    """
-
-    def __init__(self, n_columns: int):
-        self.kept = [None] * n_columns  # (distinct bits, their text) per column
-        self.varied = [False] * n_columns  # whether the column took %.17g in the last block
-
-    def __call__(self, columns) -> str:
-        """The rows of one block: ``columns`` are its equal-length columns."""
-        kept, varied = self.kept, self.varied
-        rows = len(columns[0])
-        fields, args = [], []
-        for i, c in enumerate(columns):
-            # only one block of a column is made contiguous float64 at a time
-            x = np.ascontiguousarray(c, dtype=np.float64)
-            bits = x.view(np.int64)
-            if (bits == bits[0]).all():
-                fields.append(f"{x[0]:.17g}")
-                varied[i] = False
-                continue
-            # distinct low 12 bits are at most as many as distinct values
-            varied[i] = varied[i] and 2 * np.count_nonzero(np.bincount(bits & 4095)) > rows
-            if not varied[i]:
-                distinct, inverse = np.unique(bits, return_inverse=True)
-                varied[i] = 2 * len(distinct) > rows
-            if varied[i]:
-                fields.append("%.17g")
-                args.append(x.tolist())
-                continue
-            if kept[i] is None or not np.array_equal(kept[i][0], distinct):
-                kept[i] = distinct, np.array(
-                    [f"{v:.17g}" for v in distinct.view(np.float64).tolist()], dtype=object)
-            fields.append("%s")
-            args.append(kept[i][1][inverse].tolist())
-        # the arguments row by row: column j's cells at j, j + k, ...
-        k = len(args)
-        cells = [None] * (rows * k)
-        for j, a in enumerate(args):
-            cells[j::k] = a
-        return ((",".join(fields) + "\n") * rows) % tuple(cells)
 
 
 @dataclass(frozen=True)
@@ -381,7 +110,7 @@ class Scenario:
     pause: float = 2.0
     payload: float = 0.0
     robot_attached: bool = True
-    dt: float = 1e-3
+    dt: float = DEFAULT_DT
     seed: int = 0
     allow_peak: bool = False
     damping: tuple[float, float] = (0.5, 0.5)
@@ -815,44 +544,6 @@ class Plant:
 # scenario execution
 
 
-class _SampleStore:
-    """A log's channels, filled a block of samples at a time.
-
-    A channel is held as its first sample's value until a block differs from
-    it by float64 bits (so ``-0.0`` stays apart from ``0.0``); then it gets
-    its own C-contiguous array, the earlier samples set to that value, and
-    that block and every later one are copied in.  ``channels`` returns each
-    channel read-only: its own array, or a zero-stride view of its one value
-    if it never varied.  Of the 98 kg transfer's 40 channels 14 vary.
-    """
-
-    def __init__(self, n_samples: int, n_channels: int):
-        self.n = n_samples
-        self.filled = 0
-        self.first = np.zeros(n_channels)  # a run of no samples logs zeros
-        self.own = [None] * n_channels
-
-    def add(self, block: np.ndarray) -> None:
-        """Append ``block``'s rows, one sample per row in channel order."""
-        start, stop = self.filled, self.filled + len(block)
-        if start == 0:
-            self.first = block[0].copy()
-        varied = (block.view(np.int64) != self.first.view(np.int64)).any(axis=0)
-        for j, col in enumerate(self.own):
-            if col is None and varied[j]:
-                col = self.own[j] = np.full(self.n, self.first[j])
-            if col is not None:
-                col[start:stop] = block[:, j]
-        self.filled = stop
-
-    def channels(self) -> list[np.ndarray]:
-        for col in self.own:
-            if col is not None:
-                col.flags.writeable = False
-        return [np.broadcast_to(v, (self.n,)) if col is None else col
-                for v, col in zip(self.first, self.own)]
-
-
 def _initial_state(scenario: Scenario) -> SimState:
     """Start state: the person seated, the attached arm at the harness's
     attach point above the seated CoM."""
@@ -869,37 +560,13 @@ def _initial_state(scenario: Scenario) -> SimState:
     return SimState(q_a=q0.q_a, q_c=q0.q_c)
 
 
-def log_meta(scenario: Scenario) -> dict:
-    """The meta of the scenario's log, known before its first sample."""
-    mode_config, human = scenario.mode_config, scenario.human
-    is_transfer = scenario.transfer is not None
-    return {
-        "dt": scenario.dt,
-        "seed": scenario.seed,
-        "repetitions": scenario.repetitions,
-        "pause": scenario.pause,
-        "settle": scenario.settle,
-        "robot_attached": scenario.robot_attached,
-        "payload": scenario.payload,
-        "mode": (mode_config.mode.value if mode_config is not None
-                 else ("transfer" if is_transfer else "none")),
-        "fz_pct": mode_config.fz_pct if mode_config is not None else 0.0,
-        "ky": mode_config.ky if mode_config is not None else 0.0,
-        "height": human.height if human else 0.0,
-        "weight": human.mass if human else 0.0,
-        "mobility": human.mobility if human else 0.0,
-        "duration": scenario.sts_duration,
-        "v_z_target": scenario.transfer.v_z_target if is_transfer else 0.0,
-    }
-
-
-def run_scenario(scenario: Scenario, sink=None) -> SimLog | int:
-    """Execute the scenario and return the complete fixed-rate log.
-
-    With ``sink``, hold no log: hand ``sink`` each block of samples, a
-    (rows, channels) float64 array in CHANNELS order that the run reuses,
-    as it fills and the last partial block when the run ends, and return
-    the sample count.  A run that raises has handed on only its full blocks.
+def run_scenario(scenario: Scenario, sink=None):
+    """Execute the scenario and return ``sink.close()``: the sink (see
+    ``simlog``) takes the run's fixed-rate log a block of samples at a time.
+    By default it is the in-memory store, and the run returns its read-only
+    SimLog.  A run that raises, in the step or a controller, first hands the
+    sink every sample it logged before the fault; a block that ``sink.add``
+    itself refuses is not handed on again.
     """
     plant = Plant(scenario)
     schedule = plant.schedule
@@ -918,73 +585,75 @@ def run_scenario(scenario: Scenario, sink=None) -> SimLog | int:
     brake = float(is_transfer)
     zeros4, zeros6, zeros12 = (0.0,) * 4, (0.0,) * 6, (0.0,) * 12
 
+    if sink is None:
+        sink = simlog._SampleStore(n_steps, simlog.log_meta(scenario))
     # each sample is packed whole into a row-major block of samples, and each
-    # full block, then the last partial one, goes to the sink or the store
-    # (storing a sample straight into a (channels, samples) log wrote 40
-    # cells 8 * n_steps bytes apart)
-    store = _SampleStore(n_steps, len(CHANNELS)) if sink is None else None
-    add = store.add if sink is None else sink
+    # full block, then the last partial one, goes to the sink (storing a
+    # sample straight into a (channels, samples) log wrote 40 cells
+    # 8 * n_steps bytes apart)
     sample = struct.Struct(f"{len(CHANNELS)}d")
     pack, size = sample.pack_into, sample.size
-    block = max(1, CSV_BLOCK_CELLS // len(CHANNELS))
+    block = max(1, simlog.CSV_BLOCK_CELLS // len(CHANNELS))
     buf = np.empty((block, len(CHANNELS)))
     at, full = 0, block * size  # the byte offset of the next sample in buf
-    for i in range(n_steps):
-        # the plant reads the same cursor; all lookups come at non-decreasing t
-        seg = schedule.segment_at(state.t)
+    try:
+        for i in range(n_steps):
+            # the plant reads the same cursor; all lookups come at non-decreasing t
+            seg = schedule.segment_at(state.t)
 
-        f1_cmd = f2_cmd = 0.0
-        sat1 = sat2 = False
-        v2_ref = 0.0
-        stages = zeros6
-        if rehab_ctrl:
-            arm = plant.evaluated(state).arm
-            desired = desired_force_field(mode_config, user, e_yi, arm.e[0])
-            cmd = force_controller_step(arm, specs, plant.ctrl_frictions, desired,
-                                        plant.motor_speeds(state), allow_peak=allow_peak)
-            f1_cmd, f2_cmd, sat1, sat2 = cmd.f1, cmd.f2, cmd.saturated_1, cmd.saturated_2
-            stages = (*desired, cmd.f1_map, cmd.f2_map, cmd.f1_fric, cmd.f2_fric)
-        elif is_transfer:
-            if seg.phase == PHASE_RISE:
-                v_z_signed = scenario.transfer.v_z_target
-            elif seg.phase == PHASE_DESCENT:
-                v_z_signed = -scenario.transfer.v_z_target
-            else:
-                v_z_signed = 0.0
-            arm = plant.evaluated(state).arm
-            (f2_cmd, sat2, v2_ref), integral = speed_controller_step(
-                arm, plant.spec2, scenario.transfer, arm.d[1] * state.qd_c, dt, integral,
-                v_z_signed=v_z_signed,
-            )
+            f1_cmd = f2_cmd = 0.0
+            sat1 = sat2 = False
+            v2_ref = 0.0
+            stages = zeros6
+            if rehab_ctrl:
+                arm = plant.evaluated(state).arm
+                desired = desired_force_field(mode_config, user, e_yi, arm.e[0])
+                cmd = force_controller_step(arm, specs, plant.ctrl_frictions, desired,
+                                            plant.motor_speeds(state), allow_peak=allow_peak)
+                f1_cmd, f2_cmd, sat1, sat2 = cmd.f1, cmd.f2, cmd.saturated_1, cmd.saturated_2
+                stages = (*desired, cmd.f1_map, cmd.f2_map, cmd.f1_fric, cmd.f2_fric)
+            elif is_transfer:
+                if seg.phase == PHASE_RISE:
+                    v_z_signed = scenario.transfer.v_z_target
+                elif seg.phase == PHASE_DESCENT:
+                    v_z_signed = -scenario.transfer.v_z_target
+                else:
+                    v_z_signed = 0.0
+                arm = plant.evaluated(state).arm
+                (f2_cmd, sat2, v2_ref), integral = speed_controller_step(
+                    arm, plant.spec2, scenario.transfer, arm.d[1] * state.qd_c, dt, integral,
+                    v_z_signed=v_z_signed,
+                )
 
-        state = plant.step(state, (f1_cmd, f2_cmd), dt)
+            state = plant.step(state, (f1_cmd, f2_cmd), dt)
 
-        # log the new sample, in CHANNELS order, from the evaluation the step
-        # made of it; a detached arm never moves and an absent human never
-        # acts, so their channels stay 0
-        f = state.forces
-        effector, drives, v2_belt = zeros4, zeros4, 0.0
-        if plant.attached:
-            arm = f.arm
-            effector = arm.e + arm.ev
-            d1, d2 = arm.d
-            v2_belt = d2 * state.qd_c
-            drives = (float(velocity_exceeded(plant.spec1, d1 * state.qd_a, allow_peak)),
-                      float(velocity_exceeded(plant.spec2, v2_belt, allow_peak)), *state.applied)
-        human = zeros12
-        if plant.has_human:
-            human = (*f.harness, *state.com, *state.vcom, *f.acom, f.chair_fz, *f.feet,
-                     float(f.chair_fz <= 0.0))
-        pack(buf, at, state.t, seg.rep, seg.phase, state.q_a, state.q_c, state.qd_a, state.qd_c,
-             *effector, *stages, f1_cmd, f2_cmd, float(sat1), float(sat2), *drives,
-             v2_belt, v2_ref, *human, brake)
-        at += size
-        if at == full:
-            add(buf)
-            at = 0
-    if at:
-        add(buf[:at // size])
-    if store is None:
-        return n_steps
-    return SimLog(scenario.dt, dict(zip(CHANNELS, store.channels())), log_meta(scenario))
-
+            # log the new sample, in CHANNELS order, from the evaluation the step
+            # made of it; a detached arm never moves and an absent human never
+            # acts, so their channels stay 0
+            f = state.forces
+            effector, drives, v2_belt = zeros4, zeros4, 0.0
+            if plant.attached:
+                arm = f.arm
+                effector = arm.e + arm.ev
+                d1, d2 = arm.d
+                v2_belt = d2 * state.qd_c
+                drives = (float(velocity_exceeded(plant.spec1, d1 * state.qd_a, allow_peak)),
+                          float(velocity_exceeded(plant.spec2, v2_belt, allow_peak)),
+                          *state.applied)
+            human = zeros12
+            if plant.has_human:
+                human = (*f.harness, *state.com, *state.vcom, *f.acom, f.chair_fz, *f.feet,
+                         float(f.chair_fz <= 0.0))
+            pack(buf, at, state.t, seg.rep, seg.phase, state.q_a, state.q_c, state.qd_a,
+                 state.qd_c, *effector, *stages, f1_cmd, f2_cmd, float(sat1), float(sat2),
+                 *drives, v2_belt, v2_ref, *human, brake)
+            at += size
+            if at == full:
+                at = 0
+                sink.add(buf)
+    finally:
+        # the samples since the last full block: the run's last ones, or
+        # the ones logged before a fault
+        if at:
+            sink.add(buf[:at // size])
+    return sink.close()

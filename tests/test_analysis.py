@@ -35,16 +35,7 @@ from stsbot.analysis import (
     transfer_speed_table,
 )
 from stsbot.config import build_scenario, parse_config_text
-from stsbot.engine import (
-    CHANNELS,
-    PHASE_DESCENT,
-    PHASE_PAUSE,
-    PHASE_RISE,
-    SimLog,
-    csv_rows,
-    read_log,
-    run_scenario,
-)
+from stsbot.engine import PHASE_DESCENT, PHASE_PAUSE, PHASE_RISE, run_scenario
 from stsbot.errors import (
     DegenerateInput,
     EmptyWindow,
@@ -63,6 +54,7 @@ from stsbot.kinematics import (
     check_invertible,
     drive_forces,
 )
+from stsbot.simlog import CHANNELS, SimLog, csv_rows, read_log
 
 GEOM = RobotGeometry()
 MASSES = LinkMassModel.for_geometry(GEOM)
@@ -311,7 +303,7 @@ def test_analyze_decodes_the_channels_of_the_logs_mode(run, metric_logs, tmp_pat
     log = metric_logs[run]
     path = tmp_path / "log.csv"
     log.write_csv(path)
-    read = read_log(path, decode=metric_channels, require=CHANNELS)
+    read = read_log(path, decode=metric_channels)
     want = TRANSFER_CHANNELS if run == "transfer" else STS_CHANNELS
     assert metric_channels(log.meta) == want
     assert list(read.data) == [c for c in CHANNELS if c in want or c == CHANNELS[-1]]

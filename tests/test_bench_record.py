@@ -73,6 +73,24 @@ def test_counts_pairs_whose_outputs_agree(tmp_path):
             for r in changed] == [True] + [False] * 6
 
 
+def test_records_each_sides_source_lines(tmp_path):
+    bench = tmp_path / "BENCHMARK.json"
+    bench.write_text(json.dumps({"end_to_end": [
+        {"name": "simulate_s", "better": "lower", "bound": 0.25}]}))
+    for side, sources in (("parent", {"a.py": "x = 1\ny = 2\n", "b.py": "z = 3\n"}),
+                          ("change", {"a.py": "x = 1\n"})):
+        package = tmp_path / side / "src" / "stsbot"
+        package.mkdir(parents=True)
+        for name, text in sources.items():
+            (package / name).write_text(text)
+        (package / "notes.txt").write_text("not source\n")
+        write_run(tmp_path / side, "w", 0, side[0], {"simulate_s": 1.0})
+    doc = bench_record.record(tmp_path / "parent", tmp_path / "change", bench)
+    assert (doc["parent"]["src_lines"], doc["change"]["src_lines"]) == (3, 1)
+    assert bench_record.src_lines(ROOT) == sum(
+        len(p.read_text().splitlines()) for p in (ROOT / "src" / "stsbot").glob("*.py"))
+
+
 def test_runs_of_one_side_must_share_a_tree(tmp_path):
     bench = tmp_path / "BENCHMARK.json"
     bench.write_text(json.dumps({"end_to_end": [

@@ -26,12 +26,13 @@ from stsbot import (
     Scenario,
     TransferConfig,
 )
-from stsbot import cli, engine
+from stsbot import cli, engine, simlog
 from stsbot.analysis import STS_CHANNELS
 from stsbot.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
 from stsbot.config import SCHEMA, build_scenario, parse_config_text, validate_config
-from stsbot.engine import CHANNELS, SimLog, run_scenario
+from stsbot.engine import run_scenario
 from stsbot.errors import ConfigError, NumericalDivergence
+from stsbot.simlog import CHANNELS, SimLog
 
 FAST_SCENARIO = """
 mode = weight_unloading
@@ -377,10 +378,13 @@ def test_a_failed_simulate_leaves_the_out_directory_as_it_was(tmp_path, monkeypa
     before = {f.name: f.read_bytes() for f in out.iterdir()}
 
     def fails_after_a_block(scenario, sink):
-        def add(block):
-            sink(block)
+        add = sink.add
+
+        def failing(block):
+            add(block)
             raise error("after the first block")
-        return run_scenario(scenario, add)
+        sink.add = failing
+        return run_scenario(scenario, sink)
 
     monkeypatch.setattr(cli, "run_scenario", fails_after_a_block)
     assert main(["simulate", "--config", str(p), "--out", str(out)]) == code
@@ -390,11 +394,56 @@ def test_a_failed_simulate_leaves_the_out_directory_as_it_was(tmp_path, monkeypa
     assert sorted(f.name for f in tmp_path.iterdir()) == ["out", "scenario.cfg"]
 
 
+# each command with an out path it cannot write, run in a directory that holds
+# afile (an empty file), o3/log.csv and o4/manifest.json (directories), and
+# the path the error line names
+OUT_PATH_FAULTS = {
+    "simulate_out_a_file": (["simulate", "--config", "scenario.cfg", "--out", "afile"],
+                            "afile"),
+    "simulate_log_csv_a_directory": (["simulate", "--config", "scenario.cfg", "--out", "o3"],
+                                     "o3/log.csv"),
+    "simulate_manifest_a_directory": (["simulate", "--config", "scenario.cfg", "--out", "o4"],
+                                      "o4/manifest.json"),
+    "map_out_under_a_file": (["map", "--config", "scenario.cfg", "--out", "afile/x"],
+                             "afile/x"),
+    "analyze_out_a_file": (["analyze", "--log", "run/log.csv", "--out", "afile"], "afile"),
+}
+
+
+def tree(root):
+    """Each path under ``root`` and its bytes, None for a directory."""
+    return {p.relative_to(root): None if p.is_dir() else p.read_bytes()
+            for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_PATH_FAULTS))
+def test_an_out_path_that_cannot_be_written_exits_2(tmp_path, monkeypatch, capsys, case):
+    # one error: line and exit 2, never a traceback, and the directory keeps
+    # its listing and bytes: no log.csv.part is left behind
+    argv, path = OUT_PATH_FAULTS[case]
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, FAST_SCENARIO)
+    (tmp_path / "afile").write_bytes(b"")
+    (tmp_path / "o3" / "log.csv").mkdir(parents=True)
+    (tmp_path / "o4" / "manifest.json").mkdir(parents=True)
+    if argv[0] == "analyze":
+        assert main(["simulate", "--config", "scenario.cfg", "--out", "run"]) == EXIT_OK
+    before = tree(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {path}: ")
+    assert "Traceback" not in captured.err
+    assert tree(tmp_path) == before
+
+
 @pytest.mark.parametrize("block_cells", [len(CHANNELS), 6 * len(CHANNELS)])
 def test_simulate_streams_the_bytes_write_csv_writes(tmp_path, block_cells):
     # one-row blocks, and six-row ones that leave a partial last block
     p = write(tmp_path, FAST_SCENARIO)
-    with mock.patch.object(engine, "CSV_BLOCK_CELLS", block_cells):
+    with mock.patch.object(simlog, "CSV_BLOCK_CELLS", block_cells):
         assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == EXIT_OK
     log = run_scenario(build_scenario(parse_config_text(FAST_SCENARIO)))
     assert len(log) % 6

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from stsbot import cli, engine
+from stsbot import cli, simlog
 from stsbot.actuators import ACTUATOR_1, ACTUATOR_2_HF, ACTUATOR_2_HS, FrictionModel, motor_speed
 from stsbot.analysis import sts_metrics
 from stsbot.control import (
@@ -21,15 +21,12 @@ from stsbot.control import (
     force_controller_step,
 )
 from stsbot.engine import (
-    CHANNELS,
-    CSV_SCHEMA_VERSION,
     Forces,
     PHASE_PAUSE,
     PHASE_PAUSE2,
     PHASE_RISE,
     Plant,
     Scenario,
-    SimLog,
     SimState,
     _initial_state,
     run_scenario,
@@ -38,6 +35,7 @@ from stsbot.errors import ConfigError, NumericalDivergence
 from stsbot.human import HumanParams
 from stsbot.kinematics import (ARRAY_MATH, GRAVITY, Arm, ArmEval, JointState, LinkMassModel,
                                RobotGeometry, act_diag, drive_speeds)
+from stsbot.simlog import CHANNELS, CSV_SCHEMA_VERSION, SimLog
 
 GEOM = RobotGeometry()
 ZERO_F = FrictionModel(0.0, 0.0)
@@ -693,7 +691,7 @@ VARY_REPEAT_VARY = SimLog(1e-3, {"time": np.arange(16) * 1e-3,
 @example(log=SHARED_LOW_BITS, block_cells=818)
 @example(log=VARY_REPEAT_VARY, block_cells=8)
 def test_csv_bytes_match_rowwise_writer(log, block_cells):
-    with mock.patch.object(engine, "CSV_BLOCK_CELLS", block_cells):
+    with mock.patch.object(simlog, "CSV_BLOCK_CELLS", block_cells):
         assert_csv_exact(log)
 
 
@@ -780,7 +778,7 @@ def test_simulate_holds_one_block_of_the_log(tmp_path):
     # one block: its samples, its argument lists and its text, measured at
     # 39 B per cell of CSV_BLOCK_CELLS (0.64 MB). Holding the longer log's
     # 14 varying channels until the end as well read 62 B per cell.
-    assert max(peaks) <= 48 * engine.CSV_BLOCK_CELLS
+    assert max(peaks) <= 48 * simlog.CSV_BLOCK_CELLS
 
 
 def test_sample_store_does_not_depend_on_its_block_size():
@@ -788,13 +786,13 @@ def test_sample_store_does_not_depend_on_its_block_size():
     # each block to the store: one-row blocks, seven-row blocks (which divide
     # none of these runs) and the default 409 rows must log the same bits and
     # store the same channels, also for a run shorter than one block
-    rows = engine.CSV_BLOCK_CELLS // len(CHANNELS)
+    rows = simlog.CSV_BLOCK_CELLS // len(CHANNELS)
     for sc in (short_scenario(seed=24, pause=0.2, settle=0.1, dt=2e-3), MEMORY_TRANSFER,
                short_scenario(dt=5e-3, sts_duration=0.5, pause=0.1, settle=0.1)):
         want = run_scenario(sc)
         assert len(want) % 7 and len(want) % rows
         for block_cells in (len(CHANNELS), 7 * len(CHANNELS)):
-            with mock.patch.object(engine, "CSV_BLOCK_CELLS", block_cells):
+            with mock.patch.object(simlog, "CSV_BLOCK_CELLS", block_cells):
                 got = run_scenario(sc)
             assert_stored_once(got)
             for name in CHANNELS:
@@ -814,13 +812,70 @@ def test_sample_store_does_not_depend_on_its_block_size():
     samples[-1, 4] = 1.0
     samples[:, 5] = math.nan
     for block in (1, 7, rows):
-        store = engine._SampleStore(n, 6)
+        store = simlog._SampleStore(n, {"dt": 1.0}, names=range(6))
         for start in range(0, n, block):
             store.add(samples[start:start + block])
-        got = store.channels()
+        got = list(store.close().data.values())
         assert [c.strides == (0,) for c in got] == [False, True, True, False, False, True]
         assert all(not c.flags.writeable for c in got)
         assert np.array_equal(np.column_stack(got).view(np.int64), samples.view(np.int64))
+
+
+class ListSink:
+    """A sink that keeps a copy of each block; a run that raises must not close it."""
+
+    def __init__(self):
+        self.blocks = []
+
+    def add(self, block):
+        self.blocks.append(block.copy())
+
+    def close(self):
+        raise AssertionError("closed after a fault")
+
+
+@pytest.mark.parametrize("sc, k, r", [
+    (MEMORY_TRANSFER, 1, 1),
+    (MEMORY_TRANSFER, 3, 408),
+    (short_scenario(seed=24, pause=0.2, settle=0.1, dt=2e-3), 2, 200),
+], ids=["transfer-1-1", "transfer-3-408", "rehab-2-200"])
+def test_a_run_that_diverges_hands_its_sink_every_logged_sample(monkeypatch, sc, k, r):
+    # the step fails at step 409 k + r, inside a block: the sink gets the
+    # k full blocks, then the r samples logged since, bit-equal to the same
+    # samples of a run that does not fail
+    rows = simlog.CSV_BLOCK_CELLS // len(CHANNELS)
+    fault = rows * k + r
+    want = run_scenario(sc)
+    assert len(want) > fault
+    step, calls = Plant.step, []
+
+    def failing(self, *args):
+        calls.append(None)
+        if len(calls) > fault:
+            raise NumericalDivergence("made to fail")
+        return step(self, *args)
+
+    monkeypatch.setattr(Plant, "step", failing)
+    sink = ListSink()
+    with pytest.raises(NumericalDivergence, match="made to fail"):
+        run_scenario(sc, sink)
+    assert [len(b) for b in sink.blocks] == [rows] * k + [r]
+    got = np.concatenate(sink.blocks)
+    logged = np.column_stack([want[name][:fault] for name in CHANNELS])
+    assert np.array_equal(got.view(np.int64), logged.view(np.int64))
+
+
+def test_a_block_the_sink_refuses_is_not_handed_on_again():
+    sink = ListSink()
+
+    def refuse(block):
+        sink.blocks.append(len(block))
+        raise ConfigError("refused")
+
+    sink.add = refuse
+    with pytest.raises(ConfigError, match="refused"):
+        run_scenario(MEMORY_TRANSFER, sink)
+    assert sink.blocks == [simlog.CSV_BLOCK_CELLS // len(CHANNELS)]
 
 
 def test_signed_zero_stays_apart_in_the_log():
@@ -831,7 +886,7 @@ def test_signed_zero_stays_apart_in_the_log():
     assert (log["q_a"].view(np.int64) == np.float64(-0.0).view(np.int64)).all()
     assert (log["qd_a"].view(np.int64) == 0).all()
     k = CHANNELS.index("q_a")
-    text = "".join(engine.csv_rows([log[name] for name in CHANNELS]))
+    text = "".join(simlog.csv_rows([log[name] for name in CHANNELS]))
     assert {line.split(",")[k] for line in text.splitlines()} == {"-0"}
     # writing into a run's log fails the same way for a stored channel and a
     # constant one
@@ -857,7 +912,7 @@ def test_csv_writer_peak_does_not_grow_with_the_log(tmp_path):
     # descent. A writer that first copied every whole column would add
     # 2.0 MB to the long peak and fail both bounds below.
     log = run_scenario(quick_start(1))
-    rows = engine.CSV_BLOCK_CELLS // len(CHANNELS)
+    rows = simlog.CSV_BLOCK_CELLS // len(CHANNELS)
     short = SimLog(log.dt, {n: c[:3 * rows] for n, c in log.data.items()}, log.meta)
     # the long log's channels laid out as from_csv hands them out, strided
     # columns of one row-major array: the writer makes one block of a column
@@ -875,8 +930,8 @@ def test_csv_writer_peak_does_not_grow_with_the_log(tmp_path):
     grid = np.linspace(0.1, 1.3, 241)
     value = np.where(rng.random(241 * 241) < 0.7, math.nan, rng.normal(1e3, 3e2, 241 * 241))
     columns = [np.tile(grid, 241), np.repeat(grid, 241), value, np.isfinite(value).astype(int)]
-    peaks.append(traced_peak(lambda: sum(map(len, engine.csv_rows(columns))))[1])
+    peaks.append(traced_peak(lambda: sum(map(len, simlog.csv_rows(columns))))[1])
     # one block's argument lists and tuple, its row template and its text
     # measured 63 B per cell of CSV_BLOCK_CELLS for the logs (1.03 MB) and
     # 53 B for the map
-    assert max(peaks) <= 80 * engine.CSV_BLOCK_CELLS
+    assert max(peaks) <= 80 * simlog.CSV_BLOCK_CELLS

@@ -1,15 +1,16 @@
 """The attributes the benchmark's tracer (perfbench/tracing.py) replaces by
-name while it measures a run.
+name while it measures a run, and the ones perfbench/ops.py reads.
 
 The test suite collects only tests/, so deleting or renaming one of these
-would pass here and break a traced run (``perfbench/run.py --trace 1``).
-Keep this list equal to the tracer's.
+would pass here and break a benchmark run (``perfbench/run.py``).  Keep
+PATCH_POINTS equal to the tracer's list.
 """
 
 import pytest
 
 from stsbot import analysis, cli, control, engine
-from stsbot.engine import Plant, SimLog, run_scenario
+from stsbot.control import TransferConfig
+from stsbot.engine import Plant, Scenario, SimLog, run_scenario
 
 PATCH_POINTS = [
     (cli, "run_scenario"),
@@ -54,3 +55,17 @@ def test_simulate_enters_the_run_through_cli_run_scenario(tmp_path, monkeypatch)
                    "transfer.v_z = 0.15\n")
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     assert len(calls) == 1 and calls[0].transfer is not None
+
+
+def test_perfbench_reads_a_run_through_engine(tmp_path):
+    # the sweep reads run_scenario's log and its len and dt, the session
+    # reads log.csv back through SimLog.from_csv, and the digest walks
+    # CHANNELS: all three as attributes of engine
+    scenario = Scenario(transfer=TransferConfig(), repetitions=1, pause=0.1, settle=0.1, dt=5e-3)
+    log = engine.run_scenario(scenario)
+    assert isinstance(log, engine.SimLog)
+    assert len(log) > 0 and log.dt == scenario.dt
+    assert list(log.data) == engine.CHANNELS
+    log.write_csv(tmp_path / "log.csv")
+    back = engine.SimLog.from_csv(tmp_path / "log.csv")
+    assert len(back) == len(log) and list(back.data) == engine.CHANNELS

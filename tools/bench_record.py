@@ -12,7 +12,9 @@ quartiles, how many pairs the change won and a verdict:
   than the parent's interquartile range;
 - ``unchanged``: neither.
 
-Each workload also counts ``outputs_equal``: the pairs whose two runs wrote
+Each side also records ``src_lines``, the summed line count of its
+``src/stsbot/*.py`` (as ``wc -l`` counts them), so a change that removes
+code shows by how much.  Each workload also counts ``outputs_equal``: the pairs whose two runs wrote
 the same outputs (see ``same_outputs``), so a change that claims only speed
 shows that its bytes did not move.
 
@@ -88,6 +90,11 @@ def side_identity(runs: list[dict]) -> dict:
     return {"git_sha": sha, "src_sha256": src}
 
 
+def src_lines(tree: Path) -> int:
+    """The newline count of ``<tree>/src/stsbot/*.py``, summed."""
+    return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "stsbot").glob("*.py"))
+
+
 def record(parent: Path, change: Path, benchmark: Path) -> dict:
     declared = json.loads(benchmark.read_text())["end_to_end"]
     old, new = load_runs(parent), load_runs(change)
@@ -96,8 +103,8 @@ def record(parent: Path, change: Path, benchmark: Path) -> dict:
         raise SystemExit("no workload and seed was run on both sides")
     env = new[keys[0]]["environment"]
     out = {
-        "parent": side_identity([old[k] for k in keys]),
-        "change": side_identity([new[k] for k in keys]),
+        "parent": {**side_identity([old[k] for k in keys]), "src_lines": src_lines(parent)},
+        "change": {**side_identity([new[k] for k in keys]), "src_lines": src_lines(change)},
         "environment": {name: env[name] for name in
                         ("nproc", "cpus_usable", "cpu_model", "python", "numpy")},
         "workloads": {},
