@@ -322,7 +322,6 @@ class CsvBlocks:
         return ((",".join(fields) + "\n") * rows) % tuple(cells)
 
 
-
 class _SampleStore:
     """A run's log, filled a block of samples at a time: ``run_scenario``'s
     default sink.
