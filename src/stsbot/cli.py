@@ -1,5 +1,6 @@
 """Command-line runner: simulate scenarios, compute capability maps, analyze
-logs and validate configurations.
+logs and validate configurations.  Each command writes its outputs through
+``_outputs``, so a command that fails leaves its out directory as it was.
 
 Exit codes: 0 success, 2 configuration/validation error or an output that
 cannot be written, 3 numerical divergence during integration.
@@ -12,6 +13,7 @@ import errno
 import json
 import os
 import sys
+from contextlib import ExitStack, contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +32,7 @@ from .analysis import (  # noqa: F401  measured_assistance: perfbench times call
 from .config import load_config, validate_config
 from .engine import Scenario, run_scenario
 from .errors import ConfigError, NumericalDivergence, StsBotError
-from .simlog import csv_log_file, csv_rows, read_log
+from .simlog import CsvSink, csv_rows, read_log
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -42,22 +44,43 @@ def _out_root(args) -> Path:
     return Path(args.out or os.environ.get("STSBOT_OUT_ROOT", "stsbot_out"))
 
 
-def _out_dir(args) -> Path:
-    path = _out_root(args)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+@contextmanager
+def _outputs(args, *names: str):
+    """Open text files for ``names`` in the out directory, each written as
+    NAME.part and renamed only once the ``with`` body has written them all.
+    A name that is a directory is refused before anything is made.  On any
+    failure, the renames included, the part files and the directories made
+    for them are removed and the error is raised again."""
+    out = _out_root(args)
+    for name in names:
+        if (out / name).is_dir():  # found before a run, not after it
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out / name))
+    made = [d for d in (out, *out.parents) if not d.exists()]
+    parts = [out / f"{name}.part" for name in names]
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        with ExitStack() as stack:
+            yield [stack.enter_context(open(part, "w", newline="\n")) for part in parts]
+        for part, name in zip(parts, names):
+            os.replace(part, out / name)
+    except BaseException:
+        for undo in [part.unlink for part in parts] + [d.rmdir for d in made]:
+            # each can raise (under a file, --out afile/x), but the first error is the one raised
+            with suppress(OSError):
+                undo()
+        raise
 
 
-def _write_manifest(out: Path, command: str, cfg: dict, seed: int, outputs: list[str]) -> None:
+def _manifest(command: str, cfg: dict, outputs: list[str]) -> str:
     manifest = {
         "tool": "stsbot",
         "version": __version__,
         "command": command,
-        "seed": seed,
+        "seed": cfg["seed"],
         "config": cfg,
         "outputs": outputs,
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, **JSON_STYLE) + "\n")
+    return json.dumps(manifest, **JSON_STYLE) + "\n"
 
 
 def _checked(cfg: dict, stream) -> Scenario | None:
@@ -77,15 +100,10 @@ def _cmd_simulate(args) -> int:
     scenario = _checked(cfg, sys.stderr)
     if scenario is None:
         return EXIT_CONFIG
-    out = _out_root(args)
-    for path in (out / "log.csv", out / "manifest.json"):
-        if path.is_dir():  # found before the run, not after it
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-    # a run that fails leaves the out directory as it was
-    with csv_log_file(out / "log.csv", scenario) as sink:
-        samples = run_scenario(scenario, sink)
-    _write_manifest(out, "simulate", cfg, cfg["seed"], ["log.csv"])
-    print(f"wrote {out / 'log.csv'} ({samples} samples)")
+    with _outputs(args, "log.csv", "manifest.json") as (log, manifest):
+        samples = run_scenario(scenario, CsvSink(log, scenario))
+        manifest.write(_manifest("simulate", cfg, ["log.csv"]))
+    print(f"wrote {_out_root(args) / 'log.csv'} ({samples} samples)")
     return EXIT_OK
 
 
@@ -105,13 +123,6 @@ def _cmd_map(args) -> int:
         step=cfg["map.step"],
         requirement=None if requirement < 0 else requirement,
     )
-    out = _out_dir(args)
-    # one row per cell, y fastest; the integer mask codes print as their floats do
-    ny, nz = len(cmap.ys), len(cmap.zs)
-    with open(out / "map.csv", "w", newline="\n") as fh:
-        fh.write("y_m,z_m,fz_max_N,mask\n")
-        fh.writelines(csv_rows([np.tile(cmap.ys, nz), np.repeat(cmap.zs, ny),
-                                cmap.value.ravel(), cmap.mask.ravel()]))
     meta = {
         "configuration": configuration,
         "requirement_N": cmap.requirement,
@@ -120,9 +131,15 @@ def _cmd_map(args) -> int:
                  "z_min": cfg["map.z_min"], "z_max": cfg["map.z_max"],
                  "step": cfg["map.step"]},
     }
-    (out / "map.json").write_text(json.dumps(meta, **JSON_STYLE) + "\n")
-    _write_manifest(out, "map", cfg, cfg["seed"], ["map.csv", "map.json"])
-    print(f"wrote {out / 'map.csv'}")
+    # one row per cell, y fastest; the integer mask codes print as their floats do
+    ny, nz = len(cmap.ys), len(cmap.zs)
+    with _outputs(args, "map.csv", "map.json", "manifest.json") as (grid, grid_meta, manifest):
+        grid.write("y_m,z_m,fz_max_N,mask\n")
+        grid.writelines(csv_rows([np.tile(cmap.ys, nz), np.repeat(cmap.zs, ny),
+                                  cmap.value.ravel(), cmap.mask.ravel()]))
+        grid_meta.write(json.dumps(meta, **JSON_STYLE) + "\n")
+        manifest.write(_manifest("map", cfg, ["map.csv", "map.json"]))
+    print(f"wrote {_out_root(args) / 'map.csv'}")
     return EXIT_OK
 
 
@@ -154,9 +171,9 @@ def _cmd_analyze(args) -> int:
         text = json.dumps(summary, **JSON_STYLE)
     except ValueError as exc:
         raise ConfigError(f"{args.log}: a metric is not a finite number") from exc
-    out = _out_dir(args)
-    (out / "metrics.json").write_text(text + "\n")
-    print(f"wrote {out / 'metrics.json'}")
+    with _outputs(args, "metrics.json") as (metrics,):
+        metrics.write(text + "\n")
+    print(f"wrote {_out_root(args) / 'metrics.json'}")
     return EXIT_OK
 
 

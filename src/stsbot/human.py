@@ -158,7 +158,8 @@ def muscle_effort(
     The baseline carries whatever bodyweight the chair and harness are not
     already supporting.  The total is clamped to feet-can-only-push in z and
     to the person's capacity in norm, so a low-mobility surrogate fails the
-    motion (sit-back) instead of producing impossible forces.
+    motion by falling forward (its CoM passes the seat's front edge and
+    drops below ``engine.FLOOR_Z``) instead of producing impossible forces.
     """
     baseline = max(0.0, params.weight - chair_fz - harness_f[1])
     kp, kd = params.track_kp, params.track_kd

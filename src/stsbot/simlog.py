@@ -4,19 +4,17 @@
 ``add(block)`` takes each block, a (rows, channels) float64 array in
 CHANNELS order that the run reuses, and ``close()``, called once the run
 ends, gives what ``run_scenario`` returns.  ``_SampleStore`` holds the log
-and returns its SimLog; ``csv_log_file`` streams ``stsbot simulate``'s log.
+and returns its SimLog; ``CsvSink`` streams it into a file the caller
+opened, as ``stsbot simulate`` does into its log.csv.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import sys
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -80,7 +78,7 @@ class SimLog:
 
     @classmethod
     def from_csv(cls, path) -> "SimLog":
-        """Read every column of a log written by ``write_csv`` (``read_log``)."""
+        """Read every column of a log file (``read_log``)."""
         return read_log(path)
 
 
@@ -109,11 +107,11 @@ def log_meta(scenario) -> dict:
 
 
 def read_log(path, decode=None) -> SimLog:
-    """Read a log written by ``write_csv``: with ``decode`` None, every
-    column; else a run's log, whose header must name every channel of
-    CHANNELS, decoding only ``time``, the header's last column and the
-    columns ``decode`` names (a function: the ones it returns for the file's
-    meta).
+    """Read a log file as ``write_csv`` and ``CsvSink`` write it: with
+    ``decode`` None, every column; else a run's log, whose header must name
+    every channel of CHANNELS, decoding only ``time``, the header's last
+    column and the columns ``decode`` names (a function: the ones it returns
+    for the file's meta).
 
     A file that is missing or not such a log, a header that lacks ``time``
     or a channel it must name, a row whose cell count is not the header's, a
@@ -365,33 +363,15 @@ class _SampleStore:
             for name, v, col in zip(self.names, self.first, self.own)}, self.meta)
 
 
-@contextmanager
-def csv_log_file(path, scenario):
-    """``stsbot simulate``'s sink: the scenario's log, streamed into
-    ``path``.part, which takes ``path``'s name when the ``with`` ends.  On
-    any failure, the rename included, the part file and the directories made
-    for it are removed, so a run that fails leaves no trace."""
-    path = Path(path)
-    part = path.with_name(path.name + ".part")
-    made = [d for d in (path.parent, *path.parent.parents) if not d.exists()]
-    path.parent.mkdir(parents=True, exist_ok=True)
-    try:
-        with open(part, "w", newline="\n") as fh:
-            fh.write(csv_header(CHANNELS, log_meta(scenario)))
-            yield _CsvSink(fh)
-        os.replace(part, path)
-    except BaseException:
-        part.unlink(missing_ok=True)
-        for d in made:
-            d.rmdir()
-        raise
+class CsvSink:
+    """``stsbot simulate``'s sink: the scenario's log, streamed into ``fh``,
+    a text file opened with ``newline="\\n"`` that the caller closes.  The
+    header is written at once, each block's rows as ``add`` takes them, and
+    ``close`` gives the sample count."""
 
-
-class _CsvSink:
-    """Writes each block's rows into ``fh``; ``close`` gives the sample count."""
-
-    def __init__(self, fh):
+    def __init__(self, fh, scenario):
         self.fh = fh
+        fh.write(csv_header(CHANNELS, log_meta(scenario)))
         self.text = CsvBlocks(len(CHANNELS))
         self.samples = 0
 

@@ -45,7 +45,7 @@ def test_pairs_by_seed_and_counts_wins(tmp_path):
     assert (w["pairs"], w["seeds"]) == (3, [0, 1, 2])
     assert w["failed_ops"] == {"parent": 0, "change": 3}
     sim = w["metrics"]["simulate_s"]
-    assert sim["parent"] == {"median": 2.0, "q1": 1.5, "q3": 2.5}
+    assert sim["parent"] == {"median": 2.0, "q1": 1.5, "q3": 2.5, "min": 1.0, "max": 3.0}
     assert sim["change"]["median"] == 1.2
     assert sim["change_wins"] == 2
     assert w["metrics"]["realtime_factor"]["change_wins"] == 2
@@ -125,6 +125,20 @@ def test_verdict_per_workload_and_metric(tmp_path):
                    "realtime_factor": "regressed"}
 
 
+def runs_at(median, low=None, high=None):
+    """The summary of runs that all read ``median``, or that spread over
+    ``low``..``high`` with their quartiles halfway to the median."""
+    low, high = (median, median) if low is None else (low, high)
+    return {"median": median, "q1": (low + median) / 2, "q3": (median + high) / 2,
+            "min": low, "max": high}
+
+
+# parent medians of 2.0: NARROW's runs spread over an IQR of 0.2, WIDE's over
+# 0.6, wider than the 0.25 bound's 0.5
+NARROW = {"median": 2.0, "q1": 1.9, "q3": 2.1, "min": 1.8, "max": 2.2}
+WIDE = {"median": 2.0, "q1": 1.7, "q3": 2.3, "min": 1.6, "max": 2.4}
+
+
 @pytest.mark.parametrize("wins, pairs, change_median, better, want", [
     (10, 10, 1.5, "lower", "gain"),
     (9, 10, 1.5, "lower", "gain"),
@@ -137,6 +151,22 @@ def test_verdict_per_workload_and_metric(tmp_path):
     (0, 10, 1.49, "higher", "regressed"),
 ])
 def test_verdict_rules(wins, pairs, change_median, better, want):
-    parent = {"median": 2.0, "q1": 1.9, "q3": 2.1}
-    change = {"median": change_median, "q1": change_median, "q3": change_median}
-    assert bench_record.verdict(parent, change, wins, pairs, better, 0.25) == want
+    assert bench_record.verdict(NARROW, runs_at(change_median), wins, pairs, better,
+                                0.25) == want
+
+
+@pytest.mark.parametrize("parent, change, wins, better, want", [
+    (WIDE, runs_at(2.1), 5, "lower", "unresolved"),
+    (NARROW, runs_at(1.9, 1.3, 2.5), 5, "lower", "unresolved"),  # the change's IQR counts too
+    (NARROW, runs_at(1.9, 1.6, 2.2), 5, "lower", "unchanged"),   # an IQR of 0.3
+    (WIDE, runs_at(2.6), 0, "lower", "regressed"),               # regressed keeps its rule
+    (WIDE, runs_at(1.2, 1.0, 1.4), 10, "lower", "gain"),          # and so does gain
+    # unless every change run beats every parent run, by too little for a gain
+    (WIDE, runs_at(1.5, 1.0, 1.58), 10, "lower", "unchanged"),
+    (WIDE, runs_at(1.5, 1.0, 1.65), 9, "lower", "unresolved"),
+    (WIDE, runs_at(2.55, 2.45, 2.65), 10, "higher", "unchanged"),
+    (WIDE, runs_at(2.3, 2.2, 2.4), 7, "higher", "unresolved"),
+])
+def test_a_spread_wider_than_the_bound_is_unresolved(parent, change, wins, better, want):
+    # the verdict_rules cases run on NARROW, whose spread is within the bound
+    assert bench_record.verdict(parent, change, wins, 10, better, 0.25) == want

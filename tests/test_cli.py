@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import os
@@ -395,18 +396,25 @@ def test_a_failed_simulate_leaves_the_out_directory_as_it_was(tmp_path, monkeypa
 
 
 # each command with an out path it cannot write, run in a directory that holds
-# afile (an empty file), o3/log.csv and o4/manifest.json (directories), and
-# the path the error line names
+# afile (an empty file), o3/log.csv and o4/manifest.json (directories) and
+# run (an earlier simulate with --seed 1); the path the error line names; and
+# the output whose first write raises ENOSPC, if any
 OUT_PATH_FAULTS = {
     "simulate_out_a_file": (["simulate", "--config", "scenario.cfg", "--out", "afile"],
-                            "afile"),
+                            "afile", None),
     "simulate_log_csv_a_directory": (["simulate", "--config", "scenario.cfg", "--out", "o3"],
-                                     "o3/log.csv"),
+                                     "o3/log.csv", None),
     "simulate_manifest_a_directory": (["simulate", "--config", "scenario.cfg", "--out", "o4"],
-                                      "o4/manifest.json"),
+                                      "o4/manifest.json", None),
     "map_out_under_a_file": (["map", "--config", "scenario.cfg", "--out", "afile/x"],
-                             "afile/x"),
-    "analyze_out_a_file": (["analyze", "--log", "run/log.csv", "--out", "afile"], "afile"),
+                             "afile/x", None),
+    "analyze_out_a_file": (["analyze", "--log", "run/log.csv", "--out", "afile"], "afile", None),
+    **{f"{argv[0]}_{name}_no_space": (argv, "run", name) for argv, names in [
+        (["simulate", "--config", "scenario.cfg", "--out", "run"], ["log.csv", "manifest.json"]),
+        (["analyze", "--log", "run/log.csv", "--out", "run"], ["metrics.json"]),
+        (["map", "--config", "scenario.cfg", "--out", "run"],
+         ["map.csv", "map.json", "manifest.json"]),
+    ] for name in names},
 }
 
 
@@ -416,20 +424,35 @@ def tree(root):
             for p in root.rglob("*")}
 
 
+def opens_a_full_disk(full: str):
+    """An ``open`` whose file for ``full`` raises ENOSPC at its first write
+    (a read-only directory would not do: root's writes pass ``chmod``)."""
+    def fake_open(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        if Path(path).name == f"{full}.part":
+            def write(text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            fh.write = write
+        return fh
+    return fake_open
+
+
 @pytest.mark.parametrize("case", sorted(OUT_PATH_FAULTS))
 def test_an_out_path_that_cannot_be_written_exits_2(tmp_path, monkeypatch, capsys, case):
     # one error: line and exit 2, never a traceback, and the directory keeps
-    # its listing and bytes: no log.csv.part is left behind
-    argv, path = OUT_PATH_FAULTS[case]
+    # its listing and bytes: no earlier output is replaced and no *.part file
+    # is left behind
+    argv, path, full = OUT_PATH_FAULTS[case]
     monkeypatch.chdir(tmp_path)
     write(tmp_path, FAST_SCENARIO)
     (tmp_path / "afile").write_bytes(b"")
     (tmp_path / "o3" / "log.csv").mkdir(parents=True)
     (tmp_path / "o4" / "manifest.json").mkdir(parents=True)
-    if argv[0] == "analyze":
-        assert main(["simulate", "--config", "scenario.cfg", "--out", "run"]) == EXIT_OK
+    assert main(["simulate", "--config", "scenario.cfg", "--out", "run", "--seed", "1"]) == EXIT_OK
     before = tree(tmp_path)
     capsys.readouterr()
+    if full is not None:
+        monkeypatch.setattr(cli, "open", opens_a_full_disk(full), raising=False)
     assert main(argv) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -772,8 +795,8 @@ def _adversarial_value(key):
        .flatmap(lambda keys: st.tuples(*(st.tuples(st.just(k), _adversarial_value(k))
                                          for k in keys))))
 def test_any_config_ends_in_an_exit_code_with_strict_json(overrides):
-    # every command ends in 0, 2 or 3, never an exception, and every JSON it
-    # writes parses strictly
+    # every command ends in 0, 2 or 3, never an exception, every JSON it
+    # writes parses strictly and no part file is left behind
     text = CONTRACT_BASE + "".join(f"{key} = {value}\n" for key, value in overrides)
     with tempfile.TemporaryDirectory() as tmp, \
             redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
@@ -788,6 +811,7 @@ def test_any_config_ends_in_an_exit_code_with_strict_json(overrides):
         assert set(codes) <= {EXIT_OK, EXIT_CONFIG, EXIT_DIVERGED}
         for path in tmp.rglob("*.json"):
             json.loads(path.read_text(), parse_constant=_reject_constant)
+        assert not list(tmp.rglob("*.part"))
 
 
 def test_env_var_output_root(tmp_path, monkeypatch):

@@ -2,15 +2,19 @@
 
 Reads the untraced perfbench records (``perfbench/results/*-trace0.json``)
 of two checkouts, pairs the runs that share a workload and a seed, and
-writes, per workload and end-to-end metric, each side's median and
-quartiles, how many pairs the change won and a verdict:
+writes, per workload and end-to-end metric, each side's median, quartiles
+and extremes, how many pairs the change won and a verdict:
 
 - ``regressed``: the change's median is worse than the parent's by more than
   the metric's ``bound`` in BENCHMARK.json (a fraction of the parent's median);
 - ``gain``: at least GAIN_MIN_PAIRS pairs, the change wins at least
   GAIN_WIN_SHARE of them, and its median is better than the parent's by more
   than the parent's interquartile range;
-- ``unchanged``: neither.
+- ``unresolved``: neither, but either side's interquartile range is wider
+  than the ``bound`` (as a fraction of the parent's median) and some run of
+  the change is not better than every run of the parent: the runs spread too
+  widely to tell the sides apart;
+- ``unchanged``: none of these.
 
 Each side also records ``src_lines``, the summed line count of its
 ``src/stsbot/*.py`` (as ``wc -l`` counts them), so a change that removes
@@ -50,16 +54,17 @@ def load_runs(tree: Path) -> dict[tuple[str, int], dict]:
 
 
 def summary(values: list[float]) -> dict:
+    extremes = {"min": min(values), "max": max(values)}
     if len(values) == 1:
-        return {"median": values[0], "q1": values[0], "q3": values[0]}
+        return {"median": values[0], "q1": values[0], "q3": values[0], **extremes}
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": median, "q1": q1, "q3": q3}
+    return {"median": median, "q1": q1, "q3": q3, **extremes}
 
 
 def verdict(parent: dict, change: dict, wins: int, pairs: int, better: str,
             bound: float) -> str:
-    """regressed, gain or unchanged: one metric's parent and change summaries
-    over ``pairs`` pairs, of which the change won ``wins``."""
+    """regressed, gain, unresolved or unchanged: one metric's parent and
+    change summaries over ``pairs`` pairs, of which the change won ``wins``."""
     gap = change["median"] - parent["median"]  # > 0 is worse for "lower"
     if better == "higher":
         gap = -gap
@@ -68,6 +73,11 @@ def verdict(parent: dict, change: dict, wins: int, pairs: int, better: str,
     if (pairs >= GAIN_MIN_PAIRS and wins >= GAIN_WIN_SHARE * pairs
             and -gap > parent["q3"] - parent["q1"]):
         return "gain"
+    spread = max(side["q3"] - side["q1"] for side in (parent, change))
+    apart = (change["max"] < parent["min"] if better == "lower"
+             else change["min"] > parent["max"])
+    if spread > bound * abs(parent["median"]) and not apart:
+        return "unresolved"
     return "unchanged"
 
 
