@@ -4,9 +4,9 @@ Runs the suite once in each of two checkouts to warm up, then alternately,
 the parent first in odd pairs and the change first in even ones, and adds a
 ``tier1`` entry to a BENCH_<n>.json file (made if missing, its other entries
 kept): per side, the warm-up run's wall time (``warmup_s``, outside the
-statistics), the wall time of each timed run with its median and quartiles,
-each timed run's pytest outcome line, and the ten slowest tests by their
-median time over the timed runs (setup, call and teardown summed).
+statistics), the wall time of each timed run with its median, quartiles and
+extremes, each timed run's pytest outcome line, and the ten slowest tests by
+their median time over the timed runs (setup, call and teardown summed).
 
 Standard library only.
 
