@@ -10,7 +10,6 @@ import numpy as np
 
 from .actuators import ActuatorSpec
 from .control import TransferConfig
-from .engine import PHASE_DESCENT, PHASE_PAUSE, PHASE_RISE
 from .errors import DegenerateInput, EmptyWindow
 from .human import HumanParams
 from .kinematics import (  # noqa: F401  inverse_kinematics: perfbench times calls by name
@@ -28,7 +27,7 @@ from .kinematics import (  # noqa: F401  inverse_kinematics: perfbench times cal
     inverse_kinematics,
     solve_ik,
 )
-from .simlog import SimLog
+from .simlog import PHASE_DESCENT, PHASE_PAUSE, PHASE_RISE, SimLog
 
 MASK_OK, MASK_UNREACHABLE, MASK_LIMITS = IK_OK, IK_UNREACHABLE, IK_LIMITS
 MASK_SINGULAR = 3

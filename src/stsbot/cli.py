@@ -31,7 +31,7 @@ from .analysis import (  # noqa: F401  measured_assistance: perfbench times call
 )
 from .config import load_config, validate_config
 from .engine import Scenario, run_scenario
-from .errors import ConfigError, NumericalDivergence, StsBotError
+from .errors import ConfigError, DegenerateInput, NumericalDivergence, StsBotError
 from .simlog import CsvSink, csv_rows, read_log
 
 EXIT_OK = 0
@@ -114,26 +114,26 @@ def _cmd_map(args) -> int:
         return EXIT_CONFIG
     configuration = cfg["map.configuration"]
     requirement = cfg["map.requirement"]
-    cmap = capability_map(
-        scenario.geom, scenario.resolved_masses(),
-        *engaged_pair(configuration == "transfer", DRIVES),
-        configuration=configuration,
-        y_range=(cfg["map.y_min"], cfg["map.y_max"]),
-        z_range=(cfg["map.z_min"], cfg["map.z_max"]),
-        step=cfg["map.step"],
-        requirement=None if requirement < 0 else requirement,
-    )
-    meta = {
-        "configuration": configuration,
-        "requirement_N": cmap.requirement,
-        "mask_legend": {str(code): name for code, name in MASK_LEGEND.items()},
-        "grid": {"y_min": cfg["map.y_min"], "y_max": cfg["map.y_max"],
-                 "z_min": cfg["map.z_min"], "z_max": cfg["map.z_max"],
-                 "step": cfg["map.step"]},
-    }
-    # one row per cell, y fastest; the integer mask codes print as their floats do
-    ny, nz = len(cmap.ys), len(cmap.zs)
     with _outputs(args, "map.csv", "map.json", "manifest.json") as (grid, grid_meta, manifest):
+        cmap = capability_map(
+            scenario.geom, scenario.resolved_masses(),
+            *engaged_pair(configuration == "transfer", DRIVES),
+            configuration=configuration,
+            y_range=(cfg["map.y_min"], cfg["map.y_max"]),
+            z_range=(cfg["map.z_min"], cfg["map.z_max"]),
+            step=cfg["map.step"],
+            requirement=None if requirement < 0 else requirement,
+        )
+        meta = {
+            "configuration": configuration,
+            "requirement_N": cmap.requirement,
+            "mask_legend": {str(code): name for code, name in MASK_LEGEND.items()},
+            "grid": {"y_min": cfg["map.y_min"], "y_max": cfg["map.y_max"],
+                     "z_min": cfg["map.z_min"], "z_max": cfg["map.z_max"],
+                     "step": cfg["map.step"]},
+        }
+        # one row per cell, y fastest; the integer mask codes print as their floats do
+        ny, nz = len(cmap.ys), len(cmap.zs)
         grid.write("y_m,z_m,fz_max_N,mask\n")
         grid.writelines(csv_rows([np.tile(cmap.ys, nz), np.repeat(cmap.zs, ny),
                                   cmap.value.ravel(), cmap.mask.ravel()]))
@@ -143,10 +143,8 @@ def _cmd_map(args) -> int:
     return EXIT_OK
 
 
-def _cmd_analyze(args) -> int:
-    # read as a run's log: its header must name every channel, but only the
-    # ones the metrics of the log's mode read are decoded
-    log = read_log(args.log, decode=metric_channels)
+def _metrics(log) -> str:
+    """The text of a run's metrics.json."""
     summary: dict = {"meta": log.meta, "samples": len(log)}
     if log.meta.get("mode") == "transfer":
         payload = log.meta.get("payload", 0.0)
@@ -168,11 +166,21 @@ def _cmd_analyze(args) -> int:
             summary["measured_assistance_per_rep"] = per_rep
             summary["target_assistance"] = log.meta.get("fz_pct", 0.0)
     try:
-        text = json.dumps(summary, **JSON_STYLE)
+        return json.dumps(summary, **JSON_STYLE) + "\n"
     except ValueError as exc:
-        raise ConfigError(f"{args.log}: a metric is not a finite number") from exc
+        raise DegenerateInput("a metric is not a finite number") from exc
+
+
+def _cmd_analyze(args) -> int:
     with _outputs(args, "metrics.json") as (metrics,):
-        metrics.write(text + "\n")
+        # read as a run's log: its header must name every channel, but only
+        # the ones the metrics of the log's mode read are decoded
+        log = read_log(args.log, decode=metric_channels)
+        try:
+            text = _metrics(log)
+        except StsBotError as exc:  # a repetition or phase missing, or a metric not finite
+            raise ConfigError(f"{args.log}: {exc}") from exc
+        metrics.write(text)
     print(f"wrote {_out_root(args) / 'metrics.json'}")
     return EXIT_OK
 

@@ -11,11 +11,16 @@ whole Arm.at evaluation; a bit-equality test keeps the two copies of those
 terms equal, so a transfer's log does not depend on which one a stage
 reads.  Everything is deterministic for a given scenario and seed: the only
 randomness is a per-repetition duration jitter drawn once from the seeded
-generator when the schedule is built.
+generator when the schedule is built; a transfer draws none.
 
-This module holds the plant, the schedule and the run loop.  The loop packs
-each logged sample into a block and hands the blocks to a sink; the log's
-channels, its CSV format and the sinks are in ``simlog``.
+This module holds the plant, the schedule and the run loop.  The schedule
+decides what each phase lasts and commands: a segment carries its span, its
+CoM reference's end points and the vertical effector speed a transfer's
+speed loop is given, so the loop reads the current segment and holds no
+phase logic.  ``_rise_timing`` gives the rise time and its jitter to both
+the schedule and ``Scenario.validate``'s step bound.  The loop packs each
+logged sample into a block and hands the blocks to a sink; the log's
+channels, its phase codes, its CSV format and the sinks are in ``simlog``.
 """
 
 from __future__ import annotations
@@ -74,13 +79,6 @@ from .kinematics import (  # noqa: F401  act_diag, dk_entries: perfbench counts 
     solve_ik,
 )
 from .simlog import CHANNELS, DEFAULT_DT, SimLog  # noqa: F401  perfbench reads engine.SimLog
-
-# phase codes in the log
-PHASE_SETTLE = 0
-PHASE_RISE = 1
-PHASE_PAUSE = 2
-PHASE_DESCENT = 3
-PHASE_PAUSE2 = 4
 
 # hard floor under the human CoM: engages only when a failed motion collapses
 # (a crumpled body still keeps its CoM above the ground plane)
@@ -175,11 +173,13 @@ class Scenario:
             if not lo <= q <= hi:
                 raise ConfigError(f"{name} = {q} lies outside its joint limits [{lo}, {hi}]")
         # every repetition at its longest jitter, against the log's row count
-        longest = self.settle + self.repetitions * 2.0 * (
-            _rise_duration(self) * (1.0 + self.rep_jitter) + self.pause)
+        rise, jitter = _rise_timing(self)
+        longest = self.settle + self.repetitions * 2.0 * (rise * (1.0 + jitter) + self.pause)
         if not longest / self.dt <= MAX_STEPS:
+            advice = ("shorten pause, settle or repetitions, or raise transfer.v_z"
+                      if is_transfer else "shorten pause, settle, sts.duration or repetitions")
             raise ConfigError(f"the run may last {longest:.3g} s, over {MAX_STEPS:.0e} steps "
-                              "of dt (shorten pause, settle, sts.duration or repetitions)")
+                              f"of dt ({advice})")
         # the arm holds the harness over the seated CoM and follows it to standing
         if self.human is not None and self.robot_attached:
             for name, com in (("seated", self.human.seated_com),
@@ -240,12 +240,16 @@ class Forces(NamedTuple):
 
 @dataclass(frozen=True)
 class _Segment:
+    """One phase of the schedule: its span, the CoM reference's end points
+    and the vertical effector speed a transfer's speed loop is commanded."""
+
     t0: float
     t1: float
     rep: int
     phase: int
     p0: tuple[float, float]
     p1: tuple[float, float]
+    v_z: float = 0.0
 
 
 class _Schedule:
@@ -286,37 +290,39 @@ class _Schedule:
         return ref
 
 
-def _rise_duration(scenario: Scenario) -> float:
-    """Nominal rise time: the STS duration, or the transfer's arc at v_z."""
+def _rise_timing(scenario: Scenario) -> tuple[float, float]:
+    """The nominal rise (and descent) time and the jitter drawn about it: the
+    STS duration and ``rep_jitter``, or the transfer's arc at v_z and 0."""
     tr = scenario.transfer
     if tr is None:
-        return scenario.sts_duration
+        return scenario.sts_duration, scenario.rep_jitter
     arm = Arm(scenario.geom, scenario.resolved_masses())
     z0 = arm.at(tr.q_a_locked, tr.q_c_start).e[1]
     z1 = arm.at(tr.q_a_locked, tr.q_c_end).e[1]
-    return abs(z1 - z0) / tr.v_z_target
+    return abs(z1 - z0) / tr.v_z_target, 0.0
 
 
 def _build_schedule(scenario: Scenario) -> _Schedule:
     zero = (0.0, 0.0)
-    jitter = scenario.rep_jitter if scenario.transfer is None else 0.0
+    rise, jitter = _rise_timing(scenario)
     # only a run that draws imports numpy.random (1.8-5.4 MB of RSS)
     rng = np.random.default_rng(scenario.seed) if jitter > 0.0 else None
     human = scenario.human
     seated = human.seated_com if human else zero
     standing = human.standing_com if human else zero
-    segs = [_Segment(0.0, scenario.settle, -1, PHASE_SETTLE, seated, seated)]
+    # a transfer's speed loop lifts at +v_z and lowers at -v_z
+    v_z = scenario.transfer.v_z_target if scenario.transfer else 0.0
+    segs = [_Segment(0.0, scenario.settle, -1, simlog.PHASE_SETTLE, seated, seated)]
     t = scenario.settle
-    rise = _rise_duration(scenario)
     for rep in range(scenario.repetitions):
         dur = rise
         if jitter > 0.0:
             dur *= 1.0 + jitter * float(rng.uniform(-1.0, 1.0))
-        for phase, d, p0, p1 in ((PHASE_RISE, dur, seated, standing),
-                                 (PHASE_PAUSE, scenario.pause, standing, standing),
-                                 (PHASE_DESCENT, dur, standing, seated),
-                                 (PHASE_PAUSE2, scenario.pause, seated, seated)):
-            segs.append(_Segment(t, t + d, rep, phase, p0, p1))
+        for phase, d, p0, p1, v in ((simlog.PHASE_RISE, dur, seated, standing, v_z),
+                                    (simlog.PHASE_PAUSE, scenario.pause, standing, standing, 0.0),
+                                    (simlog.PHASE_DESCENT, dur, standing, seated, -v_z),
+                                    (simlog.PHASE_PAUSE2, scenario.pause, seated, seated, 0.0)):
+            segs.append(_Segment(t, t + d, rep, phase, p0, p1, v))
             t += d
     return _Schedule(segs)
 
@@ -326,7 +332,6 @@ class Plant:
 
     def __init__(self, scenario: Scenario):
         scenario.validate()
-        self.scenario = scenario
         g = scenario.geom
         m = scenario.resolved_masses()
         self.geom = g
@@ -613,16 +618,10 @@ def run_scenario(scenario: Scenario, sink=None):
                 f1_cmd, f2_cmd, sat1, sat2 = cmd.f1, cmd.f2, cmd.saturated_1, cmd.saturated_2
                 stages = (*desired, cmd.f1_map, cmd.f2_map, cmd.f1_fric, cmd.f2_fric)
             elif is_transfer:
-                if seg.phase == PHASE_RISE:
-                    v_z_signed = scenario.transfer.v_z_target
-                elif seg.phase == PHASE_DESCENT:
-                    v_z_signed = -scenario.transfer.v_z_target
-                else:
-                    v_z_signed = 0.0
                 arm = plant.evaluated(state).arm
                 (f2_cmd, sat2, v2_ref), integral = speed_controller_step(
                     arm, plant.spec2, scenario.transfer, arm.d[1] * state.qd_c, dt, integral,
-                    v_z_signed=v_z_signed,
+                    v_z_signed=seg.v_z,
                 )
 
             state = plant.step(state, (f1_cmd, f2_cmd), dt)

@@ -35,6 +35,13 @@ CHANNELS = [
     "seat_off", "brake",
 ]
 
+# the codes of the ``phase`` channel
+PHASE_SETTLE = 0
+PHASE_RISE = 1
+PHASE_PAUSE = 2
+PHASE_DESCENT = 3
+PHASE_PAUSE2 = 4
+
 CSV_SCHEMA_VERSION = "stsbot-log v1"
 # a log's 40 channels in 409-row blocks, map.csv's 4 columns in 4 096-row ones:
 # 32 768 cells made study_sweep's peak RSS 1.3 MB higher, 8 192 its map writes slower

@@ -35,7 +35,7 @@ from stsbot.analysis import (
     transfer_speed_table,
 )
 from stsbot.config import build_scenario, parse_config_text
-from stsbot.engine import PHASE_DESCENT, PHASE_PAUSE, PHASE_RISE, run_scenario
+from stsbot.engine import run_scenario
 from stsbot.errors import (
     DegenerateInput,
     EmptyWindow,
@@ -54,7 +54,15 @@ from stsbot.kinematics import (
     check_invertible,
     drive_forces,
 )
-from stsbot.simlog import CHANNELS, SimLog, csv_rows, read_log
+from stsbot.simlog import (
+    CHANNELS,
+    PHASE_DESCENT,
+    PHASE_PAUSE,
+    PHASE_RISE,
+    SimLog,
+    csv_rows,
+    read_log,
+)
 
 GEOM = RobotGeometry()
 MASSES = LinkMassModel.for_geometry(GEOM)
@@ -151,6 +159,8 @@ def test_resample_preserves_endpoints():
     r = resample(x, 7)
     assert r[0] == 0.0 and r[-1] == 9.0
     assert len(r) == 7
+    with pytest.raises(DegenerateInput):
+        resample(x[:1], 7)
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +244,8 @@ def test_assistance_error_table_exact_logs():
     for level, (mean, sd, n) in table.items():
         assert mean == pytest.approx(0.0, abs=1e-12)
         assert n >= 1
+    with pytest.raises(EmptyWindow, match="no repetitions at level 0.2"):
+        assistance_error_table({0.2: []})
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +270,14 @@ def test_transfer_speed_table_synthetic():
     up, down = table[50.0]
     assert up == pytest.approx(0.04, rel=1e-9)
     assert down == pytest.approx(0.04, rel=1e-9)
+    # fewer than 10 samples reach half the target: the phase's mean |v_z|
+    log = make_transfer_log(v=0.01)
+    log.meta["v_z_target"] = 0.04
+    log.data["e_vz"][:5] = 0.04
+    half = len(log) // 2
+    up, down = transfer_speed_table({50.0: log})[50.0]
+    assert up == pytest.approx((0.04 * 5 + 0.01 * (half - 5)) / half, rel=1e-12)
+    assert down == pytest.approx(0.01, rel=1e-12)
 
 
 # a short assisted rise and a short transfer, as `stsbot simulate` runs them
@@ -569,3 +589,6 @@ def test_mean_rise_waveform_shape():
     w = mean_rise_waveform(log, "vcom_z", n=101)
     assert len(w) == 101
     assert w.max() > 0.0
+    log.data["rep"][:] = -1  # settle rows only
+    with pytest.raises(EmptyWindow, match="no repetitions"):
+        mean_rise_waveform(log, "vcom_z")

@@ -91,6 +91,40 @@ def test_records_each_sides_source_lines(tmp_path):
         len(p.read_text().splitlines()) for p in (ROOT / "src" / "stsbot").glob("*.py"))
 
 
+CODE_SAMPLE = '''"""A module docstring
+
+over three lines."""
+
+# a comment
+import math  # a trailing comment sits on a code line
+
+
+def f(x):
+    """A docstring."""
+    text = """a string in a statement
+spans two code lines"""
+    return (x +
+            math.pi)
+'''
+
+
+def test_code_lines_count_neither_comments_nor_docstrings(tmp_path):
+    bench = tmp_path / "BENCHMARK.json"
+    bench.write_text(json.dumps({"end_to_end": [
+        {"name": "simulate_s", "better": "lower", "bound": 0.25}]}))
+    # the change deletes only the comment line
+    for side, text in (("parent", CODE_SAMPLE),
+                       ("change", CODE_SAMPLE.replace("# a comment\n", ""))):
+        package = tmp_path / side / "src" / "stsbot"
+        package.mkdir(parents=True)
+        (package / "a.py").write_text(text)
+        write_run(tmp_path / side, "w", 0, side[0], {"simulate_s": 1.0})
+    doc = bench_record.record(tmp_path / "parent", tmp_path / "change", bench)
+    # import, def, the string's two lines and the return's two
+    assert (doc["parent"]["code_lines"], doc["change"]["code_lines"]) == (6, 6)
+    assert (doc["parent"]["src_lines"], doc["change"]["src_lines"]) == (14, 13)
+
+
 def test_runs_of_one_side_must_share_a_tree(tmp_path):
     bench = tmp_path / "BENCHMARK.json"
     bench.write_text(json.dumps({"end_to_end": [

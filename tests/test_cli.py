@@ -33,7 +33,7 @@ from stsbot.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
 from stsbot.config import SCHEMA, build_scenario, parse_config_text, validate_config
 from stsbot.engine import run_scenario
 from stsbot.errors import ConfigError, NumericalDivergence
-from stsbot.simlog import CHANNELS, SimLog
+from stsbot.simlog import CHANNELS, PHASE_DESCENT, SimLog
 
 FAST_SCENARIO = """
 mode = weight_unloading
@@ -291,21 +291,36 @@ BAD_CONFIGS = {
     "arm_only_com_balance": "human.enabled = false\nmode = com_balance\nfz_pct = 0.1\nky = 200",
     "detached_weight_unloading": "robot_attached = false\nmode = weight_unloading\nfz_pct = 0.1",
     "detached_com_balance": "robot_attached = false\nmode = com_balance\nfz_pct = 0.1\nky = 200",
+    "detached_transfer": "mode = transfer\nrobot_attached = false",
+    "no_human_and_no_robot": "human.enabled = false\nrobot_attached = false",
+    "unparsable_bool": "allow_peak = maybe",
+    "line_without_equals": "dt 0.001",
+    "binary_file": "\udcff\udcfe\x00\x00",
 }
+# the text of each manifest file
 BAD_MANIFESTS = {
-    "manifest_float_repetitions": {"config": {"repetitions": 1.5}},
-    "manifest_nan_pause": {"config": {"pause": float("nan")}},
-    "manifest_text_dt": {"config": {"dt": "fast"}},
-    "manifest_not_an_object": ["mode", "follow_me"],
+    "manifest_float_repetitions": json.dumps({"config": {"repetitions": 1.5}}),
+    "manifest_nan_pause": json.dumps({"config": {"pause": float("nan")}}),
+    "manifest_text_dt": json.dumps({"config": {"dt": "fast"}}),
+    "manifest_not_an_object": json.dumps(["mode", "follow_me"]),
+    "manifest_not_json": '{"config": {"seed": 1}',
+    "manifest_unknown_key": json.dumps({"config": {"speed": 1.0}}),
 }
+
+
+def write_escaped(path, text):
+    """Write ``text`` as UTF-8, each escaped surrogate (``"\\udcff"``) as its
+    raw byte, so a table entry can hold bytes that are not UTF-8."""
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    return path
 
 
 def _bad_config_path(tmp_path, name):
     if name == "missing_file":
         return tmp_path / "missing.cfg"
     if name in BAD_MANIFESTS:
-        return write(tmp_path, json.dumps(BAD_MANIFESTS[name]), "manifest.json")
-    return write(tmp_path, "repetitions = 1\n" + BAD_CONFIGS[name] + "\n")
+        return write(tmp_path, BAD_MANIFESTS[name], "manifest.json")
+    return write_escaped(tmp_path / "scenario.cfg", "repetitions = 1\n" + BAD_CONFIGS[name] + "\n")
 
 
 @pytest.mark.parametrize("command", ["validate", "simulate", "map"])
@@ -453,6 +468,12 @@ def test_an_out_path_that_cannot_be_written_exits_2(tmp_path, monkeypatch, capsy
     capsys.readouterr()
     if full is not None:
         monkeypatch.setattr(cli, "open", opens_a_full_disk(full), raising=False)
+    # map and analyze refuse a path before they do their work, and fail a
+    # write only after it
+    work = {"map": "capability_map", "analyze": "read_log"}.get(argv[0])
+    if work is not None:
+        spy = mock.Mock(wraps=getattr(cli, work))
+        monkeypatch.setattr(cli, work, spy)
     assert main(argv) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -460,6 +481,8 @@ def test_an_out_path_that_cannot_be_written_exits_2(tmp_path, monkeypatch, capsy
     assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {path}: ")
     assert "Traceback" not in captured.err
     assert tree(tmp_path) == before
+    if work is not None:
+        assert spy.called == (full is not None)
 
 
 @pytest.mark.parametrize("block_cells", [len(CHANNELS), 6 * len(CHANNELS)])
@@ -646,6 +669,24 @@ def _drop_column(name):
     return edit
 
 
+def _keep_rows(keep):
+    # the data rows whose cells ``keep`` takes
+    def edit(lines):
+        lines[3:] = [line for line in lines[3:] if keep(line.split(","))]
+    return edit
+
+
+def _transfer_without_descent(lines):
+    _set_meta(mode="transfer")(lines)
+    _keep_rows(lambda cells: cells[2] != str(PHASE_DESCENT))(lines)
+
+
+def _set_line(index, text):
+    def edit(lines):
+        lines[index] = text
+    return edit
+
+
 MALFORMED_LOGS = {
     "wrong_column_header": _rename_time_column,
     "no_data_rows": _drop_data_rows,
@@ -671,6 +712,12 @@ MALFORMED_LOGS = {
     "transfer_text_payload": _set_meta(mode="transfer", payload="x"),
     "transfer_text_v_z_target": _set_meta(mode="transfer", v_z_target="x"),
     "subnormal_weight_and_height": _set_meta(weight=1e-320, height=1e-320),
+    "empty_file": list.clear,
+    "meta_not_an_object": _set_line(1, "# meta [1]"),
+    "meta_not_json": _set_line(1, "# meta {"),
+    "binary_file": _set_line(0, "\udcff\udcfe\x00\x00"),
+    "no_repetitions": _keep_rows(lambda cells: cells[1] == "-1"),
+    "transfer_without_descent": _transfer_without_descent,
 }
 
 
@@ -688,7 +735,7 @@ def test_analyze_malformed_log_exits_2(tmp_path, capsys, fast_log_lines, name):
     if name != "missing_file":
         lines = list(fast_log_lines)
         MALFORMED_LOGS[name](lines)
-        path.write_text("\n".join(lines) + "\n")
+        write_escaped(path, "".join(f"{line}\n" for line in lines))
     out = tmp_path / "out"
     assert main(["analyze", "--log", str(path), "--out", str(out)]) == EXIT_CONFIG
     err_lines = capsys.readouterr().err.splitlines()

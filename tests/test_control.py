@@ -24,7 +24,7 @@ from stsbot.control import (
     force_controller_step,
     speed_controller_step,
 )
-from stsbot.engine import Scenario, _initial_state, _rise_duration, run_scenario
+from stsbot.engine import Scenario, _build_schedule, _initial_state, _rise_timing, run_scenario
 from stsbot.errors import ConfigError, SingularTransmission
 from stsbot.human import HumanParams
 from stsbot.kinematics import (
@@ -326,7 +326,12 @@ def test_transfer_arc_endpoints_match_fk():
     assert (state.q_a, state.q_c) == (tr.q_a_locked, tr.q_c_start)
     start = ARM.at(tr.q_a_locked, tr.q_c_start).e
     end = ARM.at(tr.q_a_locked, tr.q_c_end).e
-    assert _rise_duration(sc) == pytest.approx(abs(end[1] - start[1]) / tr.v_z_target, abs=1e-12)
+    rise, jitter = _rise_timing(sc)
+    assert rise == pytest.approx(abs(end[1] - start[1]) / tr.v_z_target, abs=1e-12)
+    assert jitter == 0.0  # a transfer draws no jitter, whatever rep_jitter holds
+    # the schedule commands the speed loop: lift, hold, lower, hold
+    assert [seg.v_z for seg in _build_schedule(sc).segments] == [
+        0.0, tr.v_z_target, 0.0, -tr.v_z_target, 0.0]
 
 
 def test_transfer_arc_covers_seat_to_standing_heights(transfer_log):

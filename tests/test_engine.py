@@ -21,13 +21,12 @@ from stsbot.control import (
     force_controller_step,
 )
 from stsbot.engine import (
+    MAX_STEPS,
     Forces,
-    PHASE_PAUSE,
-    PHASE_PAUSE2,
-    PHASE_RISE,
     Plant,
     Scenario,
     SimState,
+    _build_schedule,
     _initial_state,
     run_scenario,
 )
@@ -35,7 +34,14 @@ from stsbot.errors import ConfigError, NumericalDivergence
 from stsbot.human import HumanParams
 from stsbot.kinematics import (ARRAY_MATH, GRAVITY, Arm, ArmEval, JointState, LinkMassModel,
                                RobotGeometry, act_diag, drive_speeds)
-from stsbot.simlog import CHANNELS, CSV_SCHEMA_VERSION, SimLog
+from stsbot.simlog import (
+    CHANNELS,
+    CSV_SCHEMA_VERSION,
+    PHASE_PAUSE,
+    PHASE_PAUSE2,
+    PHASE_RISE,
+    SimLog,
+)
 
 GEOM = RobotGeometry()
 ZERO_F = FrictionModel(0.0, 0.0)
@@ -326,6 +332,9 @@ def test_scenario_validation():
         Scenario(human=human(), mode_config=FOLLOW, repetitions=0).validate()
     with pytest.raises(ConfigError):
         Scenario(human=human(), mode_config=FOLLOW, payload=10.0).validate()
+    # a person with the robot attached needs the mode that drives it
+    with pytest.raises(ConfigError, match="assist mode config"):
+        Scenario(human=HumanParams(1.75, 81.13)).validate()
     # a transfer is the TransferConfig alone: no mode config rides along with
     # it, and it lifts a payload, not the surrogate human
     with pytest.raises(ConfigError, match="assist mode config"):
@@ -348,6 +357,20 @@ def test_scenario_validation():
             arm_only_scenario(initial_q=JointState(*bad)).validate()
     with pytest.raises(ConfigError, match="steps"):
         Scenario(human=human(), mode_config=FOLLOW, pause=1e200).validate()
+
+
+def test_a_transfer_is_bounded_by_the_length_it_runs():
+    # a transfer draws no jitter, so the step bound counts its schedule's own
+    # length (the steps run_scenario runs), and its advice names the key that
+    # sets its rise time
+    for reps, steps in ((208, 9_987_704), (209, 10_035_720)):
+        sc = Scenario(human=None, transfer=TransferConfig(), repetitions=reps)
+        assert int(round(_build_schedule(sc).total / sc.dt)) == steps
+    assert 9_987_704 <= MAX_STEPS < 10_035_720
+    Scenario(human=None, transfer=TransferConfig(), repetitions=208).validate()
+    with pytest.raises(ConfigError, match="raise transfer.v_z") as exc:
+        Scenario(human=None, transfer=TransferConfig(), repetitions=209).validate()
+    assert "sts.duration" not in str(exc.value)
 
 
 @pytest.mark.parametrize("mode_config", [

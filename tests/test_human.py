@@ -5,7 +5,6 @@ import pytest
 
 from stsbot.control import AssistMode, AssistModeConfig
 from stsbot.engine import (
-    PHASE_SETTLE,
     Plant,
     Scenario,
     SimState,
@@ -20,6 +19,7 @@ from stsbot.human import (
     minimum_jerk,
     muscle_effort,
 )
+from stsbot.simlog import PHASE_SETTLE
 
 HUMAN = HumanParams(1.75, 80.0, chair_y=0.0)  # the laws are checked at y = 0
 CHAIR = ChairModel()

@@ -17,10 +17,13 @@ and extremes, how many pairs the change won and a verdict:
 - ``unchanged``: none of these.
 
 Each side also records ``src_lines``, the summed line count of its
-``src/stsbot/*.py`` (as ``wc -l`` counts them), so a change that removes
-code shows by how much.  Each workload also counts ``outputs_equal``: the pairs whose two runs wrote
-the same outputs (see ``same_outputs``), so a change that claims only speed
-shows that its bytes did not move.
+``src/stsbot/*.py`` (as ``wc -l`` counts them), and ``code_lines``, the
+lines among them that hold code: not blank, not only a comment and not part
+of a docstring.  So a change that removes code shows by how much, and one
+that only removes comments or docstrings does not.  Each workload also
+counts ``outputs_equal``: the pairs whose two runs wrote the same outputs
+(see ``same_outputs``), so a change that claims only speed shows that its
+bytes did not move.
 
 Standard library only.
 
@@ -33,8 +36,10 @@ runs first; this script only reads what the runs wrote.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import statistics
+import tokenize
 from pathlib import Path
 
 
@@ -105,6 +110,29 @@ def src_lines(tree: Path) -> int:
     return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "stsbot").glob("*.py"))
 
 
+# tokens that are not code: layout, comments and the file's encoding
+NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+            tokenize.ENDMARKER, tokenize.ENCODING}
+
+
+def code_lines(tree: Path) -> int:
+    """The lines of ``<tree>/src/stsbot/*.py`` that hold a code token,
+    summed.  A statement made of strings alone (a docstring) is not code;
+    a string inside a statement is, on every line it spans."""
+    total = 0
+    for path in (tree / "src" / "stsbot").glob("*.py"):
+        rows, statement = set(), []
+        for tok in tokenize.tokenize(io.BytesIO(path.read_bytes()).readline):
+            if tok.type in (tokenize.NEWLINE, tokenize.ENDMARKER):
+                if any(t.type != tokenize.STRING for t in statement):
+                    rows.update(r for t in statement for r in range(t.start[0], t.end[0] + 1))
+                statement = []
+            elif tok.type not in NOT_CODE:
+                statement.append(tok)
+        total += len(rows)
+    return total
+
+
 def record(parent: Path, change: Path, benchmark: Path) -> dict:
     declared = json.loads(benchmark.read_text())["end_to_end"]
     old, new = load_runs(parent), load_runs(change)
@@ -113,8 +141,10 @@ def record(parent: Path, change: Path, benchmark: Path) -> dict:
         raise SystemExit("no workload and seed was run on both sides")
     env = new[keys[0]]["environment"]
     out = {
-        "parent": {**side_identity([old[k] for k in keys]), "src_lines": src_lines(parent)},
-        "change": {**side_identity([new[k] for k in keys]), "src_lines": src_lines(change)},
+        "parent": {**side_identity([old[k] for k in keys]), "src_lines": src_lines(parent),
+                   "code_lines": code_lines(parent)},
+        "change": {**side_identity([new[k] for k in keys]), "src_lines": src_lines(change),
+                   "code_lines": code_lines(change)},
         "environment": {name: env[name] for name in
                         ("nproc", "cpus_usable", "cpu_model", "python", "numpy")},
         "workloads": {},
