@@ -101,6 +101,6 @@ def clamp_to_capability(
 
 
 def velocity_exceeded(spec: ActuatorSpec, out_vel: float, allow_peak: bool = False) -> bool:
-    """Diagnostic flag: output speed beyond the rated envelope."""
+    """Diagnostic flag: output speed beyond the rated envelope; elementwise on arrays."""
     limit = spec.v_max_peak_load if allow_peak else spec.v_max_load
     return abs(out_vel) > limit

@@ -13,7 +13,7 @@ import errno
 import json
 import os
 import sys
-from contextlib import ExitStack, contextmanager, suppress
+from contextlib import ExitStack, closing, contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +44,22 @@ def _out_root(args) -> Path:
     return Path(args.out or os.environ.get("STSBOT_OUT_ROOT", "stsbot_out"))
 
 
+class _Output:
+    """An output's part file, whose OSErrors name it (a full disk's names no file)."""
+
+    def __init__(self, part: Path, path: Path):
+        self.fh, self.path = open(part, "w", newline="\n"), str(path)
+
+    def __getattr__(self, name: str):
+        def named(*args):
+            try:
+                return getattr(self.fh, name)(*args)
+            except OSError as exc:
+                exc.filename = exc.filename or self.path
+                raise
+        return named
+
+
 @contextmanager
 def _outputs(args, *names: str):
     """Open text files for ``names`` in the out directory, each written as
@@ -60,7 +76,7 @@ def _outputs(args, *names: str):
     try:
         out.mkdir(parents=True, exist_ok=True)
         with ExitStack() as stack:
-            yield [stack.enter_context(open(part, "w", newline="\n")) for part in parts]
+            yield [stack.enter_context(closing(_Output(p, out / n))) for p, n in zip(parts, names)]
         for part, name in zip(parts, names):
             os.replace(part, out / name)
     except BaseException:

@@ -173,7 +173,7 @@ class SpeedCommand(NamedTuple):
 
 
 def speed_controller_step(
-    arm: ArmEval,
+    d_l2: float, d_ez: float,
     spec_hf: ActuatorSpec,
     transfer: TransferConfig,
     v2_measured: float,
@@ -188,13 +188,10 @@ def speed_controller_step(
     lift demand produces positive tension; anti-windup freezes the integral
     while the command sits on the one-sided envelope.  ``v_z_signed`` is the
     vertical effector speed to track: +v_z lifts, -v_z lowers and 0 holds
-    position between phases.  ``arm`` is the arm evaluated at the measured
-    joint state, whose mast sits at ``transfer.q_a_locked``.
+    position between phases.  ``d_l2``, ``d_ez`` are dL2/dq_c and dE_z/dq_c
+    (Arm.boom's) at the measured state, its mast at ``transfer.q_a_locked``.
     """
-    if v_z_signed == 0.0:
-        v2_ref = 0.0
-    else:
-        v2_ref = belt_rate_for(arm, v_z_signed)
+    v2_ref = belt_rate_for(d_l2, d_ez, v_z_signed) if v_z_signed != 0.0 else 0.0
     err = v2_measured - v2_ref  # reel-in positive
     unclamped = transfer.kp * err + integral
     f2, saturated = clamp_to_capability(spec_hf, unclamped, allow_peak=False)

@@ -6,10 +6,9 @@ J_act^T * F_transmitted + J_dk^T * F_harness with RK4 at a fixed step
 own tanh friction, the belt clamped to tension-only.  A transfer brakes the
 mast and carries no human, so the boom turns about C alone: its RK4
 integrates only (q_c, qd_c), and q_a, qd_a, com and vcom keep their start
-values.  Its stages 2-4 read the boom's three terms from Arm.boom, not the
-whole Arm.at evaluation; a bit-equality test keeps the two copies of those
-terms equal, so a transfer's log does not depend on which one a stage
-reads.  Everything is deterministic for a given scenario and seed: the only
+values.  Its RK4 stages, belt speed and speed loop read only Arm.boom's
+three terms of a state, which a test keeps bit-equal to Arm.at's.
+Everything is deterministic for a given scenario and seed: the only
 randomness is a per-repetition duration jitter drawn once from the seeded
 generator when the schedule is built; a transfer draws none.
 
@@ -19,8 +18,9 @@ CoM reference's end points and the vertical effector speed a transfer's
 speed loop is given, so the loop reads the current segment and holds no
 phase logic.  ``_rise_timing`` gives the rise time and its jitter to both
 the schedule and ``Scenario.validate``'s step bound.  The loop packs each
-logged sample into a block and hands the blocks to a sink; the log's
-channels, its phase codes, its CSV format and the sinks are in ``simlog``.
+logged sample into a block, fills its arm channels by one Arm.at per block
+and hands the blocks to a sink; the log's channels, its phase codes, its
+CSV format and the sinks are in ``simlog``.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ from .human import (
     muscle_effort,
 )
 from .kinematics import (  # noqa: F401  act_diag, dk_entries: perfbench counts calls by name
+    ARRAY_MATH,
     DRIVE_SIGN,
     GRAVITY,
     IK_OK,
@@ -90,7 +91,6 @@ FLOOR_DAMPING = 1.0e3
 # ``run_scenario``'s log is held once, at most 320 B per sample (40 float64
 # channels, each stored only if it varies), 3.2 GB
 MAX_STEPS = 10_000_000
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -197,9 +197,9 @@ class Scenario:
 
 @dataclass
 class SimState:
-    """Integrator state between steps (value object, copy to keep); ``forces``,
-    ``motor_vels`` and ``applied`` hold the plant's evaluation of it, its
-    drives' encoder speeds (``Plant.evaluated``, ``Plant.motor_speeds``) and
+    """Integrator state between steps (value object, copy to keep); ``forces``
+    (a transfer's ``boom``), ``motor_vels`` and ``applied`` hold the plant's
+    evaluation of it, its drives' encoder speeds (``Plant.motor_speeds``) and
     the transmitted forces the step into it applied (``Plant.step``).  None is
     an init argument, so a copy made with ``replace`` starts without them."""
 
@@ -211,6 +211,7 @@ class SimState:
     com: tuple[float, float] = (0.0, 0.0)
     vcom: tuple[float, float] = (0.0, 0.0)
     forces: Forces | None = field(default=None, init=False, compare=False, repr=False)
+    boom: tuple | None = field(default=None, init=False, compare=False, repr=False)
     motor_vels: tuple[float, float] | None = field(
         default=None, init=False, compare=False, repr=False)
     applied: tuple[float, float] | None = field(
@@ -347,6 +348,9 @@ class Plant:
         # the braked boom about C, carrying the payload at E
         self.payload_weight = scenario.payload * GRAVITY
         self.m_eff = self.arm.B1 + scenario.payload * g.l_ce**2
+        # the braked mast's dL1/dq_a, a function of q_a alone
+        tr = scenario.transfer
+        self.d1_braked = self.arm.at(tr.q_a_locked, tr.q_c_start).d[0] if tr else None
         self.harness = scenario.harness
         self.human = scenario.human
         self.seat = scenario.chair.seat(self.human) if self.has_human else None
@@ -357,7 +361,7 @@ class Plant:
     def forces(self, t: float, s) -> Forces:
         """Every force channel at time t and state s = (q_a, q_c, qd_a, qd_c,
         cy, cz, cvy, cvz), a function of t and s alone (the chair and floor
-        contacts included); the integrator and the logger both read it.
+        contacts included); the 2-DOF integrator and the logger both read it.
 
         The arm's evaluation is None when the robot is detached; the human
         terms are zero when there is no human.
@@ -388,11 +392,19 @@ class Plant:
             state.forces = self.forces(state.t, state.vector())
         return state.forces
 
+    def boom_terms(self, state: SimState) -> tuple[float, float, float]:
+        """A transfer's evaluation of ``state`` (Arm.boom), kept on it."""
+        if state.boom is None:
+            state.boom = self.arm.boom(state.q_a, state.q_c)
+        return state.boom
+
     def motor_speeds(self, state: SimState) -> tuple[float, float]:
         """The drives' encoder speeds [rad/s] at ``state``, computed once and
         kept on it; the force controller and transmitted_forces both read them."""
         if state.motor_vels is None:
-            v1, v2 = drive_speeds(self.evaluated(state).arm.d, state.qd_a, state.qd_c)
+            d = ((self.d1_braked, self.boom_terms(state)[0]) if self.is_transfer
+                 else self.evaluated(state).arm.d)
+            v1, v2 = drive_speeds(d, state.qd_a, state.qd_c)
             state.motor_vels = (motor_speed(self.spec1, v1), motor_speed(self.spec2, v2))
         return state.motor_vels
 
@@ -450,8 +462,8 @@ class Plant:
         """One RK4 step; joint limits applied as hard stops afterwards.  A
         transfer's brake holds the mast, so its RK4 integrates only the boom's
         (q_c, qd_c) and q_a, qd_a, com and vcom keep their values.  The new
-        state carries its evaluation, which the next step's first stage
-        reads, and the transmitted forces this step applied (``applied``).
+        state carries its evaluation (``forces`` or ``boom``), which the next
+        step's first stage reads, and the transmitted forces this step applied.
 
         The 2-DOF stages are written out, one scalar per state entry: a zip
         comprehension over the 8-state vector cost 4x as much per stage.
@@ -471,8 +483,7 @@ class Plant:
                     return (s2 * d2 * f2 - g_c - w * dez - d_c * v) / m_eff
 
                 q1, v1 = state.q_c, state.qd_c
-                a = self.evaluated(state).arm
-                k1 = qdd_c(a.d[1], a.g[1], a.jac[3], v1)
+                k1 = qdd_c(*self.boom_terms(state), v1)
                 h2 = dt / 2.0
                 q2, v2 = q1 + h2 * v1, v1 + h2 * k1
                 k2 = qdd_c(*boom(q_a, q2), v2)
@@ -533,7 +544,10 @@ class Plant:
             raise NumericalDivergence(f"runaway velocity at t={t:.3f}s")
 
         new = SimState(t + dt, q_a, q_c, qd_a, qd_c, (cy, cz), (cvy, cvz))
-        new.forces = self.forces(new.t, new.vector())
+        if self.is_transfer:
+            new.boom = self.arm.boom(q_a, q_c)
+        else:
+            new.forces = self.forces(new.t, new.vector())
         new.applied = (f1, f2)
         return new
 
@@ -588,15 +602,14 @@ def run_scenario(scenario: Scenario, sink=None):
     specs = (plant.spec1, plant.spec2)
     allow_peak = scenario.allow_peak
     brake = float(is_transfer)
-    zeros4, zeros6, zeros12 = (0.0,) * 4, (0.0,) * 6, (0.0,) * 12
+    zeros6, zeros12 = (0.0,) * 6, (0.0,) * 12
 
     if sink is None:
         sink = simlog._SampleStore(n_steps, simlog.log_meta(scenario))
-    # each sample is packed whole into a row-major block of samples, and each
-    # full block, then the last partial one, goes to the sink (storing a
-    # sample straight into a (channels, samples) log wrote 40 cells
-    # 8 * n_steps bytes apart)
-    sample = struct.Struct(f"{len(CHANNELS)}d")
+    # each sample is packed into a row-major block, and each full block, then
+    # the last partial one, gets its arm channels and goes to the sink (a
+    # (channels, samples) log took each sample's 40 cells 8 * n_steps B apart)
+    sample = struct.Struct("".join("8x" if c in ARM_ROWS else "d" for c in CHANNELS))
     pack, size = sample.pack_into, sample.size
     block = max(1, simlog.CSV_BLOCK_CELLS // len(CHANNELS))
     buf = np.empty((block, len(CHANNELS)))
@@ -618,41 +631,45 @@ def run_scenario(scenario: Scenario, sink=None):
                 f1_cmd, f2_cmd, sat1, sat2 = cmd.f1, cmd.f2, cmd.saturated_1, cmd.saturated_2
                 stages = (*desired, cmd.f1_map, cmd.f2_map, cmd.f1_fric, cmd.f2_fric)
             elif is_transfer:
-                arm = plant.evaluated(state).arm
+                d2, _, d_ez = plant.boom_terms(state)
                 (f2_cmd, sat2, v2_ref), integral = speed_controller_step(
-                    arm, plant.spec2, scenario.transfer, arm.d[1] * state.qd_c, dt, integral,
-                    v_z_signed=seg.v_z,
-                )
+                    d2, d_ez, plant.spec2, scenario.transfer, d2 * state.qd_c, dt, integral,
+                    v_z_signed=seg.v_z)
 
             state = plant.step(state, (f1_cmd, f2_cmd), dt)
 
-            # log the new sample, in CHANNELS order, from the evaluation the step
-            # made of it; a detached arm never moves and an absent human never
-            # acts, so their channels stay 0
-            f = state.forces
-            effector, drives, v2_belt = zeros4, zeros4, 0.0
-            if plant.attached:
-                arm = f.arm
-                effector = arm.e + arm.ev
-                d1, d2 = arm.d
-                v2_belt = d2 * state.qd_c
-                drives = (float(velocity_exceeded(plant.spec1, d1 * state.qd_a, allow_peak)),
-                          float(velocity_exceeded(plant.spec2, v2_belt, allow_peak)),
-                          *state.applied)
+            # log the new sample, in CHANNELS order, less its arm channels
             human = zeros12
             if plant.has_human:
+                f = state.forces
                 human = (*f.harness, *state.com, *state.vcom, *f.acom, f.chair_fz, *f.feet,
                          float(f.chair_fz <= 0.0))
             pack(buf, at, state.t, seg.rep, seg.phase, state.q_a, state.q_c, state.qd_a,
-                 state.qd_c, *effector, *stages, f1_cmd, f2_cmd, float(sat1), float(sat2),
-                 *drives, v2_belt, v2_ref, *human, brake)
+                 state.qd_c, *stages, f1_cmd, f2_cmd, float(sat1), float(sat2),
+                 *state.applied, v2_ref, *human, brake)
             at += size
             if at == full:
                 at = 0
-                sink.add(buf)
+                sink.add(_with_arm_rows(plant, allow_peak, buf))
     finally:
         # the samples since the last full block: the run's last ones, or
         # the ones logged before a fault
         if at:
-            sink.add(buf[:at // size])
+            sink.add(_with_arm_rows(plant, allow_peak, buf[:at // size]))
     return sink.close()
+
+
+ARM_ROWS = ("e_y", "e_z", "e_vy", "e_vz", "v2_belt", "vel_exc_1", "vel_exc_2")
+
+
+def _with_arm_rows(plant: Plant, allow_peak: bool, rows: np.ndarray) -> np.ndarray:
+    """``rows`` (logged samples) with ARM_ROWS set by one Arm.at of their joint
+    columns, bit for bit each sample's own; a detached arm's keep the pack's 0."""
+    if plant.attached:
+        q_a, q_c, qd_a, qd_c = (rows[:, CHANNELS.index(c)] for c in ("q_a", "q_c", "qd_a", "qd_c"))
+        arm = plant.arm.at(q_a, q_c, qd_a, qd_c, ops=ARRAY_MATH)
+        v2_belt = arm.d[1] * qd_c
+        rows[:, [CHANNELS.index(c) for c in ARM_ROWS]] = np.column_stack((
+            *arm.e, *arm.ev, v2_belt, velocity_exceeded(plant.spec1, arm.d[0] * qd_a, allow_peak),
+            velocity_exceeded(plant.spec2, v2_belt, allow_peak)))
+    return rows

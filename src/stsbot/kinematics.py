@@ -21,16 +21,16 @@ drives one joint and the actuator jacobian is diagonal.
 
 Arm.at is the one evaluator of the arm: it returns every pose-dependent
 term (effector position and velocity, jacobians, lengths, gravity, inertia)
-of one joint state, or of 1-D arrays of them with ops=ARRAY_MATH; solve_ik,
-the one inverse kinematics, takes arrays of targets.  Arm.boom is its one
-shortcut: a braked transfer's RK4 stages read only three terms (dL2/dq_c,
-g_c and dE_z/dq_c), so boom writes those three again, and a test keeps its
-bits equal to Arm.at's.  act_diag and dk_entries remain only as named points
-where the benchmark's tracer counts calls; nothing in the package calls
-them.  Over arrays numpy does +, -, *, / and sqrt, which are correctly
-rounded, and math does each sin, cos, hypot, asin, acos and atan2 per element
-(numpy's can differ in the last bit), so an array result equals the scalar
-one bit for bit.
+of one joint state, or of 1-D arrays of them with ops=ARRAY_MATH (the log's
+arm channels, once per block); solve_ik, the one inverse kinematics, takes
+arrays of targets.  Arm.boom is its one shortcut: a braked transfer's state
+evaluation reads only dL2/dq_c, g_c and dE_z/dq_c, so boom writes those
+three again, and a test keeps its bits equal to Arm.at's.  act_diag and
+dk_entries remain only as named points where the benchmark's tracer counts
+calls; nothing in the package calls them.  Over arrays numpy does +, -, *,
+/ and sqrt, which are correctly rounded, and math does each sin, cos,
+hypot, asin, acos and atan2 per element (numpy's can differ in the last
+bit), so an array result equals the scalar one bit for bit.
 
 Actuator force sign:  the actuator-jacobian diagonal ArmEval.d is in the
 length-conjugate convention (positive force does positive work while the
@@ -194,10 +194,10 @@ class Arm:
     ``at`` takes sin and cos of q_a, q_c and q_a + q_c once per joint state
     and writes each formula of the arm once; it is the package's one
     evaluator of the arm.  ``boom`` repeats the three terms a braked
-    transfer's RK4 stages read, so those stages skip the rest of the arm; a
-    bit-equality test guards the copy.  act_diag and dk_entries, kept only
-    as points where the benchmark's tracer counts calls, read theirs from an
-    ``Arm`` built per call.
+    transfer's state evaluation reads, so a transfer step skips the rest of
+    the arm; a bit-equality test guards the copy.  act_diag and dk_entries,
+    kept only as points where the benchmark's tracer counts calls, read
+    theirs from an ``Arm`` built per call.
     """
 
     def __init__(self, geom: RobotGeometry, masses: LinkMassModel):
@@ -252,7 +252,7 @@ class Arm:
         ``at(q_a, q_c)``: dL2/dq_c, the boom's gravity torque g_c and
         dE_z/dq_c.  Each is written as ``at`` writes it, so the two agree bit
         for bit (a test checks); ``at`` keeps its own copy because the 2-DOF
-        step reads all of it."""
+        step and the log read all of it."""
         cf = math.cos(q_a + q_c)
         l2 = 2.0 * math.sqrt(self.belt_sq + self.belt_sin * math.sin(q_c))
         return self.belt_cos * math.cos(q_c) / l2, -(self.grav_c * cf), -(self.l_ce * cf)
@@ -363,13 +363,12 @@ def drive_speeds(d: tuple[float, float], qd_a: float, qd_c: float) -> tuple[floa
     return s1 * (d[0] * qd_a), s2 * (d[1] * qd_c)
 
 
-def belt_rate_for(arm: ArmEval, v_z: float) -> float:
+def belt_rate_for(d_l2: float, d_ez: float, v_z: float) -> float:
     """Belt payout rate for a target vertical effector speed v_z, mast locked,
-    at the evaluated pose."""
-    d_ez = arm.jac[3]
+    at a pose of dL2/dq_c ``d_l2`` and dE_z/dq_c ``d_ez``."""
     if abs(d_ez) <= SINGULARITY_EPS:
         raise SingularTransmission("q_c", d_ez)
-    return arm.d[1] * v_z / d_ez
+    return d_l2 * v_z / d_ez
 
 
 # ---------------------------------------------------------------------------

@@ -204,3 +204,13 @@ def test_verdict_rules(wins, pairs, change_median, better, want):
 def test_a_spread_wider_than_the_bound_is_unresolved(parent, change, wins, better, want):
     # the verdict_rules cases run on NARROW, whose spread is within the bound
     assert bench_record.verdict(parent, change, wins, 10, better, 0.25) == want
+
+
+@pytest.mark.parametrize("change_median, want", [
+    (43.46, "unchanged"),  # 0.6 %, past the parent's IQR but not a tenth of the 10 % bound
+    (43.25, "gain"),       # 1.1 %
+])
+def test_a_gain_must_beat_a_tenth_of_the_bound(change_median, want):
+    # a narrow parent: an IQR of 0.10 MB on a 43.73 MB median
+    parent = {"median": 43.73, "q1": 43.68, "q3": 43.78, "min": 43.6, "max": 43.9}
+    assert bench_record.verdict(parent, runs_at(change_median), 10, 10, "lower", 0.1) == want

@@ -424,7 +424,7 @@ OUT_PATH_FAULTS = {
     "map_out_under_a_file": (["map", "--config", "scenario.cfg", "--out", "afile/x"],
                              "afile/x", None),
     "analyze_out_a_file": (["analyze", "--log", "run/log.csv", "--out", "afile"], "afile", None),
-    **{f"{argv[0]}_{name}_no_space": (argv, "run", name) for argv, names in [
+    **{f"{argv[0]}_{name}_no_space": (argv, f"run/{name}", name) for argv, names in [
         (["simulate", "--config", "scenario.cfg", "--out", "run"], ["log.csv", "manifest.json"]),
         (["analyze", "--log", "run/log.csv", "--out", "run"], ["metrics.json"]),
         (["map", "--config", "scenario.cfg", "--out", "run"],
@@ -483,6 +483,29 @@ def test_an_out_path_that_cannot_be_written_exits_2(tmp_path, monkeypatch, capsy
     assert tree(tmp_path) == before
     if work is not None:
         assert spy.called == (full is not None)
+
+
+def test_a_fault_at_close_names_its_output(tmp_path, monkeypatch, capsys):
+    # a small output's text waits in its file's buffer until the close, where
+    # a full disk fails it; the error names that output, and nothing is left
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, FAST_SCENARIO)
+
+    def fake_open(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        if Path(path).name == "manifest.json.part":
+            close = fh.close
+
+            def failing_close():
+                close()
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            fh.close = failing_close
+        return fh
+
+    monkeypatch.setattr(cli, "open", fake_open, raising=False)
+    assert main(["simulate", "--config", "scenario.cfg", "--out", "run"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: cannot write run/manifest.json: ")
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("block_cells", [len(CHANNELS), 6 * len(CHANNELS)])

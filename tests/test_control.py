@@ -266,10 +266,16 @@ def test_force_controller_reads_the_given_evaluation():
 # speed controller
 
 
+def belt_terms(q_a, q_c):
+    """The speed loop's two inputs at (q_a, q_c): dL2/dq_c and dE_z/dq_c."""
+    a = ARM.at(q_a, q_c)
+    return a.d[1], a.jac[3]
+
+
 def test_pi_on_reference_returns_integrator():
     tr = TransferConfig(v_z_target=0.04, q_a_locked=0.3)
-    v2_ref = belt_rate_for(ARM.at(0.3, -0.2), tr.v_z_target)
-    cmd, _ = speed_controller_step(ARM.at(0.3, -0.2), ACTUATOR_2_HF, tr, v2_ref, 1e-3, 123.0,
+    v2_ref = belt_rate_for(*belt_terms(0.3, -0.2), tr.v_z_target)
+    cmd, _ = speed_controller_step(*belt_terms(0.3, -0.2), ACTUATOR_2_HF, tr, v2_ref, 1e-3, 123.0,
                                    v_z_signed=tr.v_z_target)
     assert cmd.f2 == pytest.approx(123.0, abs=1e-9)
     assert cmd.v2_ref == v2_ref
@@ -279,7 +285,7 @@ def test_pi_on_reference_returns_integrator():
 def test_pi_integrator_frozen_while_saturated():
     tr = TransferConfig(v_z_target=0.04, q_a_locked=0.3, kp=1e6)
     # huge error drives the command onto the envelope; integrator must freeze
-    cmd, integral = speed_controller_step(ARM.at(0.3, -0.2), ACTUATOR_2_HF, tr, 1.0, 1e-3,
+    cmd, integral = speed_controller_step(*belt_terms(0.3, -0.2), ACTUATOR_2_HF, tr, 1.0, 1e-3,
                                           0.0, v_z_signed=tr.v_z_target)
     assert cmd.saturated
     assert integral == 0.0
@@ -287,7 +293,7 @@ def test_pi_integrator_frozen_while_saturated():
 
 def test_pi_accumulates_when_inside_envelope():
     tr = TransferConfig(v_z_target=0.04, q_a_locked=0.3, kp=10.0, ki=100.0)
-    cmd, integral = speed_controller_step(ARM.at(0.3, -0.2), ACTUATOR_2_HF, tr, 0.01, 1e-3,
+    cmd, integral = speed_controller_step(*belt_terms(0.3, -0.2), ACTUATOR_2_HF, tr, 0.01, 1e-3,
                                           0.0, v_z_signed=0.0)
     assert integral == pytest.approx(100.0 * 0.01 * 1e-3, abs=1e-15)
     assert cmd.f2 == pytest.approx(10.0 * 0.01, abs=1e-12)

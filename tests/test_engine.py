@@ -12,7 +12,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stsbot import cli, simlog
-from stsbot.actuators import ACTUATOR_1, ACTUATOR_2_HF, ACTUATOR_2_HS, FrictionModel, motor_speed
+from stsbot.actuators import (ACTUATOR_1, ACTUATOR_2_HF, ACTUATOR_2_HS, FrictionModel,
+                              motor_speed, velocity_exceeded)
 from stsbot.analysis import sts_metrics
 from stsbot.control import (
     AssistMode,
@@ -21,6 +22,7 @@ from stsbot.control import (
     force_controller_step,
 )
 from stsbot.engine import (
+    ARM_ROWS,
     MAX_STEPS,
     Forces,
     Plant,
@@ -509,25 +511,32 @@ def test_each_state_is_evaluated_once():
 
 
 def test_transfer_integrates_the_boom_alone():
-    # the braked transfer's RK4 reads the boom's three terms at stages 2-4
-    # (Arm.boom), evaluates the whole arm only at the new state and never
-    # builds the 8-state derivative; the 5 set-up calls of Arm.at are the
-    # arc's two ends twice (validate, schedule) and the start state's evaluation
+    # a braked transfer evaluates each state by the boom's three terms
+    # (Arm.boom): stages 2-4 and the new state make four per step, plus the
+    # start state's.  It never builds the 8-state derivative, and evaluates
+    # the whole arm once per block of the log, over the block's columns: in
+    # the default blocks and in six-row ones.  The 5 set-up calls of Arm.at
+    # are the arc's two ends twice (validate, schedule) and the braked
+    # strut's dL1/dq_a
     sc = short_scenario(**REPLAY_SCENARIOS["transfer"])
-    counts = {"at": 0, "boom": 0, "deriv": 0}
 
-    def counted(cls, name, key):
+    def counted(counts, cls, name, key):
         original = getattr(cls, name)
 
-        def wrapper(self, *args):
+        def wrapper(self, *args, **kwargs):
             counts[key] += 1
-            return original(self, *args)
+            return original(self, *args, **kwargs)
         return mock.patch.object(cls, name, wrapper)
 
-    with counted(Arm, "at", "at"), counted(Arm, "boom", "boom"), \
-            counted(Plant, "_deriv", "deriv"):
-        log = run_scenario(sc)
-    assert counts == {"at": len(log) + 5, "boom": 3 * len(log), "deriv": 0}
+    for cells in (simlog.CSV_BLOCK_CELLS, 6 * len(CHANNELS)):
+        counts = {"at": 0, "boom": 0, "deriv": 0}
+        with counted(counts, Arm, "at", "at"), counted(counts, Arm, "boom", "boom"), \
+                counted(counts, Plant, "_deriv", "deriv"), \
+                mock.patch.object(simlog, "CSV_BLOCK_CELLS", cells):
+            log = run_scenario(sc)
+        blocks = -(-len(log) // (cells // len(CHANNELS)))
+        assert counts == {"at": 5 + blocks, "boom": 4 * len(log) + 1, "deriv": 0}
+    assert blocks > 1
 
 
 @pytest.mark.parametrize("qd_c, message", [(math.inf, "in an RK4 stage"),
@@ -844,6 +853,50 @@ def test_sample_store_does_not_depend_on_its_block_size():
         assert np.array_equal(np.column_stack(got).view(np.int64), samples.view(np.int64))
 
 
+# a run of each plant branch: the force controller with the human, the
+# transfer with its mast locked at -0.0, and the human alone
+FILL_SCENARIOS = {
+    "rehab": REPLAY_SCENARIOS["com_balance"],
+    "transfer_at_negative_zero": {**REPLAY_SCENARIOS["transfer"], "transfer": TransferConfig(
+        v_z_target=0.04, q_a_locked=-0.0, q_c_start=0.2, q_c_end=0.0)},
+    "detached": REPLAY_SCENARIOS["detached"],
+}
+
+
+def assert_arm_rows_are_each_samples(plant: Plant, allow_peak: bool, rows: np.ndarray) -> None:
+    """Assert that the ARM_ROWS cells of logged samples (``rows``, in
+    CHANNELS order) hold, bit for bit, each sample's own scalar Arm.at and
+    velocity_exceeded, or 0 with the arm detached."""
+    want = []
+    for row in rows.tolist():
+        s = dict(zip(CHANNELS, row))
+        if not plant.attached:
+            want.append([0.0] * len(ARM_ROWS))
+            continue
+        a = plant.arm.at(s["q_a"], s["q_c"], s["qd_a"], s["qd_c"])
+        v2_belt = a.d[1] * s["qd_c"]
+        want.append([*a.e, *a.ev, v2_belt,
+                     float(velocity_exceeded(plant.spec1, a.d[0] * s["qd_a"], allow_peak)),
+                     float(velocity_exceeded(plant.spec2, v2_belt, allow_peak))])
+    got = rows[:, [CHANNELS.index(c) for c in ARM_ROWS]]
+    assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
+
+
+@pytest.mark.parametrize("block_rows", [1, 7], ids=["one_row_blocks", "seven_row_blocks"])
+@pytest.mark.parametrize("name", sorted(FILL_SCENARIOS))
+def test_block_filled_arm_channels_equal_each_samples_evaluation(name, block_rows):
+    # the arm channels are filled once per block from its joint columns: in
+    # one-row blocks and in seven-row ones that leave a partial last block
+    sc = short_scenario(**FILL_SCENARIOS[name])
+    with mock.patch.object(simlog, "CSV_BLOCK_CELLS", block_rows * len(CHANNELS)):
+        log = run_scenario(sc)
+    assert block_rows == 1 or len(log) % block_rows
+    if sc.transfer is not None:
+        assert np.signbit(log["q_a"]).all()
+    assert_arm_rows_are_each_samples(Plant(sc), sc.allow_peak,
+                                     np.column_stack([log[c] for c in CHANNELS]))
+
+
 class ListSink:
     """A sink that keeps a copy of each block; a run that raises must not close it."""
 
@@ -886,6 +939,29 @@ def test_a_run_that_diverges_hands_its_sink_every_logged_sample(monkeypatch, sc,
     got = np.concatenate(sink.blocks)
     logged = np.column_stack([want[name][:fault] for name in CHANNELS])
     assert np.array_equal(got.view(np.int64), logged.view(np.int64))
+
+
+@pytest.mark.parametrize("name", sorted(FILL_SCENARIOS))
+def test_a_run_that_diverges_hands_its_sink_filled_arm_rows(monkeypatch, name):
+    # the step fails inside the third six-row block: every block the sink
+    # got, the partial one included, holds each sample's arm channels
+    sc = short_scenario(**FILL_SCENARIOS[name])
+    fault = 2 * 6 + 3
+    step, calls = Plant.step, []
+
+    def failing(self, *args):
+        calls.append(None)
+        if len(calls) > fault:
+            raise NumericalDivergence("made to fail")
+        return step(self, *args)
+
+    monkeypatch.setattr(Plant, "step", failing)
+    monkeypatch.setattr(simlog, "CSV_BLOCK_CELLS", 6 * len(CHANNELS))
+    sink = ListSink()
+    with pytest.raises(NumericalDivergence, match="made to fail"):
+        run_scenario(sc, sink)
+    assert [len(b) for b in sink.blocks] == [6, 6, 3]
+    assert_arm_rows_are_each_samples(Plant(sc), sc.allow_peak, np.concatenate(sink.blocks))
 
 
 def test_a_block_the_sink_refuses_is_not_handed_on_again():

@@ -435,13 +435,18 @@ def test_drive_map_keeps_virtual_power_and_inverts(q, qd, tau):
         assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
+def belt_terms(a):
+    """The two terms of an ArmEval that belt_rate_for reads: dL2/dq_c, dE_z/dq_c."""
+    return a.d[1], a.jac[3]
+
+
 def test_transfer_velocity_zero():
-    assert belt_rate_for(ARM.at(0.3, -0.2), 0.0) == 0.0
+    assert belt_rate_for(*belt_terms(ARM.at(0.3, -0.2)), 0.0) == 0.0
 
 
 def test_transfer_velocity_chain_consistency():
     q_a, q_c, v_z = 0.3, -0.5, 0.03
-    v2 = belt_rate_for(ARM.at(q_a, q_c), v_z)
+    v2 = belt_rate_for(*belt_terms(ARM.at(q_a, q_c)), v_z)
     d_ez = dk_entries(GEOM, q_a, q_c)[3]
     qd_c = v_z / d_ez
     d_l2 = act_diag(GEOM, q_a, q_c)[1]
@@ -450,7 +455,7 @@ def test_transfer_velocity_chain_consistency():
 
 def test_transfer_velocity_sweep_finite_and_smooth():
     qs = np.linspace(-1.1, 0.45, 200)
-    vs = [belt_rate_for(ARM.at(0.3, float(q)), 0.03) for q in qs]
+    vs = [belt_rate_for(*belt_terms(ARM.at(0.3, float(q))), 0.03) for q in qs]
     assert all(np.isfinite(vs))
     steps = np.abs(np.diff(vs))
     assert steps.max() < 0.01
@@ -458,7 +463,7 @@ def test_transfer_velocity_sweep_finite_and_smooth():
 
 def test_transfer_velocity_singular_at_vertical_boom():
     with pytest.raises(SingularTransmission):
-        belt_rate_for(Arm(WIDE, MASSES).at(0.0, math.pi / 2), 0.03)
+        belt_rate_for(*belt_terms(Arm(WIDE, MASSES).at(0.0, math.pi / 2)), 0.03)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ and extremes, how many pairs the change won and a verdict:
   the metric's ``bound`` in BENCHMARK.json (a fraction of the parent's median);
 - ``gain``: at least GAIN_MIN_PAIRS pairs, the change wins at least
   GAIN_WIN_SHARE of them, and its median is better than the parent's by more
-  than the parent's interquartile range;
+  than the parent's interquartile range and by more than GAIN_MIN_EFFECT of
+  the ``bound`` (as a fraction of the parent's median), so a narrow spread
+  alone does not make a sub-percent shift a gain;
 - ``unresolved``: neither, but either side's interquartile range is wider
   than the ``bound`` (as a fraction of the parent's median) and some run of
   the change is not better than every run of the parent: the runs spread too
@@ -45,6 +47,7 @@ from pathlib import Path
 
 GAIN_MIN_PAIRS = 10
 GAIN_WIN_SHARE = 0.9
+GAIN_MIN_EFFECT = 0.1
 
 
 def load_runs(tree: Path) -> dict[tuple[str, int], dict]:
@@ -76,7 +79,8 @@ def verdict(parent: dict, change: dict, wins: int, pairs: int, better: str,
     if gap > bound * abs(parent["median"]):
         return "regressed"
     if (pairs >= GAIN_MIN_PAIRS and wins >= GAIN_WIN_SHARE * pairs
-            and -gap > parent["q3"] - parent["q1"]):
+            and -gap > max(parent["q3"] - parent["q1"],
+                           GAIN_MIN_EFFECT * bound * abs(parent["median"]))):
         return "gain"
     spread = max(side["q3"] - side["q1"] for side in (parent, change))
     apart = (change["max"] < parent["min"] if better == "lower"
