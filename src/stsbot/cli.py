@@ -44,6 +44,14 @@ def _out_root(args) -> Path:
     return Path(args.out or os.environ.get("STSBOT_OUT_ROOT", "stsbot_out"))
 
 
+def _say(line: str, stream=None) -> None:
+    """Print a status line to ``stream`` (stdout by default).  A line that
+    cannot be printed, say to a closed pipe, is dropped: it changes neither
+    the exit code nor the outputs."""
+    with suppress(OSError):  # flushed, so a closed pipe fails here and not at exit
+        print(line, file=stream or sys.stdout, flush=True)
+
+
 class _Output:
     """An output's part file, whose OSErrors name it (a full disk's names no file)."""
 
@@ -103,9 +111,9 @@ def _checked(cfg: dict, stream) -> Scenario | None:
     """Print ``cfg``'s warnings and errors to ``stream``; its scenario, or None on errors."""
     report = validate_config(cfg)
     for w in report.warnings:
-        print(f"warning: {w}", file=stream)
+        _say(f"warning: {w}", stream)
     for e in report.errors:
-        print(f"error: {e}", file=stream)
+        _say(f"error: {e}", stream)
     return report.scenario if report.ok else None
 
 
@@ -119,7 +127,7 @@ def _cmd_simulate(args) -> int:
     with _outputs(args, "log.csv", "manifest.json") as (log, manifest):
         samples = run_scenario(scenario, CsvSink(log, scenario))
         manifest.write(_manifest("simulate", cfg, ["log.csv"]))
-    print(f"wrote {_out_root(args) / 'log.csv'} ({samples} samples)")
+    _say(f"wrote {_out_root(args) / 'log.csv'} ({samples} samples)")
     return EXIT_OK
 
 
@@ -155,7 +163,7 @@ def _cmd_map(args) -> int:
                                   cmap.value.ravel(), cmap.mask.ravel()]))
         grid_meta.write(json.dumps(meta, **JSON_STYLE) + "\n")
         manifest.write(_manifest("map", cfg, ["map.csv", "map.json"]))
-    print(f"wrote {_out_root(args) / 'map.csv'}")
+    _say(f"wrote {_out_root(args) / 'map.csv'}")
     return EXIT_OK
 
 
@@ -197,14 +205,14 @@ def _cmd_analyze(args) -> int:
         except StsBotError as exc:  # a repetition or phase missing, or a metric not finite
             raise ConfigError(f"{args.log}: {exc}") from exc
         metrics.write(text)
-    print(f"wrote {_out_root(args) / 'metrics.json'}")
+    _say(f"wrote {_out_root(args) / 'metrics.json'}")
     return EXIT_OK
 
 
 def _cmd_validate(args) -> int:
     if _checked(load_config(args.config), sys.stdout) is None:
         return EXIT_CONFIG
-    print("configuration ok")
+    _say("configuration ok")
     return EXIT_OK
 
 
@@ -244,15 +252,17 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except NumericalDivergence as exc:
-        print(f"error: simulation diverged: {exc}", file=sys.stderr)
+        _say(f"error: simulation diverged: {exc}", sys.stderr)
         return EXIT_DIVERGED
     except StsBotError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}", sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
-        # an input that cannot be read raises ConfigError, so this is an output
-        path = exc.filename2 or exc.filename or _out_root(args)
-        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        # an input that cannot be read raises ConfigError and a status line
+        # that cannot be printed is dropped, so this is an output, which
+        # _Output, mkdir and os.replace name
+        _say(f"error: cannot write {exc.filename2 or exc.filename}: {exc.strerror or exc}",
+             sys.stderr)
         return EXIT_CONFIG
 
 

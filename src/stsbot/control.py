@@ -162,6 +162,8 @@ class TransferConfig:
             raise ConfigError("v_z_target must be positive")
         if self.q_c_start <= self.q_c_end:
             raise ConfigError("q_c_start must sit below q_c_end on the arc (larger q_c)")
+        if not (self.kp >= 0.0 and self.ki >= 0.0):
+            raise ConfigError("transfer kp and ki must be non-negative")
 
 
 class SpeedCommand(NamedTuple):

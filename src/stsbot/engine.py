@@ -6,8 +6,10 @@ J_act^T * F_transmitted + J_dk^T * F_harness with RK4 at a fixed step
 own tanh friction, the belt clamped to tension-only.  A transfer brakes the
 mast and carries no human, so the boom turns about C alone: its RK4
 integrates only (q_c, qd_c), and q_a, qd_a, com and vcom keep their start
-values.  Its RK4 stages, belt speed and speed loop read only Arm.boom's
-three terms of a state, which a test keeps bit-equal to Arm.at's.
+values.  ``Plant.evaluated`` evaluates each state the run keeps, once and
+on first read: by ``Plant.forces`` for a 2-DOF plant, by Arm.boom's three
+terms for a transfer, which a test keeps bit-equal to Arm.at's.  RK4 stage 1,
+the drives' speeds, both controllers and the human log channels read it.
 Everything is deterministic for a given scenario and seed: the only
 randomness is a per-repetition duration jitter drawn once from the seeded
 generator when the schedule is built; a transfer draws none.
@@ -137,6 +139,8 @@ class Scenario:
             raise ConfigError("rep_jitter must lie in [0, 1)")
         if self.payload < 0.0:
             raise ConfigError("payload must be non-negative")
+        if not all(d >= 0.0 for d in self.damping):
+            raise ConfigError("damping.q_a and damping.q_c must be non-negative")
         is_transfer = self.transfer is not None
         if self.payload > 0.0 and not is_transfer:
             raise ConfigError("payload requires the transfer configuration")
@@ -197,11 +201,12 @@ class Scenario:
 
 @dataclass
 class SimState:
-    """Integrator state between steps (value object, copy to keep); ``forces``
-    (a transfer's ``boom``), ``motor_vels`` and ``applied`` hold the plant's
-    evaluation of it, its drives' encoder speeds (``Plant.motor_speeds``) and
-    the transmitted forces the step into it applied (``Plant.step``).  None is
-    an init argument, so a copy made with ``replace`` starts without them."""
+    """Integrator state between steps (value object, copy to keep);
+    ``evaluation``, ``motor_vels`` and ``applied`` hold the plant's evaluation
+    of it (``Plant.evaluated``), its drives' encoder speeds
+    (``Plant.motor_speeds``) and the transmitted forces the step into it
+    applied (``Plant.step``).  None is an init argument, so a copy made with
+    ``replace`` starts without them."""
 
     t: float = 0.0
     q_a: float = 0.0
@@ -210,8 +215,8 @@ class SimState:
     qd_c: float = 0.0
     com: tuple[float, float] = (0.0, 0.0)
     vcom: tuple[float, float] = (0.0, 0.0)
-    forces: Forces | None = field(default=None, init=False, compare=False, repr=False)
-    boom: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    evaluation: Forces | tuple[float, float, float] | None = field(
+        default=None, init=False, compare=False, repr=False)
     motor_vels: tuple[float, float] | None = field(
         default=None, init=False, compare=False, repr=False)
     applied: tuple[float, float] | None = field(
@@ -386,24 +391,21 @@ class Plant:
         acom = ((mx + hx) / m, (mz + chair_fz + hz) / m - GRAVITY)
         return tuple.__new__(Forces, (arm, harness, chair_fz, (mx, mz), acom))
 
-    def evaluated(self, state: SimState) -> Forces:
-        """The forces at ``state``, computed once and kept on it."""
-        if state.forces is None:
-            state.forces = self.forces(state.t, state.vector())
-        return state.forces
-
-    def boom_terms(self, state: SimState) -> tuple[float, float, float]:
-        """A transfer's evaluation of ``state`` (Arm.boom), kept on it."""
-        if state.boom is None:
-            state.boom = self.arm.boom(state.q_a, state.q_c)
-        return state.boom
+    def evaluated(self, state: SimState) -> Forces | tuple[float, float, float]:
+        """The plant's evaluation of ``state``, computed on first read and
+        kept on it: a 2-DOF plant's Forces, or a braked transfer's three
+        boom terms (Arm.boom: dL2/dq_c, g_c and dE_z/dq_c)."""
+        if state.evaluation is None:
+            state.evaluation = (self.arm.boom(state.q_a, state.q_c) if self.is_transfer
+                                else self.forces(state.t, state.vector()))
+        return state.evaluation
 
     def motor_speeds(self, state: SimState) -> tuple[float, float]:
         """The drives' encoder speeds [rad/s] at ``state``, computed once and
         kept on it; the force controller and transmitted_forces both read them."""
         if state.motor_vels is None:
-            d = ((self.d1_braked, self.boom_terms(state)[0]) if self.is_transfer
-                 else self.evaluated(state).arm.d)
+            e = self.evaluated(state)
+            d = (self.d1_braked, e[0]) if self.is_transfer else e.arm.d
             v1, v2 = drive_speeds(d, state.qd_a, state.qd_c)
             state.motor_vels = (motor_speed(self.spec1, v1), motor_speed(self.spec2, v2))
         return state.motor_vels
@@ -461,9 +463,9 @@ class Plant:
     def step(self, state: SimState, commands: tuple[float, float], dt: float) -> SimState:
         """One RK4 step; joint limits applied as hard stops afterwards.  A
         transfer's brake holds the mast, so its RK4 integrates only the boom's
-        (q_c, qd_c) and q_a, qd_a, com and vcom keep their values.  The new
-        state carries its evaluation (``forces`` or ``boom``), which the next
-        step's first stage reads, and the transmitted forces this step applied.
+        (q_c, qd_c) and q_a, qd_a, com and vcom keep their values.  Stage 1
+        reads ``evaluated(state)``; the new state carries only the transmitted
+        forces this step applied, and is evaluated when first read.
 
         The 2-DOF stages are written out, one scalar per state entry: a zip
         comprehension over the 8-state vector cost 4x as much per stage.
@@ -483,7 +485,7 @@ class Plant:
                     return (s2 * d2 * f2 - g_c - w * dez - d_c * v) / m_eff
 
                 q1, v1 = state.q_c, state.qd_c
-                k1 = qdd_c(*self.boom_terms(state), v1)
+                k1 = qdd_c(*self.evaluated(state), v1)
                 h2 = dt / 2.0
                 q2, v2 = q1 + h2 * v1, v1 + h2 * k1
                 k2 = qdd_c(*boom(q_a, q2), v2)
@@ -544,10 +546,6 @@ class Plant:
             raise NumericalDivergence(f"runaway velocity at t={t:.3f}s")
 
         new = SimState(t + dt, q_a, q_c, qd_a, qd_c, (cy, cz), (cvy, cvz))
-        if self.is_transfer:
-            new.boom = self.arm.boom(q_a, q_c)
-        else:
-            new.forces = self.forces(new.t, new.vector())
         new.applied = (f1, f2)
         return new
 
@@ -631,7 +629,7 @@ def run_scenario(scenario: Scenario, sink=None):
                 f1_cmd, f2_cmd, sat1, sat2 = cmd.f1, cmd.f2, cmd.saturated_1, cmd.saturated_2
                 stages = (*desired, cmd.f1_map, cmd.f2_map, cmd.f1_fric, cmd.f2_fric)
             elif is_transfer:
-                d2, _, d_ez = plant.boom_terms(state)
+                d2, _, d_ez = plant.evaluated(state)
                 (f2_cmd, sat2, v2_ref), integral = speed_controller_step(
                     d2, d_ez, plant.spec2, scenario.transfer, d2 * state.qd_c, dt, integral,
                     v_z_signed=seg.v_z)
@@ -641,7 +639,7 @@ def run_scenario(scenario: Scenario, sink=None):
             # log the new sample, in CHANNELS order, less its arm channels
             human = zeros12
             if plant.has_human:
-                f = state.forces
+                f = plant.evaluated(state)
                 human = (*f.harness, *state.com, *state.vcom, *f.acom, f.chair_fz, *f.feet,
                          float(f.chair_fz <= 0.0))
             pack(buf, at, state.t, seg.rep, seg.phase, state.q_a, state.q_c, state.qd_a,

@@ -104,6 +104,11 @@ class ChairModel:
     def __post_init__(self):
         if self.stiffness <= 0.0:
             raise ValueError("chair stiffness must be positive")
+        if not self.seat_depth > 0.0:
+            raise ValueError("chair seat_depth must be positive")
+        for name in ("damping", "support_cap", "edge_taper"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"chair {name} must be non-negative")
 
     def seat(self, params: HumanParams) -> "Seat":
         """This chair under this person, placed so the spring carries exactly
@@ -192,6 +197,8 @@ class HarnessModel:
     def __post_init__(self):
         if self.stiffness <= 0.0:
             raise ValueError("harness stiffness must be positive")
+        if not self.damping >= 0.0:
+            raise ValueError("harness damping must be non-negative")
 
     def attach_point(self, com: tuple[float, float]) -> tuple[float, float]:
         """Where the effector holds the harness, unloaded, with the CoM at com."""

@@ -339,13 +339,12 @@ class _SampleStore:
     if it never varied.  Of the 98 kg transfer's 40 channels 14 vary.
     """
 
-    def __init__(self, n_samples: int, meta: dict, names=CHANNELS):
+    def __init__(self, n_samples: int, meta: dict):
         self.n = n_samples
         self.meta = meta
-        self.names = names
         self.filled = 0
-        self.first = np.zeros(len(names))  # a run of no samples logs zeros
-        self.own = [None] * len(names)
+        self.first = np.zeros(len(CHANNELS))  # a run of no samples logs zeros
+        self.own = [None] * len(CHANNELS)
 
     def add(self, block: np.ndarray) -> None:
         """Append ``block``'s rows, one sample per row in channel order."""
@@ -367,7 +366,7 @@ class _SampleStore:
                 col.flags.writeable = False
         return SimLog(self.meta["dt"], {
             name: np.broadcast_to(v, (self.n,)) if col is None else col
-            for name, v, col in zip(self.names, self.first, self.own)}, self.meta)
+            for name, v, col in zip(CHANNELS, self.first, self.own)}, self.meta)
 
 
 class CsvSink:

@@ -337,6 +337,58 @@ def test_bad_config_exits_2_with_error_line(tmp_path, capsys, command, name):
     assert not (tmp_path / "out").exists()
 
 
+# a value of the wrong sign, the error line stsbot validate prints for it and
+# the constructor of the object that owns its rule.  Each ran before with exit
+# 0, or diverged mid-run: harness.damping at 0.29 s, transfer.kp at 24.5 s
+NEGATIVE_VALUES = {
+    "damping.q_a = -5": ("damping.q_a and damping.q_c must be non-negative",
+                         lambda: Scenario(damping=(-5.0, 0.5), mode_config=FOLLOW).validate()),
+    "damping.q_c = -5": ("damping.q_a and damping.q_c must be non-negative",
+                         lambda: Scenario(damping=(0.5, -5.0), mode_config=FOLLOW).validate()),
+    "chair.damping = -400": ("chair damping must be non-negative",
+                             lambda: ChairModel(damping=-400.0)),
+    "chair.support_cap = -1": ("chair support_cap must be non-negative",
+                               lambda: ChairModel(support_cap=-1.0)),
+    "chair.seat_depth = -1": ("chair seat_depth must be positive",
+                              lambda: ChairModel(seat_depth=-1.0)),
+    "chair.seat_depth = 0": ("chair seat_depth must be positive",
+                             lambda: ChairModel(seat_depth=0.0)),
+    "chair.edge_taper = -0.1": ("chair edge_taper must be non-negative",
+                                lambda: ChairModel(edge_taper=-0.1)),
+    "harness.damping = -400": ("harness damping must be non-negative",
+                               lambda: HarnessModel(damping=-400.0)),
+    "mode = transfer\ntransfer.kp = -5000": ("transfer kp and ki must be non-negative",
+                                             lambda: TransferConfig(kp=-5000.0)),
+    "mode = transfer\ntransfer.ki = -1": ("transfer kp and ki must be non-negative",
+                                          lambda: TransferConfig(ki=-1.0)),
+}
+FOLLOW = AssistModeConfig(AssistMode.FOLLOW_ME)
+
+
+@pytest.mark.parametrize("text", sorted(NEGATIVE_VALUES), ids=lambda t: t.splitlines()[-1])
+def test_a_negative_damping_gain_or_chair_size_is_refused(tmp_path, capsys, text):
+    # refused by the object that owns the rule, before any run
+    message, build = NEGATIVE_VALUES[text]
+    with pytest.raises((ConfigError, ValueError), match=message):
+        build()
+    p = write(tmp_path, text + "\n")
+    assert main(["validate", "--config", str(p)]) == EXIT_CONFIG
+    assert capsys.readouterr().out == f"error: {message}\n"
+    spy = mock.Mock(wraps=run_scenario)
+    with mock.patch.object(cli, "run_scenario", spy):
+        assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert not spy.called and not (tmp_path / "o").exists()
+
+
+def test_zero_damping_gains_and_chair_margins_are_allowed(tmp_path, capsys):
+    # the energy tests run undamped; only seat_depth must be positive
+    p = write(tmp_path, "damping.q_a = 0\ndamping.q_c = 0\nchair.damping = 0\n"
+                        "chair.support_cap = 0\nchair.edge_taper = 0\nharness.damping = 0\n")
+    assert main(["validate", "--config", str(p)]) == EXIT_OK
+    p = write(tmp_path, "mode = transfer\ntransfer.kp = 0\ntransfer.ki = 0\n")
+    assert main(["validate", "--config", str(p)]) == EXIT_OK
+
+
 # the shortest run every command accepts, so each swept key decides the outcome
 SWEEP_BASE = "repetitions = 1\ndt = 0.005\npause = 0\nsettle = 0\nsts.duration = 0.5\n"
 FLOAT_KEYS = sorted(k for k, default in SCHEMA.items() if isinstance(default, float))
@@ -506,6 +558,43 @@ def test_a_fault_at_close_names_its_output(tmp_path, monkeypatch, capsys):
     assert main(["simulate", "--config", "scenario.cfg", "--out", "run"]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error: cannot write run/manifest.json: ")
     assert not (tmp_path / "run").exists()
+
+
+class ClosedPipe(io.StringIO):
+    """A stream whose reader has gone: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+def run_each_command(root):
+    """The exit codes of validate and simulate (of a good and a bad config),
+    analyze and map, each writing under ``root``."""
+    root.mkdir()
+    good = write(root, FAST_SCENARIO + "map.step = 0.1\n")
+    bad = write(root, "mode = follow_me\nfz_pct = 0.2\n", "bad.cfg")
+    run = root / "run"
+    return [main(["validate", "--config", str(good)]),
+            main(["validate", "--config", str(bad)]),
+            main(["simulate", "--config", str(good), "--out", str(run)]),
+            main(["simulate", "--config", str(bad), "--out", str(root / "bad")]),
+            main(["analyze", "--log", str(run / "log.csv"), "--out", str(run)]),
+            main(["map", "--config", str(good), "--out", str(root / "map")])]
+
+
+@pytest.mark.parametrize("stream", ["stdout", "stderr"])
+def test_a_closed_stream_changes_no_exit_code_or_output(tmp_path, monkeypatch, capsys, stream):
+    # a status line that cannot be printed (stsbot ... | head) is dropped:
+    # each command exits as it does with the stream open and writes the same
+    # bytes, and no traceback is printed to the other stream
+    want = run_each_command(tmp_path / "open")
+    assert want == [EXIT_OK, EXIT_CONFIG, EXIT_OK, EXIT_CONFIG, EXIT_OK, EXIT_OK]
+    capsys.readouterr()
+    with monkeypatch.context() as m:
+        m.setattr(sys, stream, ClosedPipe())
+        assert run_each_command(tmp_path / "closed") == want
+    assert tree(tmp_path / "closed") == tree(tmp_path / "open")
+    assert "Traceback" not in capsys.readouterr()
 
 
 @pytest.mark.parametrize("block_cells", [len(CHANNELS), 6 * len(CHANNELS)])

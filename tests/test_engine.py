@@ -442,7 +442,7 @@ HUMAN_CHANNELS = ("harness_fy", "harness_fz", "acom_y", "acom_z", "chair_fz",
 
 @pytest.mark.parametrize("name", sorted(REPLAY_SCENARIOS))
 def test_logged_forces_replay_from_logged_state(name):
-    # the logger reads the step's own evaluation of each state and the
+    # the logger reads the plant's evaluation of each state and the
     # transmitted forces the step applied: fresh evaluations of the states
     # rebuilt from the log give the same bits, row k's transmitted pair from
     # row k-1's state (the start state for row 0) and row k's commands
@@ -459,7 +459,7 @@ def test_logged_forces_replay_from_logged_state(name):
         arm, hum = (0.0,) * len(ARM_CHANNELS), (0.0,) * len(HUMAN_CHANNELS)
         if plant.attached:
             trans = plant.transmitted_forces(prev, (col["f1_cmd"][k], col["f2_cmd"][k]))
-        f = plant.evaluated(state)
+        f = plant.forces(state.t, state.vector())
         if plant.attached:
             assert f.arm.d == act_diag(GEOM, state.q_a, state.q_c)
             arm = f.arm.e + f.arm.ev + (f.arm.d[1] * state.qd_c,) + trans
@@ -512,8 +512,9 @@ def test_each_state_is_evaluated_once():
 
 def test_transfer_integrates_the_boom_alone():
     # a braked transfer evaluates each state by the boom's three terms
-    # (Arm.boom): stages 2-4 and the new state make four per step, plus the
-    # start state's.  It never builds the 8-state derivative, and evaluates
+    # (Arm.boom) when first read: stages 2-4 and the step's start state make
+    # four per step, and the run's last state, which nothing reads, makes
+    # none.  It never builds the 8-state derivative, and evaluates
     # the whole arm once per block of the log, over the block's columns: in
     # the default blocks and in six-row ones.  The 5 set-up calls of Arm.at
     # are the arc's two ends twice (validate, schedule) and the braked
@@ -535,7 +536,7 @@ def test_transfer_integrates_the_boom_alone():
                 mock.patch.object(simlog, "CSV_BLOCK_CELLS", cells):
             log = run_scenario(sc)
         blocks = -(-len(log) // (cells // len(CHANNELS)))
-        assert counts == {"at": 5 + blocks, "boom": 4 * len(log) + 1, "deriv": 0}
+        assert counts == {"at": 5 + blocks, "boom": 4 * len(log), "deriv": 0}
     assert blocks > 1
 
 
@@ -832,11 +833,12 @@ def test_sample_store_does_not_depend_on_its_block_size():
                 assert np.array_equal(np.asarray(got[name]).view(np.int64),
                                       np.asarray(want[name]).view(np.int64))
     assert len(want) < rows
-    # the store alone, on channels that run_scenario's runs do not all draw:
+    # the store alone, on columns that run_scenario's runs do not all draw:
     # -0.0 throughout, 0.0 throughout, -0.0 then 0.0 from the second block,
-    # constant until the last partial block, and NaN throughout
+    # constant until the last partial block, and NaN throughout; the other
+    # channels hold 0.0 throughout
     n = 3 * rows + 5
-    samples = np.zeros((n, 6))
+    samples = np.zeros((n, len(CHANNELS)))
     samples[:, 0] = np.arange(n)
     samples[:, 1] = -0.0
     samples[:, 3] = -0.0
@@ -844,11 +846,14 @@ def test_sample_store_does_not_depend_on_its_block_size():
     samples[-1, 4] = 1.0
     samples[:, 5] = math.nan
     for block in (1, 7, rows):
-        store = simlog._SampleStore(n, {"dt": 1.0}, names=range(6))
+        store = simlog._SampleStore(n, {"dt": 1.0})
         for start in range(0, n, block):
             store.add(samples[start:start + block])
-        got = list(store.close().data.values())
-        assert [c.strides == (0,) for c in got] == [False, True, True, False, False, True]
+        log = store.close()
+        assert list(log.data) == CHANNELS
+        got = list(log.data.values())
+        assert [c.strides == (0,) for c in got[:6]] == [False, True, True, False, False, True]
+        assert all(c.strides == (0,) for c in got[6:])
         assert all(not c.flags.writeable for c in got)
         assert np.array_equal(np.column_stack(got).view(np.int64), samples.view(np.int64))
 

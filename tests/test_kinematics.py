@@ -209,8 +209,8 @@ def joint_grid(limits, n=41):
 
 @pytest.mark.parametrize("arm", ARMS[:2], ids=["default", "odd"])
 def test_boom_terms_equal_the_full_evaluation_on_a_grid(arm):
-    # the braked transfer's stages read Arm.boom, its first stage and the log
-    # Arm.at: the two copies of the three terms must not drift apart
+    # the braked transfer's stages and speed loop read Arm.boom, its log's arm
+    # channels Arm.at: the two copies of the three terms must not drift apart
     geom, masses = arm
     a = Arm(geom, masses)
     for q_a in joint_grid(geom.q_a_limits):
