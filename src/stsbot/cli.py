@@ -252,18 +252,17 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except NumericalDivergence as exc:
-        _say(f"error: simulation diverged: {exc}", sys.stderr)
-        return EXIT_DIVERGED
+        error, code = f"simulation diverged: {exc}", EXIT_DIVERGED
     except StsBotError as exc:
-        _say(f"error: {exc}", sys.stderr)
-        return EXIT_CONFIG
+        error, code = exc, EXIT_CONFIG
     except OSError as exc:
         # an input that cannot be read raises ConfigError and a status line
         # that cannot be printed is dropped, so this is an output, which
         # _Output, mkdir and os.replace name
-        _say(f"error: cannot write {exc.filename2 or exc.filename}: {exc.strerror or exc}",
-             sys.stderr)
-        return EXIT_CONFIG
+        path = exc.filename2 or exc.filename
+        error, code = f"cannot write {path}: {exc.strerror or exc}", EXIT_CONFIG
+    _say(f"error: {error}", sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

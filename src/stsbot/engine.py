@@ -127,20 +127,15 @@ class Scenario:
             raise ConfigError("dt must lie in (0, 5e-3] s")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
-        if self.pause < 0.0:
-            raise ConfigError("pause must be non-negative")
+        for name, value in (("seed", self.seed), ("pause", self.pause), ("settle", self.settle),
+                            ("payload", self.payload), ("damping.q_a", self.damping[0]),
+                            ("damping.q_c", self.damping[1])):
+            if not value >= 0.0:
+                raise ConfigError(f"{name} must be non-negative")
         if not self.sts_duration > 0.0:
             raise ConfigError("sts.duration must be positive")
-        if self.settle < 0.0:
-            raise ConfigError("settle must be non-negative")
         if not (0.0 <= self.rep_jitter < 1.0):
             raise ConfigError("rep_jitter must lie in [0, 1)")
-        if self.payload < 0.0:
-            raise ConfigError("payload must be non-negative")
-        if not all(d >= 0.0 for d in self.damping):
-            raise ConfigError("damping.q_a and damping.q_c must be non-negative")
         is_transfer = self.transfer is not None
         if self.payload > 0.0 and not is_transfer:
             raise ConfigError("payload requires the transfer configuration")

@@ -102,10 +102,9 @@ class ChairModel:
     edge_offset: float = 0.10  # seat front edge this far ahead of the seated CoM
 
     def __post_init__(self):
-        if self.stiffness <= 0.0:
-            raise ValueError("chair stiffness must be positive")
-        if not self.seat_depth > 0.0:
-            raise ValueError("chair seat_depth must be positive")
+        for name in ("stiffness", "seat_depth"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"chair {name} must be positive")
         for name in ("damping", "support_cap", "edge_taper"):
             if not getattr(self, name) >= 0.0:
                 raise ValueError(f"chair {name} must be non-negative")

@@ -341,9 +341,9 @@ def test_bad_config_exits_2_with_error_line(tmp_path, capsys, command, name):
 # the constructor of the object that owns its rule.  Each ran before with exit
 # 0, or diverged mid-run: harness.damping at 0.29 s, transfer.kp at 24.5 s
 NEGATIVE_VALUES = {
-    "damping.q_a = -5": ("damping.q_a and damping.q_c must be non-negative",
+    "damping.q_a = -5": ("damping.q_a must be non-negative",
                          lambda: Scenario(damping=(-5.0, 0.5), mode_config=FOLLOW).validate()),
-    "damping.q_c = -5": ("damping.q_a and damping.q_c must be non-negative",
+    "damping.q_c = -5": ("damping.q_c must be non-negative",
                          lambda: Scenario(damping=(0.5, -5.0), mode_config=FOLLOW).validate()),
     "chair.damping = -400": ("chair damping must be non-negative",
                              lambda: ChairModel(damping=-400.0)),
