@@ -19,7 +19,7 @@ from .control import (
     force_controller_step,
     speed_controller_step,
 )
-from .engine import Plant, Scenario, SimState, run_scenario
+from .engine import Plant, Scenario, SimState, TransferScenario, run_scenario
 from .human import ChairModel, HarnessModel, HumanParams
 from .kinematics import JointState, LinkMassModel, RobotGeometry, inverse_kinematics
 from .simlog import SimLog
@@ -30,7 +30,7 @@ __all__ = [
     "ActuatorSpec", "FrictionModel",
     "AssistMode", "AssistModeConfig", "ForceCommand", "SpeedCommand", "TransferConfig",
     "force_controller_step", "speed_controller_step",
-    "Plant", "Scenario", "SimLog", "SimState", "run_scenario",
+    "Plant", "Scenario", "SimLog", "SimState", "TransferScenario", "run_scenario",
     "ChairModel", "HarnessModel", "HumanParams",
     "JointState", "LinkMassModel", "RobotGeometry", "inverse_kinematics",
 ]

@@ -18,7 +18,7 @@ from .actuators import (DEFAULT_FRICTION_1, DEFAULT_FRICTION_2_HF, DEFAULT_FRICT
                         FrictionModel)
 from .analysis import validate_map_grid
 from .control import AssistMode, AssistModeConfig, TransferConfig
-from .engine import Scenario
+from .engine import Scenario, TransferScenario
 from .errors import ConfigError
 from .human import ChairModel, HarnessModel, HumanParams
 from .kinematics import ARRAY_MATH, Arm, LinkMassModel, RobotGeometry
@@ -40,7 +40,7 @@ SCHEMA: dict[str, object] = {
     "rep_jitter": Scenario.rep_jitter,
     "robot_attached": Scenario.robot_attached,
     "allow_peak": Scenario.allow_peak,
-    "payload": Scenario.payload,
+    "payload": TransferScenario.payload,
     "human.enabled": True,
     "human.height": 1.75,
     "human.mass": 81.13,
@@ -190,38 +190,46 @@ def build_geometry(cfg: dict) -> RobotGeometry:
     )
 
 
-def build_scenario(cfg: dict) -> Scenario:
+def build_scenario(cfg: dict) -> Scenario | TransferScenario:
+    """The scenario ``mode`` names, built from only the keys it reads."""
     mode = cfg["mode"]
     if mode not in _MODES:
         raise ConfigError(f"mode must be one of {_MODES}, got '{mode}'")
+    # robot_attached is a 2-DOF run's field and payload a transfer's: the
+    # other kind holds each as a constant and refuses any other value
+    is_transfer = mode == "transfer"
+    if is_transfer and not cfg["robot_attached"]:
+        raise ConfigError("transfer requires the robot")
+    if not is_transfer and cfg["payload"] != 0.0:
+        raise ConfigError("payload requires the transfer configuration")
     geom = build_geometry(cfg)
-    human = None
-    if cfg["human.enabled"] and mode != "transfer":
-        human = HumanParams(
-            height=cfg["human.height"], mass=cfg["human.mass"],
-            mobility=cfg["human.mobility"], seat_height=cfg["human.seat_height"],
-            chair_y=cfg["chair_y"], standing_z_factor=cfg["human.standing_z_factor"],
-        )
-    mode_config = None
-    transfer = None
-    if mode == "transfer":
-        transfer = TransferConfig(
-            v_z_target=cfg["transfer.v_z"], q_a_locked=cfg["transfer.q_a_locked"],
-            kp=cfg["transfer.kp"], ki=cfg["transfer.ki"],
-            q_c_start=cfg["transfer.q_c_start"], q_c_end=cfg["transfer.q_c_end"],
-        )
-    else:
-        mode_config = AssistModeConfig(AssistMode(mode), fz_pct=cfg["fz_pct"], ky=cfg["ky"],
-                                       clamp_forward_only=cfg["clamp_forward_only"])
     ctrl, plant = [], []
     for stem in ("act1", "act2_hs", "act2_hf"):
         a, b = cfg[f"friction.{stem}.a"], cfg[f"friction.{stem}.b"]
         pa, pb = cfg[f"plant_friction.{stem}.a"], cfg[f"plant_friction.{stem}.b"]
         ctrl.append(FrictionModel(a, b))
         plant.append(FrictionModel(a if pa < 0.0 else pa, b if pb < 0.0 else pb))
+    # the fields every run reads
+    run = dict(geom=geom, repetitions=cfg["repetitions"], pause=cfg["pause"], dt=cfg["dt"],
+               seed=cfg["seed"], allow_peak=cfg["allow_peak"], settle=cfg["settle"],
+               masses=LinkMassModel.for_geometry(geom, cfg["masses.m_h"], cfg["masses.m_v"]),
+               damping=(cfg["damping.q_a"], cfg["damping.q_c"]),
+               ctrl_frictions=tuple(ctrl), plant_frictions=tuple(plant))
+    if is_transfer:
+        return TransferScenario(**run, payload=cfg["payload"], transfer=TransferConfig(
+            v_z_target=cfg["transfer.v_z"], q_a_locked=cfg["transfer.q_a_locked"],
+            kp=cfg["transfer.kp"], ki=cfg["transfer.ki"],
+            q_c_start=cfg["transfer.q_c_start"], q_c_end=cfg["transfer.q_c_end"],
+        ))
+    human = None
+    if cfg["human.enabled"]:
+        human = HumanParams(
+            height=cfg["human.height"], mass=cfg["human.mass"],
+            mobility=cfg["human.mobility"], seat_height=cfg["human.seat_height"],
+            chair_y=cfg["chair_y"], standing_z_factor=cfg["human.standing_z_factor"],
+        )
     return Scenario(
-        geom=geom,
-        masses=LinkMassModel.for_geometry(geom, cfg["masses.m_h"], cfg["masses.m_v"]),
+        **run,
         human=human,
         chair=ChairModel(
             stiffness=cfg["chair.stiffness"], damping=cfg["chair.damping"],
@@ -232,20 +240,10 @@ def build_scenario(cfg: dict) -> Scenario:
             stiffness=cfg["harness.stiffness"], damping=cfg["harness.damping"],
             rest_offset=(cfg["harness.offset_y"], cfg["harness.offset_z"]),
         ),
-        mode_config=mode_config,
-        transfer=transfer,
+        mode_config=AssistModeConfig(AssistMode(mode), fz_pct=cfg["fz_pct"], ky=cfg["ky"],
+                                     clamp_forward_only=cfg["clamp_forward_only"]),
         sts_duration=cfg["sts.duration"],
-        repetitions=cfg["repetitions"],
-        pause=cfg["pause"],
-        payload=cfg["payload"],
         robot_attached=cfg["robot_attached"],
-        dt=cfg["dt"],
-        seed=cfg["seed"],
-        allow_peak=cfg["allow_peak"],
-        damping=(cfg["damping.q_a"], cfg["damping.q_c"]),
-        ctrl_frictions=tuple(ctrl),
-        plant_frictions=tuple(plant),
-        settle=cfg["settle"],
         rep_jitter=cfg["rep_jitter"],
     )
 
@@ -258,7 +256,7 @@ def build_scenario(cfg: dict) -> Scenario:
 class ValidationReport:
     errors: list[str]
     warnings: list[str]
-    scenario: Scenario | None = None  # the one it built, when Scenario.validate passed
+    scenario: Scenario | TransferScenario | None = None  # the one it built, if it validated
 
     @property
     def ok(self) -> bool:

@@ -1,28 +1,37 @@
 """Fixed-step coupled dynamics of the arm and the surrogate human.
 
+A run is one of two kinds, the two ways the device is used.  A ``Scenario``
+runs the 2-DOF arm in an assist mode, a person, or both; a
+``TransferScenario`` brakes the mast and lifts a payload on the boom, with no
+person, chair, harness or assist mode.  Both extend ``_Run``, which holds
+what every run reads and the rules every run keeps; each type gives its own
+rules and its own ``rise_timing``, and answers a field it lacks that the run
+loop reads (``human``, ``mode_config``, ``robot_attached``, ``transfer``,
+``payload``) with a class constant.
+
 The plant integrates M(q)*qdd + C(q,qd)*qd + g(q) + D*qd =
 J_act^T * F_transmitted + J_dk^T * F_harness with RK4 at a fixed step
 (1 ms default).  Transmitted forces are the motor commands minus the plant's
-own tanh friction, the belt clamped to tension-only.  A transfer brakes the
-mast and carries no human, so the boom turns about C alone: its RK4
-integrates only (q_c, qd_c), and q_a, qd_a, com and vcom keep their start
-values.  ``Plant.evaluated`` evaluates each state the run keeps, once and
-on first read: by ``Plant.forces`` for a 2-DOF plant, by Arm.boom's three
-terms for a transfer, which a test keeps bit-equal to Arm.at's.  RK4 stage 1,
-the drives' speeds, both controllers and the human log channels read it.
-Everything is deterministic for a given scenario and seed: the only
-randomness is a per-repetition duration jitter drawn once from the seeded
-generator when the schedule is built; a transfer draws none.
+own tanh friction, the belt clamped to tension-only.  A transfer's boom
+turns about C alone: its RK4 integrates only (q_c, qd_c), and q_a, qd_a,
+com and vcom keep their start values.  ``Plant.evaluated`` evaluates each
+state the run keeps, once and on first read: by ``Plant.forces`` for a
+2-DOF plant, by Arm.boom's three terms for a transfer, which a test keeps
+bit-equal to Arm.at's.  RK4 stage 1, the drives' speeds, both controllers
+and the human log channels read it.  Everything is deterministic for a given
+scenario and seed: the only randomness is a per-repetition duration jitter
+drawn once from the seeded generator when the schedule is built; a transfer
+draws none.
 
-This module holds the plant, the schedule and the run loop.  The schedule
-decides what each phase lasts and commands: a segment carries its span, its
-CoM reference's end points and the vertical effector speed a transfer's
-speed loop is given, so the loop reads the current segment and holds no
-phase logic.  ``_rise_timing`` gives the rise time and its jitter to both
-the schedule and ``Scenario.validate``'s step bound.  The loop packs each
-logged sample into a block, fills its arm channels by one Arm.at per block
-and hands the blocks to a sink; the log's channels, its phase codes, its
-CSV format and the sinks are in ``simlog``.
+This module holds the scenarios, the plant, the schedule and the run loop.
+The schedule decides what each phase lasts and commands: a segment carries
+its span, its CoM reference's end points and the vertical effector speed a
+transfer's speed loop is given, so the loop reads the current segment and
+holds no phase logic.  The scenario's ``rise_timing`` gives the rise time
+and its jitter to both the schedule and its own validate's step bound.  The
+loop packs each logged sample into a block, fills its arm channels by one
+Arm.at per block and hands the blocks to a sink; the log's channels, its
+phase codes, its CSV format and the sinks are in ``simlog``.
 """
 
 from __future__ import annotations
@@ -95,21 +104,16 @@ FLOOR_DAMPING = 1.0e3
 MAX_STEPS = 10_000_000
 
 @dataclass(frozen=True)
-class Scenario:
-    """Everything needed to run one deterministic simulation."""
+class _Run:
+    """What every run reads, and the rules every run keeps: ``Scenario`` (the
+    2-DOF arm, a person, or both) and ``TransferScenario`` (the braked boom
+    lifting a payload) add their own fields.  A field one type lacks and the
+    run loop reads is a class constant of that type."""
 
     geom: RobotGeometry = RobotGeometry()
     masses: LinkMassModel | None = None
-    human: HumanParams | None = None
-    chair: ChairModel = ChairModel()
-    harness: HarnessModel = HarnessModel()
-    mode_config: AssistModeConfig | None = None
-    transfer: TransferConfig | None = None
-    sts_duration: float = 2.0  # minimum-jerk rise (and descent) time of the CoM [s]
     repetitions: int = 1
     pause: float = 2.0
-    payload: float = 0.0
-    robot_attached: bool = True
     dt: float = DEFAULT_DT
     seed: int = 0
     allow_peak: bool = False
@@ -119,66 +123,73 @@ class Scenario:
     plant_frictions: tuple[FrictionModel, FrictionModel, FrictionModel] = (
         DEFAULT_FRICTION_1, DEFAULT_FRICTION_2_HS, DEFAULT_FRICTION_2_HF)
     settle: float = 0.5
-    rep_jitter: float = 0.05
-    initial_q: JointState | None = None
 
-    def validate(self) -> None:
+    def _validate(self, poses, advice: str, *non_negative) -> None:
+        """The shared rules; ``poses`` are (name, q, limits) of the joint
+        positions the run starts from or holds, ``advice`` how to shorten a
+        run over MAX_STEPS, ``non_negative`` the subclass's (name, value)s."""
         if not (0.0 < self.dt <= 5e-3):
             raise ConfigError("dt must lie in (0, 5e-3] s")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
         for name, value in (("seed", self.seed), ("pause", self.pause), ("settle", self.settle),
-                            ("payload", self.payload), ("damping.q_a", self.damping[0]),
+                            *non_negative, ("damping.q_a", self.damping[0]),
                             ("damping.q_c", self.damping[1])):
             if not value >= 0.0:
                 raise ConfigError(f"{name} must be non-negative")
+        # det M(q) = A1*B1 - (G1*sin q_c)^2 is least where |sin q_c| = 1
+        arm = Arm(self.geom, self.resolved_masses())
+        if self.robot_attached and not (arm.A1_B1 - arm.B1) * arm.B1 > arm.neg_G1**2:
+            raise ConfigError("the arm's mass matrix can be singular: masses.m_v must be positive")
+        # else the step's hard stops would move the braked mast, cut the arc
+        # short or move the start pose before the first command acts
+        for name, q, (lo, hi) in poses:
+            if not lo <= q <= hi:
+                raise ConfigError(f"{name} = {q} lies outside its joint limits [{lo}, {hi}]")
+        # every repetition at its longest jitter, against the log's row count
+        rise, jitter = self.rise_timing()
+        longest = self.settle + self.repetitions * 2.0 * (rise * (1.0 + jitter) + self.pause)
+        if not longest / self.dt <= MAX_STEPS:
+            raise ConfigError(f"the run may last {longest:.3g} s, over {MAX_STEPS:.0e} steps "
+                              f"of dt ({advice})")
+
+    def resolved_masses(self) -> LinkMassModel:
+        return self.masses if self.masses is not None else LinkMassModel.for_geometry(self.geom)
+
+
+@dataclass(frozen=True)
+class Scenario(_Run):
+    """A run of the 2-DOF arm in an assist mode, of a person, or of both."""
+
+    human: HumanParams | None = None
+    chair: ChairModel = ChairModel()
+    harness: HarnessModel = HarnessModel()
+    mode_config: AssistModeConfig | None = None
+    sts_duration: float = 2.0  # minimum-jerk rise (and descent) time of the CoM [s]
+    robot_attached: bool = True
+    rep_jitter: float = 0.05
+    initial_q: JointState | None = None
+    # what the run loop reads of a transfer's fields: none here
+    transfer = None
+    payload = 0.0
+
+    def validate(self) -> None:
         if not self.sts_duration > 0.0:
             raise ConfigError("sts.duration must be positive")
         if not (0.0 <= self.rep_jitter < 1.0):
             raise ConfigError("rep_jitter must lie in [0, 1)")
-        is_transfer = self.transfer is not None
-        if self.payload > 0.0 and not is_transfer:
-            raise ConfigError("payload requires the transfer configuration")
-        if is_transfer and not self.robot_attached:
-            raise ConfigError("transfer requires the robot")
-        if not is_transfer and self.robot_attached and self.mode_config is None:
+        if self.robot_attached and self.mode_config is None:
             raise ConfigError("rehabilitation runs need an assist mode config")
-        if not is_transfer and self.human is None and not self.robot_attached:
+        if self.human is None and not self.robot_attached:
             raise ConfigError("nothing to simulate: no human and no robot")
         mode = self.mode_config.mode if self.mode_config else AssistMode.FOLLOW_ME
         if mode is not AssistMode.FOLLOW_ME and not (self.human and self.robot_attached):
             raise ConfigError(f"{mode.value} acts on a person through the robot: it needs "
                               "human.enabled = true and robot_attached = true")
-        # det M(q) = A1*B1 - (G1*sin q_c)^2 is least where |sin q_c| = 1
-        arm = Arm(self.geom, self.resolved_masses())
-        if self.robot_attached and not (arm.A1_B1 - arm.B1) * arm.B1 > arm.neg_G1**2:
-            raise ConfigError("the arm's mass matrix can be singular: masses.m_v must be positive")
-        if is_transfer and self.mode_config is not None:
-            raise ConfigError("a transfer takes no assist mode config")
-        if is_transfer and self.human is not None:
-            raise ConfigError("a transfer takes no human")
-        # else the step's hard stops would move the braked mast, cut the arc
-        # short or move the start pose before the first command acts
-        g, poses = self.geom, []
-        if is_transfer:
-            tr = self.transfer
-            poses += [("transfer.q_a_locked", tr.q_a_locked, g.q_a_limits),
-                      ("transfer.q_c_start", tr.q_c_start, g.q_c_limits),
-                      ("transfer.q_c_end", tr.q_c_end, g.q_c_limits)]
-        if self.initial_q is not None:
-            poses += [("initial_q.q_a", self.initial_q.q_a, g.q_a_limits),
-                      ("initial_q.q_c", self.initial_q.q_c, g.q_c_limits)]
-        for name, q, (lo, hi) in poses:
-            if not lo <= q <= hi:
-                raise ConfigError(f"{name} = {q} lies outside its joint limits [{lo}, {hi}]")
-        # every repetition at its longest jitter, against the log's row count
-        rise, jitter = _rise_timing(self)
-        longest = self.settle + self.repetitions * 2.0 * (rise * (1.0 + jitter) + self.pause)
-        if not longest / self.dt <= MAX_STEPS:
-            advice = ("shorten pause, settle or repetitions, or raise transfer.v_z"
-                      if is_transfer else "shorten pause, settle, sts.duration or repetitions")
-            raise ConfigError(f"the run may last {longest:.3g} s, over {MAX_STEPS:.0e} steps "
-                              f"of dt ({advice})")
+        g, q0 = self.geom, self.initial_q
+        self._validate(() if q0 is None else (("initial_q.q_a", q0.q_a, g.q_a_limits),
+                                               ("initial_q.q_c", q0.q_c, g.q_c_limits)),
+                       "shorten pause, settle, sts.duration or repetitions")
         # the arm holds the harness over the seated CoM and follows it to standing
         if self.human is not None and self.robot_attached:
             for name, com in (("seated", self.human.seated_com),
@@ -190,8 +201,39 @@ class Scenario:
                     raise ConfigError(f"human.{name} CoM attach point {target} unreachable "
                                       f"(chair_y/harness offsets): {why}")
 
-    def resolved_masses(self) -> LinkMassModel:
-        return self.masses if self.masses is not None else LinkMassModel.for_geometry(self.geom)
+    def rise_timing(self) -> tuple[float, float]:
+        """The nominal rise (and descent) time and the jitter drawn about it."""
+        return self.sts_duration, self.rep_jitter
+
+
+@dataclass(frozen=True)
+class TransferScenario(_Run):
+    """A transfer: the braked mast holds the arm where the arc starts and the
+    boom lifts ``payload`` [kg] along it, with no person aboard."""
+
+    transfer: TransferConfig = TransferConfig()
+    payload: float = 0.0
+    # what the run loop reads of a 2-DOF run's fields: no person, no assist
+    # mode, the robot
+    human = None
+    mode_config = None
+    robot_attached = True
+
+    def validate(self) -> None:
+        g, tr = self.geom, self.transfer
+        self._validate((("transfer.q_a_locked", tr.q_a_locked, g.q_a_limits),
+                        ("transfer.q_c_start", tr.q_c_start, g.q_c_limits),
+                        ("transfer.q_c_end", tr.q_c_end, g.q_c_limits)),
+                       "shorten pause, settle or repetitions, or raise transfer.v_z",
+                       ("payload", self.payload))
+
+    def rise_timing(self) -> tuple[float, float]:
+        """The arc's height at v_z, with no jitter drawn about it."""
+        tr = self.transfer
+        arm = Arm(self.geom, self.resolved_masses())
+        z0 = arm.at(tr.q_a_locked, tr.q_c_start).e[1]
+        z1 = arm.at(tr.q_a_locked, tr.q_c_end).e[1]
+        return abs(z1 - z0) / tr.v_z_target, 0.0
 
 
 @dataclass
@@ -291,21 +333,9 @@ class _Schedule:
         return ref
 
 
-def _rise_timing(scenario: Scenario) -> tuple[float, float]:
-    """The nominal rise (and descent) time and the jitter drawn about it: the
-    STS duration and ``rep_jitter``, or the transfer's arc at v_z and 0."""
-    tr = scenario.transfer
-    if tr is None:
-        return scenario.sts_duration, scenario.rep_jitter
-    arm = Arm(scenario.geom, scenario.resolved_masses())
-    z0 = arm.at(tr.q_a_locked, tr.q_c_start).e[1]
-    z1 = arm.at(tr.q_a_locked, tr.q_c_end).e[1]
-    return abs(z1 - z0) / tr.v_z_target, 0.0
-
-
-def _build_schedule(scenario: Scenario) -> _Schedule:
+def _build_schedule(scenario: _Run) -> _Schedule:
     zero = (0.0, 0.0)
-    rise, jitter = _rise_timing(scenario)
+    rise, jitter = scenario.rise_timing()
     # only a run that draws imports numpy.random (1.8-5.4 MB of RSS)
     rng = np.random.default_rng(scenario.seed) if jitter > 0.0 else None
     human = scenario.human
@@ -331,7 +361,7 @@ def _build_schedule(scenario: Scenario) -> _Schedule:
 class Plant:
     """Precomputed plant model: ``step`` integrates one control period."""
 
-    def __init__(self, scenario: Scenario):
+    def __init__(self, scenario: _Run):
         scenario.validate()
         g = scenario.geom
         m = scenario.resolved_masses()
@@ -351,9 +381,10 @@ class Plant:
         # the braked mast's dL1/dq_a, a function of q_a alone
         tr = scenario.transfer
         self.d1_braked = self.arm.at(tr.q_a_locked, tr.q_c_start).d[0] if tr else None
-        self.harness = scenario.harness
         self.human = scenario.human
-        self.seat = scenario.chair.seat(self.human) if self.has_human else None
+        if self.has_human:
+            self.harness = scenario.harness
+            self.seat = scenario.chair.seat(self.human)
         self.schedule = _build_schedule(scenario)
 
     # -- forces -----------------------------------------------------------
@@ -556,7 +587,7 @@ class Plant:
 # scenario execution
 
 
-def _initial_state(scenario: Scenario) -> SimState:
+def _initial_state(scenario: _Run) -> SimState:
     """Start state: the person seated, the attached arm at the harness's
     attach point above the seated CoM."""
     if scenario.human is not None:
@@ -572,7 +603,7 @@ def _initial_state(scenario: Scenario) -> SimState:
     return SimState(q_a=q0.q_a, q_c=q0.q_c)
 
 
-def run_scenario(scenario: Scenario, sink=None):
+def run_scenario(scenario: Scenario | TransferScenario, sink=None):
     """Execute the scenario and return ``sink.close()``: the sink (see
     ``simlog``) takes the run's fixed-rate log a block of samples at a time.
     By default it is the in-memory store, and the run returns its read-only

@@ -90,9 +90,9 @@ class SimLog:
 
 
 def log_meta(scenario) -> dict:
-    """The meta of the scenario's log, known before its first sample."""
-    mode_config, human = scenario.mode_config, scenario.human
-    is_transfer = scenario.transfer is not None
+    """The meta of the scenario's log, known before its first sample.  A
+    transfer reads no STS duration: its ``duration`` is the default, 2.0."""
+    tr, mode_config, human = scenario.transfer, scenario.mode_config, scenario.human
     return {
         "dt": scenario.dt,
         "seed": scenario.seed,
@@ -102,14 +102,14 @@ def log_meta(scenario) -> dict:
         "robot_attached": scenario.robot_attached,
         "payload": scenario.payload,
         "mode": (mode_config.mode.value if mode_config is not None
-                 else ("transfer" if is_transfer else "none")),
+                 else ("transfer" if tr else "none")),
         "fz_pct": mode_config.fz_pct if mode_config is not None else 0.0,
         "ky": mode_config.ky if mode_config is not None else 0.0,
         "height": human.height if human else 0.0,
         "weight": human.mass if human else 0.0,
         "mobility": human.mobility if human else 0.0,
-        "duration": scenario.sts_duration,
-        "v_z_target": scenario.transfer.v_z_target if is_transfer else 0.0,
+        "duration": 2.0 if tr else scenario.sts_duration,
+        "v_z_target": tr.v_z_target if tr else 0.0,
     }
 
 
@@ -276,21 +276,13 @@ class CsvBlocks:
     formatted once, through ``%s``; the text is kept for the next block, which
     reuses it when its distinct values are the same (the map's ``y_m`` holds
     the same values in every block).  Any other column passes its floats to
-    ``%.17g``.
-
-    A column that took ``%.17g`` in the last block is first tried without
-    ``np.unique``: its cells hold at least as many distinct values as distinct
-    low 12 bits (``bincount`` of ``bits & 4095``), so more than ``rows / 2``
-    of those sends it to ``%.17g`` at once.  The test only ever proves "many
-    distinct", the choice ``np.unique`` would make, so it cannot change the
-    bytes; when it cannot decide, ``np.unique`` does.  A column that was
-    constant or repeated in the last block goes to ``np.unique`` first, so a
-    repeating column, such as the map's ``y_m``, does not pay for both.
+    ``%.17g``, and so does every later block of it that is not constant:
+    its text is the same either way, and ``np.unique`` is not run again.
     """
 
     def __init__(self, n_columns: int):
         self.kept = [None] * n_columns  # (distinct bits, their text) per column
-        self.varied = [False] * n_columns  # whether the column took %.17g in the last block
+        self.varied = [False] * n_columns  # whether the column has taken %.17g
 
     def __call__(self, columns) -> str:
         """The rows of one block: ``columns`` are its equal-length columns."""
@@ -303,10 +295,7 @@ class CsvBlocks:
             bits = x.view(np.int64)
             if (bits == bits[0]).all():
                 fields.append(f"{x[0]:.17g}")
-                varied[i] = False
                 continue
-            # distinct low 12 bits are at most as many as distinct values
-            varied[i] = varied[i] and 2 * np.count_nonzero(np.bincount(bits & 4095)) > rows
             if not varied[i]:
                 distinct, inverse = np.unique(bits, return_inverse=True)
                 varied[i] = 2 * len(distinct) > rows

@@ -35,6 +35,7 @@ from stsbot.engine import (
     Plant,
     Scenario,
     SimState,
+    TransferScenario,
     run_scenario,
 )
 from stsbot.human import HumanParams
@@ -183,8 +184,8 @@ def test_criterion_4_transfer_speeds():
     for payload in (28.0, 51.0, 74.0, 98.0):
         tr = TransferConfig(v_z_target=target, q_a_locked=0.30,
                             q_c_start=0.45, q_c_end=-0.50)
-        sc = Scenario(geom=GEOM, human=None, transfer=tr, payload=payload,
-                      repetitions=1, seed=44, pause=1.0)
+        sc = TransferScenario(geom=GEOM, transfer=tr, payload=payload,
+                              repetitions=1, seed=44, pause=1.0)
         log = run_scenario(sc)
         from stsbot.analysis import transfer_speed_table
 

@@ -26,8 +26,9 @@ from stsbot import (
     RobotGeometry,
     Scenario,
     TransferConfig,
+    TransferScenario,
 )
-from stsbot import cli, engine, simlog
+from stsbot import cli, config, engine, simlog
 from stsbot.analysis import STS_CHANNELS
 from stsbot.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
 from stsbot.config import SCHEMA, build_scenario, parse_config_text, validate_config
@@ -76,7 +77,9 @@ def test_config_defaults_build_the_default_objects():
     assert sc.human == HumanParams(1.75, 81.13)
     assert sc.mode_config == AssistModeConfig(AssistMode.FOLLOW_ME)
     assert replace(sc, masses=None, human=None, mode_config=None, repetitions=1) == Scenario()
-    assert build_scenario(parse_config_text("mode = transfer")).transfer == TransferConfig()
+    transfer = build_scenario(parse_config_text("mode = transfer"))
+    assert transfer.transfer == TransferConfig()
+    assert replace(transfer, masses=None, repetitions=1) == TransferScenario()
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -123,10 +126,12 @@ def test_readme_table_documents_every_key_and_default():
 
 
 def test_readme_python_api_example_runs(capsys):
-    block = README.read_text().split("### Python API", 1)[1]
-    code = block.split("```python\n", 1)[1].split("```", 1)[0]
-    exec(compile(code, "README.md", "exec"), {})
-    assert float(capsys.readouterr().out) == pytest.approx(0.10, abs=0.02)
+    # the assist mode's measured assistance, then the transfer's lifting speed
+    block = README.read_text().split("### Python API", 1)[1].split("\n## ", 1)[0]
+    for code in block.split("```python\n")[1:]:
+        exec(compile(code.split("```", 1)[0], "README.md", "exec"), {})
+    printed = [float(x) for x in capsys.readouterr().out.split()]
+    assert printed == [pytest.approx(0.10, abs=0.02), pytest.approx(0.04, rel=0.10)]
 
 
 def test_unknown_key_rejected():
@@ -426,6 +431,59 @@ def test_every_command_prints_the_warnings(tmp_path, capsys, command, stream):
     assert main(argv) == EXIT_OK
     assert ("warning: transfer ignores fz_pct, rep_jitter, human.mass, sts.duration, "
             "chair.damping\n") in getattr(capsys.readouterr(), stream)
+
+
+# the shortest transfer, and a line added to it: a key a transfer never reads
+# (it builds no person, chair or harness, draws no jitter and takes its rise
+# time from the arc) gives its one warning and changes no byte of the log; the
+# two rules between the kinds of run still refuse their configs
+SHORT_TRANSFER = ("mode = transfer\nrepetitions = 1\npause = 0.1\nsettle = 0.1\ndt = 0.005\n"
+                  "transfer.v_z = 0.15\n")
+TRANSFER_LINES = {
+    "chair.damping = -400": (EXIT_OK, "warning: transfer ignores chair.damping"),
+    "harness.damping = -1": (EXIT_OK, "warning: transfer ignores harness.damping"),
+    "rep_jitter = 1.5": (EXIT_OK, "warning: transfer ignores rep_jitter"),
+    "sts.duration = 0": (EXIT_OK, "warning: transfer ignores sts.duration"),
+    "sts.duration = 3": (EXIT_OK, "warning: transfer ignores sts.duration"),
+    "robot_attached = false": (EXIT_CONFIG, "error: transfer requires the robot"),
+    "mode = follow_me\npayload = 10": (EXIT_CONFIG,
+                                       "error: payload requires the transfer configuration"),
+}
+
+
+@pytest.mark.parametrize("line", sorted(TRANSFER_LINES), ids=lambda t: t.replace("\n", "; "))
+def test_a_transfer_checks_no_key_it_does_not_read(tmp_path, capsys, line):
+    code, said = TRANSFER_LINES[line]
+    p = write(tmp_path, SHORT_TRANSFER + line + "\n")
+    assert main(["validate", "--config", str(p)]) == code
+    want = f"{said}\nconfiguration ok\n" if code == EXIT_OK else f"{said}\n"
+    assert capsys.readouterr().out == want
+    if code == EXIT_OK:
+        plain = write(tmp_path, SHORT_TRANSFER, "plain.cfg")
+        for cfg, out in ((plain, "plain"), (p, "out")):
+            assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / out)]) == 0
+        assert ((tmp_path / "out" / "log.csv").read_bytes()
+                == (tmp_path / "plain" / "log.csv").read_bytes())
+
+
+class _ReadKeys(dict):
+    """A config mapping that records the keys read from it."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def test_the_transfer_warning_names_the_keys_a_transfer_does_not_read():
+    # map.* is read by stsbot map alone, so no run reads it
+    cfg = _ReadKeys(parse_config_text("mode = transfer"))
+    build_scenario(cfg)
+    unread = {k for k in SCHEMA if k not in cfg.read and not k.startswith("map.")}
+    assert unread == {k for k in SCHEMA if k.startswith(config._TRANSFER_IGNORES)}
 
 
 def test_divergence_in_an_rk4_stage_exits_3(tmp_path, capsys):

@@ -24,7 +24,7 @@ from stsbot.control import (
     force_controller_step,
     speed_controller_step,
 )
-from stsbot.engine import Scenario, _build_schedule, _initial_state, _rise_timing, run_scenario
+from stsbot.engine import TransferScenario, _build_schedule, _initial_state, run_scenario
 from stsbot.errors import ConfigError, SingularTransmission
 from stsbot.human import HumanParams
 from stsbot.kinematics import (
@@ -313,8 +313,8 @@ def test_transfer_config_validation():
 
 @pytest.fixture(scope="module")
 def transfer_log():
-    return run_scenario(Scenario(geom=GEOM, transfer=TransferConfig(v_z_target=0.04),
-                                 payload=98.0, repetitions=1, pause=0.5, dt=0.002))
+    return run_scenario(TransferScenario(geom=GEOM, transfer=TransferConfig(v_z_target=0.04),
+                                         payload=98.0, repetitions=1, pause=0.5, dt=0.002))
 
 
 def test_transfer_arc_radius(transfer_log):
@@ -327,12 +327,12 @@ def test_transfer_arc_radius(transfer_log):
 
 def test_transfer_arc_endpoints_match_fk():
     tr = TransferConfig()
-    sc = Scenario(geom=GEOM, transfer=tr)
+    sc = TransferScenario(geom=GEOM, transfer=tr)
     state = _initial_state(sc)
     assert (state.q_a, state.q_c) == (tr.q_a_locked, tr.q_c_start)
     start = ARM.at(tr.q_a_locked, tr.q_c_start).e
     end = ARM.at(tr.q_a_locked, tr.q_c_end).e
-    rise, jitter = _rise_timing(sc)
+    rise, jitter = sc.rise_timing()
     assert rise == pytest.approx(abs(end[1] - start[1]) / tr.v_z_target, abs=1e-12)
     assert jitter == 0.0  # a transfer draws no jitter, whatever rep_jitter holds
     # the schedule commands the speed loop: lift, hold, lower, hold

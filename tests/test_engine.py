@@ -28,6 +28,7 @@ from stsbot.engine import (
     Plant,
     Scenario,
     SimState,
+    TransferScenario,
     _build_schedule,
     _initial_state,
     run_scenario,
@@ -96,7 +97,7 @@ def test_gravity_compensation_holds_pose():
 
 def test_brake_locks_mast_exactly():
     tr = TransferConfig(v_z_target=0.04, q_a_locked=0.33)
-    sc = Scenario(geom=GEOM, human=None, transfer=tr, payload=50.0)
+    sc = TransferScenario(geom=GEOM, transfer=tr, payload=50.0)
     plant = Plant(sc)
     state = SimState(q_a=0.33, q_c=0.2)
     for i in range(2000):
@@ -140,8 +141,11 @@ def test_divergence_guard_raises():
 
 
 def short_scenario(**kw):
-    base = dict(geom=GEOM, human=human(), mode_config=FOLLOW, repetitions=1,
-                pause=0.5, settle=0.2, seed=4, rep_jitter=0.0)
+    """A short run: a TransferScenario if ``kw`` gives a transfer."""
+    base = dict(geom=GEOM, repetitions=1, pause=0.5, settle=0.2, seed=4)
+    if "transfer" in kw:
+        return TransferScenario(**{**base, **kw})
+    base.update(human=human(), mode_config=FOLLOW, rep_jitter=0.0)
     base.update(kw)
     return Scenario(**base)
 
@@ -281,8 +285,8 @@ def test_harness_channel_consistency():
 
 def test_transfer_monotone_ascent():
     tr = TransferConfig(v_z_target=0.04, q_a_locked=0.30, q_c_start=0.45, q_c_end=-0.50)
-    sc = Scenario(geom=GEOM, human=None, transfer=tr, payload=98.0, repetitions=1,
-                  seed=3, pause=1.0)
+    sc = TransferScenario(geom=GEOM, transfer=tr, payload=98.0, repetitions=1,
+                          seed=3, pause=1.0)
     log = run_scenario(sc)
     rise = (log["rep"] == 0) & (log["phase"] == PHASE_RISE)
     z = log["e_z"][rise]
@@ -296,8 +300,8 @@ def test_transfer_unloaded_lowering_regulated_by_tension_only():
     # with nothing on the hook the arm descends under its own gravity while
     # the belt only ever pulls
     tr = TransferConfig(v_z_target=0.04, q_a_locked=0.30, q_c_start=0.45, q_c_end=-0.50)
-    sc = Scenario(geom=GEOM, human=None, transfer=tr, payload=0.0, repetitions=1,
-                  seed=9, pause=1.0)
+    sc = TransferScenario(geom=GEOM, transfer=tr, payload=0.0, repetitions=1,
+                          seed=9, pause=1.0)
     log = run_scenario(sc)
     assert (log["f2_cmd"] >= 0.0).all()
     from stsbot.analysis import transfer_speed_table
@@ -332,26 +336,29 @@ def test_scenario_validation():
         Scenario(dt=0.0).validate()
     with pytest.raises(ConfigError):
         Scenario(human=human(), mode_config=FOLLOW, repetitions=0).validate()
-    with pytest.raises(ConfigError):
-        Scenario(human=human(), mode_config=FOLLOW, payload=10.0).validate()
+    # a payload rides only on a transfer: a 2-DOF run has no such field
+    with pytest.raises(TypeError, match="payload"):
+        Scenario(human=human(), mode_config=FOLLOW, payload=10.0)
+    with pytest.raises(ConfigError, match="payload must be non-negative"):
+        TransferScenario(payload=-1.0).validate()
     # a person with the robot attached needs the mode that drives it
     with pytest.raises(ConfigError, match="assist mode config"):
         Scenario(human=HumanParams(1.75, 81.13)).validate()
     # a transfer is the TransferConfig alone: no mode config rides along with
     # it, and it lifts a payload, not the surrogate human
-    with pytest.raises(ConfigError, match="assist mode config"):
-        Scenario(human=None, transfer=TransferConfig(), mode_config=FOLLOW).validate()
-    with pytest.raises(ConfigError, match="no human"):
-        Scenario(human=human(), transfer=TransferConfig()).validate()
+    with pytest.raises(TypeError, match="mode_config"):
+        TransferScenario(transfer=TransferConfig(), mode_config=FOLLOW)
+    with pytest.raises(TypeError, match="human"):
+        TransferScenario(human=human(), transfer=TransferConfig())
     # the braked mast and the boom's arc lie within the joint limits, ends included
     lo_a, hi_a = GEOM.q_a_limits
     lo_c, hi_c = GEOM.q_c_limits
-    Scenario(human=None, transfer=TransferConfig(q_a_locked=hi_a, q_c_start=hi_c,
-                                                 q_c_end=lo_c)).validate()
+    TransferScenario(transfer=TransferConfig(q_a_locked=hi_a, q_c_start=hi_c,
+                                             q_c_end=lo_c)).validate()
     for bad in (dict(q_a_locked=1.5), dict(q_a_locked=lo_a - 1e-9), dict(q_c_start=0.6),
                 dict(q_c_end=-1.5)):
         with pytest.raises(ConfigError, match="joint limits"):
-            Scenario(human=None, transfer=TransferConfig(**bad)).validate()
+            TransferScenario(transfer=TransferConfig(**bad)).validate()
     # so does the arm-only start pose
     arm_only_scenario(initial_q=JointState(hi_a, lo_c)).validate()
     for bad in ((1.5, 0.0), (lo_a - 1e-9, 0.0), (0.2, hi_c + 1e-9), (0.2, -1.5)):
@@ -366,12 +373,12 @@ def test_a_transfer_is_bounded_by_the_length_it_runs():
     # length (the steps run_scenario runs), and its advice names the key that
     # sets its rise time
     for reps, steps in ((208, 9_987_704), (209, 10_035_720)):
-        sc = Scenario(human=None, transfer=TransferConfig(), repetitions=reps)
+        sc = TransferScenario(repetitions=reps)
         assert int(round(_build_schedule(sc).total / sc.dt)) == steps
     assert 9_987_704 <= MAX_STEPS < 10_035_720
-    Scenario(human=None, transfer=TransferConfig(), repetitions=208).validate()
+    TransferScenario(repetitions=208).validate()
     with pytest.raises(ConfigError, match="raise transfer.v_z") as exc:
-        Scenario(human=None, transfer=TransferConfig(), repetitions=209).validate()
+        TransferScenario(repetitions=209).validate()
     assert "sts.duration" not in str(exc.value)
 
 
@@ -395,8 +402,8 @@ def test_massless_boom_is_rejected_with_the_robot_attached():
     # transfer's one-joint inertia are then singular somewhere on the arc
     massless = LinkMassModel.for_geometry(GEOM, m_v=0.0)
     for sc in (Scenario(human=human(), mode_config=FOLLOW, masses=massless),
-               Scenario(human=None, transfer=TransferConfig(), masses=massless),
-               Scenario(human=None, transfer=TransferConfig(), masses=massless, payload=50.0),
+               TransferScenario(masses=massless),
+               TransferScenario(masses=massless, payload=50.0),
                arm_only_scenario(masses=massless)):
         with pytest.raises(ConfigError, match="masses.m_v"):
             sc.validate()
@@ -431,7 +438,7 @@ REPLAY_SCENARIOS = {
         mode_config=AssistModeConfig(AssistMode.COM_BALANCE, fz_pct=0.1, ky=200.0),
         allow_peak=True, pause=0.2, settle=0.1, dt=2e-3, seed=21),
     "transfer": dict(
-        human=None, mode_config=None, payload=50.0, pause=0.2, settle=0.1, dt=2e-3, seed=22,
+        payload=50.0, pause=0.2, settle=0.1, dt=2e-3, seed=22,
         transfer=TransferConfig(v_z_target=0.04, q_a_locked=0.30, q_c_start=0.2, q_c_end=0.0)),
     "detached": dict(robot_attached=False, mode_config=None, dt=2e-3, seed=23),
 }
@@ -734,8 +741,7 @@ def test_csv_bytes_match_rowwise_writer(log, block_cells):
 
 # a 9 103-sample transfer at the longest step the rules allow: a 2.9 MB log
 # that runs in well under a second, so tracing it stays cheap
-MEMORY_TRANSFER = Scenario(transfer=TransferConfig(), repetitions=1, pause=0.5, payload=50.0,
-                           dt=5e-3)
+MEMORY_TRANSFER = TransferScenario(repetitions=1, pause=0.5, payload=50.0, dt=5e-3)
 
 
 def traced_peak(fn):

@@ -9,8 +9,7 @@ PATCH_POINTS equal to the tracer's list.
 import pytest
 
 from stsbot import analysis, cli, control, engine
-from stsbot.control import TransferConfig
-from stsbot.engine import Plant, Scenario, SimLog, run_scenario
+from stsbot.engine import Plant, SimLog, TransferScenario, run_scenario
 
 PATCH_POINTS = [
     (cli, "run_scenario"),
@@ -61,7 +60,7 @@ def test_perfbench_reads_a_run_through_engine(tmp_path):
     # the sweep reads run_scenario's log and its len and dt, the session
     # reads log.csv back through SimLog.from_csv, and the digest walks
     # CHANNELS: all three as attributes of engine
-    scenario = Scenario(transfer=TransferConfig(), repetitions=1, pause=0.1, settle=0.1, dt=5e-3)
+    scenario = TransferScenario(repetitions=1, pause=0.1, settle=0.1, dt=5e-3)
     log = engine.run_scenario(scenario)
     assert isinstance(log, engine.SimLog)
     assert len(log) > 0 and log.dt == scenario.dt
